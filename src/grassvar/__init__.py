@@ -44,7 +44,6 @@ from .grassmann import (
     equivalent,
     grassmann_canonical_lift,
     grassmann_transition,
-    project_kappa,
     to_grassmann,
 )
 from .kvector import (

@@ -4,6 +4,10 @@ Scenario files declare form coefficients as expression strings in the
 chart variables y1..ym (e.g. ``"y1*y2**2 + sin(y3)"``).  Wrapping them in
 sympy keeps analytic partial derivatives available to any order, which the
 exterior derivative uses instead of finite differences whenever it can.
+
+Shape contract: an :class:`ExprCoeff` evaluates a stack of chart points
+``(N, dim)`` to ``(N,)`` (a constant expression is broadcast to N); one
+point ``(dim,)`` gives a float.
 """
 from __future__ import annotations
 
@@ -31,10 +35,13 @@ class ExprCoeff:
         self._fn = None
         self._partials: dict[int, "ExprCoeff"] = {}
 
-    def __call__(self, y) -> float:
+    def __call__(self, y):
         if self._fn is None:
             self._fn = sp.lambdify(self.vars, self.expr, modules="numpy")
-        return float(self._fn(*np.asarray(y, dtype=float)))
+        y = np.asarray(y, dtype=float)
+        Y = np.atleast_2d(y)
+        out = np.broadcast_to(np.asarray(self._fn(*Y.T), dtype=float), Y.shape[:1])
+        return float(out[0]) if y.ndim < 2 else out
 
     def partial(self, j: int) -> "ExprCoeff":
         """Analytic partial derivative with respect to y^{j+1} (0-based j)."""
@@ -44,7 +51,3 @@ class ExprCoeff:
 
     def __repr__(self) -> str:
         return f"ExprCoeff({self.expr}, dim={self.dim})"
-
-
-def const_coeff(value: float, dim: int) -> ExprCoeff:
-    return ExprCoeff(sp.Float(value), dim)

@@ -16,6 +16,12 @@ descend from the tangent chart to the space of rays.  The catalog:
 
 All gradients are analytic.  Evaluation on the slit |v| ~ 0 raises
 SlitDomainError instead of propagating NaNs.
+
+Shape contract: a :class:`FinslerFunction` evaluates stacks of base points
+``(N, m)`` and fiber arguments ``(N, fiber_dim)`` to values ``(N,)`` and
+fiber gradients ``(N, fiber_dim)``; the slit check runs on the whole stack
+before any division or square root.  One point ``(m,)``, ``(fiber_dim,)``
+gives a float and a ``(fiber_dim,)`` gradient.
 """
 from __future__ import annotations
 
@@ -44,7 +50,8 @@ class FinslerFunction:
 
     ``degree`` is the exterior degree of the fiber argument: 1 for tangent
     vectors (fiber_dim = m), k for areal Lagrangians on k-vector components
-    (fiber_dim = C(m, k)).
+    (fiber_dim = C(m, k)).  ``_eval`` and ``_grad`` map stacks ``(N, m)``,
+    ``(N, fiber_dim)`` to ``(N,)`` and ``(N, fiber_dim)``.
     """
 
     kind: str
@@ -52,48 +59,53 @@ class FinslerFunction:
     degree: int
     fiber_dim: int
     params: dict
-    _eval: Callable[[np.ndarray, np.ndarray], float]
+    _eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     _grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def _check_args(self, y, v):
-        y = np.asarray(y, dtype=float).reshape(-1)
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if y.shape != (self.m,):
+        y = np.asarray(y, dtype=float)
+        v = np.asarray(v, dtype=float)
+        single = v.ndim < 2
+        Y, V = (y.reshape(1, -1), v.reshape(1, -1)) if single else (y, v)
+        if Y.shape[1:] != (self.m,):
             raise DimensionMismatchError(f"base point must have length {self.m}")
-        if v.shape != (self.fiber_dim,):
+        if V.shape[1:] != (self.fiber_dim,):
             raise DimensionMismatchError(f"fiber argument must have length {self.fiber_dim}")
-        scale = max(1.0, float(np.max(np.abs(y))))
-        if float(np.max(np.abs(v))) <= SLIT_TOL * scale:
-            raise SlitDomainError("fiber argument is numerically zero (slit domain)")
-        return y, v
+        if len(Y) != len(V):
+            raise DimensionMismatchError("base points and fiber arguments differ in number")
+        slit = np.max(np.abs(V), axis=1) <= SLIT_TOL * np.maximum(1.0, np.max(np.abs(Y), axis=1))
+        if np.any(slit):
+            raise SlitDomainError(
+                f"fiber argument is numerically zero (slit domain) at y={Y[slit][0]}"
+            )
+        return Y, V, single
 
-    def __call__(self, y, v) -> float:
-        y, v = self._check_args(y, v)
-        return float(self._eval(y, v))
+    def __call__(self, y, v):
+        Y, V, single = self._check_args(y, v)
+        out = np.asarray(self._eval(Y, V), dtype=float).reshape(len(Y))
+        return float(out[0]) if single else out
 
     def fiber_gradient(self, y, v) -> np.ndarray:
-        y, v = self._check_args(y, v)
-        return np.asarray(self._grad(y, v), dtype=float).reshape(self.fiber_dim)
+        Y, V, single = self._check_args(y, v)
+        out = np.asarray(self._grad(Y, V), dtype=float).reshape(len(Y), self.fiber_dim)
+        return out[0] if single else out
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, d) stacks."""
+    return np.einsum("ni,ni->n", a, b)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(v, axis=1)
 
 
 # -- metric fields -----------------------------------------------------------
 
-def _constant_field(g0: np.ndarray):
-    return (lambda y: g0), (lambda y: 1.0)
-
-
-def _conformal_field(g0: np.ndarray, coeff: float):
-    # phi(y) = 1 + coeff |y|^2 with coeff >= 0 keeps g positive definite
-    def phi(y):
-        return 1.0 + coeff * float(y @ y)
-
-    return (lambda y: phi(y) * g0), phi
-
-
-def _build_metric_field(m: int, spec) -> tuple[Callable, Callable]:
-    if spec is None:
-        g0 = np.eye(m)
-        return _constant_field(g0)
+def _build_metric_field(m: int, spec) -> Callable[[np.ndarray], np.ndarray]:
+    """y -> g(y) as a stack ``(N, m, m)``: a constant matrix, or one scaled by
+    phi(y) = 1 + coeff |y|^2 (coeff >= 0 keeps g positive definite)."""
+    spec = spec or {}
     kind = spec.get("field", "constant")
     g0 = np.asarray(spec.get("matrix", np.eye(m)), dtype=float)
     if g0.shape != (m, m):
@@ -103,12 +115,12 @@ def _build_metric_field(m: int, spec) -> tuple[Callable, Callable]:
     if np.any(np.linalg.eigvalsh(g0) <= 0.0):
         raise InvalidMetricError("metric matrix must be positive definite")
     if kind == "constant":
-        return _constant_field(g0)
+        return lambda Y: np.broadcast_to(g0, (len(Y), m, m))
     if kind == "conformal":
         coeff = float(spec.get("coefficient", 0.0))
         if coeff < 0.0:
             raise InvalidMetricError("conformal coefficient must be >= 0")
-        return _conformal_field(g0, coeff)
+        return lambda Y: (1.0 + coeff * _dot(Y, Y))[:, None, None] * g0
     raise InvalidMetricError(f"unknown metric field kind {kind!r}")
 
 
@@ -117,28 +129,13 @@ def _build_metric_field(m: int, spec) -> tuple[Callable, Callable]:
 def euclidean_metric(dim: int) -> FinslerFunction:
     """F(y, v) = |v|; the fiber gradient is the unit vector v/|v|."""
     return FinslerFunction(
-        "euclidean",
-        dim,
-        1,
-        dim,
-        {},
-        lambda y, v: float(np.linalg.norm(v)),
-        lambda y, v: v / np.linalg.norm(v),
+        "euclidean", dim, 1, dim, {}, lambda Y, V: _norm(V), lambda Y, V: V / _norm(V)[:, None]
     )
 
 
 def riemannian_metric(dim: int, g: dict | None = None) -> FinslerFunction:
     """F(y, v) = sqrt(v^T g(y) v) with gradient g(y) v / F."""
-    gfun, _ = _build_metric_field(dim, g)
-
-    def ev(y, v):
-        return math.sqrt(float(v @ gfun(y) @ v))
-
-    def grad(y, v):
-        gv = gfun(y) @ v
-        return gv / math.sqrt(float(v @ gv))
-
-    return FinslerFunction("riemannian", dim, 1, dim, {"g": g}, ev, grad)
+    return _randers_family("riemannian", dim, np.zeros(dim), g, {"g": g})
 
 
 def randers_metric(dim: int, b, g: dict | None = None) -> FinslerFunction:
@@ -147,23 +144,32 @@ def randers_metric(dim: int, b, g: dict | None = None) -> FinslerFunction:
     Positivity of F on nonzero v is equivalent to |b|_g < 1 (norm taken
     with the inverse metric); the constructor rejects anything else.
     """
-    gfun, _ = _build_metric_field(dim, g)
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.shape != (dim,):
         raise InvalidMetricError(f"drift covector must have length {dim}")
-    g0 = gfun(np.zeros(dim))
+    return _randers_family("randers", dim, b, g, {"b": b.tolist(), "g": g})
+
+
+def _randers_family(kind: str, dim: int, b: np.ndarray, g, params: dict) -> FinslerFunction:
+    """sqrt(v^T g(y) v) + b . v with gradient g(y) v / sqrt(v^T g(y) v) + b."""
+    gfun = _build_metric_field(dim, g)
+    g0 = gfun(np.zeros((1, dim)))[0]
     b_norm = math.sqrt(float(b @ np.linalg.solve(g0, b)))
     if b_norm >= 1.0:
         raise InvalidMetricError(f"|b|_g = {b_norm:g} >= 1 makes F non-positive")
 
-    def ev(y, v):
-        return math.sqrt(float(v @ gfun(y) @ v)) + float(b @ v)
+    def parts(Y, V):
+        gv = np.einsum("nij,nj->ni", gfun(Y), V)
+        return np.sqrt(_dot(V, gv)), gv
 
-    def grad(y, v):
-        gv = gfun(y) @ v
-        return gv / math.sqrt(float(v @ gv)) + b
+    def ev(Y, V):
+        return parts(Y, V)[0] + V @ b
 
-    return FinslerFunction("randers", dim, 1, dim, {"b": b.tolist(), "g": g}, ev, grad)
+    def grad(Y, V):
+        root, gv = parts(Y, V)
+        return gv / root[:, None] + b
+
+    return FinslerFunction(kind, dim, 1, dim, params, ev, grad)
 
 
 def quartic_root_metric(weights) -> FinslerFunction:
@@ -173,12 +179,11 @@ def quartic_root_metric(weights) -> FinslerFunction:
         raise InvalidMetricError("quartic weights must be positive")
     dim = len(c)
 
-    def ev(y, v):
-        return float(np.sum(c * v**4)) ** 0.25
+    def ev(Y, V):
+        return np.sum(c * V**4, axis=1) ** 0.25
 
-    def grad(y, v):
-        F = ev(y, v)
-        return c * v**3 / F**3
+    def grad(Y, V):
+        return c * V**3 / ev(Y, V)[:, None] ** 3
 
     return FinslerFunction("mth_root", dim, 1, dim, {"weights": c.tolist()}, ev, grad)
 
@@ -197,21 +202,15 @@ def areal_gram(k: int, m: int) -> FinslerFunction:
         k,
         fiber_dim,
         {"k": k},
-        lambda y, v: float(np.linalg.norm(v)),
-        lambda y, v: v / np.linalg.norm(v),
+        lambda Y, V: _norm(V),
+        lambda Y, V: V / _norm(V)[:, None],
     )
 
 
 def energy_metric(dim: int) -> FinslerFunction:
     """F(y, v) = |v|^2; 2-homogeneous, so every homogeneity check must fail."""
     return FinslerFunction(
-        "energy",
-        dim,
-        1,
-        dim,
-        {},
-        lambda y, v: float(v @ v),
-        lambda y, v: 2.0 * v,
+        "energy", dim, 1, dim, {}, lambda Y, V: _dot(V, V), lambda Y, V: 2.0 * V
     )
 
 
@@ -228,15 +227,17 @@ METRIC_KINDS = {
 # -- checks ------------------------------------------------------------------
 
 def _sample_fibers(F: FinslerFunction, rng: np.random.Generator, count: int, box):
+    """Stacks ``(count, m)`` and ``(count, fiber_dim)`` of random samples."""
     lo, hi = box
-    samples = []
-    while len(samples) < count:
+    ys, vs = [], []
+    while len(ys) < count:
         y = rng.uniform(lo, hi, size=F.m)
         v = rng.standard_normal(F.fiber_dim)
         if np.max(np.abs(v)) <= 1e-6:
             continue  # resample near-zero fibers
-        samples.append((y, v))
-    return samples
+        ys.append(y)
+        vs.append(v)
+    return np.array(ys).reshape(count, F.m), np.array(vs).reshape(count, F.fiber_dim)
 
 
 def check_homogeneity(
@@ -250,12 +251,12 @@ def check_homogeneity(
     samples and the given positive scalings."""
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("lambdas must be positive")
+    Y, V = _sample_fibers(F, rng, sample_count, box)
+    base = F(Y, V)
     worst = 0.0
-    for y, v in _sample_fibers(F, rng, sample_count, box):
-        base = F(y, v)
-        for lam in lambdas:
-            r = abs(F(y, lam * v) - lam * base) / (abs(lam * base) + EPS_DEN)
-            worst = max(worst, r)
+    for lam in lambdas:
+        r = np.abs(F(Y, lam * V) - lam * base) / (np.abs(lam * base) + EPS_DEN)
+        worst = max(worst, float(np.max(r, initial=0.0)))
     return worst
 
 
@@ -272,12 +273,12 @@ def check_projectability(
     descending to the ray space."""
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("lambdas must be positive")
+    Y, V = _sample_fibers(F, rng, sample_count, box)
+    base = F.fiber_gradient(Y, V)
     worst = 0.0
-    for y, v in _sample_fibers(F, rng, sample_count, box):
-        base = F.fiber_gradient(y, v)
-        for lam in lambdas:
-            r = float(np.max(np.abs(F.fiber_gradient(y, lam * v) - base)))
-            worst = max(worst, r)
+    for lam in lambdas:
+        r = np.abs(F.fiber_gradient(Y, lam * V) - base)
+        worst = max(worst, float(np.max(r, initial=0.0)))
     return worst
 
 
@@ -292,16 +293,8 @@ def hilbert_form(F: FinslerFunction) -> KForm:
     if F.degree != 1:
         raise DimensionMismatchError("the Hilbert form construction is degree-1 only")
     m = F.m
-
-    def make_dy_coeff(nu):
-        def coeff(z):
-            z = np.asarray(z, dtype=float)
-            return float(F.fiber_gradient(z[:m], z[m:])[nu])
-
-        return coeff
-
-    coeffs = [make_dy_coeff(nu) for nu in range(m)]
-    coeffs += [lambda z: 0.0] * m
+    coeffs = [lambda Z, _nu=nu: F.fiber_gradient(Z[:, :m], Z[:, m:])[:, _nu] for nu in range(m)]
+    coeffs += [lambda Z: np.zeros(len(Z))] * m
     return KForm(1, 2 * m, coeffs)
 
 
@@ -311,29 +304,25 @@ def pullback_identity_residual(F: FinslerFunction, curve: DifferentiableMap, t_s
     for the Hilbert form."""
     if F.degree != 1 or curve.codomain_dim != F.m or curve.domain_dim != 1:
         raise DimensionMismatchError("need a degree-1 metric and a curve into its chart")
-    worst = 0.0
-    for t in np.atleast_1d(np.asarray(t_samples, dtype=float)):
-        y = curve(np.array([t]))
-        v = curve.jacobian(np.array([t]))[:, 0]
-        try:
-            val = float(F.fiber_gradient(y, v) @ v) - F(y, v)
-        except SlitDomainError as exc:
-            raise ImmersionError(f"{curve.name}: zero velocity at t={t}") from exc
-        worst = max(worst, abs(val))
-    return worst
+    T = np.asarray(t_samples, dtype=float).reshape(-1, 1)
+    Y, V = curve(T), curve.jacobian(T)[:, :, 0]
+    try:
+        residual = _dot(F.fiber_gradient(Y, V), V) - F(Y, V)
+    except SlitDomainError as exc:
+        raise ImmersionError(f"{curve.name}: zero velocity ({exc})") from exc
+    return float(np.max(np.abs(residual), initial=0.0))
 
 
 def fiber_gradient_fd_residual(
     F: FinslerFunction, rng: np.random.Generator, sample_count: int = 50, h: float = 1e-6
 ) -> float:
     """Max deviation of the analytic fiber gradient from central differences."""
+    Y, V = _sample_fibers(F, rng, sample_count, (-1.0, 1.0))
+    G = F.fiber_gradient(Y, V)
     worst = 0.0
-    for y, v in _sample_fibers(F, rng, sample_count, (-1.0, 1.0)):
-        g = F.fiber_gradient(y, v)
-        for j in range(F.fiber_dim):
-            vp, vm = v.copy(), v.copy()
-            vp[j] += h
-            vm[j] -= h
-            fd = (F(y, vp) - F(y, vm)) / (2.0 * h)
-            worst = max(worst, abs(g[j] - fd))
+    for j in range(F.fiber_dim):
+        step = np.zeros_like(V)
+        step[:, j] = h
+        fd = (F(Y, V + step) - F(Y, V - step)) / (2.0 * h)
+        worst = max(worst, float(np.max(np.abs(G[:, j] - fd), initial=0.0)))
     return worst

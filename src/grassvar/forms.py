@@ -7,6 +7,12 @@ partition-of-unity splitting, and numerical verifiers for the three
 integral identities the variational theory rests on: invariance under
 orientation-preserving change of the integration domain, differentiation
 under the integral sign, and the Stokes formula.
+
+Shape contract: form coefficients receive a stack of chart points
+``(N, m)`` and return ``(N,)``; :meth:`KForm.values` returns ``(N, C(m,k))``
+(or ``(C(m,k),)`` for one point ``(m,)``).  Integrands handed to
+:func:`integrate_scalar_over_box` receive quadrature nodes ``(N, k)``, also
+for k = 1, and return ``(N,)``.
 """
 from __future__ import annotations
 
@@ -28,11 +34,12 @@ from .errors import (
     QuadratureTargetWarning,
 )
 from .expressions import ExprCoeff
-from .kvector import canonical_lift
+from .kvector import canonical_lift, minors
 from .maps import DifferentiableMap, compose, insert_axis_map
 from .multiindex import enumerate_multiindices, normalize_tuple, rank
 
 DEGENERACY_TOL = 1e-13
+CHUNK_NODES = 4096  # quadrature nodes evaluated per integrand call
 
 
 class KForm:
@@ -47,8 +54,9 @@ class KForm:
         Chart dimension.
     coeffs : sequence of callables
         One coefficient function per increasing multi-index, in rank order
-        (a single entry for k = 0).  Entries may be plain callables or
-        :class:`ExprCoeff`; only the latter contribute analytic partials.
+        (a single entry for k = 0), each mapping ``(N, m)`` to ``(N,)``.
+        Entries may be plain callables or :class:`ExprCoeff`; only the
+        latter contribute analytic partials.
     fd_step : float
         Central-difference step used for partials of non-symbolic
         coefficients.
@@ -97,23 +105,26 @@ class KForm:
         return all(isinstance(c, ExprCoeff) for c in self.coeffs)
 
     def values(self, y) -> np.ndarray:
+        """Coefficients at chart points ``(N, m)`` as ``(N, C(m,k))``."""
         y = np.asarray(y, dtype=float)
-        out = np.array([float(c(y)) for c in self.coeffs])
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"non-finite form coefficient at y={y}")
-        return out
+        Y = np.atleast_2d(y)
+        out = np.stack(
+            [np.broadcast_to(np.asarray(c(Y), dtype=float), Y.shape[:1]) for c in self.coeffs],
+            axis=-1,
+        )
+        bad = ~np.isfinite(out).all(axis=1)
+        if np.any(bad):
+            raise EvaluationError(f"non-finite form coefficient at y={Y[bad][0]}")
+        return out[0] if y.ndim < 2 else out
 
-    def partial(self, comp: int, j: int, y) -> float:
-        """d(coeffs[comp])/dy^{j+1} at y, analytic when available."""
+    def partial(self, comp: int, j: int, Y: np.ndarray) -> np.ndarray:
+        """d(coeffs[comp])/dy^{j+1} at chart points ``(N, m)``, analytic when available."""
         c = self.coeffs[comp]
         if isinstance(c, ExprCoeff):
-            return c.partial(j)(y)
-        y = np.asarray(y, dtype=float)
-        h = self.fd_step
-        yp, ym = y.copy(), y.copy()
-        yp[j] += h
-        ym[j] -= h
-        return (float(c(yp)) - float(c(ym))) / (2.0 * h)
+            return c.partial(j)(Y)
+        step = np.zeros_like(Y)
+        step[:, j] = self.fd_step
+        return (c(Y + step) - c(Y - step)) / (2.0 * self.fd_step)
 
 
 @dataclass(frozen=True)
@@ -141,17 +152,14 @@ class Piece:
     def k(self) -> int:
         return len(self.param_box)
 
-    def grid(self, per_axis: int = 3):
-        axes = [np.linspace(a, b, per_axis) for a, b in self.param_box]
-        return (np.array(p) for p in itertools.product(*axes))
+    def grid(self, per_axis: int = 3) -> np.ndarray:
+        """Evenly spaced sample points of the box, ``(per_axis**k, k)``."""
+        return _grid(self.param_box, per_axis)
 
-    def validate_immersion(self, per_axis: int = 3, tol: float = DEGENERACY_TOL) -> bool:
-        """True when the canonical lift is nonzero on a sample grid."""
-        for t in self.grid(per_axis):
-            kv = canonical_lift(self.map, t)
-            if kv.norm <= tol * max(1.0, float(np.max(np.abs(self.map.jacobian(t))))):
-                return False
-        return True
+
+def _grid(box, per_axis: int) -> np.ndarray:
+    axes = np.meshgrid(*[np.linspace(a, b, per_axis) for a, b in box], indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, len(box))
 
 
 @dataclass(frozen=True)
@@ -176,35 +184,35 @@ def _axis_nodes(a: float, b: float, q: QuadratureSpec, cells: int):
     """Nodes and weights on [a, b] subdivided into ``cells`` equal cells."""
     x, w = np.polynomial.legendre.leggauss(q.gauss_order)
     h = (b - a) / cells
-    nodes = np.empty(cells * q.gauss_order)
-    weights = np.empty_like(nodes)
-    for c in range(cells):
-        lo = a + c * h
-        nodes[c * q.gauss_order : (c + 1) * q.gauss_order] = lo + 0.5 * h * (x + 1.0)
-        weights[c * q.gauss_order : (c + 1) * q.gauss_order] = 0.5 * h * w
-    return nodes, weights
+    lo = a + np.arange(cells) * h
+    return (lo[:, None] + 0.5 * h * (x + 1.0)).ravel(), np.tile(0.5 * h * w, cells)
 
 
 def integrate_scalar_over_box(
-    g: Callable[[np.ndarray], float], box, q: QuadratureSpec
+    g: Callable[[np.ndarray], np.ndarray], box, q: QuadratureSpec
 ) -> float:
     """Quadrature of a scalar function over a product of intervals.
 
-    Summation order is fixed (per-node accumulation into an array followed
-    by a single ``np.sum``), so results are deterministic.
+    ``g`` maps nodes ``(N, k)`` to values ``(N,)``.  The tensor grid is
+    walked by flat index in chunks of ``CHUNK_NODES`` nodes and never built
+    whole, so memory stays bounded at any refinement level.  Each chunk's
+    weighted sum is added in a fixed order, so results are deterministic.
     """
     box = [(float(a), float(b)) for a, b in box]
     if any(b == a for a, b in box):
         return 0.0
 
     def fixed(cells: int) -> float:
-        per_axis = [_axis_nodes(a, b, q, cells) for a, b in box]
-        vals = []
-        for combo in itertools.product(*[range(len(n)) for n, _ in per_axis]):
-            t = np.array([per_axis[d][0][i] for d, i in enumerate(combo)])
-            wgt = math.prod(per_axis[d][1][i] for d, i in enumerate(combo))
-            vals.append(wgt * float(g(t)))
-        return float(np.sum(np.asarray(vals)))
+        nodes, weights = zip(*[_axis_nodes(a, b, q, cells) for a, b in box])
+        shape = tuple(len(n) for n in nodes)
+        size = math.prod(shape)
+        total = 0.0
+        for start in range(0, size, CHUNK_NODES):
+            idx = np.unravel_index(np.arange(start, min(start + CHUNK_NODES, size)), shape)
+            T = np.stack([n[i] for n, i in zip(nodes, idx)], axis=1)
+            W = np.prod(np.stack([w[i] for w, i in zip(weights, idx)], axis=1), axis=1)
+            total += float(np.sum(W * np.asarray(g(T), dtype=float).reshape(len(T))))
+        return total
 
     if not q.adaptive:
         return fixed(q.cells_per_axis)
@@ -214,12 +222,13 @@ def integrate_scalar_over_box(
     for _ in range(q.max_refinements):
         cells *= 2
         fine = fixed(cells)
-        if abs(fine - coarse) <= q.target:
+        estimate = abs(fine - coarse)
+        if estimate <= q.target:
             return fine
         coarse = fine
     warnings.warn(
         f"adaptive refinement stopped at {cells} cells/axis with estimate "
-        f"{abs(fine - coarse):.3e} > {q.target:.3e}",
+        f"{estimate:.3e} > {q.target:.3e}",
         QuadratureTargetWarning,
         stacklevel=2,
     )
@@ -240,80 +249,49 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
     if eta.k > n:
         raise InvalidDegreeError(f"cannot pull a degree-{eta.k} form back to dimension {n}")
     if eta.k == 0:
-        return KForm(0, n, [lambda t, _e=eta: float(_e.coeffs[0](f(t)))], eta.fd_step)
+        return KForm(0, n, [lambda T: eta.values(f(T))[:, 0]], eta.fd_step)
 
-    src_idx = enumerate_multiindices(eta.k, eta.m)
-    tgt_idx = enumerate_multiindices(eta.k, n)
+    def pulled(T):
+        return np.einsum("ni,nij->nj", eta.values(f(T)), minors(f.jacobian(T), eta.k))
 
-    def make_coeff(J):
-        cols = [j - 1 for j in J]
-
-        def coeff(t):
-            y = f(t)
-            Jac = f.jacobian(t)
-            vals = eta.values(y)
-            total = 0.0
-            for r, I in enumerate(src_idx):
-                if vals[r] == 0.0:
-                    continue
-                rows = [i - 1 for i in I]
-                sub = Jac[np.ix_(rows, cols)]
-                minor = sub[0, 0] if eta.k == 1 else float(np.linalg.det(sub))
-                total += vals[r] * minor
-            return total
-
-        return coeff
-
-    return KForm(eta.k, n, [make_coeff(J) for J in tgt_idx], eta.fd_step)
+    coeffs = [lambda T, _j=j: pulled(T)[:, _j] for j in range(math.comb(n, eta.k))]
+    return KForm(eta.k, n, coeffs, eta.fd_step)
 
 
-def _top_pullback_value(eta: KForm, f: DifferentiableMap, t: np.ndarray):
-    """(pullback top coefficient, wedge norm) at a node; one Jacobian eval."""
-    y = f(t)
-    Jac = f.jacobian(t)
-    k = eta.k
-    vals = eta.values(y)
-    total = 0.0
-    sq = 0.0
-    for r, I in enumerate(enumerate_multiindices(k, eta.m)):
-        rows = [i - 1 for i in I]
-        sub = Jac[rows, :]
-        minor = sub[0, 0] if k == 1 else float(np.linalg.det(sub))
-        sq += minor * minor
-        total += vals[r] * minor
-    return total, math.sqrt(sq)
+def _on_lift(eta: KForm, f: DifferentiableMap, T: np.ndarray):
+    """(eta paired with the canonical lift of f, lift norm) at nodes ``(N, k)``."""
+    lift = canonical_lift(f, T)
+    return np.sum(eta.values(lift.base) * lift.comps, axis=1), lift.norm
 
 
 def integrate(eta: KForm, piece: Piece, q: QuadratureSpec = QuadratureSpec()) -> float:
     """Integral of a degree-k form over a k-piece.
 
-    The form is pulled back through the piece's parametrization and the
-    single top-degree coefficient is integrated over the parameter box with
-    tensor-product Gauss-Legendre quadrature, weighted by the orientation
-    flag.  Nodes where the parametrization degenerates (zero canonical
-    lift) raise a DegeneratePieceWarning but do not abort.
+    The form's coefficients are paired with the canonical lift of the
+    piece's parametrization (the single top-degree coefficient of the
+    pullback), integrated over the parameter box with tensor-product
+    Gauss-Legendre quadrature and weighted by the orientation flag.  Nodes
+    where the parametrization degenerates (zero canonical lift) raise a
+    DegeneratePieceWarning but do not abort.
     """
     if eta.k != piece.k:
         raise InvalidDegreeError(f"form degree {eta.k} != piece dimension {piece.k}")
     if eta.k == 0:
-        p = piece.map(np.zeros(0))
-        v = float(eta.coeffs[0](p))
-        if not np.isfinite(v):
-            raise EvaluationError(f"non-finite coefficient at {p}")
+        v = float(eta.values(piece.map(np.zeros(0)))[0])
         return piece.orientation * v
     if eta.m != piece.map.codomain_dim:
         raise DimensionMismatchError("form and piece live in different chart dimensions")
 
     degenerate = 0
 
-    def g(t):
+    def g(T):
         nonlocal degenerate
-        val, wnorm = _top_pullback_value(eta, piece.map, t)
-        if wnorm <= DEGENERACY_TOL:
-            degenerate += 1
-        if not np.isfinite(val):
-            raise EvaluationError(f"non-finite integrand at t={t}")
-        return val
+        vals, wnorm = _on_lift(eta, piece.map, T)
+        degenerate += int(np.count_nonzero(wnorm <= DEGENERACY_TOL))
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            raise EvaluationError(f"non-finite integrand at t={T[bad][0]}")
+        return vals
 
     result = piece.orientation * integrate_scalar_over_box(g, piece.param_box, q)
     if degenerate:
@@ -329,11 +307,12 @@ def integrate(eta: KForm, piece: Piece, q: QuadratureSpec = QuadratureSpec()) ->
 # partition of unity
 # ---------------------------------------------------------------------------
 
-def _bump(u: float) -> float:
-    # exp(-1/(1-u^2)) on (-1, 1); flat zero outside
-    if abs(u) >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - u * u))
+def _bump(u: np.ndarray) -> np.ndarray:
+    # exp(-1/(1-u^2)) on (-1, 1); flat zero outside, masked before dividing
+    inside = np.abs(u) < 1.0
+    out = np.zeros_like(u)
+    out[inside] = np.exp(-1.0 / (1.0 - u[inside] * u[inside]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -359,32 +338,31 @@ class PartitionOfUnity:
     def size(self) -> int:
         return len(self.cover)
 
-    def raw_bump(self, j: int, t: np.ndarray) -> float:
-        out = 1.0
-        for (a, b), x in zip(self.cover[j], t):
-            u = (2.0 * x - a - b) / (b - a)
-            out *= _bump(u)
-            if out == 0.0:
-                return 0.0
-        return out
+    def weights(self, t) -> np.ndarray:
+        """All normalized partition functions at points ``(N, k)``: ``(size, N)``."""
+        T = np.atleast_2d(np.asarray(t, dtype=float))
+        raw = np.array(
+            [
+                np.prod([_bump((2.0 * x - a - b) / (b - a)) for (a, b), x in zip(box, T.T)], 0)
+                for box in self.cover
+            ]
+        )
+        total = np.sum(raw, axis=0)
+        gap = total <= 1e-300
+        if np.any(gap):
+            raise InvalidPartitionError(
+                f"cover does not sum to 1 at t={T[gap][0]} (gap in cover)"
+            )
+        return raw / total
 
-    def chi(self, j: int, t) -> float:
-        """The j-th normalized partition function at t."""
-        t = np.asarray(t, dtype=float)
-        raw = [self.raw_bump(i, t) for i in range(self.size)]
-        total = float(np.sum(raw))
-        if total <= 1e-300:
-            raise InvalidPartitionError(f"cover does not sum to 1 at t={t} (gap in cover)")
-        return raw[j] / total
+    def chi(self, j: int, t):
+        """The j-th normalized partition function at a point ``(k,)`` or points ``(N, k)``."""
+        w = self.weights(t)[j]
+        return float(w[0]) if np.ndim(t) < 2 else w
 
     def check_sums_to_one(self, box, per_axis: int = 9, tol: float = 1e-10) -> float:
         """Max |sum_j chi_j - 1| over a sample grid of ``box``."""
-        axes = [np.linspace(a, b, per_axis) for a, b in box]
-        worst = 0.0
-        for p in itertools.product(*axes):
-            t = np.asarray(p)
-            s = sum(self.chi(j, t) for j in range(self.size))
-            worst = max(worst, abs(s - 1.0))
+        worst = float(np.max(np.abs(np.sum(self.weights(_grid(box, per_axis)), axis=0) - 1.0)))
         if worst > tol:
             raise InvalidPartitionError(f"partition sums deviate from 1 by {worst:g}")
         return worst
@@ -441,9 +419,8 @@ def integrate_with_partition(
         if sub is None:
             continue
 
-        def g(t, _j=j):
-            val, _ = _top_pullback_value(eta, piece.map, t)
-            return pou.chi(_j, t) * val
+        def g(T, _j=j):
+            return pou.chi(_j, T) * _on_lift(eta, piece.map, T)[0]
 
         total_parts.append(integrate_scalar_over_box(g, sub, q))
     return piece.orientation * float(np.sum(np.asarray(total_parts)))
@@ -532,13 +509,13 @@ def verify_stokes(eta: KForm, piece: Piece, q: QuadratureSpec = QuadratureSpec()
     return abs(boundary - interior)
 
 
-def _check_orientation_preserving(alpha: DifferentiableMap, points) -> None:
-    for t in points:
-        det = float(np.linalg.det(alpha.jacobian(t)))
-        if det <= 0.0:
-            raise OrientationError(
-                f"{alpha.name}: Jacobian determinant {det:g} <= 0 at {np.asarray(t)}"
-            )
+def _check_orientation_preserving(alpha: DifferentiableMap, points: np.ndarray) -> None:
+    det = minors(alpha.jacobian(points), alpha.domain_dim)[:, 0, 0]
+    bad = det <= 0.0
+    if np.any(bad):
+        raise OrientationError(
+            f"{alpha.name}: Jacobian determinant {det[bad][0]:g} <= 0 at {points[bad][0]}"
+        )
 
 
 def verify_domain_transform(
@@ -556,8 +533,7 @@ def verify_domain_transform(
     """
     if alpha.domain_dim != alpha.codomain_dim or alpha.codomain_dim != eta.m:
         raise DimensionMismatchError("alpha must be a diffeomorphism of the form's chart")
-    sample = [alpha.inverted()(piece.map(t)) for t in piece.grid(3)]
-    _check_orientation_preserving(alpha, sample)
+    _check_orientation_preserving(alpha, alpha.inverted()(piece.map(piece.grid(3))))
     lhs = integrate(eta, piece, q)
     preimage = Piece(piece.param_box, compose(alpha.inverted(), piece.map), piece.orientation)
     rhs = integrate(pullback(eta, alpha), preimage, q)
@@ -585,7 +561,7 @@ def _scale_form(eta: KForm, factor: float) -> KForm:
     return KForm(
         eta.k,
         eta.m,
-        [lambda y, _c=c, _g=factor: _g * float(_c(y)) for c in eta.coeffs],
+        [lambda Y, _c=c: factor * np.asarray(_c(Y), dtype=float) for c in eta.coeffs],
         eta.fd_step,
     )
 

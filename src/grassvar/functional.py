@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     CrossCheckError,
@@ -51,10 +50,6 @@ def _homogeneity_probe(F: FinslerFunction, tol: float = 1e-8) -> bool:
     return True
 
 
-def _velocity(curve: DifferentiableMap, t: np.ndarray) -> np.ndarray:
-    return curve.jacobian(t)[:, 0]
-
-
 def curve_length(
     F: FinslerFunction,
     curve: DifferentiableMap,
@@ -66,9 +61,8 @@ def curve_length(
 
     Integrates t -> F(zeta(t), zeta'(t)) over the interval.  When the
     homogeneity probe passes and ``cross_check`` is on, the value is also
-    computed by integrating the pullback of the Hilbert form through the
-    tangent lift of the curve; disagreement beyond 1e-10 raises
-    CrossCheckError.
+    computed by :func:`hilbert_route_length`; disagreement beyond 1e-10
+    raises CrossCheckError.
     """
     if F.degree != 1 or curve.codomain_dim != F.m or curve.domain_dim != 1:
         raise DimensionMismatchError("curve_length needs a degree-1 metric and a curve")
@@ -77,17 +71,16 @@ def curve_length(
         return 0.0
     homogeneous = _homogeneity_probe(F)
 
-    def g(t):
+    def g(T):
         try:
-            return F(curve(t), _velocity(curve, t))
+            return F(curve(T), curve.jacobian(T)[:, :, 0])
         except SlitDomainError as exc:
-            raise ImmersionError(f"{curve.name}: zero velocity at t={t[0]}") from exc
+            raise ImmersionError(f"{curve.name}: zero velocity ({exc})") from exc
 
     direct = integrate_scalar_over_box(g, [(a, b)], q)
 
     if cross_check and homogeneous:
-        piece = Piece(((a, b),), tangent_lift(curve))
-        via_hilbert = integrate(hilbert_form(F), piece, q)
+        via_hilbert = hilbert_route_length(F, curve, (a, b), q)
         if abs(direct - via_hilbert) > DUAL_ROUTE_TOL * max(1.0, abs(direct)):
             raise CrossCheckError(
                 f"direct length {direct!r} and Hilbert-form length {via_hilbert!r} disagree"
@@ -101,7 +94,8 @@ def hilbert_route_length(
     interval,
     q: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """Length computed solely through the Hilbert-form pullback route."""
+    """Length computed solely through the Hilbert-form pullback route: the
+    Hilbert form integrated over the tangent lift of the curve."""
     a, b = float(interval[0]), float(interval[1])
     piece = Piece(((a, b),), tangent_lift(curve))
     return integrate(hilbert_form(F), piece, q)
@@ -126,12 +120,12 @@ def areal_value(
         )
     _homogeneity_probe(L)
 
-    def g(t):
-        kv = canonical_lift(piece.map, t)
+    def g(T):
+        lift = canonical_lift(piece.map, T)
         try:
-            return L(kv.base, kv.comps)
+            return L(lift.base, lift.comps)
         except SlitDomainError as exc:
-            raise ImmersionError(f"{piece.map.name}: degenerate lift at t={t}") from exc
+            raise ImmersionError(f"{piece.map.name}: degenerate lift ({exc})") from exc
 
     return piece.orientation * integrate_scalar_over_box(g, piece.param_box, q)
 
@@ -153,27 +147,44 @@ def reparam_invariance_residual(
         raise DimensionMismatchError("reparametrization must map an interval to an interval")
     a, b = float(interval[0]), float(interval[1])
     sa, sb = _preimage(rho, a), _preimage(rho, b)
-    for s in np.linspace(sa, sb, 64):
-        if float(rho.jacobian(np.array([s]))[0, 0]) <= 0.0:
-            raise OrientationError(f"{rho.name}: derivative not positive at s={s}")
+    S = np.linspace(sa, sb, 64).reshape(-1, 1)
+    bad = rho.jacobian(S)[:, 0, 0] <= 0.0
+    if np.any(bad):
+        raise OrientationError(f"{rho.name}: derivative not positive at s={S[bad][0, 0]}")
     L1 = curve_length(F, curve, (a, b), q, cross_check=False)
     L2 = curve_length(F, compose(curve, rho), (sa, sb), q, cross_check=False)
     return abs(L1 - L2)
 
 
 def _preimage(rho: DifferentiableMap, value: float) -> float:
+    """s with rho(s) = value, for a strictly increasing rho.
+
+    Without a catalog inverse the bracket [value - j, value + j] is widened
+    until it holds a sign change, then bisected until its midpoint no
+    longer lies strictly inside it, i.e. to floating-point resolution.
+    """
     if rho.has_inverse:
         return float(rho.inverted()(np.array([value]))[0])
+
+    def f(s: float) -> float:
+        return float(rho(np.array([s]))[0]) - value
+
     lo, hi = value - 1.0, value + 1.0
     for _ in range(80):
-        flo = float(rho(np.array([lo]))[0]) - value
-        fhi = float(rho(np.array([hi]))[0]) - value
+        flo, fhi = f(lo), f(hi)
         if flo == 0.0:
             return lo
         if fhi == 0.0:
             return hi
         if flo < 0.0 < fhi:
-            return float(brentq(lambda s: float(rho(np.array([s]))[0]) - value, lo, hi))
+            while True:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    return mid
+                fmid = f(mid)
+                if fmid == 0.0:
+                    return mid
+                lo, hi = (mid, hi) if fmid < 0.0 else (lo, mid)
         lo -= 1.0
         hi += 1.0
     raise OrientationError(f"{rho.name}: could not bracket a preimage of {value}")
@@ -208,19 +219,16 @@ class VariationField:
         e = np.zeros(dim)
         e[coord] = 1.0
 
-        def ev(t):
+        def ev(T):
             # clamp exact endpoint values to 0 (sin of a multiple of pi)
-            s = t[0] - a
-            if s == 0.0 or t[0] == b:
-                return np.zeros(dim)
-            return math.sin(mu * s) * e
+            s = T - a
+            return np.where((s == 0.0) | (T == b), 0.0, np.sin(mu * s)) * e
 
-        def jac(t):
-            return (mu * math.cos(mu * (t[0] - a)) * e).reshape(dim, 1)
+        def jac(T):
+            return (mu * np.cos(mu * (T - a)) * e)[:, :, None]
 
-        def second(t):
-            s = t[0] - a
-            return -mu * mu * math.sin(mu * s) * e
+        def second(T):
+            return -mu * mu * np.sin(mu * (T - a)) * e
 
         field = DifferentiableMap(
             f"sine_bump_{mode}_{coord}", 1, dim, ev, jac, second_derivative=second
@@ -233,25 +241,26 @@ class VariationField:
         a, b = float(interval[0]), float(interval[1])
         mu = math.pi * mode / (b - a)
 
-        def ev(t):
-            if t[0] == a or t[0] == b:
-                return np.zeros(2)
-            return math.sin(mu * (t[0] - a)) * np.array([math.cos(t[0]), math.sin(t[0])])
+        def radial(T):
+            return np.concatenate([np.cos(T), np.sin(T)], axis=1)
 
-        def jac(t):
-            s = t[0] - a
-            d = mu * math.cos(mu * s) * np.array([math.cos(t[0]), math.sin(t[0])])
-            d += math.sin(mu * s) * np.array([-math.sin(t[0]), math.cos(t[0])])
-            return d.reshape(2, 1)
+        def ev(T):
+            return np.where((T == a) | (T == b), 0.0, np.sin(mu * (T - a))) * radial(T)
 
-        def second(t):
-            s = t[0] - a
-            r = np.array([math.cos(t[0]), math.sin(t[0])])
-            dr = np.array([-math.sin(t[0]), math.cos(t[0])])
+        def jac(T):
+            s = T - a
+            d = mu * np.cos(mu * s) * radial(T)
+            d += np.sin(mu * s) * np.concatenate([-np.sin(T), np.cos(T)], axis=1)
+            return d[:, :, None]
+
+        def second(T):
+            s = T - a
+            r = radial(T)
+            dr = np.concatenate([-np.sin(T), np.cos(T)], axis=1)
             return (
-                -mu * mu * math.sin(mu * s) * r
-                + 2.0 * mu * math.cos(mu * s) * dr
-                - math.sin(mu * s) * r
+                -mu * mu * np.sin(mu * s) * r
+                + 2.0 * mu * np.cos(mu * s) * dr
+                - np.sin(mu * s) * r
             )
 
         field = DifferentiableMap(

@@ -116,11 +116,6 @@ def to_grassmann(xi: KVector, pivot: MultiIndex | None = None) -> GrassmannPoint
     return GrassmannPoint(xi.base.copy(), pivot, sign, w, xi.k, xi.m)
 
 
-def project_kappa(xi: KVector) -> GrassmannPoint:
-    """The projection of a nonzero k-vector onto its ray (automatic pivot)."""
-    return to_grassmann(xi)
-
-
 def grassmann_transition(p: GrassmannPoint, new_pivot: MultiIndex) -> GrassmannPoint:
     """Re-express a ray in the chart of ``new_pivot``."""
     rep = p.representative()
@@ -135,7 +130,7 @@ def grassmann_canonical_lift(f: DifferentiableMap, t) -> GrassmannPoint:
     kv = canonical_lift(f, t)
     if float(np.max(np.abs(kv.comps))) == 0.0:
         raise ImmersionError(f"{f.name}: parametrization not immersed at t={t}")
-    return project_kappa(kv)
+    return to_grassmann(kv)
 
 
 def points_close(

@@ -10,18 +10,25 @@ coordinate form of pushing a wedge of tangent vectors forward::
 
 Compound matrices are multiplicative in the Jacobian (Cauchy-Binet), which
 makes the lift functorial under composition.
+
+Shape contract: :func:`minors` is the one place where minors are
+computed.  It takes a stack of Jacobians ``(..., m, n)`` and returns
+``(..., C(m,k), C(n,k))``.  :func:`canonical_lift` at nodes ``(N, k)``
+returns a :class:`KVector` stack with ``base`` ``(N, m)`` and ``comps``
+``(N, C(m,k))``; at a single point ``(k,)`` it returns one k-vector.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    ImmersionError,
     InvalidDegreeError,
     OffSubmanifoldError,
     UnsupportedDegreeError,
@@ -31,12 +38,37 @@ from .maps import CanonicalInclusion, DifferentiableMap
 from .multiindex import MultiIndex, enumerate_multiindices, normalize_tuple, rank
 
 
+@lru_cache(maxsize=None)
+def _index_table(k: int, m: int) -> np.ndarray:
+    """Zero-based rows of the increasing k-subsets of 0..m-1, in rank order."""
+    return np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+
+
+def minors(J, k: int) -> np.ndarray:
+    """All k x k minors of a stack of matrices, from one stacked determinant.
+
+    ``J`` has shape ``(..., m, n)``; entry ``(..., r, c)`` of the result is
+    det(J[..., I_r rows, K_c cols]) over the increasing multi-indices I_r
+    of size k in 1..m and K_c in 1..n, both in rank order.
+    """
+    J = np.asarray(J, dtype=float)
+    m, n = J.shape[-2:]
+    if not 1 <= k <= min(m, n):
+        raise InvalidDegreeError(f"degree {k} not in 1..min({m}, {n})")
+    rows, cols = _index_table(k, m), _index_table(k, n)
+    sub = J[..., rows[:, None, :, None], cols[None, :, None, :]]
+    return sub[..., 0, 0] if k == 1 else np.linalg.det(sub)
+
+
 @dataclass(frozen=True, eq=False)
 class KVector:
-    """An element of the k-th exterior power of the tangent space at ``base``.
+    """An element of the k-th exterior power of the tangent space at ``base``,
+    or a stack of N of them.
 
-    ``comps[r]`` is the component at the multi-index of rank ``r`` in the
-    lexicographic layout of ``enumerate_multiindices(k, m)``.
+    ``comps[..., r]`` is the component at the multi-index of rank ``r`` in
+    the lexicographic layout of ``enumerate_multiindices(k, m)``.  A single
+    k-vector has ``base`` ``(m,)`` and ``comps`` ``(C(m,k),)``; a stack has
+    ``base`` ``(N, m)`` and ``comps`` ``(N, C(m,k))``.
     """
 
     base: np.ndarray
@@ -45,30 +77,33 @@ class KVector:
     m: int
 
     def __post_init__(self):
-        base = np.asarray(self.base, dtype=float).reshape(-1)
-        comps = np.asarray(self.comps, dtype=float).reshape(-1)
+        base = np.asarray(self.base, dtype=float)
+        lead = base.shape[:1] if base.ndim == 2 else ()
+        base = base.reshape(lead + (-1,))
+        comps = np.asarray(self.comps, dtype=float).reshape(lead + (-1,))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "comps", comps)
         if not 1 <= self.k <= self.m:
             raise InvalidDegreeError(f"degree {self.k} not in 1..{self.m}")
-        if base.shape != (self.m,):
+        if base.shape != lead + (self.m,):
             raise DimensionMismatchError(f"base must have length {self.m}")
-        if comps.shape != (math.comb(self.m, self.k),):
+        if comps.shape != lead + (math.comb(self.m, self.k),):
             raise DimensionMismatchError(
-                f"expected {math.comb(self.m, self.k)} components, got {comps.shape[0]}"
+                f"expected {math.comb(self.m, self.k)} components, got {comps.shape[-1]}"
             )
         if not (np.all(np.isfinite(base)) and np.all(np.isfinite(comps))):
             raise ZeroKVectorError("non-finite k-vector data")
 
-    def component(self, index: MultiIndex) -> float:
-        return float(self.comps[rank(index)])
+    def component(self, index: MultiIndex):
+        return self.comps[..., rank(index)]
 
     def scaled(self, factor: float) -> "KVector":
         return KVector(self.base, factor * self.comps, self.k, self.m)
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.comps))
+    def norm(self):
+        """Euclidean norm of the components; one per k-vector of a stack."""
+        return np.linalg.norm(self.comps, axis=-1)
 
     def __repr__(self) -> str:
         return f"KVector(k={self.k}, m={self.m}, base={self.base}, comps={self.comps})"
@@ -91,39 +126,13 @@ def wedge(vectors: Sequence, base) -> KVector:
             raise DimensionMismatchError("all wedge factors must have equal dimension")
     if k > m:
         raise InvalidDegreeError(f"cannot wedge {k} vectors in dimension {m}")
-    M = np.column_stack(cols)
-    comps = _column_minors(M, k)
-    return KVector(np.asarray(base, dtype=float), comps, k, m)
-
-
-def _column_minors(M: np.ndarray, k: int) -> np.ndarray:
-    """Minors det(M[I, :]) over increasing row sets I of size k."""
-    m = M.shape[0]
-    idx = enumerate_multiindices(k, m)
-    if k == 1:
-        return M[:, 0].copy()
-    out = np.empty(len(idx))
-    for r, I in enumerate(idx):
-        rows = [i - 1 for i in I]
-        out[r] = np.linalg.det(M[rows, :])
-    return out
+    return KVector(np.asarray(base, dtype=float), minors(np.column_stack(cols), k)[:, 0], k, m)
 
 
 def compound_matrix(J: np.ndarray, k: int) -> np.ndarray:
-    """k-th compound of J: entry (I, K) = det(J[I rows, K cols])."""
-    m, n = J.shape
-    if k > min(m, n):
-        raise InvalidDegreeError(f"degree {k} exceeds min({m}, {n})")
-    rows_idx = enumerate_multiindices(k, m)
-    cols_idx = enumerate_multiindices(k, n)
-    C = np.empty((len(rows_idx), len(cols_idx)))
-    for a, I in enumerate(rows_idx):
-        ri = [i - 1 for i in I]
-        for b, K in enumerate(cols_idx):
-            ci = [j - 1 for j in K]
-            sub = J[np.ix_(ri, ci)]
-            C[a, b] = sub[0, 0] if k == 1 else np.linalg.det(sub)
-    return C
+    """k-th compound of J: entry (I, K) = det(J[I rows, K cols]); J may be a
+    stack ``(..., m, n)``."""
+    return minors(J, k)
 
 
 def lift_kvector(f: DifferentiableMap, x, xi: KVector) -> KVector:
@@ -143,8 +152,7 @@ def lift_kvector(f: DifferentiableMap, x, xi: KVector) -> KVector:
         raise InvalidDegreeError(
             f"degree {xi.k} exceeds min({f.domain_dim}, {f.codomain_dim})"
         )
-    J = f.jacobian(x)
-    comps = compound_matrix(J, xi.k) @ xi.comps
+    comps = compound_matrix(f.jacobian(x), xi.k) @ xi.comps
     return KVector(f(x), comps, xi.k, f.codomain_dim)
 
 
@@ -163,15 +171,14 @@ def canonical_lift(f: DifferentiableMap, t) -> KVector:
     """Lift a parametrization f: R^k -> chart through the canonical field.
 
     Equals the wedge of the k Jacobian columns of f at t, based at f(t).
+    ``t`` is one point ``(k,)`` or a stack of nodes ``(N, k)``.
     """
-    t = np.asarray(t, dtype=float).reshape(-1)
     k = f.domain_dim
     if k > f.codomain_dim:
         raise InvalidDegreeError(
             f"parametrization domain {k} exceeds chart dimension {f.codomain_dim}"
         )
-    J = f.jacobian(t)
-    return KVector(f(t), _column_minors(J, k), k, f.codomain_dim)
+    return KVector(f(t), minors(f.jacobian(t), k)[..., 0], k, f.codomain_dim)
 
 
 @dataclass(frozen=True)
@@ -250,12 +257,3 @@ def plucker_residual(xi: KVector) -> float:
     if square.size == 0:  # m < 4: every 2-vector is decomposable
         return 0.0
     return float(np.linalg.norm(square))
-
-
-def immersion_check(f: DifferentiableMap, t, tol: float = 1e-13) -> KVector:
-    """Canonical lift that must be nonzero; raises ImmersionError otherwise."""
-    kv = canonical_lift(f, t)
-    scale = max(1.0, float(np.max(np.abs(f.jacobian(np.asarray(t, float).reshape(-1))))))
-    if kv.norm <= tol * scale:
-        raise ImmersionError(f"{f.name}: degenerate canonical lift at t={t}")
-    return kv

@@ -12,11 +12,17 @@ Python callers may additionally combine maps with :func:`compose`,
 :func:`add_scaled` and :func:`tangent_lift`.  A central finite-difference
 Jacobian (step 1e-6 * max(1, |x|_inf)) backs any map constructed without
 an analytic one.
+
+Shape contract: every map evaluates a stack of N points at once.  The
+callables handed to :class:`DifferentiableMap` receive ``T`` of shape
+``(N, n)`` and return values ``(N, m)``, Jacobians ``(N, m, n)`` and, for
+curves, second derivatives ``(N, m)``; a constant result (a fixed matrix,
+say) is broadcast to the stack.  Calling a map on a single point ``(n,)``
+evaluates the stack N = 1 and returns ``(m,)`` and ``(m, n)``.
 """
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,11 +31,21 @@ from .errors import DimensionMismatchError, MapEvaluationError
 FD_JACOBIAN_SCALE = 1e-6
 
 
-def _as_point(t, dim: int) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+def _as_batch(t, dim: int) -> tuple[np.ndarray, bool]:
+    """``(T, single)``: a stack ``(N, dim)`` and whether ``t`` was one point."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 2 and t.shape[1] == dim:
+        return t, False
+    t = np.atleast_1d(t)
     if t.shape != (dim,):
         raise DimensionMismatchError(f"expected point of dimension {dim}, got shape {t.shape}")
-    return t
+    return t.reshape(1, dim), True
+
+
+def _finite(name: str, what: str, T: np.ndarray, out: np.ndarray) -> None:
+    bad = ~np.isfinite(out).reshape(len(T), -1).all(axis=1)
+    if np.any(bad):
+        raise MapEvaluationError(f"{name}: non-finite {what} at t={T[bad][0]}")
 
 
 class DifferentiableMap:
@@ -37,7 +53,8 @@ class DifferentiableMap:
 
     Immutable after construction.  ``second_derivative`` (d^2 f / dt^2,
     curves only) and ``inverse`` are optional and analytic where the
-    catalog provides them.
+    catalog provides them.  All callables follow the stacked shape
+    contract of the module docstring.
     """
 
     def __init__(
@@ -61,46 +78,46 @@ class DifferentiableMap:
         self.params = dict(params or {})
 
     def __call__(self, t) -> np.ndarray:
-        t = _as_point(t, self.domain_dim)
-        y = np.asarray(self._func(t), dtype=float).reshape(self.codomain_dim)
-        if not np.all(np.isfinite(y)):
-            raise MapEvaluationError(f"{self.name}: non-finite value at t={t}")
-        return y
+        T, single = _as_batch(t, self.domain_dim)
+        Y = np.broadcast_to(np.asarray(self._func(T), dtype=float), (len(T), self.codomain_dim))
+        _finite(self.name, "value", T, Y)
+        return Y[0] if single else Y
 
     def jacobian(self, t) -> np.ndarray:
-        t = _as_point(t, self.domain_dim)
+        T, single = _as_batch(t, self.domain_dim)
         if self._jacobian is not None:
-            J = np.asarray(self._jacobian(t), dtype=float).reshape(
-                self.codomain_dim, self.domain_dim
+            J = np.broadcast_to(
+                np.asarray(self._jacobian(T), dtype=float),
+                (len(T), self.codomain_dim, self.domain_dim),
             )
         else:
-            J = self._fd_jacobian(t)
-        if not np.all(np.isfinite(J)):
-            raise MapEvaluationError(f"{self.name}: non-finite Jacobian at t={t}")
-        return J
+            J = self._fd_jacobian(T)
+        _finite(self.name, "Jacobian", T, J)
+        return J[0] if single else J
 
-    def _fd_jacobian(self, t: np.ndarray) -> np.ndarray:
-        h = FD_JACOBIAN_SCALE * max(1.0, float(np.max(np.abs(t))) if t.size else 1.0)
-        J = np.empty((self.codomain_dim, self.domain_dim))
+    def _fd_jacobian(self, T: np.ndarray) -> np.ndarray:
+        h = FD_JACOBIAN_SCALE * np.maximum(1.0, np.max(np.abs(T), axis=1, initial=0.0))
+        cols = []
         for j in range(self.domain_dim):
-            tp, tm = t.copy(), t.copy()
-            tp[j] += h
-            tm[j] -= h
-            J[:, j] = (self(tp) - self(tm)) / (2.0 * h)
-        return J
+            step = np.zeros_like(T)
+            step[:, j] = h
+            cols.append((self(T + step) - self(T - step)) / (2.0 * h[:, None]))
+        return np.stack(cols, axis=-1)
 
     def second_derivative(self, t) -> np.ndarray:
         """d^2 f / dt^2 for curves (domain_dim 1); finite differences of the
         Jacobian when no analytic expression is attached."""
         if self.domain_dim != 1:
             raise DimensionMismatchError("second_derivative is defined for curves only")
-        t = _as_point(t, 1)
+        T, single = _as_batch(t, 1)
         if self._second is not None:
-            return np.asarray(self._second(t), dtype=float).reshape(self.codomain_dim)
-        h = FD_JACOBIAN_SCALE * max(1.0, abs(float(t[0])))
-        jp = self.jacobian(t + h)[:, 0]
-        jm = self.jacobian(t - h)[:, 0]
-        return (jp - jm) / (2.0 * h)
+            D = np.broadcast_to(
+                np.asarray(self._second(T), dtype=float), (len(T), self.codomain_dim)
+            )
+        else:
+            h = FD_JACOBIAN_SCALE * np.maximum(1.0, np.abs(T))
+            D = (self.jacobian(T + h)[:, :, 0] - self.jacobian(T - h)[:, :, 0]) / (2.0 * h)
+        return D[0] if single else D
 
     def inverted(self) -> "DifferentiableMap":
         if self._inverse is None:
@@ -119,10 +136,8 @@ class DifferentiableMap:
 
 def verify_jacobian(f: DifferentiableMap, points, tol: float = 1e-6) -> float:
     """Max abs deviation between the map's Jacobian and central differences."""
-    worst = 0.0
-    for t in points:
-        t = _as_point(t, f.domain_dim)
-        worst = max(worst, float(np.max(np.abs(f.jacobian(t) - f._fd_jacobian(t)))))
+    T = np.asarray(points, dtype=float).reshape(-1, f.domain_dim)
+    worst = float(np.max(np.abs(f.jacobian(T) - f._fd_jacobian(T))))
     if worst > tol:
         raise MapEvaluationError(f"{f.name}: Jacobian off by {worst:g} (> {tol:g})")
     return worst
@@ -136,7 +151,7 @@ def identity_map(dim: int) -> DifferentiableMap:
     dim = int(dim)
     eye = np.eye(dim)
     out = DifferentiableMap(
-        "identity", dim, dim, lambda t: t, lambda t: eye, params={"dim": dim}
+        "identity", dim, dim, lambda T: T, lambda T: eye, params={"dim": dim}
     )
     out._inverse = out
     return out
@@ -147,12 +162,12 @@ def linear_map(matrix) -> DifferentiableMap:
     A = np.asarray(matrix, dtype=float)
     m, n = A.shape
     out = DifferentiableMap(
-        "linear", n, m, lambda t: A @ t, lambda t: A, params={"matrix": A.tolist()}
+        "linear", n, m, lambda T: T @ A.T, lambda T: A, params={"matrix": A.tolist()}
     )
     if m == n and abs(np.linalg.det(A)) > 1e-300:
         Ainv = np.linalg.inv(A)
         inv = DifferentiableMap(
-            "linear_inverse", m, n, lambda y: Ainv @ y, lambda y: Ainv
+            "linear_inverse", m, n, lambda Y: Y @ Ainv.T, lambda Y: Ainv
         )
         inv._inverse = out
         out._inverse = inv
@@ -170,14 +185,14 @@ def affine_map(matrix, offset) -> DifferentiableMap:
         "affine",
         n,
         m,
-        lambda t: A @ t + b,
-        lambda t: A,
+        lambda T: T @ A.T + b,
+        lambda T: A,
         params={"matrix": A.tolist(), "offset": b.tolist()},
     )
     if m == n and abs(np.linalg.det(A)) > 1e-300:
         Ainv = np.linalg.inv(A)
         inv = DifferentiableMap(
-            "affine_inverse", m, n, lambda y: Ainv @ (y - b), lambda y: Ainv
+            "affine_inverse", m, n, lambda Y: (Y - b) @ Ainv.T, lambda Y: Ainv
         )
         inv._inverse = out
         out._inverse = inv
@@ -194,9 +209,9 @@ def segment(start, end) -> DifferentiableMap:
         "segment",
         1,
         m,
-        lambda t: p + t[0] * d,
-        lambda t: d.reshape(m, 1),
-        second_derivative=lambda t: np.zeros(m),
+        lambda T: p + T * d,
+        lambda T: d.reshape(m, 1),
+        second_derivative=lambda T: np.zeros(m),
         params={"start": p.tolist(), "end": q.tolist()},
     )
 
@@ -211,36 +226,40 @@ def polynomial_map(domain_dim: int, terms) -> DifferentiableMap:
     n = int(domain_dim)
     parsed = []
     for comp in terms:
-        parsed.append([(float(c), tuple(int(e) for e in exps)) for c, exps in comp])
+        parsed.append([(float(c), np.array([int(e) for e in exps])) for c, exps in comp])
         for _, exps in parsed[-1]:
             if len(exps) != n:
                 raise DimensionMismatchError("exponent tuple length must equal domain_dim")
     m = len(parsed)
 
-    def ev(t):
-        out = np.zeros(m)
+    def ev(T):
+        out = np.zeros((len(T), m))
         for i, comp in enumerate(parsed):
             for c, exps in comp:
-                out[i] += c * np.prod([t[j] ** e for j, e in enumerate(exps)])
+                out[:, i] += c * np.prod(T**exps, axis=1)
         return out
 
-    def jac(t):
-        J = np.zeros((m, n))
+    def jac(T):
+        J = np.zeros((len(T), m, n))
         for i, comp in enumerate(parsed):
             for c, exps in comp:
                 for j, e in enumerate(exps):
                     if e == 0:
                         continue
-                    factors = [
-                        t[l] ** (ee - 1) if l == j else t[l] ** ee
-                        for l, ee in enumerate(exps)
-                    ]
-                    J[i, j] += c * e * np.prod(factors)
+                    lowered = exps.copy()
+                    lowered[j] -= 1
+                    J[:, i, j] += c * e * np.prod(T**lowered, axis=1)
         return J
 
     return DifferentiableMap(
         "polynomial", n, m, ev, jac, params={"domain_dim": n, "terms": terms}
     )
+
+
+def _columns(*entries) -> np.ndarray:
+    """(N,) arrays or scalars -> an (N, len(entries)) stack; Jacobians are
+    built row-major from it and reshaped to (N, m, n)."""
+    return np.stack(np.broadcast_arrays(*entries), axis=1)
 
 
 def circle(radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> DifferentiableMap:
@@ -252,9 +271,9 @@ def circle(radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> Differ
         "circle",
         1,
         2,
-        lambda t: c + r * np.array([math.cos(t[0] + ph), math.sin(t[0] + ph)]),
-        lambda t: r * np.array([[-math.sin(t[0] + ph)], [math.cos(t[0] + ph)]]),
-        second_derivative=lambda t: -r * np.array([math.cos(t[0] + ph), math.sin(t[0] + ph)]),
+        lambda T: c + r * _columns(np.cos(T[:, 0] + ph), np.sin(T[:, 0] + ph)),
+        lambda T: r * _columns(-np.sin(T[:, 0] + ph), np.cos(T[:, 0] + ph))[:, :, None],
+        second_derivative=lambda T: -r * _columns(np.cos(T[:, 0] + ph), np.sin(T[:, 0] + ph)),
         params={"radius": r, "center": c.tolist(), "phase": ph},
     )
 
@@ -266,11 +285,9 @@ def helix(radius: float = 1.0, pitch: float = 1.0) -> DifferentiableMap:
         "helix",
         1,
         3,
-        lambda t: np.array([r * math.cos(t[0]), r * math.sin(t[0]), p * t[0]]),
-        lambda t: np.array([[-r * math.sin(t[0])], [r * math.cos(t[0])], [p]]),
-        second_derivative=lambda t: np.array(
-            [-r * math.cos(t[0]), -r * math.sin(t[0]), 0.0]
-        ),
+        lambda T: _columns(r * np.cos(T[:, 0]), r * np.sin(T[:, 0]), p * T[:, 0]),
+        lambda T: _columns(-r * np.sin(T[:, 0]), r * np.cos(T[:, 0]), p)[:, :, None],
+        second_derivative=lambda T: _columns(-r * np.cos(T[:, 0]), -r * np.sin(T[:, 0]), 0.0),
         params={"radius": r, "pitch": p},
     )
 
@@ -279,21 +296,19 @@ def torus_patch(major_radius: float = 2.0, minor_radius: float = 1.0) -> Differe
     """(u, v) -> torus point with tube angle v, axial angle u."""
     R, r = float(major_radius), float(minor_radius)
 
-    def ev(t):
-        u, v = t
-        w = R + r * math.cos(v)
-        return np.array([w * math.cos(u), w * math.sin(u), r * math.sin(v)])
+    def ev(T):
+        u, v = T[:, 0], T[:, 1]
+        w = R + r * np.cos(v)
+        return _columns(w * np.cos(u), w * np.sin(u), r * np.sin(v))
 
-    def jac(t):
-        u, v = t
-        w = R + r * math.cos(v)
-        return np.array(
-            [
-                [-w * math.sin(u), -r * math.sin(v) * math.cos(u)],
-                [w * math.cos(u), -r * math.sin(v) * math.sin(u)],
-                [0.0, r * math.cos(v)],
-            ]
-        )
+    def jac(T):
+        u, v = T[:, 0], T[:, 1]
+        w = R + r * np.cos(v)
+        return _columns(
+            -w * np.sin(u), -r * np.sin(v) * np.cos(u),
+            w * np.cos(u), -r * np.sin(v) * np.sin(u),
+            0.0, r * np.cos(v),
+        ).reshape(-1, 3, 2)
 
     return DifferentiableMap(
         "torus_patch", 2, 3, ev, jac, params={"major_radius": R, "minor_radius": r}
@@ -304,21 +319,17 @@ def sphere_patch(radius: float = 1.0) -> DifferentiableMap:
     """(theta, phi) -> r (sin th cos ph, sin th sin ph, cos th); degenerate at poles."""
     r = float(radius)
 
-    def ev(t):
-        th, ph = t
-        return r * np.array(
-            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        )
+    def ev(T):
+        th, ph = T[:, 0], T[:, 1]
+        return r * _columns(np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th))
 
-    def jac(t):
-        th, ph = t
-        return r * np.array(
-            [
-                [math.cos(th) * math.cos(ph), -math.sin(th) * math.sin(ph)],
-                [math.cos(th) * math.sin(ph), math.sin(th) * math.cos(ph)],
-                [-math.sin(th), 0.0],
-            ]
-        )
+    def jac(T):
+        th, ph = T[:, 0], T[:, 1]
+        return r * _columns(
+            np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph),
+            np.cos(th) * np.sin(ph), np.sin(th) * np.cos(ph),
+            -np.sin(th), 0.0,
+        ).reshape(-1, 3, 2)
 
     return DifferentiableMap("sphere_patch", 2, 3, ev, jac, params={"radius": r})
 
@@ -327,14 +338,14 @@ def graph_surface(terms) -> DifferentiableMap:
     """(u, v) -> (u, v, h(u, v)) with h a polynomial given by [coeff, (eu, ev)]."""
     h = polynomial_map(2, [terms])
 
-    def ev(t):
-        return np.array([t[0], t[1], h(t)[0]])
+    def jac(T):
+        Jh = h.jacobian(T)[:, 0]
+        return _columns(1.0, 0.0, 0.0, 1.0, Jh[:, 0], Jh[:, 1]).reshape(-1, 3, 2)
 
-    def jac(t):
-        Jh = h.jacobian(t)[0]
-        return np.array([[1.0, 0.0], [0.0, 1.0], [Jh[0], Jh[1]]])
-
-    return DifferentiableMap("graph_surface", 2, 3, ev, jac, params={"terms": terms})
+    return DifferentiableMap(
+        "graph_surface", 2, 3, lambda T: np.concatenate([T, h(T)], axis=1), jac,
+        params={"terms": terms},
+    )
 
 
 def fourier_curve(constant, cos_coeffs, sin_coeffs) -> DifferentiableMap:
@@ -347,15 +358,15 @@ def fourier_curve(constant, cos_coeffs, sin_coeffs) -> DifferentiableMap:
     m, J = A.shape
     js = np.arange(1, J + 1, dtype=float)
 
-    def ev(t):
-        return c + A @ np.cos(js * t[0]) + B @ np.sin(js * t[0])
+    def ev(T):
+        return c + np.cos(T * js) @ A.T + np.sin(T * js) @ B.T
 
-    def jac(t):
-        d = -A @ (js * np.sin(js * t[0])) + B @ (js * np.cos(js * t[0]))
-        return d.reshape(m, 1)
+    def jac(T):
+        d = -(js * np.sin(T * js)) @ A.T + (js * np.cos(T * js)) @ B.T
+        return d[:, :, None]
 
-    def second(t):
-        return -A @ (js**2 * np.cos(js * t[0])) - B @ (js**2 * np.sin(js * t[0]))
+    def second(T):
+        return -(js**2 * np.cos(T * js)) @ A.T - (js**2 * np.sin(T * js)) @ B.T
 
     return DifferentiableMap(
         "fourier_curve",
@@ -374,23 +385,23 @@ def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
     if abs(a) >= 1.0:
         raise MapEvaluationError("sine_shift requires |amplitude| < 1 to stay monotone")
 
-    def inv_ev(y):
+    def inv_ev(Y):
         # Newton on s + a sin s = y; monotone with derivative >= 1 - |a|.
-        s = float(y[0])
+        s = Y.copy()
         for _ in range(60):
-            step = (s + a * math.sin(s) - y[0]) / (1.0 + a * math.cos(s))
-            s -= step
-            if abs(step) < 1e-15 * max(1.0, abs(s)):
+            step = (s + a * np.sin(s) - Y) / (1.0 + a * np.cos(s))
+            s = s - step
+            if np.all(np.abs(step) < 1e-15 * np.maximum(1.0, np.abs(s))):
                 break
-        return np.array([s])
+        return s
 
     out = DifferentiableMap(
         "sine_shift",
         1,
         1,
-        lambda t: np.array([t[0] + a * math.sin(t[0])]),
-        lambda t: np.array([[1.0 + a * math.cos(t[0])]]),
-        second_derivative=lambda t: np.array([-a * math.sin(t[0])]),
+        lambda T: T + a * np.sin(T),
+        lambda T: (1.0 + a * np.cos(T))[:, :, None],
+        second_derivative=lambda T: -a * np.sin(T),
         params={"amplitude": a},
     )
     inv = DifferentiableMap(
@@ -398,7 +409,7 @@ def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
         1,
         1,
         inv_ev,
-        lambda y: np.array([[1.0 / (1.0 + a * math.cos(inv_ev(y)[0]))]]),
+        lambda Y: (1.0 / (1.0 + a * np.cos(inv_ev(Y))))[:, :, None],
     )
     inv._inverse = out
     out._inverse = inv
@@ -412,16 +423,16 @@ def trig_shear(amplitude: float = 0.3) -> DifferentiableMap:
         "trig_shear",
         2,
         2,
-        lambda t: np.array([t[0] + a * math.sin(t[1]), t[1]]),
-        lambda t: np.array([[1.0, a * math.cos(t[1])], [0.0, 1.0]]),
+        lambda T: _columns(T[:, 0] + a * np.sin(T[:, 1]), T[:, 1]),
+        lambda T: _columns(1.0, a * np.cos(T[:, 1]), 0.0, 1.0).reshape(-1, 2, 2),
         params={"amplitude": a},
     )
     inv = DifferentiableMap(
         "trig_shear_inverse",
         2,
         2,
-        lambda t: np.array([t[0] - a * math.sin(t[1]), t[1]]),
-        lambda t: np.array([[1.0, -a * math.cos(t[1])], [0.0, 1.0]]),
+        lambda T: _columns(T[:, 0] - a * np.sin(T[:, 1]), T[:, 1]),
+        lambda T: _columns(1.0, -a * np.cos(T[:, 1]), 0.0, 1.0).reshape(-1, 2, 2),
     )
     inv._inverse = out
     out._inverse = inv
@@ -437,9 +448,9 @@ def positive_scale(factors) -> DifferentiableMap:
     Dinv = np.diag(1.0 / f)
     n = len(f)
     out = DifferentiableMap(
-        "positive_scale", n, n, lambda t: f * t, lambda t: D, params={"factors": f.tolist()}
+        "positive_scale", n, n, lambda T: f * T, lambda T: D, params={"factors": f.tolist()}
     )
-    inv = DifferentiableMap("positive_scale_inverse", n, n, lambda y: y / f, lambda y: Dinv)
+    inv = DifferentiableMap("positive_scale_inverse", n, n, lambda Y: Y / f, lambda Y: Dinv)
     inv._inverse = out
     out._inverse = inv
     return out
@@ -453,16 +464,16 @@ def _bare_compose(outer: DifferentiableMap, inner: DifferentiableMap) -> Differe
     second = None
     if inner.domain_dim == 1 and inner.codomain_dim == 1 and outer.domain_dim == 1:
         # (f o g)'' = f''(g) g'^2 + f'(g) g'' for curve-in-curve composites
-        def second(t):
-            g, gp, gpp = inner(t), inner.jacobian(t)[0, 0], inner.second_derivative(t)[0]
-            return outer.second_derivative(g) * gp * gp + outer.jacobian(g)[:, 0] * gpp
+        def second(T):
+            g, gp, gpp = inner(T), inner.jacobian(T)[:, :, 0], inner.second_derivative(T)
+            return outer.second_derivative(g) * gp * gp + outer.jacobian(g)[:, :, 0] * gpp
 
     return DifferentiableMap(
         f"{outer.name}({inner.name})",
         inner.domain_dim,
         outer.codomain_dim,
-        lambda t: outer(inner(t)),
-        lambda t: outer.jacobian(inner(t)) @ inner.jacobian(t),
+        lambda T: outer(inner(T)),
+        lambda T: outer.jacobian(inner(T)) @ inner.jacobian(T),
         second_derivative=second,
     )
 
@@ -489,13 +500,13 @@ def add_scaled(f: DifferentiableMap, g: DifferentiableMap, coeff: float) -> Diff
     c = float(coeff)
     second = None
     if f.domain_dim == 1:
-        second = lambda t: f.second_derivative(t) + c * g.second_derivative(t)
+        second = lambda T: f.second_derivative(T) + c * g.second_derivative(T)
     return DifferentiableMap(
         f"{f.name}+{c:g}·{g.name}",
         f.domain_dim,
         f.codomain_dim,
-        lambda t: f(t) + c * g(t),
-        lambda t: f.jacobian(t) + c * g.jacobian(t),
+        lambda T: f(T) + c * g(T),
+        lambda T: f.jacobian(T) + c * g.jacobian(T),
         second_derivative=second,
     )
 
@@ -504,17 +515,16 @@ def tangent_lift(curve: DifferentiableMap) -> DifferentiableMap:
     """t -> (zeta(t), zeta'(t)) into the doubled chart of the tangent bundle."""
     if curve.domain_dim != 1:
         raise DimensionMismatchError("tangent_lift is defined for curves only")
-    m = curve.codomain_dim
 
-    def ev(t):
-        return np.concatenate([curve(t), curve.jacobian(t)[:, 0]])
+    def ev(T):
+        return np.concatenate([curve(T), curve.jacobian(T)[:, :, 0]], axis=1)
 
-    def jac(t):
-        return np.concatenate([curve.jacobian(t)[:, 0], curve.second_derivative(t)]).reshape(
-            2 * m, 1
-        )
+    def jac(T):
+        return np.concatenate(
+            [curve.jacobian(T)[:, :, 0], curve.second_derivative(T)], axis=1
+        )[:, :, None]
 
-    return DifferentiableMap(f"T{curve.name}", 1, 2 * m, ev, jac)
+    return DifferentiableMap(f"T{curve.name}", 1, 2 * curve.codomain_dim, ev, jac)
 
 
 def insert_axis_map(k: int, axis: int, value: float) -> DifferentiableMap:
@@ -540,11 +550,11 @@ class CanonicalInclusion:
         A = np.zeros((m, k))
         A[:k, :] = np.eye(k)
         self.inclusion = DifferentiableMap(
-            f"iota_{k}_{m}", k, m, lambda t: A @ t, lambda t: A
+            f"iota_{k}_{m}", k, m, lambda T: T @ A.T, lambda T: A
         )
         P = A.T
         self.projection = DifferentiableMap(
-            f"pr_{m}_{k}", m, k, lambda y: P @ y, lambda y: P
+            f"pr_{m}_{k}", m, k, lambda Y: Y @ P.T, lambda Y: P
         )
 
 

@@ -9,8 +9,7 @@ permutation sign.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -64,15 +63,6 @@ def _rank_table(k: int, m: int) -> dict[tuple[int, ...], int]:
 def rank(index: MultiIndex) -> int:
     """Position of ``index`` in the ``enumerate_multiindices`` ordering."""
     return _rank_table(index.k, index.m)[index.indices]
-
-
-def count(k: int, m: int) -> int:
-    """Number of components of a degree-k antisymmetric array over R^m."""
-    if k == 0:
-        return 1
-    if k < 0 or k > m:
-        raise InvalidDegreeError(f"degree {k} not in 0..{m}")
-    return math.comb(m, k)
 
 
 def permutation_sign(t: Sequence[int]) -> int:

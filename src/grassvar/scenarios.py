@@ -31,7 +31,7 @@ from .forms import (
     verify_leibniz,
     verify_stokes,
 )
-from .kvector import KVector, lift_kvector
+from .kvector import KVector, canonical_lift, lift_kvector
 from .maps import DifferentiableMap, affine_map, compose, from_catalog
 
 SCHEMA_VERSION = "1"
@@ -156,6 +156,16 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
 }
 
+# Built once: jsonschema.validate would re-check the schema on every call.
+_VALIDATOR_CLASS = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+_SCENARIO_VALIDATOR = _VALIDATOR_CLASS(SCENARIO_SCHEMA)
+_FORM_VALIDATOR = _VALIDATOR_CLASS(SCENARIO_SCHEMA["properties"]["form"])
+
+
+def _schema_error(validator, instance):
+    """The most relevant violation of ``instance``, or None."""
+    return jsonschema.exceptions.best_match(validator.iter_errors(instance))
+
 
 def load_scenario(path: str) -> dict:
     """Parse and validate a scenario file; ScenarioError carries diagnostics."""
@@ -170,11 +180,10 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(
             f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}"
         ) from exc
-    try:
-        jsonschema.validate(data, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ScenarioError(exc.message, f"{path}#{where}") from exc
+    error = _schema_error(_SCENARIO_VALIDATOR, data)
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ScenarioError(error.message, f"{path}#{where}")
     if data["version"] != SCHEMA_VERSION:
         raise ScenarioError(
             f"unsupported scenario version {data['version']!r} (supported: {SCHEMA_VERSION})",
@@ -273,10 +282,9 @@ def build_form(scenario: dict, params: dict | None = None) -> KForm:
     spec = (params or {}).get("form") or scenario.get("form")
     if spec is None:
         raise ScenarioError("scenario has no form block", "form")
-    try:
-        jsonschema.validate(spec, SCENARIO_SCHEMA["properties"]["form"])
-    except jsonschema.ValidationError as exc:
-        raise ScenarioError(exc.message, "form") from exc
+    error = _schema_error(_FORM_VALIDATOR, spec)
+    if error is not None:
+        raise ScenarioError(error.message, "form")
     entries = {}
     for key, expr in spec["coefficients"].items():
         idx = tuple(int(s) for s in key.split(",")) if key else ()
@@ -492,9 +500,9 @@ def run_length(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: 
             Row("length", value, entry.get("expected"), entry.get("tolerance"), secs)
         )
     if dump:
-        for t in np.linspace(a, b, 257):
-            v = curve.jacobian(np.array([t]))[:, 0]
-            result.samples.append((t, F(curve(np.array([t])), v)))
+        T = np.linspace(a, b, 257).reshape(-1, 1)
+        values = F(curve(T), curve.jacobian(T)[:, :, 0])
+        result.samples.extend(zip(T[:, 0], values))
 
 
 def run_area(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: bool):
@@ -506,11 +514,9 @@ def run_area(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: bo
             Row("area", value, entry.get("expected"), entry.get("tolerance"), secs)
         )
     if dump:
-        from .kvector import canonical_lift
-
-        for t in piece.grid(17):
-            kv = canonical_lift(piece.map, t)
-            result.samples.append((*t, L(kv.base, kv.comps)))
+        T = piece.grid(17)
+        lift = canonical_lift(piece.map, T)
+        result.samples.extend((*t, value) for t, value in zip(T, L(lift.base, lift.comps)))
 
 
 def run_checks(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: bool):

@@ -90,6 +90,27 @@ def test_fiber_gradient_matches_finite_differences(rng):
         assert fiber_gradient_fd_residual(F, rng, 30) <= GRAD_FD_TOL
 
 
+def test_stacked_evaluation_matches_single_points(rng):
+    for F in catalog_metrics(rng):
+        Y = rng.uniform(-1.0, 1.0, size=(6, F.m))
+        V = rng.normal(size=(6, F.fiber_dim))
+        values, grads = F(Y, V), F.fiber_gradient(Y, V)
+        assert values.shape == (6,) and grads.shape == (6, F.fiber_dim)
+        for i in range(6):
+            assert values[i] == pytest.approx(F(Y[i], V[i]), rel=1e-15)
+            assert np.allclose(grads[i], F.fiber_gradient(Y[i], V[i]), rtol=1e-15, atol=0.0)
+
+
+def test_slit_row_in_a_stack_raises_before_dividing():
+    F = euclidean_metric(2)
+    V = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with np.errstate(all="raise"):
+        with pytest.raises(SlitDomainError):
+            F(np.zeros((2, 2)), V)
+        with pytest.raises(SlitDomainError):
+            F.fiber_gradient(np.zeros((2, 2)), V)
+
+
 def test_slit_domain_guard():
     F = euclidean_metric(2)
     with pytest.raises(SlitDomainError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from grassvar.errors import (
 )
 from grassvar.expressions import ExprCoeff
 from grassvar.forms import (
+    CHUNK_NODES,
     KForm,
     ParametricFormFamily,
     PartitionOfUnity,
@@ -50,7 +52,7 @@ def area_form_2d():
 
 
 def test_quadrature_polynomial_exactness():
-    val = integrate_scalar_over_box(lambda t: t[0] ** 7 - 3 * t[0] ** 2, [(0.0, 2.0)], Q_FAST)
+    val = integrate_scalar_over_box(lambda T: T[:, 0] ** 7 - 3 * T[:, 0] ** 2, [(0.0, 2.0)], Q_FAST)
     assert val == pytest.approx(2.0**8 / 8 - 2.0**3, rel=1e-14)
 
 
@@ -60,9 +62,35 @@ def test_quadrature_empty_interval():
 
 def test_adaptive_quadrature_meets_target():
     q = QuadratureSpec(gauss_order=4, cells_per_axis=1, adaptive=True, target=1e-11)
-    val = integrate_scalar_over_box(lambda t: math.exp(math.sin(3 * t[0])), [(0.0, 2.0)], q)
+    val = integrate_scalar_over_box(lambda T: np.exp(np.sin(3 * T[:, 0])), [(0.0, 2.0)], q)
     ref = gauss_reference_1d(lambda t: math.exp(math.sin(3 * t)), 0.0, 2.0)
     assert val == pytest.approx(ref, abs=5e-11)
+
+
+def test_quadrature_walks_the_grid_in_bounded_chunks():
+    calls = []
+
+    def g(T):
+        calls.append(T.shape)
+        return T[:, 0] ** 3 * T[:, 1]
+
+    q = QuadratureSpec(gauss_order=8, cells_per_axis=16)  # 128 x 128 nodes
+    val = integrate_scalar_over_box(g, [(0.0, 1.0), (0.0, 2.0)], q)
+    assert val == pytest.approx(0.25 * 2.0, rel=1e-14)
+    assert sum(n for n, _ in calls) == 128 * 128
+    assert all(n <= CHUNK_NODES and k == 2 for n, k in calls)
+    assert len(calls) == -(-128 * 128 // CHUNK_NODES)
+
+
+def test_quadrature_one_dimensional_nodes_are_columns():
+    shapes = []
+
+    def g(T):
+        shapes.append(T.shape)
+        return np.ones(len(T))
+
+    assert integrate_scalar_over_box(g, [(0.0, 3.0)], Q_FAST) == pytest.approx(3.0, rel=1e-14)
+    assert shapes == [(32, 1)]
 
 
 # -- pullback ----------------------------------------------------------------
@@ -138,8 +166,12 @@ def test_integrate_degenerate_node_warns():
 
 
 def test_piece_immersion_validation():
+    # an immersed piece has no degenerate quadrature node
     good = Piece(((0.1, 1.0),), circle())
-    assert good.validate_immersion()
+    eta = KForm.from_dict(1, 2, {(1,): 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegeneratePieceWarning)
+        integrate(eta, good, Q)
 
 
 # -- partition of unity ------------------------------------------------------
@@ -209,7 +241,7 @@ def test_d_squared_zero_symbolic(rng):
 
 
 def test_d_squared_zero_finite_difference(rng):
-    coeffs = {(1,): lambda y: y[1] * y[2], (2,): lambda y: math.sin(y[0]) * y[2]}
+    coeffs = {(1,): lambda y: y[:, 1] * y[:, 2], (2,): lambda y: np.sin(y[:, 0]) * y[:, 2]}
     eta = KForm.from_dict(1, 3, coeffs)
     dd = exterior_derivative(exterior_derivative(eta))
     for _ in range(3):
@@ -272,7 +304,7 @@ def test_stokes_zero_form():
 
 
 def test_stokes_with_finite_difference_partials():
-    eta = KForm.from_dict(1, 2, {(1,): lambda y: y[1] ** 2, (2,): lambda y: y[0] ** 3})
+    eta = KForm.from_dict(1, 2, {(1,): lambda y: y[:, 1] ** 2, (2,): lambda y: y[:, 0] ** 3})
     piece = Piece(((0.0, 1.0), (0.0, 1.0)), identity_map(2))
     assert verify_stokes(eta, piece, Q_FAST) <= 1e-6
 

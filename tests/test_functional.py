@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from grassvar.errors import (
+    QuadratureTargetWarning,
     DimensionMismatchError,
     ImmersionError,
     NonHomogeneousWarning,
@@ -14,6 +15,7 @@ from grassvar.finsler import areal_gram, energy_metric, euclidean_metric, rander
 from grassvar.forms import Piece, QuadratureSpec
 from grassvar.functional import (
     VariationField,
+    _preimage,
     areal_value,
     curve_length,
     default_variation_basis,
@@ -27,6 +29,7 @@ from grassvar.maps import (
     affine_map,
     circle,
     graph_surface,
+    polynomial_map,
     segment,
     sine_shift,
     sphere_patch,
@@ -124,6 +127,17 @@ def test_areal_additive_under_box_split():
     assert abs(whole - (left + right)) <= 1e-11 * max(1.0, abs(whole))
 
 
+def test_quadrature_target_warning_reports_the_estimate():
+    piece = Piece(((0.1, 3.0), (0.0, 6.0)), sphere_patch())
+    q = QuadratureSpec(gauss_order=2, cells_per_axis=1, adaptive=True, target=1e-15)
+    with pytest.warns(QuadratureTargetWarning) as record:
+        areal_value(areal_gram(2, 3), piece, q)
+    message = str(record[0].message)
+    assert "stopped at 64 cells/axis" in message
+    estimate = float(message.split("estimate ")[1].split(" >")[0])
+    assert estimate > 0.0
+
+
 def test_areal_dimension_check():
     piece = Piece(((0.0, 1.0), (0.0, 1.0)), sphere_patch())
     with pytest.raises(DimensionMismatchError):
@@ -148,6 +162,15 @@ def test_reparam_sine_shift_circle():
     )
 
 
+def test_reparam_without_inverse_uses_the_bracketed_preimage():
+    rho = polynomial_map(1, [[(1.0, (1,)), (1.0, (3,))]])  # s + s^3, strictly increasing
+    assert not rho.has_inverse
+    assert _preimage(rho, 2.0) == pytest.approx(1.0, abs=1e-15)
+    assert _preimage(rho, 0.0) == 0.0
+    res = reparam_invariance_residual(euclidean_metric(2), circle(), (0.0, 2.0), rho, Q)
+    assert res <= 1e-10
+
+
 def test_reparam_orientation_violation():
     rho = affine_map([[-1.0]], [0.0])
     with pytest.raises(OrientationError):
@@ -170,8 +193,8 @@ def test_variation_field_endpoints_enforced():
 
 def test_first_variation_zero_field_is_zero():
     zero_map = DifferentiableMap(
-        "zero", 1, 2, lambda t: np.zeros(2), lambda t: np.zeros((2, 1)),
-        second_derivative=lambda t: np.zeros(2),
+        "zero", 1, 2, lambda T: np.zeros((len(T), 2)), lambda T: np.zeros((len(T), 2, 1)),
+        second_derivative=lambda T: np.zeros((len(T), 2)),
     )
     zero = VariationField(zero_map, (0.0, 1.0))
     line = segment([0.0, 0.0], [1.0, 1.0])

@@ -15,7 +15,6 @@ from grassvar.grassmann import (
     grassmann_canonical_lift,
     grassmann_transition,
     points_close,
-    project_kappa,
     to_grassmann,
 )
 from grassvar.kvector import KVector, canonical_lift, lift_kvector, wedge
@@ -150,12 +149,6 @@ def test_transition_not_in_chart():
         grassmann_transition(p, MultiIndex((1, 3), 3))
 
 
-def test_project_kappa_is_alias(rng):
-    xi = random_kvector(rng, 2, 4)
-    p, q = project_kappa(xi), to_grassmann(xi)
-    assert p.pivot == q.pivot and np.allclose(p.w, q.w)
-
-
 # -- canonical lifts into the ray space --------------------------------------
 
 def test_lift_of_inclusion_hits_base_chart():
@@ -258,7 +251,7 @@ def test_section_rays_coincide_for_positive_determinant(rng):
             compose(linear_map(Linv), CanonicalInclusion(k, m).inclusion), (L @ y)[:k]
         )
         assert points_close(
-            project_kappa(section_one), project_kappa(section_two), tol=1e-10, base_tol=1e-10
+            to_grassmann(section_one), to_grassmann(section_two), tol=1e-10, base_tol=1e-10
         )
 
 

@@ -16,6 +16,7 @@ from grassvar.kvector import (
     canonical_section_along_s,
     compound_matrix,
     lift_kvector,
+    minors,
     plucker_residual,
     wedge,
 )
@@ -76,6 +77,38 @@ def test_wedge_multilinear(rng):
     left = wedge([2.0 * u + w, v], base=np.zeros(3)).comps
     right = 2.0 * wedge([u, v], base=np.zeros(3)).comps + wedge([w, v], base=np.zeros(3)).comps
     assert np.allclose(left, right)
+
+
+# -- minors ------------------------------------------------------------------
+
+def test_minors_of_a_stack_match_each_matrix(rng):
+    for k, m, n in [(1, 3, 2), (2, 3, 2), (2, 4, 3), (3, 5, 4)]:
+        J = rng.normal(size=(6, m, n))
+        M = minors(J, k)
+        assert M.shape == (6, math.comb(m, k), math.comb(n, k))
+        for i in range(6):
+            assert np.array_equal(M[i], minors(J[i], k))
+            slow = lift_full_tensor_sum(J[i], np.eye(math.comb(n, k))[0], k)
+            assert np.max(np.abs(M[i][:, 0] - slow)) <= ORACLE_TOL * max(1.0, np.max(np.abs(slow)))
+
+
+def test_minors_degree_error():
+    with pytest.raises(InvalidDegreeError):
+        minors(np.zeros((3, 2)), 3)
+    with pytest.raises(InvalidDegreeError):
+        minors(np.zeros((3, 2)), 0)
+
+
+def test_canonical_lift_of_a_stack(rng):
+    f = graph_surface([[1.0, (2, 0)], [1.0, (0, 2)]])
+    T = rng.normal(size=(5, 2))
+    lift = canonical_lift(f, T)
+    assert lift.base.shape == (5, 3) and lift.comps.shape == (5, 3)
+    for i, t in enumerate(T):
+        one = canonical_lift(f, t)
+        assert np.array_equal(lift.base[i], one.base)
+        assert np.array_equal(lift.comps[i], one.comps)
+        assert lift.norm[i] == one.norm
 
 
 # -- lift --------------------------------------------------------------------

@@ -51,6 +51,23 @@ def test_catalog_jacobians_match_finite_differences(rng):
         verify_jacobian(f, points, tol=JAC_TOL)
 
 
+def test_stack_matches_single_points(rng):
+    for f, points in catalog_samples(rng):
+        T = np.asarray(points, dtype=float)
+        assert f(T).shape == (len(T), f.codomain_dim)
+        assert f.jacobian(T).shape == (len(T), f.codomain_dim, f.domain_dim)
+        for i, t in enumerate(T):
+            assert np.array_equal(f(T)[i], f(t))
+            assert np.array_equal(f.jacobian(T)[i], f.jacobian(t))
+
+
+def test_non_finite_value_names_the_node():
+    f = type(identity_map(1))("log", 1, 1, lambda T: np.log(T))
+    with np.errstate(divide="ignore"):
+        with pytest.raises(MapEvaluationError, match=r"t=\[0\.\]"):
+            f(np.array([[1.0], [0.0]]))
+
+
 def test_inverses_roundtrip(rng):
     for f in [
         affine_map([[2.0, 1.0], [0.0, 1.0]], [0.3, -0.2]),
@@ -137,7 +154,7 @@ def test_from_catalog_dispatch():
 def test_fd_fallback_jacobian():
     f = compose(identity_map(2), trig_shear(0.2))
     g = linear_map([[1.0, 0.0], [0.0, 1.0]])
-    raw = type(f)("raw", 2, 2, lambda t: np.array([t[0] ** 2, math.sin(t[1])]))
+    raw = type(f)("raw", 2, 2, lambda T: np.stack([T[:, 0] ** 2, np.sin(T[:, 1])], axis=1))
     J = raw.jacobian(np.array([0.5, 0.3]))
     assert np.allclose(J, [[1.0, 0.0], [0.0, math.cos(0.3)]], atol=1e-8)
     assert np.allclose(g.jacobian(np.zeros(2)), np.eye(2))

@@ -5,11 +5,18 @@ The subcommand is the file-name prefix (``area_``, ``check_``, ``length_``,
 same CSV bytes on both runs, and report PASS on every row, except the
 deliberate negative example ``check_homogeneity_energy``, which exits 1.
 """
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import jsonschema
 import pytest
 
 from grassvar import cli
+from grassvar.errors import ScenarioError
+from grassvar.scenarios import SCENARIO_SCHEMA, load_scenario, run_scenario
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
@@ -39,3 +46,36 @@ def test_scenario_through_cli(path, tmp_path):
         assert "FAIL" in statuses
     else:
         assert set(statuses) == {"PASS"}
+
+
+def test_scenario_schema_is_valid():
+    jsonschema.validators.validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+
+
+def test_schema_violation_names_the_field(tmp_path):
+    bad = json.loads((SCENARIO_DIR / "area_sphere_zone.json").read_text())
+    bad["geometry"]["box"][1] = [0.0, "wide"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(str(path))
+    assert info.value.location == f"{path}#geometry/box/1/1"
+
+
+def test_malformed_form_override_raises_at_form():
+    scenario = json.loads((SCENARIO_DIR / "check_forms_square.json").read_text())
+    scenario["checks"] = [{"name": "stokes", "tolerance": 1e-10, "form": {"degree": 1, "dim": 2}}]
+    with pytest.raises(ScenarioError) as info:
+        run_scenario("check", scenario, 42)
+    assert info.value.location == "form"
+    assert "coefficients" in str(info.value)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, grassvar.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
