@@ -251,11 +251,16 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
     if eta.k == 0:
         return KForm(0, n, [lambda T: eta.values(f(T))[:, 0]], eta.fd_step)
 
-    def pulled(T):
-        return np.einsum("ni,nij->nj", eta.values(f(T)), minors(f.jacobian(T), eta.k))
+    def coeff(cols):
+        def pulled(T):
+            M = minors(f.jacobian(T)[:, :, cols], eta.k)[:, :, 0]
+            return np.sum(eta.values(f(T)) * M, axis=1)
 
-    coeffs = [lambda T, _j=j: pulled(T)[:, _j] for j in range(math.comb(n, eta.k))]
-    return KForm(eta.k, n, coeffs, eta.fd_step)
+        return pulled
+
+    return KForm(
+        eta.k, n, [coeff([j - 1 for j in J]) for J in enumerate_multiindices(eta.k, n)], eta.fd_step
+    )
 
 
 def _on_lift(eta: KForm, f: DifferentiableMap, T: np.ndarray):

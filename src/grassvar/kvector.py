@@ -40,8 +40,11 @@ from .multiindex import MultiIndex, enumerate_multiindices, normalize_tuple, ran
 
 @lru_cache(maxsize=None)
 def _index_table(k: int, m: int) -> np.ndarray:
-    """Zero-based rows of the increasing k-subsets of 0..m-1, in rank order."""
-    return np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+    """Zero-based rows of the increasing k-subsets of 0..m-1, in rank order;
+    read-only, since every caller shares the cached array."""
+    table = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
 def minors(J, k: int) -> np.ndarray:

@@ -162,11 +162,6 @@ _SCENARIO_VALIDATOR = _VALIDATOR_CLASS(SCENARIO_SCHEMA)
 _FORM_VALIDATOR = _VALIDATOR_CLASS(SCENARIO_SCHEMA["properties"]["form"])
 
 
-def _schema_error(validator, instance):
-    """The most relevant violation of ``instance``, or None."""
-    return jsonschema.exceptions.best_match(validator.iter_errors(instance))
-
-
 def load_scenario(path: str) -> dict:
     """Parse and validate a scenario file; ScenarioError carries diagnostics."""
     try:
@@ -180,7 +175,7 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(
             f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}"
         ) from exc
-    error = _schema_error(_SCENARIO_VALIDATOR, data)
+    error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(data))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ScenarioError(error.message, f"{path}#{where}")
@@ -282,7 +277,7 @@ def build_form(scenario: dict, params: dict | None = None) -> KForm:
     spec = (params or {}).get("form") or scenario.get("form")
     if spec is None:
         raise ScenarioError("scenario has no form block", "form")
-    error = _schema_error(_FORM_VALIDATOR, spec)
+    error = jsonschema.exceptions.best_match(_FORM_VALIDATOR.iter_errors(spec))
     if error is not None:
         raise ScenarioError(error.message, "form")
     entries = {}
