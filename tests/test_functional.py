@@ -165,9 +165,9 @@ def test_reparam_sine_shift_circle():
 def test_reparam_without_inverse_uses_the_bracketed_preimage():
     rho = polynomial_map(1, [[(1.0, (1,)), (1.0, (3,))]])  # s + s^3, strictly increasing
     assert not rho.has_inverse
-    assert _preimage(rho, 2.0) == pytest.approx(1.0, abs=1e-15)
-    assert _preimage(rho, 0.0) == 0.0
-    res = reparam_invariance_residual(euclidean_metric(2), circle(), (0.0, 2.0), rho, Q)
+    assert _preimage(rho, 0.625) == pytest.approx(0.5, abs=1e-15)  # bisected in [-0.375, 1.625]
+    assert _preimage(rho, 10.0) == pytest.approx(2.0, abs=1e-15)  # after widening the bracket
+    res = reparam_invariance_residual(euclidean_metric(2), circle(), (0.625, 10.0), rho, Q)
     assert res <= 1e-10
 
 

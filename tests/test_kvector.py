@@ -106,9 +106,9 @@ def test_canonical_lift_of_a_stack(rng):
     assert lift.base.shape == (5, 3) and lift.comps.shape == (5, 3)
     for i, t in enumerate(T):
         one = canonical_lift(f, t)
-        assert np.array_equal(lift.base[i], one.base)
-        assert np.array_equal(lift.comps[i], one.comps)
-        assert lift.norm[i] == one.norm
+        assert np.allclose(lift.base[i], one.base, rtol=1e-14, atol=1e-15)
+        assert np.allclose(lift.comps[i], one.comps, rtol=1e-14, atol=1e-15)
+        assert lift.norm[i] == pytest.approx(one.norm, rel=1e-14)
 
 
 # -- lift --------------------------------------------------------------------
