@@ -38,6 +38,7 @@ from .errors import (
     SlitDomainError,
 )
 from .forms import KForm
+from .kvector import canonical_lift
 from .maps import DifferentiableMap
 
 SLIT_TOL = 1e-13
@@ -58,7 +59,6 @@ class FinslerFunction:
     m: int
     degree: int
     fiber_dim: int
-    params: dict
     _eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     _grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -129,13 +129,13 @@ def _build_metric_field(m: int, spec) -> Callable[[np.ndarray], np.ndarray]:
 def euclidean_metric(dim: int) -> FinslerFunction:
     """F(y, v) = |v|; the fiber gradient is the unit vector v/|v|."""
     return FinslerFunction(
-        "euclidean", dim, 1, dim, {}, lambda Y, V: _norm(V), lambda Y, V: V / _norm(V)[:, None]
+        "euclidean", dim, 1, dim, lambda Y, V: _norm(V), lambda Y, V: V / _norm(V)[:, None]
     )
 
 
 def riemannian_metric(dim: int, g: dict | None = None) -> FinslerFunction:
     """F(y, v) = sqrt(v^T g(y) v) with gradient g(y) v / F."""
-    return _randers_family("riemannian", dim, np.zeros(dim), g, {"g": g})
+    return _randers_family("riemannian", dim, np.zeros(dim), g)
 
 
 def randers_metric(dim: int, b, g: dict | None = None) -> FinslerFunction:
@@ -147,10 +147,10 @@ def randers_metric(dim: int, b, g: dict | None = None) -> FinslerFunction:
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.shape != (dim,):
         raise InvalidMetricError(f"drift covector must have length {dim}")
-    return _randers_family("randers", dim, b, g, {"b": b.tolist(), "g": g})
+    return _randers_family("randers", dim, b, g)
 
 
-def _randers_family(kind: str, dim: int, b: np.ndarray, g, params: dict) -> FinslerFunction:
+def _randers_family(kind: str, dim: int, b: np.ndarray, g) -> FinslerFunction:
     """sqrt(v^T g(y) v) + b . v with gradient g(y) v / sqrt(v^T g(y) v) + b."""
     gfun = _build_metric_field(dim, g)
     g0 = gfun(np.zeros((1, dim)))[0]
@@ -169,7 +169,7 @@ def _randers_family(kind: str, dim: int, b: np.ndarray, g, params: dict) -> Fins
         root, gv = parts(Y, V)
         return gv / root[:, None] + b
 
-    return FinslerFunction(kind, dim, 1, dim, params, ev, grad)
+    return FinslerFunction(kind, dim, 1, dim, ev, grad)
 
 
 def quartic_root_metric(weights) -> FinslerFunction:
@@ -185,7 +185,7 @@ def quartic_root_metric(weights) -> FinslerFunction:
     def grad(Y, V):
         return c * V**3 / ev(Y, V)[:, None] ** 3
 
-    return FinslerFunction("mth_root", dim, 1, dim, {"weights": c.tolist()}, ev, grad)
+    return FinslerFunction("mth_root", dim, 1, dim, ev, grad)
 
 
 def areal_gram(k: int, m: int) -> FinslerFunction:
@@ -201,7 +201,6 @@ def areal_gram(k: int, m: int) -> FinslerFunction:
         m,
         k,
         fiber_dim,
-        {"k": k},
         lambda Y, V: _norm(V),
         lambda Y, V: V / _norm(V)[:, None],
     )
@@ -210,7 +209,7 @@ def areal_gram(k: int, m: int) -> FinslerFunction:
 def energy_metric(dim: int) -> FinslerFunction:
     """F(y, v) = |v|^2; 2-homogeneous, so every homogeneity check must fail."""
     return FinslerFunction(
-        "energy", dim, 1, dim, {}, lambda Y, V: _dot(V, V), lambda Y, V: 2.0 * V
+        "energy", dim, 1, dim, lambda Y, V: _dot(V, V), lambda Y, V: 2.0 * V
     )
 
 
@@ -304,8 +303,8 @@ def pullback_identity_residual(F: FinslerFunction, curve: DifferentiableMap, t_s
     for the Hilbert form."""
     if F.degree != 1 or curve.codomain_dim != F.m or curve.domain_dim != 1:
         raise DimensionMismatchError("need a degree-1 metric and a curve into its chart")
-    T = np.asarray(t_samples, dtype=float).reshape(-1, 1)
-    Y, V = curve(T), curve.jacobian(T)[:, :, 0]
+    lift = canonical_lift(curve, np.asarray(t_samples, dtype=float).reshape(-1, 1))
+    Y, V = lift.base, lift.comps
     try:
         residual = _dot(F.fiber_gradient(Y, V), V) - F(Y, V)
     except SlitDomainError as exc:

@@ -176,9 +176,6 @@ class QuadratureSpec:
         if self.gauss_order < 1 or self.cells_per_axis < 1:
             raise ValueError("gauss_order and cells_per_axis must be >= 1")
 
-    def with_cells(self, cells: int) -> "QuadratureSpec":
-        return QuadratureSpec(self.gauss_order, cells, False, self.target, self.max_refinements)
-
 
 def _axis_nodes(a: float, b: float, q: QuadratureSpec, cells: int):
     """Nodes and weights on [a, b] subdivided into ``cells`` equal cells."""

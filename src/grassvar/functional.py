@@ -2,10 +2,14 @@
 
 The value of the functional on a parametrized piece is the quadrature of
 the fiber Lagrangian evaluated on the canonical lift of the
-parametrization.  For degree-1 metrics the same number is recomputed by
-pulling the Hilbert form back through the tangent lift of the curve, and
-the two routes must agree whenever the metric is positively homogeneous;
-that cross-check runs by default.
+parametrization.  Length is the k = 1 case: one lift integral serves
+length, area, reparametrization and first variation.  For degree-1
+metrics the length is recomputed by pulling the Hilbert form back through
+the tangent lift of the curve, and the two routes must agree whenever the
+metric is positively homogeneous; that cross-check runs by default.
+
+The homogeneity probe runs once per public call, however many lengths
+that call integrates.
 """
 from __future__ import annotations
 
@@ -59,28 +63,17 @@ def curve_length(
 ) -> float:
     """Length of a curve under a degree-1 fundamental function.
 
-    Integrates t -> F(zeta(t), zeta'(t)) over the interval.  When the
-    homogeneity probe passes and ``cross_check`` is on, the value is also
-    computed by :func:`hilbert_route_length`; disagreement beyond 1e-10
-    raises CrossCheckError.
+    The areal value of F on the curve as a 1-piece, i.e. the integral of
+    t -> F(zeta(t), zeta'(t)).  When the homogeneity probe passes and
+    ``cross_check`` is on, the value is also computed by
+    :func:`hilbert_route_length`; disagreement beyond 1e-10 raises
+    CrossCheckError.
     """
-    if F.degree != 1 or curve.codomain_dim != F.m or curve.domain_dim != 1:
-        raise DimensionMismatchError("curve_length needs a degree-1 metric and a curve")
-    a, b = float(interval[0]), float(interval[1])
-    if a == b:
-        return 0.0
+    piece = _curve_piece(F, curve, interval)
     homogeneous = _homogeneity_probe(F)
-
-    def g(T):
-        try:
-            return F(curve(T), curve.jacobian(T)[:, :, 0])
-        except SlitDomainError as exc:
-            raise ImmersionError(f"{curve.name}: zero velocity ({exc})") from exc
-
-    direct = integrate_scalar_over_box(g, [(a, b)], q)
-
+    direct = _lift_value(F, piece, q)
     if cross_check and homogeneous:
-        via_hilbert = hilbert_route_length(F, curve, (a, b), q)
+        via_hilbert = hilbert_route_length(F, curve, interval, q)
         if abs(direct - via_hilbert) > DUAL_ROUTE_TOL * max(1.0, abs(direct)):
             raise CrossCheckError(
                 f"direct length {direct!r} and Hilbert-form length {via_hilbert!r} disagree"
@@ -119,6 +112,11 @@ def areal_value(
             f"Lagrangian fiber dimension {L.fiber_dim} does not match C({piece.map.codomain_dim},{k})"
         )
     _homogeneity_probe(L)
+    return _lift_value(L, piece, q)
+
+
+def _lift_value(L: FinslerFunction, piece: Piece, q: QuadratureSpec) -> float:
+    """Oriented quadrature of L on the canonical lift of the piece."""
 
     def g(T):
         lift = canonical_lift(piece.map, T)
@@ -128,6 +126,13 @@ def areal_value(
             raise ImmersionError(f"{piece.map.name}: degenerate lift ({exc})") from exc
 
     return piece.orientation * integrate_scalar_over_box(g, piece.param_box, q)
+
+
+def _curve_piece(F: FinslerFunction, curve: DifferentiableMap, interval) -> Piece:
+    """The curve over ``interval`` as a 1-piece, after checking it fits F."""
+    if F.degree != 1 or curve.codomain_dim != F.m or curve.domain_dim != 1:
+        raise DimensionMismatchError("curve_length needs a degree-1 metric and a curve")
+    return Piece((tuple(interval),), curve)
 
 
 def reparam_invariance_residual(
@@ -145,14 +150,16 @@ def reparam_invariance_residual(
     """
     if rho.domain_dim != 1 or rho.codomain_dim != 1:
         raise DimensionMismatchError("reparametrization must map an interval to an interval")
-    a, b = float(interval[0]), float(interval[1])
+    piece = _curve_piece(F, curve, interval)
+    ((a, b),) = piece.param_box
     sa, sb = _preimage(rho, a), _preimage(rho, b)
     S = np.linspace(sa, sb, 64).reshape(-1, 1)
     bad = rho.jacobian(S)[:, 0, 0] <= 0.0
     if np.any(bad):
         raise OrientationError(f"{rho.name}: derivative not positive at s={S[bad][0, 0]}")
-    L1 = curve_length(F, curve, (a, b), q, cross_check=False)
-    L2 = curve_length(F, compose(curve, rho), (sa, sb), q, cross_check=False)
+    _homogeneity_probe(F)
+    L1 = _lift_value(F, piece, q)
+    L2 = _lift_value(F, Piece(((sa, sb),), compose(curve, rho)), q)
     return abs(L1 - L2)
 
 
@@ -227,13 +234,7 @@ class VariationField:
         def jac(T):
             return (mu * np.cos(mu * (T - a)) * e)[:, :, None]
 
-        def second(T):
-            return -mu * mu * np.sin(mu * (T - a)) * e
-
-        field = DifferentiableMap(
-            f"sine_bump_{mode}_{coord}", 1, dim, ev, jac, second_derivative=second
-        )
-        return cls(field, (a, b))
+        return cls(DifferentiableMap(f"sine_bump_{mode}_{coord}", 1, dim, ev, jac), (a, b))
 
     @classmethod
     def radial_sine_bump(cls, interval, mode: int) -> "VariationField":
@@ -253,20 +254,7 @@ class VariationField:
             d += np.sin(mu * s) * np.concatenate([-np.sin(T), np.cos(T)], axis=1)
             return d[:, :, None]
 
-        def second(T):
-            s = T - a
-            r = radial(T)
-            dr = np.concatenate([-np.sin(T), np.cos(T)], axis=1)
-            return (
-                -mu * mu * np.sin(mu * s) * r
-                + 2.0 * mu * np.cos(mu * s) * dr
-                - np.sin(mu * s) * r
-            )
-
-        field = DifferentiableMap(
-            f"radial_sine_bump_{mode}", 1, 2, ev, jac, second_derivative=second
-        )
-        return cls(field, (a, b))
+        return cls(DifferentiableMap(f"radial_sine_bump_{mode}", 1, 2, ev, jac), (a, b))
 
 
 def first_variation(
@@ -283,12 +271,19 @@ def first_variation(
     A second evaluation at eps/2 cross-checks the differencing; a
     VariationConsistencyWarning flags disagreement beyond 1e-5.
     """
-    if field.map.codomain_dim != curve.codomain_dim:
+    piece = _curve_piece(F, curve, interval)
+    _homogeneity_probe(F)
+    return _variation(F, piece, field, eps, q)
+
+
+def _variation(F: FinslerFunction, piece: Piece, field, eps: float, q) -> float:
+    """:func:`first_variation` on a curve piece, without the probe."""
+    if field.map.codomain_dim != piece.map.codomain_dim:
         raise DimensionMismatchError("variation field dimension does not match the curve")
 
     def delta(e):
-        plus = curve_length(F, add_scaled(curve, field.map, e), interval, q, cross_check=False)
-        minus = curve_length(F, add_scaled(curve, field.map, -e), interval, q, cross_check=False)
+        plus = _lift_value(F, Piece(piece.param_box, add_scaled(piece.map, field.map, e)), q)
+        minus = _lift_value(F, Piece(piece.param_box, add_scaled(piece.map, field.map, -e)), q)
         return (plus - minus) / (2.0 * e)
 
     value = delta(eps)
@@ -298,7 +293,7 @@ def first_variation(
             f"first variation differs between eps={eps:g} ({value:.6g}) and "
             f"eps/2 ({refined:.6g})",
             VariationConsistencyWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return value
 
@@ -324,4 +319,6 @@ def extremal_residual(
     extremal curves."""
     if fields is None:
         fields = default_variation_basis(interval, curve.codomain_dim)
-    return max(abs(first_variation(F, curve, interval, f, eps, q)) for f in fields)
+    piece = _curve_piece(F, curve, interval)
+    _homogeneity_probe(F)
+    return max(abs(_variation(F, piece, f, eps, q)) for f in fields)

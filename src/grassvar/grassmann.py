@@ -54,15 +54,6 @@ class GrassmannPoint:
         comps[rank(self.pivot)] = float(self.pivot_sign)
         return KVector(self.base, comps, self.k, self.m)
 
-    def as_record(self) -> dict:
-        """Flat serialization used by report/CSV dumps."""
-        return {
-            "base": self.base.tolist(),
-            "pivot": self.pivot.indices,
-            "pivot_sign": self.pivot_sign,
-            "w": self.w.tolist(),
-        }
-
     def __repr__(self) -> str:
         return (
             f"GrassmannPoint(pivot={self.pivot}, sign={self.pivot_sign:+d}, "

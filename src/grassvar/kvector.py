@@ -29,13 +29,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    EvaluationError,
     InvalidDegreeError,
     OffSubmanifoldError,
     UnsupportedDegreeError,
-    ZeroKVectorError,
 )
 from .maps import CanonicalInclusion, DifferentiableMap
-from .multiindex import MultiIndex, enumerate_multiindices, normalize_tuple, rank
+from .multiindex import enumerate_multiindices, normalize_tuple, rank
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +60,9 @@ def minors(J, k: int) -> np.ndarray:
         raise InvalidDegreeError(f"degree {k} not in 1..min({m}, {n})")
     rows, cols = _index_table(k, m), _index_table(k, n)
     sub = J[..., rows[:, None, :, None], cols[None, :, None, :]]
-    return sub[..., 0, 0] if k == 1 else np.linalg.det(sub)
+    # C order at k = 1 as well: reductions over the strided fancy-index view
+    # would sum in another order and move results in the last bit
+    return np.ascontiguousarray(sub[..., 0, 0]) if k == 1 else np.linalg.det(sub)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +97,7 @@ class KVector:
                 f"expected {math.comb(self.m, self.k)} components, got {comps.shape[-1]}"
             )
         if not (np.all(np.isfinite(base)) and np.all(np.isfinite(comps))):
-            raise ZeroKVectorError("non-finite k-vector data")
-
-    def component(self, index: MultiIndex):
-        return self.comps[..., rank(index)]
+            raise EvaluationError("non-finite k-vector data")
 
     def scaled(self, factor: float) -> "KVector":
         return KVector(self.base, factor * self.comps, self.k, self.m)

@@ -11,14 +11,15 @@ analytic Jacobian:
 Python callers may additionally combine maps with :func:`compose`,
 :func:`add_scaled` and :func:`tangent_lift`.  A central finite-difference
 Jacobian (step 1e-6 * max(1, |x|_inf)) backs any map constructed without
-an analytic one.
+an analytic one.  A map carries a value, a Jacobian and optionally an
+inverse, nothing else: no map has second derivatives.
 
 Shape contract: every map evaluates a stack of N points at once.  The
 callables handed to :class:`DifferentiableMap` receive ``T`` of shape
-``(N, n)`` and return values ``(N, m)``, Jacobians ``(N, m, n)`` and, for
-curves, second derivatives ``(N, m)``; a constant result (a fixed matrix,
-say) is broadcast to the stack.  Calling a map on a single point ``(n,)``
-evaluates the stack N = 1 and returns ``(m,)`` and ``(m, n)``.
+``(N, n)`` and return values ``(N, m)`` and Jacobians ``(N, m, n)``; a
+constant result (a fixed matrix, say) is broadcast to the stack.  Calling
+a map on a single point ``(n,)`` evaluates the stack N = 1 and returns
+``(m,)`` and ``(m, n)``.
 """
 from __future__ import annotations
 
@@ -51,10 +52,10 @@ def _finite(name: str, what: str, T: np.ndarray, out: np.ndarray) -> None:
 class DifferentiableMap:
     """A map R^n -> R^m given by evaluation and Jacobian callables.
 
-    Immutable after construction.  ``second_derivative`` (d^2 f / dt^2,
-    curves only) and ``inverse`` are optional and analytic where the
-    catalog provides them.  All callables follow the stacked shape
-    contract of the module docstring.
+    Immutable after construction.  ``inverse`` is optional and analytic
+    where the catalog provides it; the constructor links it back to this
+    map, so ``f.inverted().inverted() is f``.  Both callables follow the
+    stacked shape contract of the module docstring.
     """
 
     def __init__(
@@ -64,18 +65,16 @@ class DifferentiableMap:
         codomain_dim: int,
         func: Callable[[np.ndarray], np.ndarray],
         jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
-        second_derivative: Callable[[np.ndarray], np.ndarray] | None = None,
         inverse: "DifferentiableMap | None" = None,
-        params: dict | None = None,
     ):
         self.name = name
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
         self._func = func
         self._jacobian = jacobian
-        self._second = second_derivative
         self._inverse = inverse
-        self.params = dict(params or {})
+        if inverse is not None:
+            inverse._inverse = self
 
     def __call__(self, t) -> np.ndarray:
         T, single = _as_batch(t, self.domain_dim)
@@ -103,21 +102,6 @@ class DifferentiableMap:
             step[:, j] = h
             cols.append((self(T + step) - self(T - step)) / (2.0 * h[:, None]))
         return np.stack(cols, axis=-1)
-
-    def second_derivative(self, t) -> np.ndarray:
-        """d^2 f / dt^2 for curves (domain_dim 1); finite differences of the
-        Jacobian when no analytic expression is attached."""
-        if self.domain_dim != 1:
-            raise DimensionMismatchError("second_derivative is defined for curves only")
-        T, single = _as_batch(t, 1)
-        if self._second is not None:
-            D = np.broadcast_to(
-                np.asarray(self._second(T), dtype=float), (len(T), self.codomain_dim)
-            )
-        else:
-            h = FD_JACOBIAN_SCALE * np.maximum(1.0, np.abs(T))
-            D = (self.jacobian(T + h)[:, :, 0] - self.jacobian(T - h)[:, :, 0]) / (2.0 * h)
-        return D[0] if single else D
 
     def inverted(self) -> "DifferentiableMap":
         if self._inverse is None:
@@ -147,56 +131,33 @@ def verify_jacobian(f: DifferentiableMap, points, tol: float = 1e-6) -> float:
 # catalog families
 # ---------------------------------------------------------------------------
 
+def _affine(name: str, A: np.ndarray, b: np.ndarray | None = None) -> DifferentiableMap:
+    """y = A t + b, with inverse t = A^{-1}(y - b) when A is square and invertible."""
+    m, n = A.shape
+    b = np.zeros(m) if b is None else b
+    if b.shape != (m,):
+        raise DimensionMismatchError("offset length must match matrix rows")
+    inverse = None
+    if m == n and abs(np.linalg.det(A)) > 1e-300:
+        Ainv = np.linalg.inv(A)
+        inverse = DifferentiableMap(
+            f"{name}_inverse", m, n, lambda Y: (Y - b) @ Ainv.T, lambda Y: Ainv
+        )
+    return DifferentiableMap(name, n, m, lambda T: T @ A.T + b, lambda T: A, inverse)
+
+
 def identity_map(dim: int) -> DifferentiableMap:
-    dim = int(dim)
-    eye = np.eye(dim)
-    out = DifferentiableMap(
-        "identity", dim, dim, lambda T: T, lambda T: eye, params={"dim": dim}
-    )
-    out._inverse = out
-    return out
+    return _affine("identity", np.eye(int(dim)))
 
 
 def linear_map(matrix) -> DifferentiableMap:
     """y = A t.  An inverse is attached when A is square and invertible."""
-    A = np.asarray(matrix, dtype=float)
-    m, n = A.shape
-    out = DifferentiableMap(
-        "linear", n, m, lambda T: T @ A.T, lambda T: A, params={"matrix": A.tolist()}
-    )
-    if m == n and abs(np.linalg.det(A)) > 1e-300:
-        Ainv = np.linalg.inv(A)
-        inv = DifferentiableMap(
-            "linear_inverse", m, n, lambda Y: Y @ Ainv.T, lambda Y: Ainv
-        )
-        inv._inverse = out
-        out._inverse = inv
-    return out
+    return _affine("linear", np.asarray(matrix, dtype=float))
 
 
 def affine_map(matrix, offset) -> DifferentiableMap:
     """y = A t + b, with inverse t = A^{-1}(y - b) for invertible square A."""
-    A = np.asarray(matrix, dtype=float)
-    b = np.asarray(offset, dtype=float)
-    m, n = A.shape
-    if b.shape != (m,):
-        raise DimensionMismatchError("offset length must match matrix rows")
-    out = DifferentiableMap(
-        "affine",
-        n,
-        m,
-        lambda T: T @ A.T + b,
-        lambda T: A,
-        params={"matrix": A.tolist(), "offset": b.tolist()},
-    )
-    if m == n and abs(np.linalg.det(A)) > 1e-300:
-        Ainv = np.linalg.inv(A)
-        inv = DifferentiableMap(
-            "affine_inverse", m, n, lambda Y: (Y - b) @ Ainv.T, lambda Y: Ainv
-        )
-        inv._inverse = out
-        out._inverse = inv
-    return out
+    return _affine("affine", np.asarray(matrix, dtype=float), np.asarray(offset, dtype=float))
 
 
 def segment(start, end) -> DifferentiableMap:
@@ -211,8 +172,6 @@ def segment(start, end) -> DifferentiableMap:
         m,
         lambda T: p + T * d,
         lambda T: d.reshape(m, 1),
-        second_derivative=lambda T: np.zeros(m),
-        params={"start": p.tolist(), "end": q.tolist()},
     )
 
 
@@ -251,9 +210,7 @@ def polynomial_map(domain_dim: int, terms) -> DifferentiableMap:
                     J[:, i, j] += c * e * np.prod(T**lowered, axis=1)
         return J
 
-    return DifferentiableMap(
-        "polynomial", n, m, ev, jac, params={"domain_dim": n, "terms": terms}
-    )
+    return DifferentiableMap("polynomial", n, m, ev, jac)
 
 
 def _columns(*entries) -> np.ndarray:
@@ -273,8 +230,6 @@ def circle(radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> Differ
         2,
         lambda T: c + r * _columns(np.cos(T[:, 0] + ph), np.sin(T[:, 0] + ph)),
         lambda T: r * _columns(-np.sin(T[:, 0] + ph), np.cos(T[:, 0] + ph))[:, :, None],
-        second_derivative=lambda T: -r * _columns(np.cos(T[:, 0] + ph), np.sin(T[:, 0] + ph)),
-        params={"radius": r, "center": c.tolist(), "phase": ph},
     )
 
 
@@ -287,8 +242,6 @@ def helix(radius: float = 1.0, pitch: float = 1.0) -> DifferentiableMap:
         3,
         lambda T: _columns(r * np.cos(T[:, 0]), r * np.sin(T[:, 0]), p * T[:, 0]),
         lambda T: _columns(-r * np.sin(T[:, 0]), r * np.cos(T[:, 0]), p)[:, :, None],
-        second_derivative=lambda T: _columns(-r * np.cos(T[:, 0]), -r * np.sin(T[:, 0]), 0.0),
-        params={"radius": r, "pitch": p},
     )
 
 
@@ -310,9 +263,7 @@ def torus_patch(major_radius: float = 2.0, minor_radius: float = 1.0) -> Differe
             0.0, r * np.cos(v),
         ).reshape(-1, 3, 2)
 
-    return DifferentiableMap(
-        "torus_patch", 2, 3, ev, jac, params={"major_radius": R, "minor_radius": r}
-    )
+    return DifferentiableMap("torus_patch", 2, 3, ev, jac)
 
 
 def sphere_patch(radius: float = 1.0) -> DifferentiableMap:
@@ -331,7 +282,7 @@ def sphere_patch(radius: float = 1.0) -> DifferentiableMap:
             -np.sin(th), 0.0,
         ).reshape(-1, 3, 2)
 
-    return DifferentiableMap("sphere_patch", 2, 3, ev, jac, params={"radius": r})
+    return DifferentiableMap("sphere_patch", 2, 3, ev, jac)
 
 
 def graph_surface(terms) -> DifferentiableMap:
@@ -343,8 +294,7 @@ def graph_surface(terms) -> DifferentiableMap:
         return _columns(1.0, 0.0, 0.0, 1.0, Jh[:, 0], Jh[:, 1]).reshape(-1, 3, 2)
 
     return DifferentiableMap(
-        "graph_surface", 2, 3, lambda T: np.concatenate([T, h(T)], axis=1), jac,
-        params={"terms": terms},
+        "graph_surface", 2, 3, lambda T: np.concatenate([T, h(T)], axis=1), jac
     )
 
 
@@ -365,18 +315,7 @@ def fourier_curve(constant, cos_coeffs, sin_coeffs) -> DifferentiableMap:
         d = -(js * np.sin(T * js)) @ A.T + (js * np.cos(T * js)) @ B.T
         return d[:, :, None]
 
-    def second(T):
-        return -(js**2 * np.cos(T * js)) @ A.T - (js**2 * np.sin(T * js)) @ B.T
-
-    return DifferentiableMap(
-        "fourier_curve",
-        1,
-        m,
-        ev,
-        jac,
-        second_derivative=second,
-        params={"constant": c.tolist(), "cos_coeffs": A.tolist(), "sin_coeffs": B.tolist()},
-    )
+    return DifferentiableMap("fourier_curve", 1, m, ev, jac)
 
 
 def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
@@ -395,15 +334,6 @@ def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
                 break
         return s
 
-    out = DifferentiableMap(
-        "sine_shift",
-        1,
-        1,
-        lambda T: T + a * np.sin(T),
-        lambda T: (1.0 + a * np.cos(T))[:, :, None],
-        second_derivative=lambda T: -a * np.sin(T),
-        params={"amplitude": a},
-    )
     inv = DifferentiableMap(
         "sine_shift_inverse",
         1,
@@ -411,22 +341,19 @@ def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
         inv_ev,
         lambda Y: (1.0 / (1.0 + a * np.cos(inv_ev(Y))))[:, :, None],
     )
-    inv._inverse = out
-    out._inverse = inv
-    return out
+    return DifferentiableMap(
+        "sine_shift",
+        1,
+        1,
+        lambda T: T + a * np.sin(T),
+        lambda T: (1.0 + a * np.cos(T))[:, :, None],
+        inv,
+    )
 
 
 def trig_shear(amplitude: float = 0.3) -> DifferentiableMap:
     """(x, y) -> (x + a sin y, y); unit Jacobian determinant, exact inverse."""
     a = float(amplitude)
-    out = DifferentiableMap(
-        "trig_shear",
-        2,
-        2,
-        lambda T: _columns(T[:, 0] + a * np.sin(T[:, 1]), T[:, 1]),
-        lambda T: _columns(1.0, a * np.cos(T[:, 1]), 0.0, 1.0).reshape(-1, 2, 2),
-        params={"amplitude": a},
-    )
     inv = DifferentiableMap(
         "trig_shear_inverse",
         2,
@@ -434,9 +361,14 @@ def trig_shear(amplitude: float = 0.3) -> DifferentiableMap:
         lambda T: _columns(T[:, 0] - a * np.sin(T[:, 1]), T[:, 1]),
         lambda T: _columns(1.0, -a * np.cos(T[:, 1]), 0.0, 1.0).reshape(-1, 2, 2),
     )
-    inv._inverse = out
-    out._inverse = inv
-    return out
+    return DifferentiableMap(
+        "trig_shear",
+        2,
+        2,
+        lambda T: _columns(T[:, 0] + a * np.sin(T[:, 1]), T[:, 1]),
+        lambda T: _columns(1.0, a * np.cos(T[:, 1]), 0.0, 1.0).reshape(-1, 2, 2),
+        inv,
+    )
 
 
 def positive_scale(factors) -> DifferentiableMap:
@@ -447,34 +379,24 @@ def positive_scale(factors) -> DifferentiableMap:
     D = np.diag(f)
     Dinv = np.diag(1.0 / f)
     n = len(f)
-    out = DifferentiableMap(
-        "positive_scale", n, n, lambda T: f * T, lambda T: D, params={"factors": f.tolist()}
-    )
     inv = DifferentiableMap("positive_scale_inverse", n, n, lambda Y: Y / f, lambda Y: Dinv)
-    inv._inverse = out
-    out._inverse = inv
-    return out
+    return DifferentiableMap("positive_scale", n, n, lambda T: f * T, lambda T: D, inv)
 
 
 # ---------------------------------------------------------------------------
 # combinators
 # ---------------------------------------------------------------------------
 
-def _bare_compose(outer: DifferentiableMap, inner: DifferentiableMap) -> DifferentiableMap:
-    second = None
-    if inner.domain_dim == 1 and inner.codomain_dim == 1 and outer.domain_dim == 1:
-        # (f o g)'' = f''(g) g'^2 + f'(g) g'' for curve-in-curve composites
-        def second(T):
-            g, gp, gpp = inner(T), inner.jacobian(T)[:, :, 0], inner.second_derivative(T)
-            return outer.second_derivative(g) * gp * gp + outer.jacobian(g)[:, :, 0] * gpp
-
+def _bare_compose(
+    outer: DifferentiableMap, inner: DifferentiableMap, inverse: DifferentiableMap | None = None
+) -> DifferentiableMap:
     return DifferentiableMap(
         f"{outer.name}({inner.name})",
         inner.domain_dim,
         outer.codomain_dim,
         lambda T: outer(inner(T)),
         lambda T: outer.jacobian(inner(T)) @ inner.jacobian(T),
-        second_derivative=second,
+        inverse,
     )
 
 
@@ -485,12 +407,10 @@ def compose(outer: DifferentiableMap, inner: DifferentiableMap) -> Differentiabl
             f"cannot compose {outer.name} o {inner.name}: "
             f"{inner.codomain_dim} != {outer.domain_dim}"
         )
-    out = _bare_compose(outer, inner)
+    inverse = None
     if outer.has_inverse and inner.has_inverse:
-        inv = _bare_compose(inner.inverted(), outer.inverted())
-        inv._inverse = out
-        out._inverse = inv
-    return out
+        inverse = _bare_compose(inner.inverted(), outer.inverted())
+    return _bare_compose(outer, inner, inverse)
 
 
 def add_scaled(f: DifferentiableMap, g: DifferentiableMap, coeff: float) -> DifferentiableMap:
@@ -498,21 +418,22 @@ def add_scaled(f: DifferentiableMap, g: DifferentiableMap, coeff: float) -> Diff
     if (f.domain_dim, f.codomain_dim) != (g.domain_dim, g.codomain_dim):
         raise DimensionMismatchError("add_scaled requires identical dimensions")
     c = float(coeff)
-    second = None
-    if f.domain_dim == 1:
-        second = lambda T: f.second_derivative(T) + c * g.second_derivative(T)
     return DifferentiableMap(
         f"{f.name}+{c:g}·{g.name}",
         f.domain_dim,
         f.codomain_dim,
         lambda T: f(T) + c * g(T),
         lambda T: f.jacobian(T) + c * g.jacobian(T),
-        second_derivative=second,
     )
 
 
 def tangent_lift(curve: DifferentiableMap) -> DifferentiableMap:
-    """t -> (zeta(t), zeta'(t)) into the doubled chart of the tangent bundle."""
+    """t -> (zeta(t), zeta'(t)) into the doubled chart of the tangent bundle.
+
+    The zeta'' column of the Jacobian is a central difference of
+    ``curve.jacobian``; the Hilbert form, its one consumer here, has zero
+    coefficients on that block.
+    """
     if curve.domain_dim != 1:
         raise DimensionMismatchError("tangent_lift is defined for curves only")
 
@@ -520,9 +441,9 @@ def tangent_lift(curve: DifferentiableMap) -> DifferentiableMap:
         return np.concatenate([curve(T), curve.jacobian(T)[:, :, 0]], axis=1)
 
     def jac(T):
-        return np.concatenate(
-            [curve.jacobian(T)[:, :, 0], curve.second_derivative(T)], axis=1
-        )[:, :, None]
+        h = FD_JACOBIAN_SCALE * np.maximum(1.0, np.abs(T))
+        second = (curve.jacobian(T + h)[:, :, 0] - curve.jacobian(T - h)[:, :, 0]) / (2.0 * h)
+        return np.concatenate([curve.jacobian(T)[:, :, 0], second], axis=1)[:, :, None]
 
     return DifferentiableMap(f"T{curve.name}", 1, 2 * curve.codomain_dim, ev, jac)
 
@@ -547,15 +468,9 @@ class CanonicalInclusion:
             raise DimensionMismatchError(f"need 1 <= k <= m, got k={k}, m={m}")
         self.k = int(k)
         self.m = int(m)
-        A = np.zeros((m, k))
-        A[:k, :] = np.eye(k)
-        self.inclusion = DifferentiableMap(
-            f"iota_{k}_{m}", k, m, lambda T: T @ A.T, lambda T: A
-        )
-        P = A.T
-        self.projection = DifferentiableMap(
-            f"pr_{m}_{k}", m, k, lambda Y: Y @ P.T, lambda Y: P
-        )
+        A = np.eye(m, k)
+        self.inclusion = _affine(f"iota_{k}_{m}", A)
+        self.projection = _affine(f"pr_{m}_{k}", A.T)
 
 
 # name -> builder; the scenario loader resolves geometry through this table.

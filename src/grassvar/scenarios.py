@@ -264,12 +264,7 @@ def build_piece(scenario: dict) -> Piece:
 def build_quadrature(scenario: dict, overrides: dict | None = None) -> QuadratureSpec:
     spec = dict(scenario.get("quadrature", {}))
     spec.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    return QuadratureSpec(
-        gauss_order=spec.get("gauss_order", 8),
-        cells_per_axis=spec.get("cells_per_axis", 16),
-        adaptive=spec.get("adaptive", False),
-        target=spec.get("target", 1e-9),
-    )
+    return QuadratureSpec(**spec)
 
 
 def build_form(scenario: dict, params: dict | None = None) -> KForm:
@@ -495,9 +490,7 @@ def run_length(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: 
             Row("length", value, entry.get("expected"), entry.get("tolerance"), secs)
         )
     if dump:
-        T = np.linspace(a, b, 257).reshape(-1, 1)
-        values = F(curve(T), curve.jacobian(T)[:, :, 0])
-        result.samples.extend(zip(T[:, 0], values))
+        _dump_lift(F, Piece(((a, b),), curve), 257, result)
 
 
 def run_area(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: bool):
@@ -509,9 +502,14 @@ def run_area(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: bo
             Row("area", value, entry.get("expected"), entry.get("tolerance"), secs)
         )
     if dump:
-        T = piece.grid(17)
-        lift = canonical_lift(piece.map, T)
-        result.samples.extend((*t, value) for t, value in zip(T, L(lift.base, lift.comps)))
+        _dump_lift(L, piece, 17, result)
+
+
+def _dump_lift(L: FinslerFunction, piece: Piece, per_axis: int, result: RunResult) -> None:
+    """Samples (t..., L on the canonical lift at t) on an even grid of the piece."""
+    T = piece.grid(per_axis)
+    lift = canonical_lift(piece.map, T)
+    result.samples.extend((*t, value) for t, value in zip(T, L(lift.base, lift.comps)))
 
 
 def run_checks(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: bool):

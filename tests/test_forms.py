@@ -6,6 +6,7 @@ import pytest
 
 from grassvar.errors import (
     DegeneratePieceWarning,
+    EvaluationError,
     InvalidDegreeError,
     InvalidPartitionError,
     OrientationError,
@@ -384,3 +385,18 @@ def test_canonical_inclusion_pullback_restricts_forms(rng):
     eta = KForm.from_dict(1, 4, {(3,): 1.0})
     back = pullback(eta, CanonicalInclusion(2, 4).inclusion)
     assert np.allclose(back.values(rng.normal(size=2)), 0.0)
+
+
+def test_nan_coefficient_raises_evaluation_error():
+    eta = KForm(1, 2, [lambda Y: np.where(Y[:, 0] > 0.5, np.nan, 1.0), lambda Y: Y[:, 1]])
+    assert eta.values(np.array([0.25, 2.0])).tolist() == [1.0, 2.0]
+    with pytest.raises(EvaluationError, match="non-finite form coefficient"):
+        integrate(eta, Piece(((0.0, 1.0),), circle()), Q_FAST)
+
+
+def test_overflowing_integrand_raises_evaluation_error():
+    eta = KForm.from_dict(1, 2, {(1,): 1e308})
+    piece = Piece(((0.0, 1.0),), affine_map([[4.0], [0.0]], [0.0, 0.0]))  # lift (4, 0)
+    # numpy reports the overflow first; silenced here, the integrand check must still fire
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="non-finite integrand"):
+        integrate(eta, piece, Q_FAST)

@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from grassvar import functional
 from grassvar.errors import (
     QuadratureTargetWarning,
+    CrossCheckError,
     DimensionMismatchError,
     ImmersionError,
     NonHomogeneousWarning,
     OrientationError,
+    VariationConsistencyWarning,
 )
-from grassvar.finsler import areal_gram, energy_metric, euclidean_metric, randers_metric
+from grassvar.finsler import (
+    FinslerFunction,
+    areal_gram,
+    energy_metric,
+    euclidean_metric,
+    randers_metric,
+)
 from grassvar.forms import Piece, QuadratureSpec
 from grassvar.functional import (
     VariationField,
@@ -193,8 +202,7 @@ def test_variation_field_endpoints_enforced():
 
 def test_first_variation_zero_field_is_zero():
     zero_map = DifferentiableMap(
-        "zero", 1, 2, lambda T: np.zeros((len(T), 2)), lambda T: np.zeros((len(T), 2, 1)),
-        second_derivative=lambda T: np.zeros((len(T), 2)),
+        "zero", 1, 2, lambda T: np.zeros((len(T), 2)), lambda T: np.zeros((len(T), 2, 1))
     )
     zero = VariationField(zero_map, (0.0, 1.0))
     line = segment([0.0, 0.0], [1.0, 1.0])
@@ -232,3 +240,57 @@ def test_radial_variation_increases_circle_length():
 def test_variation_basis_shape():
     basis = default_variation_basis((0.0, 1.0), 3)
     assert len(basis) == 12  # 4 modes per coordinate direction
+
+
+# -- cross-checks and the homogeneity probe ----------------------------------
+
+def test_cross_check_rejects_a_gradient_that_disagrees_with_the_value():
+    norm = lambda V: np.linalg.norm(V, axis=1)
+    F = FinslerFunction(
+        "bad_gradient", 2, 1, 2, lambda Y, V: norm(V), lambda Y, V: 2.0 * V / norm(V)[:, None]
+    )
+    with pytest.raises(CrossCheckError):
+        curve_length(F, circle(), (0.0, math.pi), Q)
+    assert curve_length(F, circle(), (0.0, math.pi), Q, cross_check=False) == pytest.approx(
+        math.pi, abs=1e-12
+    )
+
+
+def test_coarse_eps_warns_variation_inconsistency():
+    field = VariationField.radial_sine_bump((0.0, math.pi / 2), 1)
+    with pytest.warns(VariationConsistencyWarning, match="eps=0.2"):
+        first_variation(euclidean_metric(2), circle(), (0.0, math.pi / 2), field, 0.2, Q)
+
+
+def test_reversed_interval_is_rejected():
+    with pytest.raises(DimensionMismatchError, match="empty interval"):
+        curve_length(euclidean_metric(2), circle(), (1.0, 0.0), Q)
+
+
+def _count_probes(monkeypatch):
+    calls = []
+    probe = functional.check_homogeneity
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(functional, "check_homogeneity", counted)
+    return calls
+
+
+def test_homogeneity_probe_runs_once_per_public_call(monkeypatch):
+    calls = _count_probes(monkeypatch)
+    line = segment([0.0, 0.0], [2.0, 1.0])
+    fields = default_variation_basis((0.0, 1.0), 2)
+    assert len(fields) == 8
+    extremal_residual(euclidean_metric(2), line, (0.0, 1.0), fields, q=QuadratureSpec(8, 4))
+    assert len(calls) == 1
+    first_variation(euclidean_metric(2), line, (0.0, 1.0), fields[0], q=QuadratureSpec(8, 4))
+    assert len(calls) == 2
+    reparam_invariance_residual(
+        euclidean_metric(2), circle(), (0.0, 1.0), sine_shift(0.3), QuadratureSpec(8, 4)
+    )
+    assert len(calls) == 3
+    curve_length(euclidean_metric(2), circle(), (0.0, 1.0), QuadratureSpec(8, 4))
+    assert len(calls) == 4

@@ -17,7 +17,7 @@ from grassvar.grassmann import (
     points_close,
     to_grassmann,
 )
-from grassvar.kvector import KVector, canonical_lift, lift_kvector, wedge
+from grassvar.kvector import KVector, canonical_lift
 from grassvar.maps import (
     CanonicalInclusion,
     affine_map,
@@ -278,10 +278,3 @@ def test_lift_injective_and_continuous_on_grid():
         p1 = grassmann_transition(p1, p0.pivot)
         jumps.append(float(np.max(np.abs(p1.w - p0.w))))
     assert jumps[1] <= 0.6 * jumps[0]
-
-
-def test_lift_kvector_and_ray_serialization(rng):
-    xi = wedge([rng.normal(size=4), rng.normal(size=4)], base=rng.normal(size=4))
-    rec = to_grassmann(xi).as_record()
-    assert set(rec) == {"base", "pivot", "pivot_sign", "w"}
-    assert len(rec["w"]) == math.comb(4, 2)

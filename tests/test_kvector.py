@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grassvar.errors import (
+    EvaluationError,
     InvalidDegreeError,
     OffSubmanifoldError,
     UnsupportedDegreeError,
@@ -279,3 +280,10 @@ def test_compound_of_nonlinear_map_via_trig(rng):
     out = lift_kvector(f, x, xi)
     det = np.linalg.det(f.jacobian(x))
     assert out.comps[0] == pytest.approx(det * xi.comps[0], rel=1e-12)
+
+
+def test_non_finite_kvector_raises_evaluation_error():
+    with pytest.raises(EvaluationError, match="non-finite"):
+        KVector(np.zeros(3), [1.0, np.nan, 0.0], 2, 3)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        KVector(np.array([np.inf, 0.0]), [1.0], 2, 2)

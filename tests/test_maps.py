@@ -134,15 +134,6 @@ def test_sine_shift_monotonicity_guard():
         sine_shift(1.2)
 
 
-def test_second_derivatives_analytic_vs_fd():
-    for f in [circle(1.3), helix(0.7, 0.4), fourier_curve([0.0], [[0.3, 0.1]], [[0.2, -0.4]])]:
-        for t0 in (0.3, 1.9):
-            t = np.array([t0])
-            h = 1e-5
-            fd = (f.jacobian(t + h)[:, 0] - f.jacobian(t - h)[:, 0]) / (2 * h)
-            assert np.allclose(f.second_derivative(t), fd, atol=1e-5)
-
-
 def test_from_catalog_dispatch():
     f = from_catalog("circle", {"radius": 2.0})
     assert f.codomain_dim == 2
@@ -159,3 +150,26 @@ def test_fd_fallback_jacobian():
     J = raw.jacobian(np.array([0.5, 0.3]))
     assert np.allclose(J, [[1.0, 0.0], [0.0, math.cos(0.3)]], atol=1e-8)
     assert np.allclose(g.jacobian(np.zeros(2)), np.eye(2))
+
+
+def test_constructor_links_the_inverse():
+    for f in [
+        identity_map(2),
+        linear_map([[2.0, 1.0], [0.0, 1.0]]),
+        affine_map([[2.0]], [0.5]),
+        positive_scale([2.0, 3.0]),
+        sine_shift(0.3),
+        trig_shear(0.4),
+        compose(trig_shear(0.4), positive_scale([2.0, 3.0])),
+    ]:
+        assert f.inverted().inverted() is f
+    assert not linear_map([[1.0, 2.0]]).has_inverse
+    inv = DifferentiableMap("half", 1, 1, lambda Y: 0.5 * Y, lambda Y: np.array([[0.5]]))
+    f = DifferentiableMap("double", 1, 1, lambda T: 2.0 * T, lambda T: np.array([[2.0]]), inv)
+    assert f.inverted() is inv and inv.inverted() is f
+
+
+def test_positive_scale_inverse_divides_exactly():
+    f = positive_scale([3.0, 7.0])
+    y = np.array([1.0, 1.0])
+    assert f.inverted()(y).tolist() == [1.0 / 3.0, 1.0 / 7.0]

@@ -14,9 +14,10 @@ import sys
 import jsonschema
 import pytest
 
-from grassvar import cli
+from grassvar import cli, scenarios
 from grassvar.errors import ScenarioError
-from grassvar.scenarios import SCENARIO_SCHEMA, load_scenario, run_scenario
+from grassvar.forms import QuadratureSpec
+from grassvar.scenarios import SCENARIO_SCHEMA, build_quadrature, load_scenario, run_scenario
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
@@ -79,3 +80,23 @@ def test_cli_import_does_not_load_scipy():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_quadrature_defaults_come_from_the_spec(tmp_path, monkeypatch):
+    built = []
+
+    def recorded(*args):
+        built.append(build_quadrature(*args))
+        return built[-1]
+
+    monkeypatch.setattr(scenarios, "build_quadrature", recorded)
+    scenario = json.loads((SCENARIO_DIR / "length_circle.json").read_text())
+    del scenario["quadrature"]
+    path = tmp_path / "no_quadrature.json"
+    path.write_text(json.dumps(scenario))
+    for extra in ([], ["--cells", "3"]):
+        assert cli.main(["length", "--scenario", str(path), "--quiet", *extra]) == 0
+    assert built == [QuadratureSpec(), QuadratureSpec(cells_per_axis=3)]
+    blocked = {"version": "1", "quadrature": {"gauss_order": 5, "cells_per_axis": 9}}
+    overrides = {"gauss_order": None, "cells_per_axis": 4}
+    assert build_quadrature(blocked, overrides) == QuadratureSpec(5, 4)
