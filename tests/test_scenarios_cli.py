@@ -4,6 +4,14 @@ The subcommand is the file-name prefix (``area_``, ``check_``, ``length_``,
 ``variation_``).  Each scenario must exit with its expected code, write the
 same CSV bytes on both runs, and report PASS on every row, except the
 deliberate negative example ``check_homogeneity_energy``, which exits 1.
+
+Both the CSV and the ``--dump-integrand`` output must also match, byte for
+byte, the files ``tests/golden/<scenario>.csv`` and
+``tests/golden/<scenario>.dump.csv``, so a refactor that changes any value
+fails here.  After an intended value change, regenerate them with
+``grassvar <subcommand> --scenario scenarios/<scenario>.json --csv
+tests/golden/<scenario>.csv --dump-integrand tests/golden/<scenario>.dump.csv``
+and state the change.
 """
 import json
 import os
@@ -20,12 +28,16 @@ from grassvar.forms import QuadratureSpec
 from grassvar.scenarios import SCENARIO_SCHEMA, build_quadrature, load_scenario, run_scenario
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
 EXPECTED_FAIL = {"check_homogeneity_energy"}
 
 
-def _run(path, out):
-    code = cli.main([path.stem.split("_")[0], "--scenario", str(path), "--csv", str(out), "--quiet"])
+def _run(path, out, dump=None):
+    extra = [] if dump is None else ["--dump-integrand", str(dump)]
+    code = cli.main(
+        [path.stem.split("_")[0], "--scenario", str(path), "--csv", str(out), "--quiet", *extra]
+    )
     return code, out.read_bytes()
 
 
@@ -35,10 +47,14 @@ def test_scenarios_are_shipped():
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_scenario_through_cli(path, tmp_path):
-    code, first = _run(path, tmp_path / "first.csv")
+    code, first = _run(path, tmp_path / "first.csv", tmp_path / "dump.csv")
     code_again, second = _run(path, tmp_path / "second.csv")
     assert code == code_again == (1 if path.stem in EXPECTED_FAIL else 0)
     assert first == second
+    assert first == (GOLDEN_DIR / f"{path.stem}.csv").read_bytes()
+    assert (tmp_path / "dump.csv").read_bytes() == (
+        GOLDEN_DIR / f"{path.stem}.dump.csv"
+    ).read_bytes()
     lines = first.decode().splitlines()
     assert lines[0] == cli.CSV_HEADER
     statuses = [line.split(",")[5] for line in lines[1:]]
