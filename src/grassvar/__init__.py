@@ -52,7 +52,6 @@ from .kvector import (
     canonical_field,
     canonical_lift,
     canonical_section_along_s,
-    compound_matrix,
     lift_kvector,
     plucker_residual,
     wedge,

@@ -285,9 +285,10 @@ def hilbert_form(F: FinslerFunction) -> KForm:
     """The 1-form (dF/dv_nu) dy^nu on the doubled chart (y, v) of TY.
 
     Coefficients of the dy block are the fiber-gradient entries evaluated
-    at the chart point; coefficients of the dv block vanish.  Pulling this
-    form back through the tangent lift of a curve and integrating
-    reproduces the length functional of a homogeneous F.
+    at the chart point; coefficients of the dv block vanish.  Its integral
+    over the map t -> (zeta, zeta') of a curve reproduces the length
+    functional of a homogeneous F; :func:`functional.hilbert_route_length`
+    evaluates that integral directly on the curve.
     """
     if F.degree != 1:
         raise DimensionMismatchError("the Hilbert form construction is degree-1 only")

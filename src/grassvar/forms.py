@@ -12,7 +12,12 @@ Shape contract: form coefficients receive a stack of chart points
 ``(N, m)`` and return ``(N,)``; :meth:`KForm.values` returns ``(N, C(m,k))``
 (or ``(C(m,k),)`` for one point ``(m,)``).  Integrands handed to
 :func:`integrate_scalar_over_box` receive quadrature nodes ``(N, k)``, also
-for k = 1, and return ``(N,)``.
+for k = 1, and return ``(N,)``.  Densities handed to :func:`lift_integral`
+receive the nodes ``(N, k)`` and the canonical lift at them, a
+:class:`KVector` stack with ``base`` ``(N, m)`` and ``comps``
+``(N, C(m,k))``, and return ``(N,)``.  Every integral over a canonical
+lift goes through :func:`lift_integral`: a form is the density
+<eta(y), xi>, a Lagrangian the density L(y, xi).
 """
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ from .errors import (
     QuadratureTargetWarning,
 )
 from .expressions import ExprCoeff
-from .kvector import canonical_lift, minors
+from .kvector import KVector, canonical_lift, minors
 from .maps import DifferentiableMap, compose, insert_axis_map
 from .multiindex import enumerate_multiindices, normalize_tuple, rank
 
@@ -260,36 +265,24 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
     )
 
 
-def _on_lift(eta: KForm, f: DifferentiableMap, T: np.ndarray):
-    """(eta paired with the canonical lift of f, lift norm) at nodes ``(N, k)``."""
-    lift = canonical_lift(f, T)
-    return np.sum(eta.values(lift.base) * lift.comps, axis=1), lift.norm
+def lift_integral(
+    piece: Piece, density: Callable[[np.ndarray, KVector], np.ndarray], q: QuadratureSpec
+) -> float:
+    """Oriented integral over a piece of a density on its canonical lift.
 
-
-def integrate(eta: KForm, piece: Piece, q: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of a degree-k form over a k-piece.
-
-    The form's coefficients are paired with the canonical lift of the
-    piece's parametrization (the single top-degree coefficient of the
-    pullback), integrated over the parameter box with tensor-product
-    Gauss-Legendre quadrature and weighted by the orientation flag.  Nodes
-    where the parametrization degenerates (zero canonical lift) raise a
-    DegeneratePieceWarning but do not abort.
+    The one quadrature over canonical lifts, shared by :func:`integrate`,
+    :func:`integrate_with_partition` and the functionals.  ``density(T,
+    lift)`` follows the density contract of the module docstring.  Nodes
+    where the lift vanishes are counted and reported by one
+    DegeneratePieceWarning; a non-finite density raises EvaluationError.
     """
-    if eta.k != piece.k:
-        raise InvalidDegreeError(f"form degree {eta.k} != piece dimension {piece.k}")
-    if eta.k == 0:
-        v = float(eta.values(piece.map(np.zeros(0)))[0])
-        return piece.orientation * v
-    if eta.m != piece.map.codomain_dim:
-        raise DimensionMismatchError("form and piece live in different chart dimensions")
-
     degenerate = 0
 
     def g(T):
         nonlocal degenerate
-        vals, wnorm = _on_lift(eta, piece.map, T)
-        degenerate += int(np.count_nonzero(wnorm <= DEGENERACY_TOL))
+        lift = canonical_lift(piece.map, T)
+        degenerate += int(np.count_nonzero(lift.norm <= DEGENERACY_TOL))
+        vals = density(T, lift)
         bad = ~np.isfinite(vals)
         if np.any(bad):
             raise EvaluationError(f"non-finite integrand at t={T[bad][0]}")
@@ -300,9 +293,33 @@ def integrate(eta: KForm, piece: Piece, q: QuadratureSpec = QuadratureSpec()) ->
         warnings.warn(
             f"{piece.map.name}: canonical lift vanished at {degenerate} quadrature node(s)",
             DegeneratePieceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return result
+
+
+def _paired(eta: KForm) -> Callable[[np.ndarray, KVector], np.ndarray]:
+    """The density <eta(y), xi>: the form's coefficients paired with the lift."""
+    return lambda T, lift: np.sum(eta.values(lift.base) * lift.comps, axis=1)
+
+
+def integrate(eta: KForm, piece: Piece, q: QuadratureSpec = QuadratureSpec()) -> float:
+    """Integral of a degree-k form over a k-piece.
+
+    The form's coefficients are paired with the canonical lift of the
+    piece's parametrization (the single top-degree coefficient of the
+    pullback) and integrated by :func:`lift_integral`.  Nodes where the
+    parametrization degenerates (zero canonical lift) raise a
+    DegeneratePieceWarning but do not abort.
+    """
+    if eta.k != piece.k:
+        raise InvalidDegreeError(f"form degree {eta.k} != piece dimension {piece.k}")
+    if eta.k == 0:
+        v = float(eta.values(piece.map(np.zeros(0)))[0])
+        return piece.orientation * v
+    if eta.m != piece.map.codomain_dim:
+        raise DimensionMismatchError("form and piece live in different chart dimensions")
+    return lift_integral(piece, _paired(eta), q)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +353,8 @@ class PartitionOfUnity:
         if not boxes:
             raise InvalidPartitionError("empty cover")
 
-    @property
-    def size(self) -> int:
-        return len(self.cover)
-
     def weights(self, t) -> np.ndarray:
-        """All normalized partition functions at points ``(N, k)``: ``(size, N)``."""
+        """All normalized partition functions at points ``(N, k)``: ``(len(cover), N)``."""
         T = np.atleast_2d(np.asarray(t, dtype=float))
         raw = np.array(
             [
@@ -409,23 +422,20 @@ def integrate_with_partition(
     """
     if eta.k != piece.k or eta.k == 0:
         raise InvalidDegreeError("partition integration expects matching positive degree")
-    total_parts = []
-    for j in range(pou.size):
-        sub = []
-        for (a, b), (lo, hi) in zip(piece.param_box, pou.cover[j]):
-            ca, cb = max(a, lo), min(b, hi)
-            if ca >= cb:
-                sub = None
-                break
-            sub.append((ca, cb))
-        if sub is None:
+    if eta.m != piece.map.codomain_dim:
+        raise DimensionMismatchError("form and piece live in different chart dimensions")
+    pairing = _paired(eta)
+    parts = []
+    for j, cover_box in enumerate(pou.cover):
+        sub = [(max(a, lo), min(b, hi)) for (a, b), (lo, hi) in zip(piece.param_box, cover_box)]
+        if any(a >= b for a, b in sub):
             continue
 
-        def g(T, _j=j):
-            return pou.chi(_j, T) * _on_lift(eta, piece.map, T)[0]
+        def density(T, lift, _j=j):
+            return pou.chi(_j, T) * pairing(T, lift)
 
-        total_parts.append(integrate_scalar_over_box(g, sub, q))
-    return piece.orientation * float(np.sum(np.asarray(total_parts)))
+        parts.append(lift_integral(Piece(sub, piece.map, piece.orientation), density, q))
+    return float(np.sum(np.asarray(parts)))
 
 
 # ---------------------------------------------------------------------------

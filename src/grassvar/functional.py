@@ -2,11 +2,13 @@
 
 The value of the functional on a parametrized piece is the quadrature of
 the fiber Lagrangian evaluated on the canonical lift of the
-parametrization.  Length is the k = 1 case: one lift integral serves
-length, area, reparametrization and first variation.  For degree-1
-metrics the length is recomputed by pulling the Hilbert form back through
-the tangent lift of the curve, and the two routes must agree whenever the
-metric is positively homogeneous; that cross-check runs by default.
+parametrization, by :func:`forms.lift_integral`.  Length is the k = 1
+case: one lift integral serves length, area, reparametrization and first
+variation.  For degree-1 metrics the length is recomputed through the
+Hilbert form, as the integral of its value sum_nu dF/dv_nu(zeta, zeta')
+zeta'^nu on the lift (zeta, zeta') of the curve, and the two routes must
+agree whenever the metric is positively homogeneous; that cross-check
+runs by default.
 
 The homogeneity probe runs once per public call, however many lengths
 that call integrates.
@@ -28,10 +30,9 @@ from .errors import (
     SlitDomainError,
     VariationConsistencyWarning,
 )
-from .finsler import FinslerFunction, check_homogeneity, hilbert_form
-from .forms import Piece, QuadratureSpec, integrate, integrate_scalar_over_box
-from .kvector import canonical_lift
-from .maps import DifferentiableMap, add_scaled, compose, tangent_lift
+from .finsler import FinslerFunction, check_homogeneity
+from .forms import Piece, QuadratureSpec, lift_integral
+from .maps import DifferentiableMap, add_scaled, compose
 
 DUAL_ROUTE_TOL = 1e-10
 _PROBE_SEED = 12345  # fixed: the probe must not perturb caller-visible RNG state
@@ -87,11 +88,15 @@ def hilbert_route_length(
     interval,
     q: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """Length computed solely through the Hilbert-form pullback route: the
-    Hilbert form integrated over the tangent lift of the curve."""
-    a, b = float(interval[0]), float(interval[1])
-    piece = Piece(((a, b),), tangent_lift(curve))
-    return integrate(hilbert_form(F), piece, q)
+    """Length computed solely through the Hilbert form: the integral of the
+    form's value sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on the lift
+    (zeta, zeta').  This is the integral of :func:`finsler.hilbert_form`
+    over the map t -> (zeta, zeta'), whose dv block has zero coefficients."""
+
+    def hilbert_value(T, lift):
+        return np.sum(F.fiber_gradient(lift.base, lift.comps) * lift.comps, axis=1)
+
+    return lift_integral(_curve_piece(F, curve, interval), hilbert_value, q)
 
 
 def areal_value(
@@ -105,11 +110,11 @@ def areal_value(
     of the piece's parametrization; for the ``areal_gram`` kind this is
     the classical k-area (square root of the Gram determinant).
     """
-    k = piece.k
-    fiber_dim = math.comb(piece.map.codomain_dim, k)
-    if L.m != piece.map.codomain_dim or L.fiber_dim != fiber_dim:
+    k, m = piece.k, piece.map.codomain_dim
+    if (L.m, L.degree, L.fiber_dim) != (m, k, math.comb(m, k)):
         raise DimensionMismatchError(
-            f"Lagrangian fiber dimension {L.fiber_dim} does not match C({piece.map.codomain_dim},{k})"
+            f"Lagrangian of degree {L.degree} on {L.fiber_dim} fiber components in dimension "
+            f"{L.m} does not fit a {k}-piece in dimension {m}"
         )
     _homogeneity_probe(L)
     return _lift_value(L, piece, q)
@@ -117,15 +122,10 @@ def areal_value(
 
 def _lift_value(L: FinslerFunction, piece: Piece, q: QuadratureSpec) -> float:
     """Oriented quadrature of L on the canonical lift of the piece."""
-
-    def g(T):
-        lift = canonical_lift(piece.map, T)
-        try:
-            return L(lift.base, lift.comps)
-        except SlitDomainError as exc:
-            raise ImmersionError(f"{piece.map.name}: degenerate lift ({exc})") from exc
-
-    return piece.orientation * integrate_scalar_over_box(g, piece.param_box, q)
+    try:
+        return lift_integral(piece, lambda T, lift: L(lift.base, lift.comps), q)
+    except SlitDomainError as exc:
+        raise ImmersionError(f"{piece.map.name}: degenerate lift ({exc})") from exc
 
 
 def _curve_piece(F: FinslerFunction, curve: DifferentiableMap, interval) -> Piece:

@@ -131,17 +131,11 @@ def wedge(vectors: Sequence, base) -> KVector:
     return KVector(np.asarray(base, dtype=float), minors(np.column_stack(cols), k)[:, 0], k, m)
 
 
-def compound_matrix(J: np.ndarray, k: int) -> np.ndarray:
-    """k-th compound of J: entry (I, K) = det(J[I rows, K cols]); J may be a
-    stack ``(..., m, n)``."""
-    return minors(J, k)
-
-
 def lift_kvector(f: DifferentiableMap, x, xi: KVector) -> KVector:
     """Push the k-vector ``xi`` at ``x`` forward through ``f``.
 
     Returns the k-vector at f(x) whose components are the compound matrix
-    of the Jacobian applied to ``xi.comps``.
+    of the Jacobian (its k x k minors) applied to ``xi.comps``.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if xi.m != f.domain_dim:
@@ -154,7 +148,7 @@ def lift_kvector(f: DifferentiableMap, x, xi: KVector) -> KVector:
         raise InvalidDegreeError(
             f"degree {xi.k} exceeds min({f.domain_dim}, {f.codomain_dim})"
         )
-    comps = compound_matrix(f.jacobian(x), xi.k) @ xi.comps
+    comps = minors(f.jacobian(x), xi.k) @ xi.comps
     return KVector(f(x), comps, xi.k, f.codomain_dim)
 
 

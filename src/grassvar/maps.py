@@ -8,11 +8,11 @@ analytic Jacobian:
     torus_patch, sphere_patch, graph_surface, fourier_curve,
     sine_shift, trig_shear, positive_scale
 
-Python callers may additionally combine maps with :func:`compose`,
-:func:`add_scaled` and :func:`tangent_lift`.  A central finite-difference
-Jacobian (step 1e-6 * max(1, |x|_inf)) backs any map constructed without
-an analytic one.  A map carries a value, a Jacobian and optionally an
-inverse, nothing else: no map has second derivatives.
+Python callers may additionally combine maps with :func:`compose` and
+:func:`add_scaled`.  A central finite-difference Jacobian (step 1e-6 *
+max(1, |x|_inf)) backs any map constructed without an analytic one.  A
+map carries a value, a Jacobian and optionally an inverse, nothing else:
+no map has second derivatives.
 
 Shape contract: every map evaluates a stack of N points at once.  The
 callables handed to :class:`DifferentiableMap` receive ``T`` of shape
@@ -425,27 +425,6 @@ def add_scaled(f: DifferentiableMap, g: DifferentiableMap, coeff: float) -> Diff
         lambda T: f(T) + c * g(T),
         lambda T: f.jacobian(T) + c * g.jacobian(T),
     )
-
-
-def tangent_lift(curve: DifferentiableMap) -> DifferentiableMap:
-    """t -> (zeta(t), zeta'(t)) into the doubled chart of the tangent bundle.
-
-    The zeta'' column of the Jacobian is a central difference of
-    ``curve.jacobian``; the Hilbert form, its one consumer here, has zero
-    coefficients on that block.
-    """
-    if curve.domain_dim != 1:
-        raise DimensionMismatchError("tangent_lift is defined for curves only")
-
-    def ev(T):
-        return np.concatenate([curve(T), curve.jacobian(T)[:, :, 0]], axis=1)
-
-    def jac(T):
-        h = FD_JACOBIAN_SCALE * np.maximum(1.0, np.abs(T))
-        second = (curve.jacobian(T + h)[:, :, 0] - curve.jacobian(T - h)[:, :, 0]) / (2.0 * h)
-        return np.concatenate([curve.jacobian(T)[:, :, 0], second], axis=1)[:, :, None]
-
-    return DifferentiableMap(f"T{curve.name}", 1, 2 * curve.codomain_dim, ev, jac)
 
 
 def insert_axis_map(k: int, axis: int, value: float) -> DifferentiableMap:

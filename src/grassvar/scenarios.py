@@ -285,13 +285,6 @@ def build_form(scenario: dict, params: dict | None = None) -> KForm:
         raise ScenarioError(f"bad form: {exc}", "form") from exc
 
 
-def _interval(scenario: dict):
-    iv = scenario.get("geometry", {}).get("interval")
-    if iv is None:
-        raise ScenarioError("this check needs geometry.interval", "geometry/interval")
-    return float(iv[0]), float(iv[1])
-
-
 # ---------------------------------------------------------------------------
 # named checks: each returns the residual value to compare with the tolerance
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from grassvar.errors import (
     DegeneratePieceWarning,
+    DimensionMismatchError,
     EvaluationError,
     InvalidDegreeError,
     InvalidPartitionError,
@@ -37,6 +38,7 @@ from grassvar.maps import (
     identity_map,
     linear_map,
     polynomial_map,
+    segment,
     sine_shift,
     sphere_patch,
     trig_shear,
@@ -157,6 +159,16 @@ def test_integrate_linear_in_form(rng):
     assert vc == pytest.approx(2 * va + vb, rel=1e-13)
 
 
+def test_form_on_another_chart_is_rejected():
+    eta = KForm.from_dict(1, 3, {(1,): "y3"})
+    piece = Piece(((0.0, 1.0),), circle())
+    pou = PartitionOfUnity.uniform_cover(piece.param_box, 2)
+    with pytest.raises(DimensionMismatchError, match="different chart dimensions"):
+        integrate(eta, piece, Q_FAST)
+    with pytest.raises(DimensionMismatchError, match="different chart dimensions"):
+        integrate_with_partition(eta, piece, pou, Q_FAST)
+
+
 def test_integrate_degenerate_node_warns():
     pinch = polynomial_map(1, [[(1.0, (3,))], [(0.0, (0,))]])  # t -> (t^3, 0), zero velocity at 0
     eta = KForm.from_dict(1, 2, {(1,): 1.0})
@@ -164,6 +176,10 @@ def test_integrate_degenerate_node_warns():
     q = QuadratureSpec(gauss_order=3, cells_per_axis=3)  # midpoint cell straddles t=0
     with pytest.warns(DegeneratePieceWarning):
         integrate(eta, piece, q)
+    stationary = Piece(((0.0, 1.0),), segment([0.5, 0.5], [0.5, 0.5]))
+    pou = PartitionOfUnity.uniform_cover(stationary.param_box, 2)
+    with pytest.warns(DegeneratePieceWarning):
+        assert integrate_with_partition(eta, stationary, pou, q) == 0.0
 
 
 def test_piece_immersion_validation():
@@ -397,6 +413,10 @@ def test_nan_coefficient_raises_evaluation_error():
 def test_overflowing_integrand_raises_evaluation_error():
     eta = KForm.from_dict(1, 2, {(1,): 1e308})
     piece = Piece(((0.0, 1.0),), affine_map([[4.0], [0.0]], [0.0, 0.0]))  # lift (4, 0)
+    pou = PartitionOfUnity.uniform_cover(piece.param_box, 2)
     # numpy reports the overflow first; silenced here, the integrand check must still fire
-    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="non-finite integrand"):
-        integrate(eta, piece, Q_FAST)
+    with np.errstate(over="ignore"):
+        with pytest.raises(EvaluationError, match="non-finite integrand"):
+            integrate(eta, piece, Q_FAST)
+        with pytest.raises(EvaluationError, match="non-finite integrand"):
+            integrate_with_partition(eta, piece, pou, Q_FAST)

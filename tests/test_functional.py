@@ -19,9 +19,11 @@ from grassvar.finsler import (
     areal_gram,
     energy_metric,
     euclidean_metric,
+    hilbert_form,
     randers_metric,
+    riemannian_metric,
 )
-from grassvar.forms import Piece, QuadratureSpec
+from grassvar.forms import Piece, QuadratureSpec, integrate
 from grassvar.functional import (
     VariationField,
     _preimage,
@@ -38,6 +40,7 @@ from grassvar.maps import (
     affine_map,
     circle,
     graph_surface,
+    helix,
     polynomial_map,
     segment,
     sine_shift,
@@ -72,6 +75,44 @@ def test_dual_route_agreement():
     direct = curve_length(F, circle(1.7), (0.2, 4.0), Q, cross_check=True)
     via = hilbert_route_length(F, circle(1.7), (0.2, 4.0), Q)
     assert abs(direct - via) <= 1e-10 * max(1.0, abs(direct))
+
+
+def test_hilbert_form_pullback_matches_hilbert_route():
+    # the paper's statement: the Hilbert form integrated over t -> (zeta, zeta')
+    # gives the length; here through forms.integrate on a map whose Jacobian
+    # (with its zeta'' column) is the finite-difference fallback
+    conformal = riemannian_metric(3, {"field": "conformal", "coefficient": 0.3})
+    for F, curve, interval in [
+        (randers_metric(2, [0.2, -0.1]), circle(1.7), (0.2, 4.0)),
+        (conformal, helix(0.8, 0.5), (0.0, 5.0)),
+    ]:
+        lifted = DifferentiableMap(
+            "tangent", 1, 2 * F.m,
+            lambda T, c=curve: np.concatenate([c(T), c.jacobian(T)[:, :, 0]], axis=1),
+        )
+        pulled = integrate(hilbert_form(F), Piece((interval,), lifted), Q)
+        assert abs(pulled - hilbert_route_length(F, curve, interval, Q)) <= 1e-9
+
+
+def test_cross_checked_length_evaluates_each_layer_once_per_route(monkeypatch):
+    z = circle()
+    jacobian_calls, gradient_calls = [], []
+    jacobian = z.jacobian
+    gradient = FinslerFunction.fiber_gradient
+
+    def counted_jacobian(t):
+        jacobian_calls.append(1)
+        return jacobian(t)
+
+    def counted_gradient(self, y, v):
+        gradient_calls.append(1)
+        return gradient(self, y, v)
+
+    monkeypatch.setattr(z, "jacobian", counted_jacobian)
+    monkeypatch.setattr(FinslerFunction, "fiber_gradient", counted_gradient)
+    val = curve_length(euclidean_metric(2), z, (0.0, TWO_PI), Q64)
+    assert val == pytest.approx(TWO_PI, abs=1e-8)
+    assert (len(jacobian_calls), len(gradient_calls)) == (2, 1)
 
 
 def test_nonhomogeneous_warns_and_skips_cross_check():
@@ -151,6 +192,10 @@ def test_areal_dimension_check():
     piece = Piece(((0.0, 1.0), (0.0, 1.0)), sphere_patch())
     with pytest.raises(DimensionMismatchError):
         areal_value(areal_gram(3, 4), piece, Q)
+    # C(3, 1) = C(3, 2): the fiber dimensions agree, the degrees do not
+    zone = Piece(((0.1, 3.0), (0.0, 6.0)), sphere_patch(1.0))
+    with pytest.raises(DimensionMismatchError, match="degree 1"):
+        areal_value(randers_metric(3, [0.5, 0.0, 0.0]), zone, QuadratureSpec(8, 8))
 
 
 # -- reparametrization invariance --------------------------------------------

@@ -15,7 +15,6 @@ from grassvar.kvector import (
     canonical_field,
     canonical_lift,
     canonical_section_along_s,
-    compound_matrix,
     lift_kvector,
     minors,
     plucker_residual,
@@ -135,7 +134,7 @@ def test_lift_matches_full_tensor_sum(rng):
         m = int(rng.integers(k, 6))
         J = rng.normal(size=(m, n))
         comps = rng.normal(size=math.comb(n, k))
-        fast = compound_matrix(J, k) @ comps
+        fast = minors(J, k) @ comps
         slow = lift_full_tensor_sum(J, comps, k)
         scale = max(1.0, float(np.max(np.abs(slow))))
         assert np.max(np.abs(fast - slow)) <= ORACLE_TOL * scale

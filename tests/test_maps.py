@@ -23,7 +23,6 @@ from grassvar.maps import (
     segment,
     sine_shift,
     sphere_patch,
-    tangent_lift,
     torus_patch,
     trig_shear,
     verify_jacobian,
@@ -104,16 +103,6 @@ def test_add_scaled():
     t = np.array([0.7])
     assert np.allclose(h(t), f(t) - 0.5 * g(t))
     assert np.allclose(h.jacobian(t), f.jacobian(t) - 0.5 * g.jacobian(t))
-
-
-def test_tangent_lift_values_and_jacobian():
-    z = circle(radius=2.0)
-    T = tangent_lift(z)
-    t = np.array([0.9])
-    v = T(t)
-    assert np.allclose(v[:2], z(t))
-    assert np.allclose(v[2:], z.jacobian(t)[:, 0])
-    verify_jacobian(T, [[0.9], [2.4]], tol=1e-5)
 
 
 def test_canonical_inclusion_left_inverse():
