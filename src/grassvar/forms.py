@@ -38,7 +38,7 @@ from .errors import (
     OrientationError,
     QuadratureTargetWarning,
 )
-from .expressions import ExprCoeff
+from .expressions import ExprCoeff, signed_sum
 from .kvector import KVector, canonical_lift, minors
 from .maps import DifferentiableMap, compose, insert_axis_map
 from .multiindex import enumerate_multiindices, normalize_tuple, rank
@@ -61,10 +61,9 @@ class KForm:
         One coefficient function per increasing multi-index, in rank order
         (a single entry for k = 0), each mapping ``(N, m)`` to ``(N,)``.
         Entries may be plain callables or :class:`ExprCoeff`; only the
-        latter contribute analytic partials.
+        latter have analytic partials.
     fd_step : float
-        Central-difference step used for partials of non-symbolic
-        coefficients.
+        Central-difference step for partials of plain callable coefficients.
     """
 
     def __init__(self, k: int, m: int, coeffs: Sequence[Callable], fd_step: float = 1e-5):
@@ -87,11 +86,7 @@ class KForm:
         or numbers.
         """
         def lift(v):
-            if callable(v):
-                return v
-            if isinstance(v, str):
-                return ExprCoeff(v, m)
-            return ExprCoeff(float(v), m)
+            return v if callable(v) else ExprCoeff(v, m)
 
         if k == 0:
             return cls(0, m, [lift(entries.get((), 0.0))], fd_step)
@@ -104,10 +99,6 @@ class KForm:
                 raise DimensionMismatchError(f"use increasing index order in {key}")
             coeffs[rank(idx)] = lift(v)
         return cls(k, m, coeffs, fd_step)
-
-    @property
-    def is_symbolic(self) -> bool:
-        return all(isinstance(c, ExprCoeff) for c in self.coeffs)
 
     def values(self, y) -> np.ndarray:
         """Coefficients at chart points ``(N, m)`` as ``(N, C(m,k))``."""
@@ -178,8 +169,9 @@ class QuadratureSpec:
     max_refinements: int = 6
 
     def __post_init__(self):
-        if self.gauss_order < 1 or self.cells_per_axis < 1:
-            raise ValueError("gauss_order and cells_per_axis must be >= 1")
+        counts = (self.gauss_order, self.cells_per_axis, self.max_refinements)
+        if min(counts) < 1 or not self.target > 0:
+            raise ValueError("gauss_order, cells_per_axis, max_refinements need >= 1, target > 0")
 
 
 def _axis_nodes(a: float, b: float, q: QuadratureSpec, cells: int):
@@ -446,40 +438,25 @@ def exterior_derivative(eta: KForm) -> KForm:
     """The degree-(k+1) form with coefficients
     (d eta)_J = sum_a (-1)^a d(eta_{J minus j_a}) / dy^{j_a}.
 
-    Partials are analytic (symbolic coefficients) or central differences
-    with the form's fd_step; symbolic input yields symbolic output, so a
-    second application stays analytic.
+    Partials are analytic for :class:`ExprCoeff` coefficients and central
+    differences with the form's fd_step otherwise.  When every coefficient
+    is an ExprCoeff, each (d eta)_J is built once as an ExprCoeff from the
+    signed partials, so a second application stays analytic.
     """
     k, m = eta.k, eta.m
     if k + 1 > m:
         raise InvalidDegreeError(f"no degree-{k + 1} forms in dimension {m}")
-    tgt_idx = enumerate_multiindices(k + 1, m)
-
-    if eta.is_symbolic:
-        import sympy as sp
-
-        coeffs = []
-        for J in tgt_idx:
-            total = sp.S.Zero
-            for a, j in enumerate(J.indices):
-                rest = tuple(i for i in J.indices if i != j)
-                src = eta.coeffs[0] if k == 0 else eta.coeffs[rank(normalize_tuple(rest, m)[0])]
-                total += (-1) ** a * sp.diff(src.expr, src.vars[j - 1])
-            coeffs.append(ExprCoeff(total, m))
-        return KForm(k + 1, m, coeffs, eta.fd_step)
-
-    def make_coeff(J):
-        def coeff(y):
-            total = 0.0
-            for a, j in enumerate(J.indices):
-                rest = tuple(i for i in J.indices if i != j)
-                comp = 0 if k == 0 else rank(normalize_tuple(rest, m)[0])
-                total += (-1.0) ** a * eta.partial(comp, j - 1, y)
-            return total
-
-        return coeff
-
-    return KForm(k + 1, m, [make_coeff(J) for J in tgt_idx], eta.fd_step)
+    coeffs = []
+    for J in enumerate_multiindices(k + 1, m):
+        signed = []  # (sign, source component, partial axis) per term of (d eta)_J
+        for a, j in enumerate(J.indices):
+            rest = J.indices[:a] + J.indices[a + 1:]
+            signed.append(((-1) ** a, 0 if k == 0 else rank(normalize_tuple(rest, m)[0]), j - 1))
+        if all(isinstance(c, ExprCoeff) for c in eta.coeffs):
+            coeffs.append(signed_sum([(s, eta.coeffs[c].partial(j)) for s, c, j in signed], m))
+        else:
+            coeffs.append(lambda y, _s=signed: sum(s * eta.partial(c, j, y) for s, c, j in _s))
+    return KForm(k + 1, m, coeffs, eta.fd_step)
 
 
 def boundary_faces(piece: Piece) -> list[Piece]:

@@ -144,23 +144,34 @@ def reparam_invariance_residual(
 ) -> float:
     """| length(zeta over [a,b]) - length(zeta o rho over rho^{-1}([a,b])) |.
 
+    ``rho`` is checked and inverted by :func:`reparametrized`.
+    """
+    piece = _curve_piece(F, curve, interval)
+    composed, preimage = reparametrized(curve, piece.param_box[0], rho)
+    _homogeneity_probe(F)
+    L1 = _lift_value(F, piece, q)
+    L2 = _lift_value(F, Piece((preimage,), composed), q)
+    return abs(L1 - L2)
+
+
+def reparametrized(
+    curve: DifferentiableMap, interval, rho: DifferentiableMap
+) -> tuple[DifferentiableMap, tuple[float, float]]:
+    """The curve zeta o rho and the interval rho^{-1}([a, b]) it runs over.
+
     ``rho`` must be a strictly increasing reparametrization (checked at the
     quadrature resolution); its endpoint preimages are found by root
     bracketing when no catalog inverse is attached.
     """
     if rho.domain_dim != 1 or rho.codomain_dim != 1:
         raise DimensionMismatchError("reparametrization must map an interval to an interval")
-    piece = _curve_piece(F, curve, interval)
-    ((a, b),) = piece.param_box
+    a, b = interval
     sa, sb = _preimage(rho, a), _preimage(rho, b)
     S = np.linspace(sa, sb, 64).reshape(-1, 1)
     bad = rho.jacobian(S)[:, 0, 0] <= 0.0
     if np.any(bad):
         raise OrientationError(f"{rho.name}: derivative not positive at s={S[bad][0, 0]}")
-    _homogeneity_probe(F)
-    L1 = _lift_value(F, piece, q)
-    L2 = _lift_value(F, Piece(((sa, sb),), compose(curve, rho)), q)
-    return abs(L1 - L2)
+    return compose(curve, rho), (sa, sb)
 
 
 def _preimage(rho: DifferentiableMap, value: float) -> float:

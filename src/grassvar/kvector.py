@@ -62,7 +62,10 @@ def minors(J, k: int) -> np.ndarray:
     sub = J[..., rows[:, None, :, None], cols[None, :, None, :]]
     # C order at k = 1 as well: reductions over the strided fancy-index view
     # would sum in another order and move results in the last bit
-    return np.ascontiguousarray(sub[..., 0, 0]) if k == 1 else np.linalg.det(sub)
+    if k == 1:
+        return np.ascontiguousarray(sub[..., 0, 0])
+    with np.errstate(divide="ignore"):  # det flags a subnormal LU pivot; its value is finite
+        return np.linalg.det(sub)
 
 
 @dataclass(frozen=True, eq=False)

@@ -116,7 +116,17 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "degree": {"type": "integer", "minimum": 0},
                 "dim": {"type": "integer", "minimum": 1},
-                "coefficients": {"type": "object"},
+                "coefficients": {
+                    "description": (
+                        "Map from an increasing index list such as '1,3' ('' for degree 0) "
+                        "to a number or an expression in y1..ym built from numbers, pi, "
+                        "+ - * / **, unary + and -, parentheses and the one-argument "
+                        "functions sin cos tan exp sqrt log; see grassvar.expressions."
+                    ),
+                    "type": "object",
+                    "propertyNames": {"pattern": r"^(\d+(,\d+)*)?$"},
+                    "additionalProperties": {"type": ["string", "number"]},
+                },
             },
             "required": ["degree", "dim", "coefficients"],
             "additionalProperties": False,
@@ -264,7 +274,10 @@ def build_piece(scenario: dict) -> Piece:
 def build_quadrature(scenario: dict, overrides: dict | None = None) -> QuadratureSpec:
     spec = dict(scenario.get("quadrature", {}))
     spec.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    return QuadratureSpec(**spec)
+    try:
+        return QuadratureSpec(**spec)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), "quadrature") from exc
 
 
 def build_form(scenario: dict, params: dict | None = None) -> KForm:
@@ -315,6 +328,10 @@ def _check_dual_route(scenario, rng, params):
     curve, ((a, b),) = build_geometry(scenario, "interval")
     q = build_quadrature(scenario)
     direct = functional.curve_length(F, curve, (a, b), q, cross_check=False)
+    rho_spec = scenario.get("reparam")
+    if rho_spec is not None:  # the Hilbert side on zeta o rho: no node shared with `direct`
+        rho = build_map(rho_spec, "reparam")
+        curve, (a, b) = functional.reparametrized(curve, (a, b), rho)
     via = functional.hilbert_route_length(F, curve, (a, b), q)
     return abs(direct - via)
 

@@ -396,6 +396,21 @@ def test_expr_coeff_rejects_unknown_symbols():
         ExprCoeff("y1 + q", 2)
 
 
+def test_expr_coeff_partials_fold_zeros_and_ones():
+    c = ExprCoeff("y1*y1*y2 + 3", 2)
+    assert repr(c.partial(1)) == "ExprCoeff('y1 * y1', dim=2)"
+    assert repr(c.partial(0).partial(0)) == "ExprCoeff('2.0 * y2', dim=2)"
+    assert repr(c.partial(0).partial(0).partial(0)) == "ExprCoeff('0.0', dim=2)"
+
+
+@pytest.mark.parametrize("text", ["y1 + 1/0", "y1 * 9**9**9**9"])
+def test_non_finite_constant_is_folded_and_caught_at_evaluation(text):
+    # folded in numpy arithmetic: no ZeroDivisionError, no huge Python integer
+    eta = KForm.from_dict(1, 2, {(1,): text})
+    with pytest.raises(EvaluationError, match="non-finite form coefficient"):
+        eta.values(np.array([0.5, 0.5]))
+
+
 def test_canonical_inclusion_pullback_restricts_forms(rng):
     # dy^nu for nu > k pulls back to zero through the inclusion
     eta = KForm.from_dict(1, 4, {(3,): 1.0})

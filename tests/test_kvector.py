@@ -50,6 +50,11 @@ def test_wedge_basis_bivector():
     assert np.allclose(kv.comps, [1.0, 0.0, 0.0])
 
 
+def test_minors_with_a_subnormal_pivot_do_not_warn():
+    # np.linalg.det flags a division by zero on a subnormal LU pivot
+    assert abs(minors(np.array([[0.0, 1.0], [5e-324, 0.0]]), 2)[0, 0]) <= 5e-324
+
+
 def test_wedge_parallel_vectors_vanish():
     v = np.array([0.3, -1.0, 2.0])
     kv = wedge([v, v], base=np.zeros(3))

@@ -88,14 +88,84 @@ def test_malformed_form_override_raises_at_form():
     assert "coefficients" in str(info.value)
 
 
-def test_cli_import_does_not_load_scipy():
+@pytest.mark.parametrize("module", ["scipy", "sympy"])
+def test_cli_import_does_not_load(module):
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, grassvar.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, grassvar.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+PAYLOAD = "__import__('pathlib').Path({path!r}).write_text('x') + y1"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("a,b", "y1"),
+        ("1,2", [1]),
+        ("1,2", "y1 +"),
+        ("1,2", "y1^2"),
+        ("1,2", PAYLOAD),
+        ("1,2", "atan(y1)"),
+        ("1,2", "Abs(y1)"),
+        ("1,2", "E*y1"),
+        ("1,2", "factorial(3)"),
+        ("1,2", "-" * 100000 + "y1"),
+    ],
+    ids=["key", "list", "syntax", "caret", "payload", "atan", "Abs", "E", "factorial", "deep"],
+)
+def test_malformed_form_block_exits_2_and_runs_nothing(key, value, tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "check_forms_square.json").read_text())
+    scenario["form"]["coefficients"] = {
+        key: PAYLOAD.format(path=str(tmp_path / "pwned")) if value is PAYLOAD else value
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out.csv"
+    assert cli.main(["check", "--scenario", str(path), "--csv", str(out), "--quiet"]) == 2
+    assert "form" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+@pytest.mark.parametrize(
+    "extra, block",
+    [(["--cells", "0"], {}), (["--gauss-order", "0"], {}), ([], {"adaptive": True, "target": 0})],
+    ids=["cells", "gauss-order", "target"],
+)
+def test_bad_quadrature_exits_2(extra, block, tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "length_circle.json").read_text())
+    scenario["quadrature"].update(block)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["length", "--scenario", str(path), "--quiet", *extra]) == 2
+    assert "[quadrature]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad", [{"gauss_order": 0}, {"cells_per_axis": 0}, {"max_refinements": 0}, {"target": 0.0},
+            {"target": -1e-9}, {"target": float("nan")}],
+)
+def test_quadrature_spec_rejects_bad_settings(bad):
+    with pytest.raises(ValueError):
+        QuadratureSpec(adaptive=True, **bad)
+
+
+def test_dual_route_with_reparam_shares_no_node():
+    # coarse enough that two node sets integrate the Randers helix differently
+    scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
+    scenario["quadrature"] = {"gauss_order": 2, "cells_per_axis": 2}
+    scenario["checks"] = [
+        {"name": "dual_route", "tolerance": 1e-10},
+        {"name": "reparam_invariance", "tolerance": 1e-8},
+    ]
+    dual, reparam = (row.value for row in run_scenario("check", scenario, 42).rows)
+    assert dual > 1e-2
+    # the Hilbert side on zeta o rho is the length of zeta o rho (Euler identity)
+    assert dual == pytest.approx(reparam, rel=1e-9)
 
 
 def test_quadrature_defaults_come_from_the_spec(tmp_path, monkeypatch):
