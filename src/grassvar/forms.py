@@ -12,12 +12,13 @@ Shape contract: form coefficients receive a stack of chart points
 ``(N, m)`` and return ``(N,)``; :meth:`KForm.values` returns ``(N, C(m,k))``
 (or ``(C(m,k),)`` for one point ``(m,)``).  Integrands handed to
 :func:`integrate_scalar_over_box` receive quadrature nodes ``(N, k)``, also
-for k = 1, and return ``(N,)``.  Densities handed to :func:`lift_integral`
-receive the nodes ``(N, k)`` and the canonical lift at them, a
-:class:`KVector` stack with ``base`` ``(N, m)`` and ``comps``
-``(N, C(m,k))``, and return ``(N,)``.  Every integral over a canonical
-lift goes through :func:`lift_integral`: a form is the density
-<eta(y), xi>, a Lagrangian the density L(y, xi).
+for k = 1, and return ``(N,)``, or ``(p, N)`` for p integrals on one walk;
+the integral is a float, or ``(p,)``.  Densities handed to
+:func:`lift_integral` receive the nodes ``(N, k)`` and the canonical lift
+at them, a :class:`KVector` stack with ``base`` ``(N, m)`` and ``comps``
+``(N, C(m,k))``, and return ``(N,)`` or ``(p, N)`` likewise.  Every
+integral over a canonical lift goes through :func:`lift_integral`: a form
+is the density <eta(y), xi>, a Lagrangian the density L(y, xi).
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -174,29 +176,41 @@ class QuadratureSpec:
             raise ValueError("gauss_order, cells_per_axis, max_refinements need >= 1, target > 0")
 
 
+@lru_cache(maxsize=None)
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]; read-only, since every
+    walk shares the cached arrays."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _axis_nodes(a: float, b: float, q: QuadratureSpec, cells: int):
     """Nodes and weights on [a, b] subdivided into ``cells`` equal cells."""
-    x, w = np.polynomial.legendre.leggauss(q.gauss_order)
+    x, w = _gauss_rule(q.gauss_order)
     h = (b - a) / cells
     lo = a + np.arange(cells) * h
     return (lo[:, None] + 0.5 * h * (x + 1.0)).ravel(), np.tile(0.5 * h * w, cells)
 
 
-def integrate_scalar_over_box(
-    g: Callable[[np.ndarray], np.ndarray], box, q: QuadratureSpec
-) -> float:
-    """Quadrature of a scalar function over a product of intervals.
+def integrate_scalar_over_box(g: Callable[[np.ndarray], np.ndarray], box, q: QuadratureSpec):
+    """Quadrature of a function over a product of intervals.
 
-    ``g`` maps nodes ``(N, k)`` to values ``(N,)``.  The tensor grid is
-    walked by flat index in chunks of ``CHUNK_NODES`` nodes and never built
-    whole, so memory stays bounded at any refinement level.  Each chunk's
-    weighted sum is added in a fixed order, so results are deterministic.
+    ``g`` maps nodes ``(N, k)`` to values ``(N,)``, giving a float, or to p
+    components ``(p, N)``, giving ``(p,)``; a zero-width box gives 0.0.  The
+    tensor grid is walked by flat index in chunks of ``CHUNK_NODES`` nodes
+    and never built whole, so memory stays bounded at any refinement level.
+    Each component's chunk sums are added in a fixed order, so results are
+    deterministic and equal to walking that component alone.  In adaptive
+    mode each component is accepted at the first level where its own
+    estimate meets the target, with one QuadratureTargetWarning for each
+    component that never does.
     """
     box = [(float(a), float(b)) for a, b in box]
     if any(b == a for a, b in box):
         return 0.0
 
-    def fixed(cells: int) -> float:
+    def fixed(cells: int) -> np.ndarray:
         nodes, weights = zip(*[_axis_nodes(a, b, q, cells) for a, b in box])
         shape = tuple(len(n) for n in nodes)
         size = math.prod(shape)
@@ -205,28 +219,30 @@ def integrate_scalar_over_box(
             idx = np.unravel_index(np.arange(start, min(start + CHUNK_NODES, size)), shape)
             T = np.stack([n[i] for n, i in zip(nodes, idx)], axis=1)
             W = np.prod(np.stack([w[i] for w, i in zip(weights, idx)], axis=1), axis=1)
-            total += float(np.sum(W * np.asarray(g(T), dtype=float).reshape(len(T))))
-        return total
-
-    if not q.adaptive:
-        return fixed(q.cells_per_axis)
+            total = total + np.sum(W * np.asarray(g(T), dtype=float), axis=-1)
+        return np.asarray(total)
 
     cells = q.cells_per_axis
-    coarse = fixed(cells)
+    result = coarse = fixed(cells)
+    pending = np.full(result.shape, q.adaptive)  # components not yet accepted
+    estimate = np.zeros(result.shape)
     for _ in range(q.max_refinements):
+        if not pending.any():
+            break
         cells *= 2
         fine = fixed(cells)
-        estimate = abs(fine - coarse)
-        if estimate <= q.target:
-            return fine
+        result = np.where(pending, fine, result)
+        estimate = np.abs(fine - coarse)
+        pending &= ~(estimate <= q.target)
         coarse = fine
-    warnings.warn(
-        f"adaptive refinement stopped at {cells} cells/axis with estimate "
-        f"{estimate:.3e} > {q.target:.3e}",
-        QuadratureTargetWarning,
-        stacklevel=2,
-    )
-    return fine
+    for missed in estimate[pending]:
+        warnings.warn(
+            f"adaptive refinement stopped at {cells} cells/axis with estimate "
+            f"{missed:.3e} > {q.target:.3e}",
+            QuadratureTargetWarning,
+            stacklevel=2,
+        )
+    return float(result) if result.ndim == 0 else result
 
 
 def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
@@ -275,7 +291,7 @@ def lift_integral(
         lift = canonical_lift(piece.map, T)
         degenerate += int(np.count_nonzero(lift.norm <= DEGENERACY_TOL))
         vals = density(T, lift)
-        bad = ~np.isfinite(vals)
+        bad = ~np.isfinite(vals).reshape(-1, len(T)).all(axis=0)
         if np.any(bad):
             raise EvaluationError(f"non-finite integrand at t={T[bad][0]}")
         return vals

@@ -8,11 +8,11 @@ analytic Jacobian:
     torus_patch, sphere_patch, graph_surface, fourier_curve,
     sine_shift, trig_shear, positive_scale
 
-Python callers may additionally combine maps with :func:`compose` and
-:func:`add_scaled`.  A central finite-difference Jacobian (step 1e-6 *
-max(1, |x|_inf)) backs any map constructed without an analytic one.  A
-map carries a value, a Jacobian and optionally an inverse, nothing else:
-no map has second derivatives.
+Python callers may additionally combine maps with :func:`compose`.  A
+central finite-difference Jacobian (step 1e-6 * max(1, |x|_inf)) backs any
+map constructed without an analytic one.  A map carries a value, a
+Jacobian and optionally an inverse, nothing else: no map has second
+derivatives.
 
 Shape contract: every map evaluates a stack of N points at once.  The
 callables handed to :class:`DifferentiableMap` receive ``T`` of shape
@@ -411,20 +411,6 @@ def compose(outer: DifferentiableMap, inner: DifferentiableMap) -> Differentiabl
     if outer.has_inverse and inner.has_inverse:
         inverse = _bare_compose(inner.inverted(), outer.inverted())
     return _bare_compose(outer, inner, inverse)
-
-
-def add_scaled(f: DifferentiableMap, g: DifferentiableMap, coeff: float) -> DifferentiableMap:
-    """t -> f(t) + coeff * g(t) for maps with identical dimensions."""
-    if (f.domain_dim, f.codomain_dim) != (g.domain_dim, g.codomain_dim):
-        raise DimensionMismatchError("add_scaled requires identical dimensions")
-    c = float(coeff)
-    return DifferentiableMap(
-        f"{f.name}+{c:g}·{g.name}",
-        f.domain_dim,
-        f.codomain_dim,
-        lambda T: f(T) + c * g(T),
-        lambda T: f.jacobian(T) + c * g.jacobian(T),
-    )
 
 
 def insert_axis_map(k: int, axis: int, value: float) -> DifferentiableMap:

@@ -37,6 +37,7 @@ from .maps import DifferentiableMap, affine_map, compose, from_catalog
 SCHEMA_VERSION = "1"
 
 _number = {"type": "number"}
+_positive = {"type": "number", "exclusiveMinimum": 0}
 _catalog_ref = {
     "type": "object",
     "properties": {"catalog": {"type": "string"}, "params": {"type": "object"}},
@@ -153,7 +154,7 @@ SCENARIO_SCHEMA = {
         },
         "variation": {
             "type": "object",
-            "properties": {"epsilon": _number, "modes": {"type": "integer", "minimum": 1}},
+            "properties": {"epsilon": _positive, "modes": {"type": "integer", "minimum": 1}},
             "additionalProperties": False,
         },
         "output": {
@@ -348,16 +349,20 @@ def _check_reparam_invariance(scenario, rng, params):
     )
 
 
-def _check_extremality(scenario, rng, params):
+def build_variation(scenario: dict) -> tuple:
+    """Metric, curve, interval, variation fields and epsilon of a scenario."""
     F = build_metric(scenario["metric"])
-    curve, ((a, b),) = build_geometry(scenario, "interval")
+    curve, (interval,) = build_geometry(scenario, "interval")
     var = scenario.get("variation", {})
-    fields = functional.default_variation_basis(
-        (a, b), curve.codomain_dim, var.get("modes", 4)
-    )
-    return functional.extremal_residual(
-        F, curve, (a, b), fields, var.get("epsilon", 1e-4), build_quadrature(scenario)
-    )
+    eps = var.get("epsilon", 1e-4)
+    if not 0.0 < eps < math.inf:  # NaN and Infinity parse as JSON numbers
+        raise ScenarioError(f"epsilon must be positive and finite, got {eps}", "variation/epsilon")
+    basis = functional.default_variation_basis(interval, curve.codomain_dim, var.get("modes", 4))
+    return F, curve, interval, basis, eps
+
+
+def _check_extremality(scenario, rng, params):
+    return functional.extremal_residual(*build_variation(scenario), build_quadrature(scenario))
 
 
 def _check_stokes(scenario, rng, params):
@@ -536,15 +541,9 @@ def run_checks(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: 
 
 
 def run_variation(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: bool):
-    F = build_metric(scenario["metric"])
-    curve, ((a, b),) = build_geometry(scenario, "interval")
-    var = scenario.get("variation", {})
-    fields = functional.default_variation_basis((a, b), curve.codomain_dim, var.get("modes", 4))
-    eps = var.get("epsilon", 1e-4)
+    inputs = build_variation(scenario)
     for entry in _compute_entries(scenario, "extremal_residual"):
-        value, secs = _timed(
-            lambda: functional.extremal_residual(F, curve, (a, b), fields, eps, q)
-        )
+        value, secs = _timed(lambda: functional.extremal_residual(*inputs, q))
         result.rows.append(
             Row(
                 "extremal_residual",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from grassvar.errors import (
+    QuadratureTargetWarning,
     DegeneratePieceWarning,
     DimensionMismatchError,
     EvaluationError,
@@ -94,6 +95,33 @@ def test_quadrature_one_dimensional_nodes_are_columns():
 
     assert integrate_scalar_over_box(g, [(0.0, 3.0)], Q_FAST) == pytest.approx(3.0, rel=1e-14)
     assert shapes == [(32, 1)]
+
+
+COMPONENTS = [
+    lambda T: T[:, 0] ** 3 * T[:, 1],  # exact at the first level
+    lambda T: np.exp(np.sin(3 * T[:, 0])) * T[:, 1],  # accepted after refining
+    lambda T: np.sin(40 * T[:, 0] * T[:, 1]),  # misses the target
+]
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_stacked_components_equal_separate_walks(adaptive):
+    q = QuadratureSpec(gauss_order=4, cells_per_axis=2, adaptive=adaptive, target=1e-10,
+                       max_refinements=4)
+    box = [(0.0, 1.0), (0.5, 2.0)]
+
+    def walk(g):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = integrate_scalar_over_box(g, box, q)
+        return value, [str(w.message) for w in caught if w.category is QuadratureTargetWarning]
+
+    separate = [walk(c) for c in COMPONENTS]
+    stacked, missed = walk(lambda T: np.stack([c(T) for c in COMPONENTS]))
+    assert stacked.shape == (3,)
+    assert list(stacked) == [value for value, _ in separate]
+    assert missed == [text for _, texts in separate for text in texts]
+    assert len(missed) == adaptive
 
 
 # -- pullback ----------------------------------------------------------------

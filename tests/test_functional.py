@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from grassvar import functional
+from grassvar import forms, functional
 from grassvar.errors import (
     QuadratureTargetWarning,
     CrossCheckError,
@@ -20,6 +21,7 @@ from grassvar.finsler import (
     energy_metric,
     euclidean_metric,
     hilbert_form,
+    quartic_root_metric,
     randers_metric,
     riemannian_metric,
 )
@@ -39,6 +41,7 @@ from grassvar.maps import (
     DifferentiableMap,
     affine_map,
     circle,
+    fourier_curve,
     graph_surface,
     helix,
     polynomial_map,
@@ -285,6 +288,129 @@ def test_radial_variation_increases_circle_length():
 def test_variation_basis_shape():
     basis = default_variation_basis((0.0, 1.0), 3)
     assert len(basis) == 12  # 4 modes per coordinate direction
+
+
+def _shifted(curve, field, c):
+    """t -> curve(t) + c field(t), with the Jacobian likewise."""
+    return DifferentiableMap(
+        "shifted",
+        1,
+        curve.codomain_dim,
+        lambda T: curve(T) + c * field.map(T),
+        lambda T: curve.jacobian(T) + c * field.map.jacobian(T),
+    )
+
+
+def _difference_quotients(F, curve, interval, fields, eps, q):
+    """(length(zeta + eps V) - length(zeta - eps V)) / (2 eps) per field, each
+    length its own walk, with the quadrature warnings those walks raise."""
+    def length(field, c):
+        return curve_length(F, _shifted(curve, field, c), interval, q, cross_check=False)
+
+    values = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for field in fields:
+            values.append((length(field, eps) - length(field, -eps)) / (2.0 * eps))
+            for e in (eps / 2.0, -eps / 2.0):
+                length(field, e)
+    return values, [str(w.message) for w in caught if w.category is QuadratureTargetWarning]
+
+
+VARIATION_CASES = {
+    "euclidean_arc_radial": (
+        euclidean_metric(2), circle(1.3), (0.2, 1.9),
+        [VariationField.radial_sine_bump((0.2, 1.9), j) for j in (1, 2, 3)], Q,
+    ),
+    "randers_segment": (
+        randers_metric(3, [0.2, -0.1, 0.15]), segment([0.0, 1.0, 0.0], [2.0, -1.0, 0.5]),
+        (0.0, 1.0), default_variation_basis((0.0, 1.0), 3), QuadratureSpec(8, 8),
+    ),
+    "quartic_fourier": (
+        quartic_root_metric([1.0, 2.0]),
+        fourier_curve([0.1, 0.0], [[1.0, 0.2], [0.0, 0.1]], [[0.0, 0.1], [0.8, 0.0]]),
+        (0.3, 2.5), default_variation_basis((0.3, 2.5), 2), Q,
+    ),
+    "conformal_circle": (
+        riemannian_metric(2, {"field": "conformal", "coefficient": 0.4}), circle(0.9),
+        (0.0, TWO_PI), default_variation_basis((0.0, TWO_PI), 2, modes=3), QuadratureSpec(8, 8),
+    ),
+    "adaptive": (
+        randers_metric(2, [0.3, 0.1]), circle(1.1), (0.0, 2.0),
+        [VariationField.radial_sine_bump((0.0, 2.0), j) for j in (1, 3)]
+        + default_variation_basis((0.0, 2.0), 2, modes=2),
+        QuadratureSpec(gauss_order=3, cells_per_axis=1, adaptive=True, target=1e-9),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VARIATION_CASES))
+def test_batched_variation_equals_the_difference_quotient_of_lengths(case):
+    F, curve, interval, fields, q = VARIATION_CASES[case]
+    expected, _ = _difference_quotients(F, curve, interval, fields, 1e-4, q)
+    assert first_variation(F, curve, interval, fields[1], 1e-4, q) == expected[1]
+    assert extremal_residual(F, curve, interval, fields, 1e-4, q) == max(map(abs, expected))
+
+
+def test_batched_variation_warns_per_length_that_misses_the_target():
+    F, curve, interval, fields, _ = VARIATION_CASES["adaptive"]
+    q = QuadratureSpec(gauss_order=2, cells_per_axis=1, adaptive=True, target=1e-12,
+                       max_refinements=3)
+    expected, missed = _difference_quotients(F, curve, interval, fields, 1e-4, q)
+    assert len(missed) == 4 * len(fields)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = extremal_residual(F, curve, interval, fields, 1e-4, q)
+    assert value == max(map(abs, expected))
+    assert [str(w.message) for w in caught if w.category is QuadratureTargetWarning] == missed
+
+
+def test_every_variation_call_is_one_grid_walk(monkeypatch):
+    walks = []
+    walk = forms.integrate_scalar_over_box
+    monkeypatch.setattr(forms, "integrate_scalar_over_box", lambda *a: walks.append(1) or walk(*a))
+    line = segment([0.0, 0.0], [2.0, 1.0])
+    fields = default_variation_basis((0.0, 1.0), 2)
+    assert len(fields) == 8
+    extremal_residual(euclidean_metric(2), line, (0.0, 1.0), fields, q=Q)
+    assert len(walks) == 1
+    first_variation(euclidean_metric(2), line, (0.0, 1.0), fields[3], q=Q)
+    assert len(walks) == 2
+
+
+def test_perturbed_lift_on_the_slit_raises_immersion_error():
+    line = segment([0.0, 0.0], [1.0, 0.0])  # zeta' = (1, 0)
+    # V' = (-2, 0) everywhere, so zeta' + 0.5 V' vanishes at every node
+    pinch = DifferentiableMap(
+        "pinch", 1, 2, lambda T: np.zeros((len(T), 2)), lambda T: np.array([[-2.0], [0.0]])
+    )
+    fields = default_variation_basis((0.0, 1.0), 2, modes=1) + [VariationField(pinch, (0.0, 1.0))]
+    with pytest.raises(ImmersionError, match="degenerate lift"):
+        extremal_residual(euclidean_metric(2), line, (0.0, 1.0), fields, 0.5, Q)
+
+
+def test_batched_variation_warns_once_per_inconsistent_field():
+    arc = (0.0, math.pi / 2)
+    fields = [VariationField.radial_sine_bump(arc, 1), VariationField.sine_bump(arc, 1, 0, 2),
+              VariationField.radial_sine_bump(arc, 2)]
+    expected, _ = _difference_quotients(euclidean_metric(2), circle(), arc, fields, 0.2, Q)
+    with pytest.warns(VariationConsistencyWarning) as record:
+        extremal_residual(euclidean_metric(2), circle(), arc, fields, 0.2, Q)
+    messages = [str(w.message) for w in record if w.category is VariationConsistencyWarning]
+    # the mode-2 radial bump has zero first variation at every eps; the others do not
+    assert [text.split(" (")[1].split(")")[0] for text in messages] == [
+        f"{expected[0]:.6g}", f"{expected[1]:.6g}"
+    ]
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
+def test_variation_epsilon_must_be_positive_and_finite(eps):
+    line = segment([0.0, 0.0], [2.0, 1.0])
+    field = VariationField.sine_bump((0.0, 1.0), 1, 0, 2)
+    with pytest.raises(ValueError, match="epsilon"):
+        first_variation(euclidean_metric(2), line, (0.0, 1.0), field, eps, Q)
+    with pytest.raises(ValueError, match="epsilon"):
+        extremal_residual(euclidean_metric(2), line, (0.0, 1.0), [field], eps, Q)
 
 
 # -- cross-checks and the homogeneity probe ----------------------------------

@@ -7,7 +7,6 @@ from grassvar.errors import DimensionMismatchError, MapEvaluationError
 from grassvar.maps import (
     CanonicalInclusion,
     DifferentiableMap,
-    add_scaled,
     affine_map,
     circle,
     compose,
@@ -93,16 +92,6 @@ def test_compose_chain_rule():
 def test_compose_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         compose(trig_shear(0.1), helix())
-
-
-def test_add_scaled():
-    f = segment([0.0, 0.0], [1.0, 0.0])
-    g = segment([0.0, 0.0], [0.0, 2.0])
-    # both vanish at t=0, so the combination is (t, -2... ) -- check pointwise
-    h = add_scaled(f, g, -0.5)
-    t = np.array([0.7])
-    assert np.allclose(h(t), f(t) - 0.5 * g(t))
-    assert np.allclose(h.jacobian(t), f.jacobian(t) - 0.5 * g.jacobian(t))
 
 
 def test_canonical_inclusion_left_inverse():

@@ -145,6 +145,18 @@ def test_bad_quadrature_exits_2(extra, block, tmp_path, capsys):
     assert "[quadrature]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", [0, 0.0, -1e-4, float("nan"), float("inf")])
+def test_bad_variation_epsilon_exits_2(eps, tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "variation_line.json").read_text())
+    scenario["variation"]["epsilon"] = eps
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out.csv"
+    assert cli.main(["variation", "--scenario", str(path), "--csv", str(out), "--quiet"]) == 2
+    assert "variation/epsilon]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "bad", [{"gauss_order": 0}, {"cells_per_axis": 0}, {"max_refinements": 0}, {"target": 0.0},
             {"target": -1e-9}, {"target": float("nan")}],
