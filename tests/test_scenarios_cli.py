@@ -198,3 +198,71 @@ def test_quadrature_defaults_come_from_the_spec(tmp_path, monkeypatch):
     blocked = {"version": "1", "quadrature": {"gauss_order": 5, "cells_per_axis": 9}}
     overrides = {"gauss_order": None, "cells_per_axis": 4}
     assert build_quadrature(blocked, overrides) == QuadratureSpec(5, 4)
+
+
+def _drop(*keys):
+    """Delete a nested key of a scenario, e.g. ``_drop("geometry", "box")``."""
+    def edit(s):
+        for key in keys[:-1]:
+            s = s[key]
+        del s[keys[-1]]
+    return edit
+
+
+def _put(value, *keys):
+    """Set a nested key of a scenario to ``value``."""
+    def edit(s):
+        for key in keys[:-1]:
+            s = s[key]
+        s[keys[-1]] = value
+    return edit
+
+
+# (id, subcommand, shipped scenario, edit of its JSON (None: no file; a str: raw text), location)
+SCENARIO_ERRORS = [
+    ("unreadable", "length", "length_circle", None, "{path}"),
+    ("invalid-json", "length", "length_circle", "{", "{path}:1:2"),
+    ("version", "length", "length_circle", _put("2", "version"), "{path}#version"),
+    ("metric-kind", "length", "length_circle", _put({"kind": "nope"}, "metric"), "metric/kind"),
+    ("metric-params", "length", "length_circle", _put(1, "metric", "bogus"), "metric"),
+    ("catalog", "length", "length_circle", _put("nope", "geometry", "catalog"), "geometry"),
+    ("no-geometry", "length", "length_circle", _drop("geometry"), "geometry"),
+    ("no-interval", "length", "length_circle", _drop("geometry", "interval"),
+     "geometry/interval"),
+    ("not-a-curve", "length", "length_circle", _put("sphere_patch", "geometry", "catalog"),
+     "geometry/catalog"),
+    ("no-box", "area", "area_sphere_zone", _drop("geometry", "box"), "geometry/box"),
+    ("box-dimension", "area", "area_sphere_zone", _put([[0.1, 3.0]], "geometry", "box"),
+     "geometry/box"),
+    ("no-form", "check", "check_partition_circle", _drop("form"), "form"),
+    ("no-reparam", "check", "check_suite_randers", _drop("reparam"), "reparam"),
+    ("no-alpha", "check", "check_forms_square", _drop("alpha"), "alpha"),
+    ("no-family", "check", "check_forms_square", _drop("family"), "family"),
+    ("quantity", "length", "length_circle", _put([{"name": "area"}], "compute"), "compute"),
+    ("no-checks", "check", "check_partition_circle", _put([], "checks"), "checks"),
+    ("unknown-check", "check", "check_partition_circle",
+     _put([{"name": "nope", "tolerance": 1.0}], "checks"), "checks"),
+]
+
+
+@pytest.mark.parametrize(
+    "sub, stem, edit, location",
+    [case[1:] for case in SCENARIO_ERRORS],
+    ids=[case[0] for case in SCENARIO_ERRORS],
+)
+def test_scenario_error_exits_2_names_its_location_and_writes_nothing(
+    sub, stem, edit, location, tmp_path, capsys
+):
+    path = tmp_path / "bad.json"
+    if isinstance(edit, str):
+        path.write_text(edit)
+    elif edit is not None:
+        scenario = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
+        edit(scenario)
+        path.write_text(json.dumps(scenario))
+    before = sorted(tmp_path.iterdir())
+    out, dump = tmp_path / "out.csv", tmp_path / "dump.csv"
+    argv = [sub, "--scenario", str(path), "--csv", str(out), "--dump-integrand", str(dump)]
+    assert cli.main([*argv, "--quiet"]) == 2
+    assert f"[{location.format(path=path)}]" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
