@@ -94,15 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {"gauss_order": args.gauss_order, "cells_per_axis": args.cells}
     try:
         scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc} [{exc.location}]", file=sys.stderr)
-        return 2
-
-    overrides = {"gauss_order": args.gauss_order, "cells_per_axis": args.cells}
-    caught: list[warnings.WarningMessage] = []
-    try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = run_scenario(

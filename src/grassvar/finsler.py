@@ -43,6 +43,7 @@ from .maps import DifferentiableMap
 
 SLIT_TOL = 1e-13
 EPS_DEN = 1e-300  # guards homogeneity-residual denominators
+SAMPLE_BOX = (-1.0, 1.0)  # range of each base-point coordinate in the sampled checks
 
 
 @dataclass(frozen=True)
@@ -225,12 +226,12 @@ METRIC_KINDS = {
 
 # -- checks ------------------------------------------------------------------
 
-def _sample_fibers(F: FinslerFunction, rng: np.random.Generator, count: int, box):
-    """Stacks ``(count, m)`` and ``(count, fiber_dim)`` of random samples."""
-    lo, hi = box
+def _sample_fibers(F: FinslerFunction, rng: np.random.Generator, count: int):
+    """Stacks ``(count, m)`` and ``(count, fiber_dim)`` of random samples,
+    base points uniform in the cube SAMPLE_BOX^m."""
     ys, vs = [], []
     while len(ys) < count:
-        y = rng.uniform(lo, hi, size=F.m)
+        y = rng.uniform(*SAMPLE_BOX, size=F.m)
         v = rng.standard_normal(F.fiber_dim)
         if np.max(np.abs(v)) <= 1e-6:
             continue  # resample near-zero fibers
@@ -244,13 +245,12 @@ def check_homogeneity(
     rng: np.random.Generator,
     sample_count: int = 100,
     lambdas=(0.5, 2.0, 10.0),
-    box=(-1.0, 1.0),
 ) -> float:
     """Max relative residual of F(y, lambda v) = lambda F(y, v) over random
     samples and the given positive scalings."""
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("lambdas must be positive")
-    Y, V = _sample_fibers(F, rng, sample_count, box)
+    Y, V = _sample_fibers(F, rng, sample_count)
     base = F(Y, V)
     worst = 0.0
     for lam in lambdas:
@@ -264,7 +264,6 @@ def check_projectability(
     rng: np.random.Generator,
     sample_count: int = 100,
     lambdas=(0.5, 2.0, 10.0),
-    box=(-1.0, 1.0),
 ) -> float:
     """Max residual of scale invariance of the fiber gradient.
 
@@ -272,7 +271,7 @@ def check_projectability(
     descending to the ray space."""
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("lambdas must be positive")
-    Y, V = _sample_fibers(F, rng, sample_count, box)
+    Y, V = _sample_fibers(F, rng, sample_count)
     base = F.fiber_gradient(Y, V)
     worst = 0.0
     for lam in lambdas:
@@ -317,7 +316,7 @@ def fiber_gradient_fd_residual(
     F: FinslerFunction, rng: np.random.Generator, sample_count: int = 50, h: float = 1e-6
 ) -> float:
     """Max deviation of the analytic fiber gradient from central differences."""
-    Y, V = _sample_fibers(F, rng, sample_count, (-1.0, 1.0))
+    Y, V = _sample_fibers(F, rng, sample_count)
     G = F.fiber_gradient(Y, V)
     worst = 0.0
     for j in range(F.fiber_dim):

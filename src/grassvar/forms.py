@@ -47,6 +47,8 @@ from .multiindex import enumerate_multiindices, normalize_tuple, rank
 
 DEGENERACY_TOL = 1e-13
 CHUNK_NODES = 4096  # quadrature nodes evaluated per integrand call
+FD_STEP = 1e-5  # central-difference step for partials of plain callable coefficients
+COVER_OVERHANG = 0.35  # end windows of a uniform cover reach past the box by this many cells
 
 
 class KForm:
@@ -63,12 +65,11 @@ class KForm:
         One coefficient function per increasing multi-index, in rank order
         (a single entry for k = 0), each mapping ``(N, m)`` to ``(N,)``.
         Entries may be plain callables or :class:`ExprCoeff`; only the
-        latter have analytic partials.
-    fd_step : float
-        Central-difference step for partials of plain callable coefficients.
+        latter have analytic partials (plain callables get central
+        differences with step ``FD_STEP``).
     """
 
-    def __init__(self, k: int, m: int, coeffs: Sequence[Callable], fd_step: float = 1e-5):
+    def __init__(self, k: int, m: int, coeffs: Sequence[Callable]):
         self.k = int(k)
         self.m = int(m)
         if self.k < 0 or self.k > self.m:
@@ -78,10 +79,9 @@ class KForm:
         if len(coeffs) != n_comp:
             raise DimensionMismatchError(f"expected {n_comp} coefficients, got {len(coeffs)}")
         self.coeffs = coeffs
-        self.fd_step = float(fd_step)
 
     @classmethod
-    def from_dict(cls, k: int, m: int, entries: dict, fd_step: float = 1e-5) -> "KForm":
+    def from_dict(cls, k: int, m: int, entries: dict) -> "KForm":
         """Build from a {index tuple: coefficient} mapping; missing entries are 0.
 
         Coefficient values may be callables, ExprCoeff, expression strings,
@@ -91,7 +91,7 @@ class KForm:
             return v if callable(v) else ExprCoeff(v, m)
 
         if k == 0:
-            return cls(0, m, [lift(entries.get((), 0.0))], fd_step)
+            return cls(0, m, [lift(entries.get((), 0.0))])
         coeffs = [lift(0.0)] * math.comb(m, k)
         for key, v in entries.items():
             idx, sign = normalize_tuple(tuple(key), m)
@@ -100,7 +100,7 @@ class KForm:
             if sign < 0:
                 raise DimensionMismatchError(f"use increasing index order in {key}")
             coeffs[rank(idx)] = lift(v)
-        return cls(k, m, coeffs, fd_step)
+        return cls(k, m, coeffs)
 
     def values(self, y) -> np.ndarray:
         """Coefficients at chart points ``(N, m)`` as ``(N, C(m,k))``."""
@@ -121,8 +121,8 @@ class KForm:
         if isinstance(c, ExprCoeff):
             return c.partial(j)(Y)
         step = np.zeros_like(Y)
-        step[:, j] = self.fd_step
-        return (c(Y + step) - c(Y - step)) / (2.0 * self.fd_step)
+        step[:, j] = FD_STEP
+        return (c(Y + step) - c(Y - step)) / (2.0 * FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,7 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
     if eta.k > n:
         raise InvalidDegreeError(f"cannot pull a degree-{eta.k} form back to dimension {n}")
     if eta.k == 0:
-        return KForm(0, n, [lambda T: eta.values(f(T))[:, 0]], eta.fd_step)
+        return KForm(0, n, [lambda T: eta.values(f(T))[:, 0]])
 
     def coeff(cols):
         def pulled(T):
@@ -268,9 +268,7 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
 
         return pulled
 
-    return KForm(
-        eta.k, n, [coeff([j - 1 for j in J]) for J in enumerate_multiindices(eta.k, n)], eta.fd_step
-    )
+    return KForm(eta.k, n, [coeff([j - 1 for j in J]) for J in enumerate_multiindices(eta.k, n)])
 
 
 def lift_integral(
@@ -391,14 +389,12 @@ class PartitionOfUnity:
         return worst
 
     @classmethod
-    def uniform_cover(
-        cls, box, pieces_per_axis, overlap: float = 0.6, overhang: float = 0.35
-    ) -> "PartitionOfUnity":
+    def uniform_cover(cls, box, pieces_per_axis, overlap: float = 0.6) -> "PartitionOfUnity":
         """Overlapping windows, ``pieces_per_axis[d]`` per axis, as a product cover.
 
         ``overlap`` widens every window relative to the plain subdivision;
-        ``overhang`` additionally extends the two end windows of each axis
-        beyond the box so that the endpoints are interior to their support.
+        the two end windows of each axis also reach ``COVER_OVERHANG`` cells
+        beyond the box, so that the endpoints are interior to their support.
         """
         if isinstance(pieces_per_axis, int):
             pieces_per_axis = [pieces_per_axis] * len(box)
@@ -410,9 +406,9 @@ class PartitionOfUnity:
                 lo = a + i * h - overlap * h
                 hi = a + (i + 1) * h + overlap * h
                 if i == 0:
-                    lo -= overhang * h
+                    lo -= COVER_OVERHANG * h
                 if i == n - 1:
-                    hi += overhang * h
+                    hi += COVER_OVERHANG * h
                 wins.append((lo, hi))
             per_axis_windows.append(wins)
         cover = tuple(tuple(combo) for combo in itertools.product(*per_axis_windows))
@@ -455,7 +451,7 @@ def exterior_derivative(eta: KForm) -> KForm:
     (d eta)_J = sum_a (-1)^a d(eta_{J minus j_a}) / dy^{j_a}.
 
     Partials are analytic for :class:`ExprCoeff` coefficients and central
-    differences with the form's fd_step otherwise.  When every coefficient
+    differences with step FD_STEP otherwise.  When every coefficient
     is an ExprCoeff, each (d eta)_J is built once as an ExprCoeff from the
     signed partials, so a second application stays analytic.
     """
@@ -472,7 +468,7 @@ def exterior_derivative(eta: KForm) -> KForm:
             coeffs.append(signed_sum([(s, eta.coeffs[c].partial(j)) for s, c, j in signed], m))
         else:
             coeffs.append(lambda y, _s=signed: sum(s * eta.partial(c, j, y) for s, c, j in _s))
-    return KForm(k + 1, m, coeffs, eta.fd_step)
+    return KForm(k + 1, m, coeffs)
 
 
 def boundary_faces(piece: Piece) -> list[Piece]:
@@ -567,7 +563,6 @@ def _scale_form(eta: KForm, factor: float) -> KForm:
         eta.k,
         eta.m,
         [lambda Y, _c=c: factor * np.asarray(_c(Y), dtype=float) for c in eta.coeffs],
-        eta.fd_step,
     )
 
 

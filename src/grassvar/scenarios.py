@@ -1,10 +1,15 @@
-"""Scenario files: schema, loading, and the named check registry.
+"""Scenario files: schema, loading, and the row loop of every subcommand.
 
 A scenario is a JSON document (``"version": "1"``) declaring a metric, a
 geometry from the map catalog, quadrature settings, and either quantities
 to compute (length/area/variation subcommands) or a list of named checks.
-The CLI front end in :mod:`grassvar.cli` turns the rows produced here into
-a text report and a CSV file.
+:func:`run_scenario` turns it into rows through one table, ``SUBCOMMANDS``:
+subcommand -> (the list it reads, ``compute`` or ``checks``; its row
+functions by name; the expected value of a row whose entry gives none).
+Each row function is ``fn(scenario, rng, params, q) -> float`` and
+integrates on the run's quadrature ``q``, so ``--gauss-order`` and
+``--cells`` apply to every subcommand, checks included.  The CLI front end
+in :mod:`grassvar.cli` turns the rows into a text report and a CSV file.
 """
 from __future__ import annotations
 
@@ -38,10 +43,31 @@ SCHEMA_VERSION = "1"
 
 _number = {"type": "number"}
 _positive = {"type": "number", "exclusiveMinimum": 0}
+_count = {"type": "integer", "minimum": 1}
 _catalog_ref = {
     "type": "object",
     "properties": {"catalog": {"type": "string"}, "params": {"type": "object"}},
     "required": ["catalog"],
+    "additionalProperties": False,
+}
+_form = {
+    "type": "object",
+    "properties": {
+        "degree": {"type": "integer", "minimum": 0},
+        "dim": {"type": "integer", "minimum": 1},
+        "coefficients": {
+            "description": (
+                "Map from an increasing index list such as '1,3' ('' for degree 0) "
+                "to a number or an expression in y1..ym built from numbers, pi, "
+                "+ - * / **, unary + and -, parentheses and the one-argument "
+                "functions sin cos tan exp sqrt log; see grassvar.expressions."
+            ),
+            "type": "object",
+            "propertyNames": {"pattern": r"^(\d+(,\d+)*)?$"},
+            "additionalProperties": {"type": ["string", "number"]},
+        },
+    },
+    "required": ["degree", "dim", "coefficients"],
     "additionalProperties": False,
 }
 
@@ -107,31 +133,21 @@ SCENARIO_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "properties": {"name": {"type": "string"}, "tolerance": _number},
-                "required": ["name", "tolerance"],
-                "additionalProperties": True,
-            },
-        },
-        "form": {
-            "type": "object",
-            "properties": {
-                "degree": {"type": "integer", "minimum": 0},
-                "dim": {"type": "integer", "minimum": 1},
-                "coefficients": {
-                    "description": (
-                        "Map from an increasing index list such as '1,3' ('' for degree 0) "
-                        "to a number or an expression in y1..ym built from numbers, pi, "
-                        "+ - * / **, unary + and -, parentheses and the one-argument "
-                        "functions sin cos tan exp sqrt log; see grassvar.expressions."
-                    ),
-                    "type": "object",
-                    "propertyNames": {"pattern": r"^(\d+(,\d+)*)?$"},
-                    "additionalProperties": {"type": ["string", "number"]},
+                "properties": {
+                    "name": {"type": "string"},
+                    "tolerance": _number,
+                    "samples": _count,
+                    "count": _count,
+                    "lambdas": {"type": "array", "items": _positive, "minItems": 1},
+                    "k": {"type": "integer", "minimum": 1},
+                    "m": {"type": "integer", "minimum": 2},
+                    "form": _form,
                 },
+                "required": ["name", "tolerance"],
+                "additionalProperties": False,
             },
-            "required": ["degree", "dim", "coefficients"],
-            "additionalProperties": False,
         },
+        "form": _form,
         "alpha": _catalog_ref,
         "reparam": _catalog_ref,
         "family": {
@@ -139,7 +155,7 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "profile": {"enum": sorted(PROFILE_FAMILIES)},
                 "t0": _number,
-                "dt_step": _number,
+                "dt_step": _positive,
             },
             "required": ["profile", "t0"],
             "additionalProperties": False,
@@ -147,8 +163,12 @@ SCENARIO_SCHEMA = {
         "partition": {
             "type": "object",
             "properties": {
-                "covers": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                "overlap": _number,
+                "covers": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": 1},
+                    "minItems": 2,
+                },
+                "overlap": _positive,
             },
             "additionalProperties": False,
         },
@@ -168,9 +188,32 @@ SCENARIO_SCHEMA = {
 }
 
 # Built once: jsonschema.validate would re-check the schema on every call.
-_VALIDATOR_CLASS = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+# An "integer" is a JSON integer: the default checker admits 8.0, which
+# then fails inside numpy as a count or an order.
+_BASE_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+_VALIDATOR_CLASS = jsonschema.validators.extend(
+    _BASE_VALIDATOR,
+    type_checker=_BASE_VALIDATOR.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)
 _SCENARIO_VALIDATOR = _VALIDATOR_CLASS(SCENARIO_SCHEMA)
-_FORM_VALIDATOR = _VALIDATOR_CLASS(SCENARIO_SCHEMA["properties"]["form"])
+_FORM_VALIDATOR = _VALIDATOR_CLASS(_form)
+
+
+def _non_finite(node, where: tuple = ()) -> tuple | None:
+    """Path of the first NaN or infinite number in a parsed document, else None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else where
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        found = _non_finite(value, (*where, key))
+        if found is not None:
+            return found
+    return None
 
 
 def load_scenario(path: str) -> dict:
@@ -190,6 +233,10 @@ def load_scenario(path: str) -> dict:
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ScenarioError(error.message, f"{path}#{where}")
+    # JSON parses NaN, Infinity and 1e400 as floats, and no schema keyword rejects them
+    where = _non_finite(data)
+    if where is not None:
+        raise ScenarioError("number must be finite", f"{path}#{'/'.join(map(str, where))}")
     if data["version"] != SCHEMA_VERSION:
         raise ScenarioError(
             f"unsupported scenario version {data['version']!r} (supported: {SCHEMA_VERSION})",
@@ -266,10 +313,9 @@ def build_geometry(scenario: dict, need: str) -> tuple[DifferentiableMap, tuple]
     return mp, box
 
 
-def build_piece(scenario: dict) -> Piece:
-    mp, box = build_geometry(scenario, "box")
-    orientation = scenario.get("geometry", {}).get("orientation", 1)
-    return Piece(box, mp, orientation)
+def build_piece(scenario: dict, need: str = "box") -> Piece:
+    mp, box = build_geometry(scenario, need)
+    return Piece(box, mp, scenario["geometry"].get("orientation", 1))
 
 
 def build_quadrature(scenario: dict, overrides: dict | None = None) -> QuadratureSpec:
@@ -300,34 +346,47 @@ def build_form(scenario: dict, params: dict | None = None) -> KForm:
 
 
 # ---------------------------------------------------------------------------
-# named checks: each returns the residual value to compare with the tolerance
+# row functions: fn(scenario, rng, params, q) -> the value of one row
 # ---------------------------------------------------------------------------
 
-def _check_homogeneity(scenario, rng, params):
+def _length(scenario, rng, params, q):
     F = build_metric(scenario["metric"])
-    return finsler.check_homogeneity(
-        F, rng, params.get("samples", 100), tuple(params.get("lambdas", (0.5, 2.0, 10.0)))
-    )
+    curve, (interval,) = build_geometry(scenario, "interval")
+    return functional.curve_length(F, curve, interval, q)
 
 
-def _check_projectability(scenario, rng, params):
+def _area(scenario, rng, params, q):
+    return functional.areal_value(build_metric(scenario["metric"]), build_piece(scenario), q)
+
+
+def _extremality(scenario, rng, params, q):
+    """Max |first variation| of the length over the scenario's sine-bump fields."""
     F = build_metric(scenario["metric"])
-    return finsler.check_projectability(
-        F, rng, params.get("samples", 100), tuple(params.get("lambdas", (0.5, 2.0, 10.0)))
-    )
+    curve, (interval,) = build_geometry(scenario, "interval")
+    var = scenario.get("variation", {})
+    basis = functional.default_variation_basis(interval, curve.codomain_dim, var.get("modes", 4))
+    return functional.extremal_residual(F, curve, interval, basis, var.get("epsilon", 1e-4), q)
 
 
-def _check_euler_identity(scenario, rng, params):
+def _fiber_check(probe):
+    """Row function of a sampled check of the metric on its fibers."""
+    def row(scenario, rng, params, q):
+        lambdas = tuple(params.get("lambdas", (0.5, 2.0, 10.0)))
+        return probe(build_metric(scenario["metric"]), rng, params.get("samples", 100), lambdas)
+
+    return row
+
+
+def _check_euler_identity(scenario, rng, params, q):
     F = build_metric(scenario["metric"])
     curve, ((a, b),) = build_geometry(scenario, "interval")
     ts = rng.uniform(a, b, size=params.get("samples", 25))
     return finsler.pullback_identity_residual(F, curve, ts)
 
 
-def _check_dual_route(scenario, rng, params):
+def _check_dual_route(scenario, rng, params, q):
     F = build_metric(scenario["metric"])
     curve, ((a, b),) = build_geometry(scenario, "interval")
-    q = build_quadrature(scenario)
     direct = functional.curve_length(F, curve, (a, b), q, cross_check=False)
     rho_spec = scenario.get("reparam")
     if rho_spec is not None:  # the Hilbert side on zeta o rho: no node shared with `direct`
@@ -337,51 +396,33 @@ def _check_dual_route(scenario, rng, params):
     return abs(direct - via)
 
 
-def _check_reparam_invariance(scenario, rng, params):
+def _check_reparam_invariance(scenario, rng, params, q):
     F = build_metric(scenario["metric"])
-    curve, ((a, b),) = build_geometry(scenario, "interval")
+    curve, (interval,) = build_geometry(scenario, "interval")
     rho_spec = scenario.get("reparam")
     if rho_spec is None:
         raise ScenarioError("reparam_invariance needs a reparam block", "reparam")
     rho = build_map(rho_spec, "reparam")
-    return functional.reparam_invariance_residual(
-        F, curve, (a, b), rho, build_quadrature(scenario)
-    )
+    return functional.reparam_invariance_residual(F, curve, interval, rho, q)
 
 
-def build_variation(scenario: dict) -> tuple:
-    """Metric, curve, interval, variation fields and epsilon of a scenario."""
-    F = build_metric(scenario["metric"])
-    curve, (interval,) = build_geometry(scenario, "interval")
-    var = scenario.get("variation", {})
-    eps = var.get("epsilon", 1e-4)
-    if not 0.0 < eps < math.inf:  # NaN and Infinity parse as JSON numbers
-        raise ScenarioError(f"epsilon must be positive and finite, got {eps}", "variation/epsilon")
-    basis = functional.default_variation_basis(interval, curve.codomain_dim, var.get("modes", 4))
-    return F, curve, interval, basis, eps
-
-
-def _check_extremality(scenario, rng, params):
-    return functional.extremal_residual(*build_variation(scenario), build_quadrature(scenario))
-
-
-def _check_stokes(scenario, rng, params):
+def _check_stokes(scenario, rng, params, q):
     eta = build_form(scenario, params)
     piece = build_piece(scenario)
-    return verify_stokes(eta, piece, build_quadrature(scenario))
+    return verify_stokes(eta, piece, q)
 
 
-def _check_domain_transform(scenario, rng, params):
+def _check_domain_transform(scenario, rng, params, q):
     eta = build_form(scenario, params)
     piece = build_piece(scenario)
     alpha_spec = scenario.get("alpha")
     if alpha_spec is None:
         raise ScenarioError("domain_transform needs an alpha block", "alpha")
     alpha = build_map(alpha_spec, "alpha")
-    return verify_domain_transform(eta, alpha, piece, build_quadrature(scenario))
+    return verify_domain_transform(eta, alpha, piece, q)
 
 
-def _check_leibniz(scenario, rng, params):
+def _check_leibniz(scenario, rng, params, q):
     eta = build_form(scenario, params)
     piece = build_piece(scenario)
     fam_spec = scenario.get("family")
@@ -389,19 +430,12 @@ def _check_leibniz(scenario, rng, params):
         raise ScenarioError("leibniz needs a family block", "family")
     profile, profile_dot = PROFILE_FAMILIES[fam_spec["profile"]]
     family = ParametricFormFamily(eta, profile, profile_dot)
-    return verify_leibniz(
-        family,
-        piece,
-        fam_spec["t0"],
-        fam_spec.get("dt_step", 1e-4),
-        build_quadrature(scenario),
-    )
+    return verify_leibniz(family, piece, fam_spec["t0"], fam_spec.get("dt_step", 1e-4), q)
 
 
-def _check_partition_independence(scenario, rng, params):
+def _check_partition_independence(scenario, rng, params, q):
     eta = build_form(scenario, params)
     piece = build_piece(scenario)
-    q = build_quadrature(scenario)
     part = scenario.get("partition", {})
     covers = part.get("covers", [2, 3])
     overlap = part.get("overlap", 0.6)
@@ -414,9 +448,11 @@ def _check_partition_independence(scenario, rng, params):
     return max(abs(v - values[0]) for v in values[1:])
 
 
-def _check_grassmann_roundtrip(scenario, rng, params):
+def _check_grassmann_roundtrip(scenario, rng, params, q):
     k = params.get("k", 2)
     m = params.get("m", 4)
+    if not 1 <= k < m:
+        raise ScenarioError(f"grassmann_roundtrip needs 1 <= k < m, got k={k}, m={m}", "checks")
     count = params.get("count", 200)
     from .multiindex import enumerate_multiindices, rank
 
@@ -436,7 +472,7 @@ def _check_grassmann_roundtrip(scenario, rng, params):
     return worst
 
 
-def _check_lift_functoriality(scenario, rng, params):
+def _check_lift_functoriality(scenario, rng, params, q):
     count = params.get("count", 50)
     worst = 0.0
     for _ in range(count):
@@ -454,18 +490,27 @@ def _check_lift_functoriality(scenario, rng, params):
 
 
 CHECKS = {
-    "homogeneity": _check_homogeneity,
-    "projectability": _check_projectability,
+    "homogeneity": _fiber_check(finsler.check_homogeneity),
+    "projectability": _fiber_check(finsler.check_projectability),
     "euler_identity": _check_euler_identity,
     "dual_route": _check_dual_route,
     "reparam_invariance": _check_reparam_invariance,
-    "extremality": _check_extremality,
+    "extremality": _extremality,
     "stokes": _check_stokes,
     "domain_transform": _check_domain_transform,
     "leibniz": _check_leibniz,
     "partition_independence": _check_partition_independence,
     "grassmann_roundtrip": _check_grassmann_roundtrip,
     "lift_functoriality": _check_lift_functoriality,
+}
+
+# subcommand -> (the scenario list it reads, its row functions by name,
+#                the expected value of a row whose entry gives none)
+SUBCOMMANDS = {
+    "length": ("compute", {"length": _length}, None),
+    "area": ("compute", {"area": _area}, None),
+    "variation": ("compute", {"extremal_residual": _extremality}, 0.0),
+    "check": ("checks", CHECKS, 0.0),
 }
 
 
@@ -479,88 +524,17 @@ class RunResult:
     samples: list[tuple[float, ...]] = field(default_factory=list)  # integrand dumps
 
 
-def _timed(fn) -> tuple[float, float]:
-    t0 = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - t0
+# subcommand -> (its geometry, samples per axis) of the --dump-integrand grid
+DUMP_GRIDS = {"length": ("interval", 257), "area": ("box", 17)}
 
 
-def _compute_entries(scenario: dict, default_name: str) -> list[dict]:
-    entries = scenario.get("compute") or [{"name": default_name}]
-    for e in entries:
-        if e["name"] != default_name:
-            raise ScenarioError(
-                f"unsupported quantity {e['name']!r} here (expected {default_name!r})",
-                "compute",
-            )
-    return entries
-
-
-def run_length(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: bool):
-    F = build_metric(scenario["metric"])
-    curve, ((a, b),) = build_geometry(scenario, "interval")
-    for entry in _compute_entries(scenario, "length"):
-        value, secs = _timed(lambda: functional.curve_length(F, curve, (a, b), q))
-        result.rows.append(
-            Row("length", value, entry.get("expected"), entry.get("tolerance"), secs)
-        )
-    if dump:
-        _dump_lift(F, Piece(((a, b),), curve), 257, result)
-
-
-def run_area(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: bool):
-    L = build_metric(scenario["metric"])
-    piece = build_piece(scenario)
-    for entry in _compute_entries(scenario, "area"):
-        value, secs = _timed(lambda: functional.areal_value(L, piece, q))
-        result.rows.append(
-            Row("area", value, entry.get("expected"), entry.get("tolerance"), secs)
-        )
-    if dump:
-        _dump_lift(L, piece, 17, result)
-
-
-def _dump_lift(L: FinslerFunction, piece: Piece, per_axis: int, result: RunResult) -> None:
+def _dump_lift(scenario: dict, need: str, per_axis: int) -> list[tuple[float, ...]]:
     """Samples (t..., L on the canonical lift at t) on an even grid of the piece."""
+    piece = build_piece(scenario, need)
     T = piece.grid(per_axis)
     lift = canonical_lift(piece.map, T)
-    result.samples.extend((*t, value) for t, value in zip(T, L(lift.base, lift.comps)))
-
-
-def run_checks(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: bool):
-    checks = scenario.get("checks")
-    if not checks:
-        raise ScenarioError("check subcommand needs a checks list", "checks")
-    for entry in checks:
-        name = entry["name"]
-        if name not in CHECKS:
-            raise ScenarioError(f"unknown check {name!r}", "checks")
-        params = {k: v for k, v in entry.items() if k not in ("name", "tolerance")}
-        value, secs = _timed(lambda: CHECKS[name](scenario, rng, params))
-        result.rows.append(Row(name, value, 0.0, entry["tolerance"], secs))
-
-
-def run_variation(scenario: dict, rng, q: QuadratureSpec, result: RunResult, dump: bool):
-    inputs = build_variation(scenario)
-    for entry in _compute_entries(scenario, "extremal_residual"):
-        value, secs = _timed(lambda: functional.extremal_residual(*inputs, q))
-        result.rows.append(
-            Row(
-                "extremal_residual",
-                value,
-                entry.get("expected", 0.0),
-                entry.get("tolerance"),
-                secs,
-            )
-        )
-
-
-SUBCOMMANDS = {
-    "length": run_length,
-    "area": run_area,
-    "check": run_checks,
-    "variation": run_variation,
-}
+    values = build_metric(scenario["metric"])(lift.base, lift.comps)
+    return [(*t, value) for t, value in zip(T, values)]
 
 
 def run_scenario(
@@ -570,8 +544,32 @@ def run_scenario(
     q_overrides: dict | None = None,
     dump: bool = False,
 ) -> RunResult:
+    """One row per entry of the subcommand's list: its row function's value
+    against the entry's expected value and tolerance."""
+    key, quantities, default_expected = SUBCOMMANDS[subcommand]
     rng = np.random.default_rng(seed)
     q = build_quadrature(scenario, q_overrides)
+    default_name = next(iter(quantities))
+    entries = scenario.get(key)
+    if key == "checks" and not entries:
+        raise ScenarioError("check subcommand needs a checks list", "checks")
+    entries = entries or [{"name": default_name}]
+    for entry in entries:
+        name = entry["name"]
+        if name not in quantities:
+            raise ScenarioError(
+                f"unknown check {name!r}" if key == "checks"
+                else f"unsupported quantity {name!r} here (expected {default_name!r})",
+                key,
+            )
     result = RunResult()
-    SUBCOMMANDS[subcommand](scenario, rng, q, result, dump)
+    for entry in entries:
+        params = {k: v for k, v in entry.items() if k not in ("name", "expected", "tolerance")}
+        t0 = time.perf_counter()
+        value = quantities[entry["name"]](scenario, rng, params, q)
+        seconds = time.perf_counter() - t0
+        expected = entry.get("expected", default_expected)
+        result.rows.append(Row(entry["name"], value, expected, entry.get("tolerance"), seconds))
+    if dump and subcommand in DUMP_GRIDS:
+        result.samples = _dump_lift(scenario, *DUMP_GRIDS[subcommand])
     return result

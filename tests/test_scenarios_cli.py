@@ -245,10 +245,62 @@ SCENARIO_ERRORS = [
 ]
 
 
+def _one_check(**entry):
+    return _put([{"tolerance": 1e-10, **entry}], "checks")
+
+
+# malformed check parameters and non-finite numbers, named by their field
+PARAMETER_ERRORS = [
+    ("samples-0", "check", "check_suite_randers", _one_check(name="homogeneity", samples=0),
+     "{path}#checks/0/samples"),
+    ("samples-many", "check", "check_suite_randers",
+     _one_check(name="euler_identity", samples="many"), "{path}#checks/0/samples"),
+    ("samples-float", "check", "check_suite_randers",
+     _one_check(name="euler_identity", samples=3.0), "{path}#checks/0/samples"),
+    ("count-0", "check", "check_suite_randers", _one_check(name="lift_functoriality", count=0),
+     "{path}#checks/0/count"),
+    ("lambdas-negative", "check", "check_suite_randers",
+     _one_check(name="projectability", lambdas=[-1]), "{path}#checks/0/lambdas/0"),
+    ("lambdas-empty", "check", "check_suite_randers",
+     _one_check(name="homogeneity", lambdas=[]), "{path}#checks/0/lambdas"),
+    ("k-0", "check", "check_suite_randers", _one_check(name="grassmann_roundtrip", k=0),
+     "{path}#checks/0/k"),
+    ("m-1", "check", "check_suite_randers", _one_check(name="grassmann_roundtrip", k=1, m=1),
+     "{path}#checks/0/m"),
+    ("k-equals-m", "check", "check_suite_randers",
+     _one_check(name="grassmann_roundtrip", k=3, m=3), "checks"),
+    ("k-above-m", "check", "check_suite_randers",
+     _one_check(name="grassmann_roundtrip", k=5, m=4), "checks"),
+    ("misspelled", "check", "check_suite_randers", _one_check(name="homogeneity", sample=3),
+     "{path}#checks/0"),
+    ("check-form", "check", "check_forms_square",
+     _one_check(name="stokes", form={"degree": 1, "dim": 2}), "{path}#checks/0/form"),
+    ("covers-one", "check", "check_partition_circle", _put([2], "partition", "covers"),
+     "{path}#partition/covers"),
+    ("covers-none", "check", "check_partition_circle", _put([], "partition", "covers"),
+     "{path}#partition/covers"),
+    ("overlap-negative", "check", "check_partition_circle", _put(-0.6, "partition", "overlap"),
+     "{path}#partition/overlap"),
+    ("dt-step-0", "check", "check_forms_square", _put(0, "family", "dt_step"),
+     "{path}#family/dt_step"),
+    ("gauss-order-float", "length", "length_circle", _put(8.0, "quadrature", "gauss_order"),
+     "{path}#quadrature/gauss_order"),
+    ("tolerance-nan", "length", "length_circle", _put(float("nan"), "compute", 0, "tolerance"),
+     "{path}#compute/0/tolerance"),
+    ("interval-infinity", "length", "length_circle",
+     _put(float("inf"), "geometry", "interval", 1), "{path}#geometry/interval/1"),
+    ("metric-minus-infinity", "check", "check_suite_randers",
+     _put(-float("inf"), "metric", "b", 0), "{path}#metric/b/0"),
+    ("overflow", "length", "length_circle",
+     (SCENARIO_DIR / "length_circle.json").read_text().replace("1e-8", "1e400"),
+     "{path}#compute/0/tolerance"),
+]
+
+
 @pytest.mark.parametrize(
     "sub, stem, edit, location",
-    [case[1:] for case in SCENARIO_ERRORS],
-    ids=[case[0] for case in SCENARIO_ERRORS],
+    [case[1:] for case in SCENARIO_ERRORS + PARAMETER_ERRORS],
+    ids=[case[0] for case in SCENARIO_ERRORS + PARAMETER_ERRORS],
 )
 def test_scenario_error_exits_2_names_its_location_and_writes_nothing(
     sub, stem, edit, location, tmp_path, capsys
@@ -266,3 +318,30 @@ def test_scenario_error_exits_2_names_its_location_and_writes_nothing(
     assert cli.main([*argv, "--quiet"]) == 2
     assert f"[{location.format(path=path)}]" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_misspelled_check_parameter_is_named(tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "check_homogeneity_energy.json").read_text())
+    scenario["checks"][0]["sample"] = scenario["checks"][0].pop("samples")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["check", "--scenario", str(path), "--quiet"]) == 2
+    assert "'sample' was unexpected" in capsys.readouterr().err
+
+
+def test_quadrature_overrides_apply_to_checks(tmp_path):
+    out = tmp_path / "out.csv"
+    path = SCENARIO_DIR / "check_suite_randers.json"
+    argv = ["check", "--scenario", str(path), "--gauss-order", "2", "--cells", "2"]
+    assert cli.main([*argv, "--csv", str(out), "--quiet"]) == 1
+    rows = dict(line.split(",")[:2] for line in out.read_text().splitlines()[1:])
+    # at order 2, 2 cells the two routes see different nodes (the file's 8 x 16 reads 0)
+    assert float(rows["dual_route"]) == pytest.approx(4.377e-2, rel=1e-3)
+    assert float(rows["reparam_invariance"]) == pytest.approx(4.377e-2, rel=1e-3)
+
+
+def test_every_check_is_gated_by_a_shipped_scenario():
+    shipped = {
+        entry["name"] for path in SCENARIOS for entry in json.loads(path.read_text()).get("checks", [])
+    }
+    assert shipped == set(scenarios.CHECKS)
