@@ -3,22 +3,27 @@
 A scenario is a JSON document (``"version": "1"``) declaring a metric, a
 geometry from the map catalog, quadrature settings, and either quantities
 to compute (length/area/variation subcommands) or a list of named checks.
+``SCENARIO_SCHEMA`` is a JSON Schema; one walk, :func:`_violation`, checks the
+keywords it uses: ``type enum minimum exclusiveMinimum required properties
+additionalProperties propertyNames.pattern items minItems maxItems``.
 :func:`run_scenario` turns it into rows through one table, ``SUBCOMMANDS``:
 subcommand -> (the list it reads, ``compute`` or ``checks``; its row
 functions by name; the expected value of a row whose entry gives none).
-Each row function is ``fn(scenario, rng, params, q) -> float`` and
-integrates on the run's quadrature ``q``, so ``--gauss-order`` and
-``--cells`` apply to every subcommand, checks included.  The CLI front end
-in :mod:`grassvar.cli` turns the rows into a text report and a CSV file.
+Each row function is ``fn(scenario, rng, q, **params) -> float``: its
+keyword arguments are the parameters an entry may give, and it integrates
+on the run's quadrature ``q``, so ``--gauss-order`` and ``--cells`` apply
+to every subcommand, checks included.  The CLI front end in
+:mod:`grassvar.cli` turns the rows into a text report and a CSV file.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from . import finsler, functional, grassmann
@@ -44,6 +49,7 @@ SCHEMA_VERSION = "1"
 _number = {"type": "number"}
 _positive = {"type": "number", "exclusiveMinimum": 0}
 _count = {"type": "integer", "minimum": 1}
+_tolerance = {"type": "number", "minimum": 0}
 _catalog_ref = {
     "type": "object",
     "properties": {"catalog": {"type": "string"}, "params": {"type": "object"}},
@@ -123,7 +129,7 @@ SCENARIO_SCHEMA = {
                 "properties": {
                     "name": {"type": "string"},
                     "expected": _number,
-                    "tolerance": _number,
+                    "tolerance": _tolerance,
                 },
                 "required": ["name"],
                 "additionalProperties": False,
@@ -135,7 +141,7 @@ SCENARIO_SCHEMA = {
                 "type": "object",
                 "properties": {
                     "name": {"type": "string"},
-                    "tolerance": _number,
+                    "tolerance": _tolerance,
                     "samples": _count,
                     "count": _count,
                     "lambdas": {"type": "array", "items": _positive, "minItems": 1},
@@ -187,32 +193,56 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
 }
 
-# Built once: jsonschema.validate would re-check the schema on every call.
-# An "integer" is a JSON integer: the default checker admits 8.0, which
-# then fails inside numpy as a count or an order.
-_BASE_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
-_VALIDATOR_CLASS = jsonschema.validators.extend(
-    _BASE_VALIDATOR,
-    type_checker=_BASE_VALIDATOR.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
-    ),
-)
-_SCENARIO_VALIDATOR = _VALIDATOR_CLASS(SCENARIO_SCHEMA)
-_FORM_VALIDATOR = _VALIDATOR_CLASS(_form)
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "integer": int, "number": (int, float)}
 
 
-def _non_finite(node, where: tuple = ()) -> tuple | None:
-    """Path of the first NaN or infinite number in a parsed document, else None."""
-    if isinstance(node, float):
-        return None if math.isfinite(node) else where
+def _is(node, name: str) -> bool:
+    """JSON type test: a bool is only a boolean, and an integer only a JSON integer (not 8.0)."""
+    return isinstance(node, _JSON_TYPES[name]) and isinstance(node, bool) == (name == "boolean")
+
+
+def _violation(schema: dict, node, where: tuple = ()) -> tuple[str, tuple] | None:
+    """The first violation of ``schema`` in ``node``, in document order, as
+    (message, path); None if there is none.  Every float must be finite, in
+    unconstrained subtrees too: JSON parses NaN, Infinity and 1e400 as floats."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return "number must be finite", where
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is(node, t) for t in types):
+        return f"{node!r} is not of type {', '.join(map(repr, types))}", where
+    if "enum" in schema and not any(
+            v == node and isinstance(v, bool) == isinstance(node, bool) for v in schema["enum"]):
+        return f"{node!r} is not one of {schema['enum']!r}", where
+    if _is(node, "number") and node < schema.get("minimum", -math.inf):
+        return f"{node!r} is less than the minimum of {schema['minimum']!r}", where
+    low = schema.get("exclusiveMinimum", -math.inf)
+    if _is(node, "number") and node <= low:
+        return f"{node!r} is less than or equal to the minimum of {low!r}", where
     if isinstance(node, dict):
-        items = node.items()
-    else:
-        items = enumerate(node) if isinstance(node, list) else ()
-    for key, value in items:
-        found = _non_finite(value, (*where, key))
-        if found is not None:
-            return found
+        for key in schema.get("required", ()):
+            if key not in node:
+                return f"{key!r} is a required property", where
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", {})
+        pattern = schema.get("propertyNames", {}).get("pattern", "")
+        for key, value in node.items():
+            if not re.search(pattern, key):
+                return f"{key!r} does not match {pattern!r}", where
+            if extra is False and key not in props:
+                return f"Additional properties are not allowed ({key!r} was unexpected)", where
+            found = _violation(props.get(key, extra), value, (*where, key))
+            if found is not None:
+                return found
+    if isinstance(node, list):
+        if len(node) < schema.get("minItems", 0):
+            return f"{node!r} is too short", where
+        if len(node) > schema.get("maxItems", len(node)):
+            return f"{node!r} is too long", where
+        for i, value in enumerate(node):
+            found = _violation(schema.get("items", {}), value, (*where, i))
+            if found is not None:
+                return found
     return None
 
 
@@ -225,18 +255,13 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"cannot read scenario: {exc}", path) from exc
     try:
         data = json.loads(raw)
+        error = _violation(SCENARIO_SCHEMA, data)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}"
-        ) from exc
-    error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(data))
+        raise ScenarioError(f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}") from exc
+    except (RecursionError, ValueError) as exc:  # nested past the stack; an int over 4300 digits
+        raise ScenarioError(f"cannot load scenario: {exc}", path) from exc
     if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ScenarioError(error.message, f"{path}#{where}")
-    # JSON parses NaN, Infinity and 1e400 as floats, and no schema keyword rejects them
-    where = _non_finite(data)
-    if where is not None:
-        raise ScenarioError("number must be finite", f"{path}#{'/'.join(map(str, where))}")
+        raise ScenarioError(error[0], f"{path}#{'/'.join(map(str, error[1])) or '<root>'}")
     if data["version"] != SCHEMA_VERSION:
         raise ScenarioError(
             f"unsupported scenario version {data['version']!r} (supported: {SCHEMA_VERSION})",
@@ -327,18 +352,16 @@ def build_quadrature(scenario: dict, overrides: dict | None = None) -> Quadratur
         raise ScenarioError(str(exc), "quadrature") from exc
 
 
-def build_form(scenario: dict, params: dict | None = None) -> KForm:
+def build_form(scenario: dict, form: dict | None = None) -> KForm:
     """Resolve a form block; a check entry may carry its own ``form`` override."""
-    spec = (params or {}).get("form") or scenario.get("form")
+    spec = form or scenario.get("form")
     if spec is None:
         raise ScenarioError("scenario has no form block", "form")
-    error = jsonschema.exceptions.best_match(_FORM_VALIDATOR.iter_errors(spec))
+    error = _violation(_form, spec)  # run_scenario also takes dicts load_scenario never saw
     if error is not None:
-        raise ScenarioError(error.message, "form")
-    entries = {}
-    for key, expr in spec["coefficients"].items():
-        idx = tuple(int(s) for s in key.split(",")) if key else ()
-        entries[idx] = expr
+        raise ScenarioError(error[0], "form")
+    entries = {tuple(int(s) for s in key.split(",")) if key else (): expr
+               for key, expr in spec["coefficients"].items()}
     try:
         return KForm.from_dict(spec["degree"], spec["dim"], entries)
     except (GrassvarError, ValueError) as exc:
@@ -346,20 +369,20 @@ def build_form(scenario: dict, params: dict | None = None) -> KForm:
 
 
 # ---------------------------------------------------------------------------
-# row functions: fn(scenario, rng, params, q) -> the value of one row
+# row functions: fn(scenario, rng, q, **params) -> the value of one row
 # ---------------------------------------------------------------------------
 
-def _length(scenario, rng, params, q):
+def _length(scenario, rng, q):
     F = build_metric(scenario["metric"])
     curve, (interval,) = build_geometry(scenario, "interval")
     return functional.curve_length(F, curve, interval, q)
 
 
-def _area(scenario, rng, params, q):
+def _area(scenario, rng, q):
     return functional.areal_value(build_metric(scenario["metric"]), build_piece(scenario), q)
 
 
-def _extremality(scenario, rng, params, q):
+def _extremality(scenario, rng, q):
     """Max |first variation| of the length over the scenario's sine-bump fields."""
     F = build_metric(scenario["metric"])
     curve, (interval,) = build_geometry(scenario, "interval")
@@ -370,21 +393,20 @@ def _extremality(scenario, rng, params, q):
 
 def _fiber_check(probe):
     """Row function of a sampled check of the metric on its fibers."""
-    def row(scenario, rng, params, q):
-        lambdas = tuple(params.get("lambdas", (0.5, 2.0, 10.0)))
-        return probe(build_metric(scenario["metric"]), rng, params.get("samples", 100), lambdas)
+    def row(scenario, rng, q, samples=100, lambdas=(0.5, 2.0, 10.0)):
+        return probe(build_metric(scenario["metric"]), rng, samples, tuple(lambdas))
 
     return row
 
 
-def _check_euler_identity(scenario, rng, params, q):
+def _check_euler_identity(scenario, rng, q, samples=25):
     F = build_metric(scenario["metric"])
     curve, ((a, b),) = build_geometry(scenario, "interval")
-    ts = rng.uniform(a, b, size=params.get("samples", 25))
+    ts = rng.uniform(a, b, size=samples)
     return finsler.pullback_identity_residual(F, curve, ts)
 
 
-def _check_dual_route(scenario, rng, params, q):
+def _check_dual_route(scenario, rng, q):
     F = build_metric(scenario["metric"])
     curve, ((a, b),) = build_geometry(scenario, "interval")
     direct = functional.curve_length(F, curve, (a, b), q, cross_check=False)
@@ -396,7 +418,7 @@ def _check_dual_route(scenario, rng, params, q):
     return abs(direct - via)
 
 
-def _check_reparam_invariance(scenario, rng, params, q):
+def _check_reparam_invariance(scenario, rng, q):
     F = build_metric(scenario["metric"])
     curve, (interval,) = build_geometry(scenario, "interval")
     rho_spec = scenario.get("reparam")
@@ -406,14 +428,14 @@ def _check_reparam_invariance(scenario, rng, params, q):
     return functional.reparam_invariance_residual(F, curve, interval, rho, q)
 
 
-def _check_stokes(scenario, rng, params, q):
-    eta = build_form(scenario, params)
+def _check_stokes(scenario, rng, q, form=None):
+    eta = build_form(scenario, form)
     piece = build_piece(scenario)
     return verify_stokes(eta, piece, q)
 
 
-def _check_domain_transform(scenario, rng, params, q):
-    eta = build_form(scenario, params)
+def _check_domain_transform(scenario, rng, q, form=None):
+    eta = build_form(scenario, form)
     piece = build_piece(scenario)
     alpha_spec = scenario.get("alpha")
     if alpha_spec is None:
@@ -422,8 +444,8 @@ def _check_domain_transform(scenario, rng, params, q):
     return verify_domain_transform(eta, alpha, piece, q)
 
 
-def _check_leibniz(scenario, rng, params, q):
-    eta = build_form(scenario, params)
+def _check_leibniz(scenario, rng, q, form=None):
+    eta = build_form(scenario, form)
     piece = build_piece(scenario)
     fam_spec = scenario.get("family")
     if fam_spec is None:
@@ -433,8 +455,8 @@ def _check_leibniz(scenario, rng, params, q):
     return verify_leibniz(family, piece, fam_spec["t0"], fam_spec.get("dt_step", 1e-4), q)
 
 
-def _check_partition_independence(scenario, rng, params, q):
-    eta = build_form(scenario, params)
+def _check_partition_independence(scenario, rng, q, form=None):
+    eta = build_form(scenario, form)
     piece = build_piece(scenario)
     part = scenario.get("partition", {})
     covers = part.get("covers", [2, 3])
@@ -448,12 +470,9 @@ def _check_partition_independence(scenario, rng, params, q):
     return max(abs(v - values[0]) for v in values[1:])
 
 
-def _check_grassmann_roundtrip(scenario, rng, params, q):
-    k = params.get("k", 2)
-    m = params.get("m", 4)
+def _check_grassmann_roundtrip(scenario, rng, q, k=2, m=4, count=200):
     if not 1 <= k < m:
         raise ScenarioError(f"grassmann_roundtrip needs 1 <= k < m, got k={k}, m={m}", "checks")
-    count = params.get("count", 200)
     from .multiindex import enumerate_multiindices, rank
 
     worst = 0.0
@@ -472,8 +491,7 @@ def _check_grassmann_roundtrip(scenario, rng, params, q):
     return worst
 
 
-def _check_lift_functoriality(scenario, rng, params, q):
-    count = params.get("count", 50)
+def _check_lift_functoriality(scenario, rng, q, count=50):
     worst = 0.0
     for _ in range(count):
         n1, n2, n3 = (int(rng.integers(2, 5)) for _ in range(3))
@@ -554,7 +572,8 @@ def run_scenario(
     if key == "checks" and not entries:
         raise ScenarioError("check subcommand needs a checks list", "checks")
     entries = entries or [{"name": default_name}]
-    for entry in entries:
+    calls = []
+    for i, entry in enumerate(entries):
         name = entry["name"]
         if name not in quantities:
             raise ScenarioError(
@@ -562,11 +581,15 @@ def run_scenario(
                 else f"unsupported quantity {name!r} here (expected {default_name!r})",
                 key,
             )
-    result = RunResult()
-    for entry in entries:
         params = {k: v for k, v in entry.items() if k not in ("name", "expected", "tolerance")}
+        try:  # a parameter the row function does not take is an error, not ignored
+            calls.append(inspect.signature(quantities[name]).bind(scenario, rng, q, **params))
+        except TypeError as exc:
+            raise ScenarioError(f"{name!r} {exc}", f"{key}/{i}") from exc
+    result = RunResult()
+    for entry, call in zip(entries, calls):
         t0 = time.perf_counter()
-        value = quantities[entry["name"]](scenario, rng, params, q)
+        value = quantities[entry["name"]](*call.args, **call.kwargs)
         seconds = time.perf_counter() - t0
         expected = entry.get("expected", default_expected)
         result.rows.append(Row(entry["name"], value, expected, entry.get("tolerance"), seconds))

@@ -88,15 +88,22 @@ def test_malformed_form_override_raises_at_form():
     assert "coefficients" in str(info.value)
 
 
-@pytest.mark.parametrize("module", ["scipy", "sympy"])
-def test_cli_import_does_not_load(module):
+@pytest.fixture(scope="module")
+def cli_modules():
+    """The modules loaded by ``import grassvar.cli`` in a fresh interpreter."""
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys, grassvar.cli; print({module!r} in sys.modules)"],
+        [sys.executable, "-c", "import sys, grassvar.cli; print(*sys.modules)"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["scipy", "sympy", "jsonschema", "attrs", "referencing", "rpds"])
+def test_cli_import_does_not_load(module, cli_modules):
+    assert "grassvar.cli" in cli_modules
+    assert module not in cli_modules
 
 
 PAYLOAD = "__import__('pathlib').Path({path!r}).write_text('x') + y1"
@@ -242,6 +249,12 @@ SCENARIO_ERRORS = [
     ("no-checks", "check", "check_partition_circle", _put([], "checks"), "checks"),
     ("unknown-check", "check", "check_partition_circle",
      _put([{"name": "nope", "tolerance": 1.0}], "checks"), "checks"),
+    ("deep-nesting", "length", "length_circle",
+     (SCENARIO_DIR / "length_circle.json").read_text().replace(
+         '"metric": {', '"metric": {"deep": ' + "[" * 100000 + "]" * 100000 + ", "), "{path}"),
+    ("huge-integer", "length", "length_circle",
+     (SCENARIO_DIR / "length_circle.json").read_text().replace('"radius": 1.0', '"radius": 1'
+                                                               + "0" * 5000), "{path}"),
 ]
 
 
@@ -294,6 +307,15 @@ PARAMETER_ERRORS = [
     ("overflow", "length", "length_circle",
      (SCENARIO_DIR / "length_circle.json").read_text().replace("1e-8", "1e400"),
      "{path}#compute/0/tolerance"),
+    ("tolerance-negative", "length", "length_circle", _put(-1, "compute", 0, "tolerance"),
+     "{path}#compute/0/tolerance"),
+    ("check-tolerance-negative", "check", "check_suite_randers",
+     _one_check(name="dual_route", tolerance=-1), "{path}#checks/0/tolerance"),
+    # a parameter the check does not read
+    ("unread-parameters", "check", "check_suite_randers", _one_check(
+        name="dual_route", samples=5, lambdas=[3.0], k=1, m=2, count=7), "checks/0"),
+    ("unread-samples", "check", "check_partition_circle",
+     _one_check(name="partition_independence", samples=5), "checks/0"),
 ]
 
 
@@ -327,6 +349,26 @@ def test_misspelled_check_parameter_is_named(tmp_path, capsys):
     path.write_text(json.dumps(scenario))
     assert cli.main(["check", "--scenario", str(path), "--quiet"]) == 2
     assert "'sample' was unexpected" in capsys.readouterr().err
+
+
+def test_unread_check_parameter_is_named(tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
+    scenario["checks"].append({"name": "lift_functoriality", "tolerance": 1e-10, "samples": 5})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["check", "--scenario", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "'lift_functoriality'" in err and "'samples'" in err and "[checks/7]" in err
+
+
+def test_walk_past_the_stack_is_a_scenario_error(tmp_path, monkeypatch):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(scenarios, "_violation", too_deep)
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(str(SCENARIO_DIR / "length_circle.json"))
+    assert info.value.location == str(SCENARIO_DIR / "length_circle.json")
 
 
 def test_quadrature_overrides_apply_to_checks(tmp_path):
