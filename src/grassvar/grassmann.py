@@ -8,6 +8,11 @@ array keeps a slot for every multi-index; the pivot slot stores the sign
 label, which is +-1, so |w[nu]| = 1 exactly.  The sign distinguishes the
 two half-charts over each pivot: rays with Xi^nu > 0 and rays with
 Xi^nu < 0 (the ray of -Xi is a different point).
+
+Shape contract: a pivot is the rank of its multi-index, its slot in ``w``.
+A :class:`GrassmannPoint` is one ray (``base`` ``(m,)``, ``w`` ``(C(m,k),)``,
+int ``pivot`` and ``pivot_sign``) or N rays (``(N, m)``, ``(N, C(m,k))``,
+``(N,)``); every function works row-wise, and a stack raises if any row fails.
 """
 from __future__ import annotations
 
@@ -24,117 +29,134 @@ from .errors import (
 )
 from .kvector import KVector, canonical_lift
 from .maps import DifferentiableMap
-from .multiindex import MultiIndex, enumerate_multiindices, rank
+from .multiindex import enumerate_multiindices
 
 PIVOT_TOL = 1e-12  # relative degeneracy threshold for pivot components
 
 
+def _at(a: np.ndarray, r) -> np.ndarray:
+    """``a[..., r]`` row by row, for one rank or one rank per row."""
+    return np.take_along_axis(a, np.asarray(r)[..., None], axis=-1)[..., 0]
+
+
+def _row(bad) -> str:
+    """' (row i)' naming the first flagged row of a stack; '' for one point."""
+    return f" (row {int(np.argmax(bad))})" if np.ndim(bad) else ""
+
+
 @dataclass(frozen=True, eq=False)
 class GrassmannPoint:
-    """A ray of k-vectors at ``base`` in the chart of ``pivot``."""
+    """A ray of k-vectors at ``base`` in the chart of rank ``pivot``, or a stack of rays."""
 
     base: np.ndarray
-    pivot: MultiIndex
-    pivot_sign: int
+    pivot: int | np.ndarray
+    pivot_sign: int | np.ndarray
     w: np.ndarray
     k: int
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float).reshape(-1))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float).reshape(-1))
-        if self.pivot_sign not in (-1, 1):
+        w = np.asarray(self.w, dtype=float)
+        lead = w.shape[:-1]
+        pivot, sign = np.asarray(self.pivot), np.asarray(self.pivot_sign).astype(int)
+        if not np.all(np.abs(sign) == 1):
             raise ValueError("pivot_sign must be +1 or -1")
-        if abs(self.w[rank(self.pivot)]) != 1.0:
+        if not np.all(np.abs(_at(w, pivot)) == 1.0):
             raise ValueError("pivot slot of w must hold the sign label (+-1)")
+        object.__setattr__(self, "base", np.asarray(self.base, dtype=float).reshape(lead + (-1,)))
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "pivot", pivot if lead else int(pivot))
+        object.__setattr__(self, "pivot_sign", sign if lead else int(sign))
 
     def representative(self) -> KVector:
         """The scale-canonical k-vector of the ray (pivot component = sign)."""
-        comps = self.pivot_sign * self.w
-        comps[rank(self.pivot)] = float(self.pivot_sign)
+        sign = np.asarray(self.pivot_sign)[..., None]
+        comps = sign * self.w
+        np.put_along_axis(comps, np.asarray(self.pivot)[..., None], sign, axis=-1)
         return KVector(self.base, comps, self.k, self.m)
 
     def __repr__(self) -> str:
-        return (
-            f"GrassmannPoint(pivot={self.pivot}, sign={self.pivot_sign:+d}, "
-            f"base={self.base}, w={self.w})"
-        )
+        chart = f"pivot={self.pivot}, sign={self.pivot_sign}, base={self.base}, w={self.w}"
+        return f"GrassmannPoint(k={self.k}, m={self.m}, {chart})"
 
 
-def equivalent(xi1: KVector, xi2: KVector, tol: float = 1e-9) -> bool:
-    """True iff xi1 = lambda xi2 for some lambda > 0 (same base point).
+def equivalent(xi1: KVector, xi2: KVector, tol: float = 1e-9):
+    """True iff xi1 = lambda xi2 for some lambda > 0 (same base point), row-wise.
 
     lambda is fixed from the largest-magnitude component and verified on
     all others within relative ``tol``.
     """
-    if (xi1.k, xi1.m) != (xi2.k, xi2.m):
+    if (xi1.k, xi1.m) != (xi2.k, xi2.m) or xi1.comps.shape != xi2.comps.shape:
         raise DimensionMismatchError("degree/dimension mismatch")
-    n1, n2 = np.max(np.abs(xi1.comps)), np.max(np.abs(xi2.comps))
-    if n1 == 0.0 or n2 == 0.0:
+    n1 = np.max(np.abs(xi1.comps), axis=-1)
+    if np.any(n1 == 0.0) or np.any(np.max(np.abs(xi2.comps), axis=-1) == 0.0):
         raise ZeroKVectorError("equivalence is defined for nonzero k-vectors")
     if not np.allclose(xi1.base, xi2.base, rtol=tol, atol=tol):
         raise DimensionMismatchError("k-vectors based at different points")
-    i = int(np.argmax(np.abs(xi2.comps)))
-    lam = xi1.comps[i] / xi2.comps[i]
-    if lam <= 0.0:
-        return False
-    return bool(np.max(np.abs(xi1.comps - lam * xi2.comps)) <= tol * n1)
+    i = np.argmax(np.abs(xi2.comps), axis=-1)
+    lam = (_at(xi1.comps, i) / _at(xi2.comps, i))[..., None]
+    same = (lam[..., 0] > 0.0) & (np.max(np.abs(xi1.comps - lam * xi2.comps), axis=-1) <= tol * n1)
+    return same if same.ndim else bool(same)
 
 
-def to_grassmann(xi: KVector, pivot: MultiIndex | None = None) -> GrassmannPoint:
-    """Chart representative of the ray of ``xi``.
+def to_grassmann(xi: KVector, pivot=None) -> GrassmannPoint:
+    """Chart representative of the ray of ``xi`` at ``pivot``, a rank or one per row.
 
     Without an explicit pivot, the multi-index with the largest absolute
     component is chosen (ties broken by lowest rank), which keeps the
     divisions well conditioned.
     """
-    amax = float(np.max(np.abs(xi.comps)))
-    if amax == 0.0:
-        raise ZeroKVectorError("zero k-vector has no ray")
+    lead = xi.comps.shape[:-1]
+    amax = np.max(np.abs(xi.comps), axis=-1)
+    if np.any(amax == 0.0):
+        raise ZeroKVectorError(f"zero k-vector has no ray{_row(amax == 0.0)}")
     if pivot is None:
-        r = int(np.argmax(np.abs(xi.comps)))  # argmax returns the lowest rank on ties
-        pivot = enumerate_multiindices(xi.k, xi.m)[r]
+        pivot = np.asarray(np.argmax(np.abs(xi.comps), axis=-1))  # the lowest rank on ties
     else:
-        if (pivot.k, pivot.m) != (xi.k, xi.m):
-            raise DimensionMismatchError("pivot degree/dimension mismatch")
-        r = rank(pivot)
-    c = float(xi.comps[r])
-    if abs(c) <= PIVOT_TOL * amax:
-        raise PivotDegenerateError(f"component at pivot {pivot} vanishes")
-    sign = 1 if c > 0 else -1
-    w = xi.comps / c
-    w[r] = float(sign)
+        pivot, size = np.asarray(pivot), xi.comps.shape[-1]
+        bad = pivot.dtype.kind not in "iu" or pivot.shape not in ((), lead)
+        if bad or np.any((pivot < 0) | (pivot >= size)):
+            raise DimensionMismatchError(f"pivot must be one rank in 0..{size - 1} per row")
+        pivot = np.broadcast_to(pivot, lead)
+    c = _at(xi.comps, pivot)
+    degenerate = np.abs(c) <= PIVOT_TOL * amax
+    if np.any(degenerate):
+        nu = enumerate_multiindices(xi.k, xi.m)[pivot.flat[np.argmax(degenerate)]]
+        raise PivotDegenerateError(f"component at pivot {nu}{_row(degenerate)} vanishes")
+    sign = np.where(c > 0, 1, -1)
+    w = xi.comps / c[..., None]
+    np.put_along_axis(w, pivot[..., None], sign[..., None], axis=-1)
     return GrassmannPoint(xi.base.copy(), pivot, sign, w, xi.k, xi.m)
 
 
-def grassmann_transition(p: GrassmannPoint, new_pivot: MultiIndex) -> GrassmannPoint:
-    """Re-express a ray in the chart of ``new_pivot``."""
-    rep = p.representative()
-    r = rank(new_pivot)
-    if abs(rep.comps[r]) <= PIVOT_TOL * float(np.max(np.abs(rep.comps))):
-        raise NotInChartError(f"ray not in the chart of pivot {new_pivot}")
-    return to_grassmann(rep, new_pivot)
+def grassmann_transition(p: GrassmannPoint, new_pivot) -> GrassmannPoint:
+    """Re-express each ray in the chart of ``new_pivot``, a rank or one per row."""
+    try:
+        return to_grassmann(p.representative(), new_pivot)
+    except PivotDegenerateError as err:
+        raise NotInChartError(f"ray not in the chart: {err}") from None
 
 
 def grassmann_canonical_lift(f: DifferentiableMap, t) -> GrassmannPoint:
-    """Ray of the canonical lift of a parametrization at t."""
+    """Ray of the canonical lift of a parametrization at t ``(k,)`` or nodes ``(N, k)``."""
     kv = canonical_lift(f, t)
-    if float(np.max(np.abs(kv.comps))) == 0.0:
-        raise ImmersionError(f"{f.name}: parametrization not immersed at t={t}")
+    vanish = np.max(np.abs(kv.comps), axis=-1) == 0.0
+    if np.any(vanish):
+        node = np.reshape(np.asarray(t, dtype=float), vanish.shape + (-1,))[vanish][0]
+        raise ImmersionError(f"{f.name}: parametrization not immersed at t={node}")
     return to_grassmann(kv)
 
 
 def points_close(
     p: GrassmannPoint, q: GrassmannPoint, tol: float = 1e-12, base_tol: float | None = None
 ) -> bool:
-    """Field-wise comparison after transporting q into p's chart."""
+    """Field-wise comparison, of every row, after transporting q into p's chart."""
     if (p.k, p.m) != (q.k, q.m):
         return False
     q = grassmann_transition(q, p.pivot)
-    if q.pivot_sign != p.pivot_sign:
+    if np.any(q.pivot_sign != p.pivot_sign):
         return False
-    if base_tol is None:
-        base_tol = tol
+    base_tol = tol if base_tol is None else base_tol
     return bool(
         np.allclose(p.base, q.base, rtol=base_tol, atol=base_tol)
         and np.max(np.abs(p.w - q.w)) <= tol

@@ -16,6 +16,8 @@ computed.  It takes a stack of Jacobians ``(..., m, n)`` and returns
 ``(..., C(m,k), C(n,k))``.  :func:`canonical_lift` at nodes ``(N, k)``
 returns a :class:`KVector` stack with ``base`` ``(N, m)`` and ``comps``
 ``(N, C(m,k))``; at a single point ``(k,)`` it returns one k-vector.
+:func:`lift_kvector` takes points ``(N, n)`` and a k-vector stack based
+there and returns the N lifts; one point ``(n,)`` is the N = 1 case.
 """
 from __future__ import annotations
 
@@ -140,18 +142,16 @@ def lift_kvector(f: DifferentiableMap, x, xi: KVector) -> KVector:
     Returns the k-vector at f(x) whose components are the compound matrix
     of the Jacobian (its k x k minors) applied to ``xi.comps``.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if xi.m != f.domain_dim:
         raise DimensionMismatchError(
             f"k-vector lives in dimension {xi.m}, map domain is {f.domain_dim}"
         )
-    if not np.allclose(x, xi.base, rtol=1e-9, atol=1e-12):
-        raise DimensionMismatchError("k-vector is not based at the given point")
-    if xi.k > min(f.domain_dim, f.codomain_dim):
-        raise InvalidDegreeError(
-            f"degree {xi.k} exceeds min({f.domain_dim}, {f.codomain_dim})"
-        )
-    comps = minors(f.jacobian(x), xi.k) @ xi.comps
+    if x.shape != xi.base.shape or not np.allclose(x, xi.base, rtol=1e-9, atol=1e-12):
+        raise DimensionMismatchError(f"k-vectors at {xi.base.shape} not based at points {x.shape}")
+    # minors raises InvalidDegreeError for k > m; a row-wise sum, since a
+    # stacked matmul rounds a row apart from the same row alone
+    comps = np.sum(minors(f.jacobian(x), xi.k) * xi.comps[..., None, :], axis=-1)
     return KVector(f(x), comps, xi.k, f.codomain_dim)
 
 
@@ -218,9 +218,7 @@ def canonical_section_along_s(chart: AdaptedChart, y) -> KVector:
         )
     base = y.copy()
     base[chart.k :] = 0.0
-    comps = np.zeros(math.comb(chart.m, chart.k))
-    comps[0] = 1.0
-    return KVector(base, comps, chart.k, chart.m)
+    return canonical_field(base, chart.k)
 
 
 def exterior_product_comps(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grassvar.errors import (
+    DimensionMismatchError,
     ImmersionError,
     NotInChartError,
     PivotDegenerateError,
@@ -24,6 +25,7 @@ from grassvar.maps import (
     compose,
     graph_surface,
     linear_map,
+    polynomial_map,
     torus_patch,
     trig_shear,
 )
@@ -64,7 +66,7 @@ def test_equivalent_zero_rejected():
 def test_to_grassmann_worked_example():
     xi = KVector(np.zeros(3), np.array([2.0, 4.0, -6.0]), 2, 3)
     p = to_grassmann(xi)
-    assert p.pivot.indices == (2, 3)
+    assert enumerate_multiindices(2, 3)[p.pivot].indices == (2, 3)
     assert p.pivot_sign == -1
     assert np.allclose(p.w, [-1.0 / 3.0, -2.0 / 3.0, -1.0])
 
@@ -84,7 +86,7 @@ def test_to_grassmann_canonical_section_value():
     comps = np.zeros(math.comb(4, 2))
     comps[0] = 1.0
     p = to_grassmann(KVector(np.zeros(4), comps, 2, 4))
-    assert p.pivot.indices == (1, 2) and p.pivot_sign == 1
+    assert enumerate_multiindices(2, 4)[p.pivot].indices == (1, 2) and p.pivot_sign == 1
     expected = np.zeros_like(comps)
     expected[0] = 1.0
     assert np.allclose(p.w, expected)
@@ -95,7 +97,10 @@ def test_to_grassmann_errors():
         to_grassmann(KVector(np.zeros(3), np.zeros(3), 2, 3))
     xi = KVector(np.zeros(3), np.array([1.0, 0.0, 2.0]), 2, 3)
     with pytest.raises(PivotDegenerateError):
-        to_grassmann(xi, MultiIndex((1, 3), 3))
+        to_grassmann(xi, rank(MultiIndex((1, 3), 3)))
+    for bad in (3, -1, 1.0, [0, 1]):  # ranks run 0..2, one per row of a single k-vector
+        with pytest.raises(DimensionMismatchError):
+            to_grassmann(xi, bad)
 
 
 def test_representative_idempotence(rng):
@@ -113,8 +118,8 @@ def test_representative_idempotence(rng):
 
 def test_transition_worked_example():
     w = np.array([1.0, 0.5, -0.25])
-    p = GrassmannPoint(np.zeros(3), MultiIndex((1, 2), 3), 1, w, 2, 3)
-    q = grassmann_transition(p, MultiIndex((1, 3), 3))
+    p = GrassmannPoint(np.zeros(3), rank(MultiIndex((1, 2), 3)), 1, w, 2, 3)
+    q = grassmann_transition(p, rank(MultiIndex((1, 3), 3)))
     assert q.pivot_sign == 1
     assert np.allclose(q.w, [2.0, 1.0, -0.5])
     ident = grassmann_transition(p, p.pivot)
@@ -128,11 +133,11 @@ def test_transition_roundtrip_many(rng):
         m = int(rng.integers(max(k, 2), 6))
         xi = random_kvector(rng, k, m)
         p = to_grassmann(xi)
-        others = [mi for mi in enumerate_multiindices(k, m) if mi != p.pivot]
+        others = [r for r in range(math.comb(m, k)) if r != p.pivot]
         if not others:
             continue
         nu2 = others[int(rng.integers(0, len(others)))]
-        if abs(p.representative().comps[rank(nu2)]) < 1e-3:
+        if abs(p.representative().comps[nu2]) < 1e-3:
             continue  # stay safely inside both charts
         q = grassmann_transition(p, nu2)
         back = grassmann_transition(q, p.pivot)
@@ -144,9 +149,9 @@ def test_transition_roundtrip_many(rng):
 
 def test_transition_not_in_chart():
     w = np.array([1.0, 0.0, 0.5])
-    p = GrassmannPoint(np.zeros(3), MultiIndex((1, 2), 3), 1, w, 2, 3)
+    p = GrassmannPoint(np.zeros(3), rank(MultiIndex((1, 2), 3)), 1, w, 2, 3)
     with pytest.raises(NotInChartError):
-        grassmann_transition(p, MultiIndex((1, 3), 3))
+        grassmann_transition(p, rank(MultiIndex((1, 3), 3)))
 
 
 # -- canonical lifts into the ray space --------------------------------------
@@ -154,7 +159,7 @@ def test_transition_not_in_chart():
 def test_lift_of_inclusion_hits_base_chart():
     inc = CanonicalInclusion(2, 4).inclusion
     p = grassmann_canonical_lift(inc, np.array([0.2, 0.4]))
-    assert p.pivot.indices == (1, 2) and p.pivot_sign == 1
+    assert enumerate_multiindices(2, 4)[p.pivot].indices == (1, 2) and p.pivot_sign == 1
     expected = np.zeros(math.comb(4, 2))
     expected[0] = 1.0
     assert np.allclose(p.w, expected)
@@ -186,7 +191,7 @@ def test_orientation_reversal_flips_sign(rng):
     assert composed.pivot_sign == -direct.pivot_sign
     # non-pivot ratios are insensitive to overall sign; the pivot slot holds the flipped label
     mask = np.ones(len(direct.w), dtype=bool)
-    mask[rank(direct.pivot)] = False
+    mask[direct.pivot] = False
     assert np.allclose(composed.w[mask], direct.w[mask], atol=1e-12)
 
 
@@ -194,6 +199,32 @@ def test_lift_immersion_failure():
     collapse = linear_map([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
     with pytest.raises(ImmersionError):
         grassmann_canonical_lift(collapse, np.array([0.3, 0.3]))
+
+
+def test_lift_of_a_node_stack_is_a_stacked_point():
+    patch = torus_patch(2.0, 0.7)
+    T = np.array([[0.2, 0.3], [0.4, 0.5], [1.1, -0.6]])
+    p = grassmann_canonical_lift(patch, T)
+    assert p.base.shape == (3, 3) and p.w.shape == (3, 3)
+    assert p.pivot.shape == p.pivot_sign.shape == (3,)
+    for i, t in enumerate(T):
+        one = grassmann_canonical_lift(patch, t)
+        assert (one.pivot, one.pivot_sign) == (p.pivot[i], p.pivot_sign[i])
+        assert np.array_equal(one.w, p.w[i]) and np.array_equal(one.base, p.base[i])
+
+
+def test_lift_immersion_failure_names_the_first_collapsed_node():
+    # (u^2, v^2, uv) is immersed away from the origin only
+    cone = polynomial_map(2, [[(1.0, (2, 0))], [(1.0, (0, 2))], [(1.0, (1, 1))]])
+    T = np.array([[0.3, 0.1], [0.0, 0.0], [0.25, 0.5], [0.0, 0.0]])
+    with pytest.raises(ImmersionError, match=r"t=\[0\. 0\.\]$"):
+        grassmann_canonical_lift(cone, T)
+
+
+def test_repr_of_a_stack():
+    xi = KVector(np.zeros((2, 3)), np.array([[2.0, 4.0, -6.0], [1.0, 0.0, 0.0]]), 2, 3)
+    text = repr(to_grassmann(xi))
+    assert text.startswith("GrassmannPoint(k=2, m=3, pivot=[2 0], sign=[-1  1]")
 
 
 # -- adapted-chart change laws ----------------------------------------------

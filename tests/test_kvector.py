@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grassvar.errors import (
+    DimensionMismatchError,
     EvaluationError,
     InvalidDegreeError,
     OffSubmanifoldError,
@@ -170,6 +171,39 @@ def test_lift_functoriality_cauchy_binet(rng):
         scale = max(1.0, direct.norm)
         assert np.max(np.abs(direct.comps - staged.comps)) <= FUNCTORIALITY_TOL * scale
         assert np.allclose(direct.base, staged.base)
+
+
+def test_lift_of_a_stack_matches_single_points(rng):
+    cubic = polynomial_map(3, [[(1.0, (2, 0, 1))], [(1.0, (0, 1, 1)), (-0.5, (1, 0, 0))],
+                               [(0.5, (1, 1, 0))], [(2.0, (0, 0, 3))]])
+    shears = compose(trig_shear(0.4), trig_shear(0.2))
+    affine = affine_map(rng.normal(size=(4, 3)), rng.normal(size=4))
+    for f, k in ((cubic, 1), (cubic, 2), (cubic, 3), (shears, 2), (affine, 2)):
+        n = f.domain_dim
+        x = rng.normal(size=(7, n))
+        xi = KVector(x, rng.normal(size=(7, math.comb(n, k))), k, n)
+        lifted = lift_kvector(f, x, xi)
+        assert lifted.comps.shape == (7, math.comb(f.codomain_dim, k))
+        for i in range(7):
+            one = lift_kvector(f, x[i], KVector(x[i], xi.comps[i], k, n))
+            assert np.array_equal(lifted.comps[i], one.comps)
+            # an affine map evaluates a stack with one matmul, whose rows may
+            # round apart from one point alone; the other maps go node by node
+            assert np.array_equal(lifted.base[i], one.base) or f is affine
+
+
+def test_lift_rejects_mismatched_stacks(rng):
+    f = polynomial_map(3, [[(1.0, (2, 0, 1))], [(1.0, (0, 1, 1))]])
+    x = rng.normal(size=(4, 3))
+    stack = KVector(x, rng.normal(size=(4, 3)), 2, 3)
+    with pytest.raises(DimensionMismatchError):  # stacks of different N
+        lift_kvector(f, x[:3], stack)
+    with pytest.raises(DimensionMismatchError):
+        lift_kvector(f, np.vstack([x, x[:1]]), stack)
+    with pytest.raises(DimensionMismatchError):  # one k-vector, stacked points
+        lift_kvector(f, x, KVector(x[0], stack.comps[0], 2, 3))
+    with pytest.raises(DimensionMismatchError):  # stacked k-vectors, one point
+        lift_kvector(f, x[0], stack)
 
 
 def test_lift_degree_errors():

@@ -13,10 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from grassvar.errors import NotInChartError, PivotDegenerateError
 from grassvar.expressions import ExprCoeff
 from grassvar.forms import KForm, exterior_derivative
+from grassvar.grassmann import equivalent, grassmann_transition, to_grassmann
 from grassvar.kvector import KVector, lift_kvector, minors, plucker_residual, wedge
 from grassvar.maps import affine_map, compose
+
+from .test_grassmann import TRANSITION_TOL
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -110,3 +114,60 @@ def test_wedge_of_two_vectors_satisfies_plucker(uv):
     u, v = uv
     residual = plucker_residual(wedge([u, v], np.zeros(len(u))))
     assert residual <= 1e-13 * (1.0 + (np.linalg.norm(u) * np.linalg.norm(v)) ** 2)
+
+
+@st.composite
+def _charted_stacks(draw):
+    """A stack of k-vectors, 1 <= k < m <= 5, whose components all have
+    magnitude in [0.5, 2], so every pivot is admissible; a target pivot per
+    row other than the row's own (largest-component) pivot; one row."""
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, m - 1))
+    n, size = draw(st.integers(1, 6)), math.comb(m, k)
+    magnitudes = draw(arrays(np.float64, (n, size), elements=st.floats(0.5, 2.0)))
+    signs = draw(arrays(np.bool_, (n, size)))
+    base = draw(arrays(np.float64, (n, m), elements=ENTRIES))
+    off = np.array(draw(st.lists(st.integers(0, size - 2), min_size=n, max_size=n)))
+    xi = KVector(base, np.where(signs, -magnitudes, magnitudes), k, m)
+    pivot = np.argmax(np.abs(xi.comps), axis=1)
+    return xi, off + (off >= pivot), draw(st.integers(0, n - 1))
+
+
+def _assert_same_point(one, p, i):
+    assert (one.pivot, one.pivot_sign) == (p.pivot[i], p.pivot_sign[i])
+    assert np.array_equal(one.w, p.w[i]) and np.array_equal(one.base, p.base[i])
+
+
+@SETTINGS
+@given(_charted_stacks())
+def test_stacked_pivot_charts_match_single_points(case):
+    xi, target, _ = case
+    p = to_grassmann(xi)
+    there = grassmann_transition(p, target)
+    back = grassmann_transition(there, p.pivot)
+    rep = p.representative()
+    at_target = to_grassmann(xi, target)
+    for i in range(len(target)):
+        row = KVector(xi.base[i], xi.comps[i], xi.k, xi.m)
+        one = to_grassmann(row)
+        _assert_same_point(one, p, i)
+        _assert_same_point(to_grassmann(row, int(target[i])), at_target, i)
+        _assert_same_point(grassmann_transition(one, int(target[i])), there, i)
+        assert np.array_equal(one.representative().comps, rep.comps[i])
+    assert np.all(back.pivot_sign == p.pivot_sign)
+    scale = np.maximum(1.0, np.max(np.abs(p.w), axis=1))
+    assert np.all(np.max(np.abs(back.w - p.w), axis=1) <= TRANSITION_TOL * scale)
+    assert np.all(equivalent(there.representative(), rep, tol=1e-12))
+
+
+@SETTINGS
+@given(_charted_stacks())
+def test_one_bad_row_makes_the_whole_stack_raise(case):
+    xi, target, row = case
+    comps = xi.comps.copy()
+    comps[row, target[row]] = 0.0  # not the row's own pivot, which stays put
+    bad = KVector(xi.base, comps, xi.k, xi.m)
+    with pytest.raises(PivotDegenerateError, match=rf"\(row {row}\) vanishes"):
+        to_grassmann(bad, target)
+    with pytest.raises(NotInChartError, match=rf"\(row {row}\) vanishes"):
+        grassmann_transition(to_grassmann(bad), target)
