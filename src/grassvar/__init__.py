@@ -1,6 +1,15 @@
 """grassvar: exterior algebra of k-vectors, Grassmann ray charts,
 differential-form quadrature, and Finsler/areal variational functionals,
-all in explicit chart coordinates over boxes."""
+all in explicit chart coordinates over boxes.
+
+The shipped scenarios run every name exported here except the library
+entry points :func:`wedge`, :func:`equivalent`,
+:func:`grassmann_canonical_lift`, :func:`hilbert_form` and
+:func:`first_variation`, and the metric kinds ``riemannian`` and
+``mth_root``, which a scenario may name but none of the shipped ones does.
+``VariationField.radial_sine_bump``, ``KForm.partial`` and the map catalog
+of :mod:`grassvar.maps` are library entry points as well.
+"""
 
 from . import errors
 from .finsler import (
@@ -46,17 +55,7 @@ from .grassmann import (
     grassmann_transition,
     to_grassmann,
 )
-from .kvector import (
-    AdaptedChart,
-    KVector,
-    canonical_field,
-    canonical_lift,
-    canonical_section_along_s,
-    lift_kvector,
-    plucker_residual,
-    wedge,
-)
-from .maps import CanonicalInclusion, DifferentiableMap, compose, from_catalog
-from .multiindex import MultiIndex, enumerate_multiindices, normalize_tuple, rank
+from .kvector import KVector, canonical_lift, enumerate_multiindices, lift_kvector, wedge
+from .maps import DifferentiableMap, compose, from_catalog
 
 __version__ = "0.1.0"

@@ -9,10 +9,6 @@ class InvalidDegreeError(GrassvarError):
     """Degree k outside the admissible range for the given dimensions."""
 
 
-class InvalidIndexError(GrassvarError):
-    """An index entry falls outside 1..m."""
-
-
 class DimensionMismatchError(GrassvarError):
     """Operands disagree on dimension or degree."""
 
@@ -33,10 +29,6 @@ class NotInChartError(PivotDegenerateError):
     """A ray representative does not lie in the target pivot chart."""
 
 
-class OffSubmanifoldError(GrassvarError):
-    """A point violates the adapted-chart equations y^{k+1} = ... = y^m = 0."""
-
-
 class ImmersionError(GrassvarError):
     """A parametrization is degenerate (zero canonical lift) where it must not be."""
 
@@ -48,10 +40,6 @@ class OrientationError(GrassvarError):
 
 class SlitDomainError(GrassvarError):
     """A fiber-wise function was evaluated at (numerically) zero fiber velocity."""
-
-
-class UnsupportedDegreeError(GrassvarError):
-    """The operation is only implemented for a restricted set of degrees."""
 
 
 class InvalidPartitionError(GrassvarError):

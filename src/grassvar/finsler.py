@@ -310,18 +310,3 @@ def pullback_identity_residual(F: FinslerFunction, curve: DifferentiableMap, t_s
     except SlitDomainError as exc:
         raise ImmersionError(f"{curve.name}: zero velocity ({exc})") from exc
     return float(np.max(np.abs(residual), initial=0.0))
-
-
-def fiber_gradient_fd_residual(
-    F: FinslerFunction, rng: np.random.Generator, sample_count: int = 50, h: float = 1e-6
-) -> float:
-    """Max deviation of the analytic fiber gradient from central differences."""
-    Y, V = _sample_fibers(F, rng, sample_count)
-    G = F.fiber_gradient(Y, V)
-    worst = 0.0
-    for j in range(F.fiber_dim):
-        step = np.zeros_like(V)
-        step[:, j] = h
-        fd = (F(Y, V + step) - F(Y, V - step)) / (2.0 * h)
-        worst = max(worst, float(np.max(np.abs(G[:, j] - fd), initial=0.0)))
-    return worst

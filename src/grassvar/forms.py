@@ -41,9 +41,8 @@ from .errors import (
     QuadratureTargetWarning,
 )
 from .expressions import ExprCoeff, signed_sum
-from .kvector import KVector, canonical_lift, minors
+from .kvector import KVector, canonical_lift, enumerate_multiindices, minors, multiindex_ranks
 from .maps import DifferentiableMap, compose, insert_axis_map
-from .multiindex import enumerate_multiindices, normalize_tuple, rank
 
 DEGENERACY_TOL = 1e-13
 CHUNK_NODES = 4096  # quadrature nodes evaluated per integrand call
@@ -84,22 +83,23 @@ class KForm:
     def from_dict(cls, k: int, m: int, entries: dict) -> "KForm":
         """Build from a {index tuple: coefficient} mapping; missing entries are 0.
 
+        Each key is a strictly increasing k-tuple of indices in 1..m (the
+        empty tuple for k = 0); any other key raises DimensionMismatchError.
         Coefficient values may be callables, ExprCoeff, expression strings,
         or numbers.
         """
         def lift(v):
             return v if callable(v) else ExprCoeff(v, m)
 
-        if k == 0:
-            return cls(0, m, [lift(entries.get((), 0.0))])
-        coeffs = [lift(0.0)] * math.comb(m, k)
+        ranks = multiindex_ranks(k, m) if k else {(): 0}
+        coeffs = [lift(0.0)] * len(ranks)
         for key, v in entries.items():
-            idx, sign = normalize_tuple(tuple(key), m)
-            if sign == 0:
-                raise DimensionMismatchError(f"repeated index in {key}")
-            if sign < 0:
-                raise DimensionMismatchError(f"use increasing index order in {key}")
-            coeffs[rank(idx)] = lift(v)
+            key = tuple(key)
+            if key not in ranks:
+                raise DimensionMismatchError(
+                    f"coefficient key {key} is not an increasing {k}-tuple in 1..{m}"
+                )
+            coeffs[ranks[key]] = lift(v)
         return cls(k, m, coeffs)
 
     def values(self, y) -> np.ndarray:
@@ -152,12 +152,8 @@ class Piece:
 
     def grid(self, per_axis: int = 3) -> np.ndarray:
         """Evenly spaced sample points of the box, ``(per_axis**k, k)``."""
-        return _grid(self.param_box, per_axis)
-
-
-def _grid(box, per_axis: int) -> np.ndarray:
-    axes = np.meshgrid(*[np.linspace(a, b, per_axis) for a, b in box], indexing="ij")
-    return np.stack(axes, axis=-1).reshape(-1, len(box))
+        axes = [np.linspace(a, b, per_axis) for a, b in self.param_box]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.k)
 
 
 @dataclass(frozen=True)
@@ -381,13 +377,6 @@ class PartitionOfUnity:
         w = self.weights(t)[j]
         return float(w[0]) if np.ndim(t) < 2 else w
 
-    def check_sums_to_one(self, box, per_axis: int = 9, tol: float = 1e-10) -> float:
-        """Max |sum_j chi_j - 1| over a sample grid of ``box``."""
-        worst = float(np.max(np.abs(np.sum(self.weights(_grid(box, per_axis)), axis=0) - 1.0)))
-        if worst > tol:
-            raise InvalidPartitionError(f"partition sums deviate from 1 by {worst:g}")
-        return worst
-
     @classmethod
     def uniform_cover(cls, box, pieces_per_axis, overlap: float = 0.6) -> "PartitionOfUnity":
         """Overlapping windows, ``pieces_per_axis[d]`` per axis, as a product cover.
@@ -461,9 +450,9 @@ def exterior_derivative(eta: KForm) -> KForm:
     coeffs = []
     for J in enumerate_multiindices(k + 1, m):
         signed = []  # (sign, source component, partial axis) per term of (d eta)_J
-        for a, j in enumerate(J.indices):
-            rest = J.indices[:a] + J.indices[a + 1:]
-            signed.append(((-1) ** a, 0 if k == 0 else rank(normalize_tuple(rest, m)[0]), j - 1))
+        for a, j in enumerate(J):
+            rest = J[:a] + J[a + 1:]  # increasing, since J is
+            signed.append(((-1) ** a, 0 if k == 0 else multiindex_ranks(k, m)[rest], j - 1))
         if all(isinstance(c, ExprCoeff) for c in eta.coeffs):
             coeffs.append(signed_sum([(s, eta.coeffs[c].partial(j)) for s, c, j in signed], m))
         else:

@@ -27,9 +27,8 @@ from .errors import (
     PivotDegenerateError,
     ZeroKVectorError,
 )
-from .kvector import KVector, canonical_lift
+from .kvector import KVector, canonical_lift, enumerate_multiindices
 from .maps import DifferentiableMap
-from .multiindex import enumerate_multiindices
 
 PIVOT_TOL = 1e-12  # relative degeneracy threshold for pivot components
 
@@ -122,7 +121,9 @@ def to_grassmann(xi: KVector, pivot=None) -> GrassmannPoint:
     degenerate = np.abs(c) <= PIVOT_TOL * amax
     if np.any(degenerate):
         nu = enumerate_multiindices(xi.k, xi.m)[pivot.flat[np.argmax(degenerate)]]
-        raise PivotDegenerateError(f"component at pivot {nu}{_row(degenerate)} vanishes")
+        raise PivotDegenerateError(
+            f"component at pivot ({','.join(map(str, nu))}){_row(degenerate)} vanishes"
+        )
     sign = np.where(c > 0, 1, -1)
     w = xi.comps / c[..., None]
     np.put_along_axis(w, pivot[..., None], sign[..., None], axis=-1)
@@ -145,19 +146,3 @@ def grassmann_canonical_lift(f: DifferentiableMap, t) -> GrassmannPoint:
         node = np.reshape(np.asarray(t, dtype=float), vanish.shape + (-1,))[vanish][0]
         raise ImmersionError(f"{f.name}: parametrization not immersed at t={node}")
     return to_grassmann(kv)
-
-
-def points_close(
-    p: GrassmannPoint, q: GrassmannPoint, tol: float = 1e-12, base_tol: float | None = None
-) -> bool:
-    """Field-wise comparison, of every row, after transporting q into p's chart."""
-    if (p.k, p.m) != (q.k, q.m):
-        return False
-    q = grassmann_transition(q, p.pivot)
-    if np.any(q.pivot_sign != p.pivot_sign):
-        return False
-    base_tol = tol if base_tol is None else base_tol
-    return bool(
-        np.allclose(p.base, q.base, rtol=base_tol, atol=base_tol)
-        and np.max(np.abs(p.w - q.w)) <= tol
-    )

@@ -1,10 +1,14 @@
-"""k-vectors in chart coordinates: wedges, lifts, and canonical sections.
+"""k-vectors in chart coordinates: the multi-index layout, wedges and lifts.
 
 A k-vector at a point y of an m-dimensional chart is stored as the array of
-its components over strictly increasing multi-indices.  The lift of a
-differentiable map acts on these components through the k-th compound
-matrix of the Jacobian (the matrix of all k x k minors), which is the
-coordinate form of pushing a wedge of tangent vectors forward::
+its components over strictly increasing multi-indices.  This module owns
+that layout: :func:`enumerate_multiindices` lists the increasing k-tuples
+in 1..m in lexicographic order, the position in that list is a tuple's
+rank, and every component array, minor table and form coefficient list in
+the package is laid out in rank order.  The lift of a differentiable map
+acts on the components through the k-th compound matrix of the Jacobian
+(the matrix of all k x k minors), which is the coordinate form of pushing
+a wedge of tangent vectors forward::
 
     (lift Xi)^I = sum_J det(Jac[I rows, J cols]) Xi^J
 
@@ -29,22 +33,30 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EvaluationError,
-    InvalidDegreeError,
-    OffSubmanifoldError,
-    UnsupportedDegreeError,
-)
-from .maps import CanonicalInclusion, DifferentiableMap
-from .multiindex import enumerate_multiindices, normalize_tuple, rank
+from .errors import DimensionMismatchError, EvaluationError, InvalidDegreeError
+from .maps import DifferentiableMap
+
+
+@lru_cache(maxsize=None)
+def enumerate_multiindices(k: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """All C(m, k) increasing k-tuples in 1..m, in lexicographic (rank) order."""
+    if not 1 <= k <= m:
+        raise InvalidDegreeError(f"degree {k} not in 1..{m}")
+    return tuple(itertools.combinations(range(1, m + 1), k))
+
+
+@lru_cache(maxsize=None)
+def multiindex_ranks(k: int, m: int) -> dict[tuple[int, ...], int]:
+    """Rank of each increasing k-tuple in 1..m; any other tuple is not a key.
+    The cached dict is shared, so callers only read it."""
+    return {index: r for r, index in enumerate(enumerate_multiindices(k, m))}
 
 
 @lru_cache(maxsize=None)
 def _index_table(k: int, m: int) -> np.ndarray:
-    """Zero-based rows of the increasing k-subsets of 0..m-1, in rank order;
-    read-only, since every caller shares the cached array."""
-    table = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+    """Zero-based rows of :func:`enumerate_multiindices`; read-only, since
+    every caller shares the cached array."""
+    table = np.array(enumerate_multiindices(k, m), dtype=np.intp) - 1
     table.flags.writeable = False
     return table
 
@@ -104,9 +116,6 @@ class KVector:
         if not (np.all(np.isfinite(base)) and np.all(np.isfinite(comps))):
             raise EvaluationError("non-finite k-vector data")
 
-    def scaled(self, factor: float) -> "KVector":
-        return KVector(self.base, factor * self.comps, self.k, self.m)
-
     @property
     def norm(self):
         """Euclidean norm of the components; one per k-vector of a stack."""
@@ -155,17 +164,6 @@ def lift_kvector(f: DifferentiableMap, x, xi: KVector) -> KVector:
     return KVector(f(x), comps, xi.k, f.codomain_dim)
 
 
-def canonical_field(t, k: int) -> KVector:
-    """The basis k-vector d/dt^1 ^ ... ^ d/dt^k at the point t of R^n."""
-    t = np.asarray(t, dtype=float).reshape(-1)
-    n = t.shape[0]
-    if not 1 <= k <= n:
-        raise InvalidDegreeError(f"degree {k} not in 1..{n}")
-    comps = np.zeros(math.comb(n, k))
-    comps[0] = 1.0  # (1,...,k) is first in lexicographic order
-    return KVector(t, comps, k, n)
-
-
 def canonical_lift(f: DifferentiableMap, t) -> KVector:
     """Lift a parametrization f: R^k -> chart through the canonical field.
 
@@ -178,79 +176,3 @@ def canonical_lift(f: DifferentiableMap, t) -> KVector:
             f"parametrization domain {k} exceeds chart dimension {f.codomain_dim}"
         )
     return KVector(f(t), minors(f.jacobian(t), k)[..., 0], k, f.codomain_dim)
-
-
-@dataclass(frozen=True)
-class AdaptedChart:
-    """An explicit chart adapted to a k-dimensional submanifold: the
-    submanifold is cut out by y^{k+1} = ... = y^m = 0."""
-
-    k: int
-    m: int
-    surface_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.m:
-            raise InvalidDegreeError(f"degree {self.k} not in 1..{self.m}")
-
-    def parametrization(self) -> DifferentiableMap:
-        return CanonicalInclusion(self.k, self.m).inclusion
-
-    def projection(self) -> DifferentiableMap:
-        return CanonicalInclusion(self.k, self.m).projection
-
-
-def canonical_section_along_s(chart: AdaptedChart, y) -> KVector:
-    """Value of the canonical section at a point of the adapted submanifold.
-
-    The section assigns to y = (y^1..y^k, 0..0) the k-vector with component
-    1 at (1,...,k) and 0 elsewhere; it equals the canonical lift of the
-    chart's parametrization composed with its projection.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape != (chart.m,):
-        raise DimensionMismatchError(f"point must have length {chart.m}")
-    tail = y[chart.k :]
-    scale = max(1.0, float(np.max(np.abs(y))))
-    if np.any(np.abs(tail) > chart.surface_tol * scale):
-        raise OffSubmanifoldError(
-            f"trailing coordinates {tail} exceed tolerance {chart.surface_tol:g}"
-        )
-    base = y.copy()
-    base[chart.k :] = 0.0
-    return canonical_field(base, chart.k)
-
-
-def exterior_product_comps(
-    a: np.ndarray, ka: int, b: np.ndarray, kb: int, m: int
-) -> np.ndarray:
-    """Components of the wedge of two antisymmetric component arrays."""
-    kc = ka + kb
-    if kc > m:
-        return np.zeros(0)
-    out = np.zeros(math.comb(m, kc))
-    idx_a = enumerate_multiindices(ka, m)
-    idx_b = enumerate_multiindices(kb, m)
-    for ra, I in enumerate(idx_a):
-        if a[ra] == 0.0:
-            continue
-        for rb, Jx in enumerate(idx_b):
-            if b[rb] == 0.0 or set(I.indices) & set(Jx.indices):
-                continue
-            K, sign = normalize_tuple(I.indices + Jx.indices, m)
-            out[rank(K)] += sign * a[ra] * b[rb]
-    return out
-
-
-def plucker_residual(xi: KVector) -> float:
-    """Euclidean norm of Xi ^ Xi; zero iff a 2-vector is decomposable.
-
-    Only degree 2 is supported: for k >= 3 decomposability is governed by
-    quadratic relation systems that this package does not implement.
-    """
-    if xi.k != 2:
-        raise UnsupportedDegreeError("plucker_residual supports degree 2 only")
-    square = exterior_product_comps(xi.comps, 2, xi.comps, 2, xi.m)
-    if square.size == 0:  # m < 4: every 2-vector is decomposable
-        return 0.0
-    return float(np.linalg.norm(square))

@@ -118,15 +118,6 @@ class DifferentiableMap:
         )
 
 
-def verify_jacobian(f: DifferentiableMap, points, tol: float = 1e-6) -> float:
-    """Max abs deviation between the map's Jacobian and central differences."""
-    T = np.asarray(points, dtype=float).reshape(-1, f.domain_dim)
-    worst = float(np.max(np.abs(f.jacobian(T) - f._fd_jacobian(T))))
-    if worst > tol:
-        raise MapEvaluationError(f"{f.name}: Jacobian off by {worst:g} (> {tol:g})")
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # catalog families
 # ---------------------------------------------------------------------------
@@ -422,20 +413,6 @@ def insert_axis_map(k: int, axis: int, value: float) -> DifferentiableMap:
     b = np.zeros(k)
     b[axis - 1] = float(value)
     return affine_map(A, b)
-
-
-class CanonicalInclusion:
-    """The inclusion i_{k,m}: (t^1..t^k) -> (t^1..t^k, 0,...,0) and its left
-    inverse pr_{m,k}; pr o i is the identity on R^k."""
-
-    def __init__(self, k: int, m: int):
-        if not 1 <= k <= m:
-            raise DimensionMismatchError(f"need 1 <= k <= m, got k={k}, m={m}")
-        self.k = int(k)
-        self.m = int(m)
-        A = np.eye(m, k)
-        self.inclusion = _affine(f"iota_{k}_{m}", A)
-        self.projection = _affine(f"pr_{m}_{k}", A.T)
 
 
 # name -> builder; the scenario loader resolves geometry through this table.

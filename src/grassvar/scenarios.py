@@ -483,7 +483,10 @@ def _check_grassmann_roundtrip(scenario, rng, q, k=2, m=4, count=200):
     comps, base, other = (np.array(column) for column in zip(*samples))
     p = grassmann.to_grassmann(KVector(base, comps, k, m))
     back = grassmann.grassmann_transition(grassmann.grassmann_transition(p, other), p.pivot)
-    return float(np.max(np.abs(back.w - p.w)))
+    # each chart point must also be the ray it came from: xi / |xi^pivot|
+    pivot_size = np.abs(np.take_along_axis(comps, p.pivot[:, None], axis=1))
+    source = np.max(np.abs(p.representative().comps - comps / pivot_size))
+    return float(max(np.max(np.abs(back.w - p.w)), source))
 
 
 def _check_lift_functoriality(scenario, rng, q, count=50):

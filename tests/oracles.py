@@ -1,21 +1,40 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes quantities by brute force, structured so that
-it shares no code path with the production implementations it checks.
+it shares no code path with the production implementations it checks: the
+multi-index layout and permutation parity are enumerated here afresh, and
+the finite-difference residuals take their own steps.
 """
 import itertools
 import math
 
 import numpy as np
 
-from grassvar.multiindex import enumerate_multiindices, permutation_sign
+from grassvar.grassmann import grassmann_transition
+
+
+def increasing_tuples(k, m):
+    """The increasing k-tuples in 1..m, lexicographically ordered."""
+    return [t for t in itertools.product(range(1, m + 1), repeat=k) if list(t) == sorted(set(t))]
+
+
+def permutation_sign(t):
+    """Parity of the permutation sorting the distinct entries of ``t``, by
+    counting the transpositions of a selection sort."""
+    t, sign = list(t), 1
+    for i in range(len(t)):
+        j = t.index(min(t[i:]), i)
+        if j != i:
+            t[i], t[j] = t[j], t[i]
+            sign = -sign
+    return sign
 
 
 def reconstruct_full_tensor(comps, k, m):
     """Spread increasing-index components over all k-tuples by sign."""
     T = np.zeros((m,) * k)
-    for r, I in enumerate(enumerate_multiindices(k, m)):
-        for perm in itertools.permutations(I.indices):
+    for r, I in enumerate(increasing_tuples(k, m)):
+        for perm in itertools.permutations(I):
             T[tuple(p - 1 for p in perm)] = permutation_sign(perm) * comps[r]
     return T
 
@@ -42,11 +61,11 @@ def lift_full_tensor_sum(J, comps, k):
             acc += prod * full_in[i]
         T[sigma] = acc
 
-    idx_out = enumerate_multiindices(k, m)
+    idx_out = increasing_tuples(k, m)
     out = np.zeros(len(idx_out))
     for r, I in enumerate(idx_out):
         acc = 0.0
-        for perm in itertools.permutations(I.indices):
+        for perm in itertools.permutations(I):
             acc += permutation_sign(perm) * T[tuple(p - 1 for p in perm)]
         out[r] = acc / math.factorial(k)
     return out
@@ -58,11 +77,11 @@ def wedge_square_brute(comps, m):
     T = reconstruct_full_tensor(comps, 2, m)
     if m < 4:
         return np.zeros(0)
-    idx_out = enumerate_multiindices(4, m)
+    idx_out = increasing_tuples(4, m)
     out = np.zeros(len(idx_out))
     for r, I in enumerate(idx_out):
         acc = 0.0
-        for perm in itertools.permutations(I.indices):
+        for perm in itertools.permutations(I):
             a = (perm[0] - 1, perm[1] - 1)
             b = (perm[2] - 1, perm[3] - 1)
             acc += permutation_sign(perm) * T[a] * T[b]
@@ -80,3 +99,46 @@ def gauss_reference_1d(g, a, b, order=40, cells=64):
         nodes = lo + 0.5 * h * (x + 1.0)
         total += 0.5 * h * sum(wi * g(t) for wi, t in zip(w, nodes))
     return total
+
+
+def verify_jacobian(f, points):
+    """Max abs deviation of the map's Jacobian from central differences."""
+    worst = 0.0
+    for t in np.asarray(points, dtype=float).reshape(-1, f.domain_dim):
+        h = 1e-6 * max(1.0, float(np.max(np.abs(t))))
+        for j in range(f.domain_dim):
+            e = np.zeros_like(t)
+            e[j] = h
+            fd = (f(t + e) - f(t - e)) / (2.0 * h)
+            worst = max(worst, float(np.max(np.abs(f.jacobian(t)[:, j] - fd))))
+    return worst
+
+
+def fiber_gradient_fd_residual(F, rng, sample_count=50, h=1e-6):
+    """Max deviation of the analytic fiber gradient from central differences
+    at base points uniform in [-1, 1]^m and normal fiber velocities."""
+    Y = rng.uniform(-1.0, 1.0, size=(sample_count, F.m))
+    V = rng.standard_normal((sample_count, F.fiber_dim))
+    G = F.fiber_gradient(Y, V)
+    worst = 0.0
+    for j in range(F.fiber_dim):
+        step = np.zeros_like(V)
+        step[:, j] = h
+        fd = (F(Y, V + step) - F(Y, V - step)) / (2.0 * h)
+        worst = max(worst, float(np.max(np.abs(G[:, j] - fd))))
+    return worst
+
+
+def points_close(p, q, tol=1e-12, base_tol=None):
+    """Field-wise comparison of Grassmann points, of every row, after
+    transporting q into p's chart."""
+    if (p.k, p.m) != (q.k, q.m):
+        return False
+    q = grassmann_transition(q, p.pivot)
+    if np.any(q.pivot_sign != p.pivot_sign):
+        return False
+    base_tol = tol if base_tol is None else base_tol
+    return bool(
+        np.allclose(p.base, q.base, rtol=base_tol, atol=base_tol)
+        and np.max(np.abs(p.w - q.w)) <= tol
+    )

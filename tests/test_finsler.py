@@ -10,7 +10,6 @@ from grassvar.finsler import (
     check_projectability,
     energy_metric,
     euclidean_metric,
-    fiber_gradient_fd_residual,
     hilbert_form,
     pullback_identity_residual,
     quartic_root_metric,
@@ -18,6 +17,8 @@ from grassvar.finsler import (
     riemannian_metric,
 )
 from grassvar.maps import circle, fourier_curve, helix
+
+from .oracles import fiber_gradient_fd_residual
 
 HOMOGENEITY_TOL = 1e-11
 EULER_TOL = 1e-11

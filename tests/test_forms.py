@@ -32,7 +32,6 @@ from grassvar.forms import (
     verify_stokes,
 )
 from grassvar.maps import (
-    CanonicalInclusion,
     affine_map,
     circle,
     compose,
@@ -224,7 +223,8 @@ def test_piece_immersion_validation():
 def test_partition_sums_to_one():
     box = ((0.0, 2.0 * math.pi),)
     pou = PartitionOfUnity.uniform_cover(box, 3)
-    assert pou.check_sums_to_one(box, per_axis=33, tol=1e-12) <= 1e-12
+    t = np.linspace(*box[0], 33)[:, None]
+    assert np.max(np.abs(np.sum(pou.weights(t), axis=0) - 1.0)) <= 1e-12
 
 
 def test_partition_gap_raises():
@@ -442,7 +442,7 @@ def test_non_finite_constant_is_folded_and_caught_at_evaluation(text):
 def test_canonical_inclusion_pullback_restricts_forms(rng):
     # dy^nu for nu > k pulls back to zero through the inclusion
     eta = KForm.from_dict(1, 4, {(3,): 1.0})
-    back = pullback(eta, CanonicalInclusion(2, 4).inclusion)
+    back = pullback(eta, linear_map(np.eye(4, 2)))
     assert np.allclose(back.values(rng.normal(size=2)), 0.0)
 
 

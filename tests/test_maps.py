@@ -5,7 +5,6 @@ import pytest
 
 from grassvar.errors import DimensionMismatchError, MapEvaluationError
 from grassvar.maps import (
-    CanonicalInclusion,
     DifferentiableMap,
     affine_map,
     circle,
@@ -24,8 +23,9 @@ from grassvar.maps import (
     sphere_patch,
     torus_patch,
     trig_shear,
-    verify_jacobian,
 )
+
+from .oracles import verify_jacobian
 
 JAC_TOL = 1e-6
 
@@ -47,7 +47,7 @@ def catalog_samples(rng):
 
 def test_catalog_jacobians_match_finite_differences(rng):
     for f, points in catalog_samples(rng):
-        verify_jacobian(f, points, tol=JAC_TOL)
+        assert verify_jacobian(f, points) <= JAC_TOL, f.name
 
 
 def test_stack_matches_single_points(rng):
@@ -95,11 +95,11 @@ def test_compose_dimension_mismatch():
 
 
 def test_canonical_inclusion_left_inverse():
-    ci = CanonicalInclusion(2, 5)
+    inclusion, projection = linear_map(np.eye(5, 2)), linear_map(np.eye(2, 5))
     t = np.array([0.3, -1.2])
-    y = ci.inclusion(t)
+    y = inclusion(t)
     assert np.allclose(y, [0.3, -1.2, 0.0, 0.0, 0.0])
-    assert np.allclose(ci.projection(y), t)
+    assert np.allclose(projection(y), t)
 
 
 def test_insert_axis_map():

@@ -1,31 +1,30 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from grassvar.errors import InvalidDegreeError, InvalidIndexError
-from grassvar.multiindex import (
-    MultiIndex,
-    enumerate_multiindices,
-    normalize_tuple,
-    permutation_sign,
-    rank,
-)
+from grassvar.errors import DimensionMismatchError, InvalidDegreeError
+from grassvar.forms import KForm
+from grassvar.kvector import _index_table, enumerate_multiindices, multiindex_ranks
+
+from .oracles import permutation_sign
 
 
 def test_enumerate_small_cases():
-    assert [mi.indices for mi in enumerate_multiindices(2, 3)] == [(1, 2), (1, 3), (2, 3)]
-    assert [mi.indices for mi in enumerate_multiindices(1, 4)] == [(1,), (2,), (3,), (4,)]
-    assert [mi.indices for mi in enumerate_multiindices(3, 3)] == [(1, 2, 3)]
+    assert enumerate_multiindices(2, 3) == ((1, 2), (1, 3), (2, 3))
+    assert enumerate_multiindices(1, 4) == ((1,), (2,), (3,), (4,))
+    assert enumerate_multiindices(3, 3) == ((1, 2, 3),)
 
 
 @pytest.mark.parametrize("k,m", [(1, 1), (2, 5), (3, 6), (4, 6)])
 def test_enumerate_count_and_order(k, m):
-    idx = enumerate_multiindices(k, m)
-    assert len(idx) == math.comb(m, k)
-    tuples = [mi.indices for mi in idx]
+    tuples = list(enumerate_multiindices(k, m))
+    assert len(tuples) == math.comb(m, k)
     assert tuples == sorted(tuples)
     assert len(set(tuples)) == len(tuples)
+    # the zero-based minor table is the same layout
+    assert np.array_equal(_index_table(k, m) + 1, tuples)
 
 
 def test_enumerate_invalid_degree():
@@ -35,51 +34,32 @@ def test_enumerate_invalid_degree():
         enumerate_multiindices(4, 3)
 
 
-def test_normalize_examples():
-    idx, sign = normalize_tuple((2, 1), 3)
-    assert idx.indices == (1, 2) and sign == -1
-    _, sign = normalize_tuple((1, 1), 3)
-    assert sign == 0
-    idx, sign = normalize_tuple((3, 1, 2), 3)
-    assert idx.indices == (1, 2, 3) and sign == 1
-
-
-def test_normalize_idempotent_on_increasing():
-    idx, sign = normalize_tuple((1, 3, 4), 5)
-    assert sign == 1 and idx.indices == (1, 3, 4)
-
-
-def test_normalize_out_of_range():
-    with pytest.raises(InvalidIndexError):
-        normalize_tuple((0, 1), 3)
-    with pytest.raises(InvalidIndexError):
-        normalize_tuple((1, 4), 3)
-
-
-def test_permutation_sign_consistency():
-    base = (1, 3, 5, 6)
-    _, base_sign = normalize_tuple(base, 6)
-    for perm in itertools.permutations(base):
-        _, sign = normalize_tuple(perm, 6)
-        assert sign == permutation_sign(perm) * base_sign
-
-
 def test_rank_examples():
-    assert rank(MultiIndex((1, 2), 3)) == 0
-    assert rank(MultiIndex((2, 3), 3)) == 2
-    assert rank(MultiIndex((1,), 4)) == 0
+    assert multiindex_ranks(2, 3)[(1, 2)] == 0
+    assert multiindex_ranks(2, 3)[(2, 3)] == 2
+    assert multiindex_ranks(1, 4)[(1,)] == 0
 
 
 def test_rank_is_inverse_of_enumeration():
     for k, m in [(1, 4), (2, 5), (3, 5)]:
-        for r, mi in enumerate(enumerate_multiindices(k, m)):
-            assert rank(mi) == r
+        for r, index in enumerate(enumerate_multiindices(k, m)):
+            assert multiindex_ranks(k, m)[index] == r
 
 
 def test_multiindex_validation():
-    with pytest.raises(InvalidIndexError):
-        MultiIndex((2, 2), 4)
-    with pytest.raises(InvalidIndexError):
-        MultiIndex((3, 2), 4)
-    with pytest.raises(InvalidDegreeError):
-        MultiIndex((1, 2, 3), 2)
+    # only increasing k-tuples in 1..m have a rank; a form key must have one
+    for key, k, m in [((2, 2), 2, 4), ((3, 2), 2, 4), ((0, 1), 2, 3), ((1, 4), 2, 3),
+                      ((1,), 2, 3), ((1, 2, 3), 2, 3)]:
+        assert key not in multiindex_ranks(k, m)
+        with pytest.raises(DimensionMismatchError, match="increasing"):
+            KForm.from_dict(k, m, {key: 1.0})
+    with pytest.raises(DimensionMismatchError, match="increasing"):
+        KForm.from_dict(0, 2, {(1,): 1.0})
+
+
+def test_permutation_sign_consistency():
+    # the oracles' parity, which spreads components over all index tuples
+    base = (1, 3, 5, 6)
+    for perm in itertools.permutations(base):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        assert permutation_sign(perm) == (-1) ** inversions

@@ -13,6 +13,7 @@ fails here.  After an intended value change, regenerate them with
 tests/golden/<scenario>.csv --dump-integrand tests/golden/<scenario>.dump.csv``
 and state the change.
 """
+import inspect
 import json
 import os
 import pathlib
@@ -20,9 +21,11 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
-from grassvar import cli, scenarios
+import grassvar
+from grassvar import cli, grassmann, scenarios
 from grassvar.errors import ScenarioError
 from grassvar.forms import QuadratureSpec
 from grassvar.scenarios import SCENARIO_SCHEMA, build_quadrature, load_scenario, run_scenario
@@ -122,8 +125,14 @@ PAYLOAD = "__import__('pathlib').Path({path!r}).write_text('x') + y1"
         ("1,2", "E*y1"),
         ("1,2", "factorial(3)"),
         ("1,2", "-" * 100000 + "y1"),
+        ("1", "y1"),
+        ("1,2,3", "y1"),
+        ("2,1", "y1"),
+        ("1,1", "y1"),
+        ("1,3", "y1"),
     ],
-    ids=["key", "list", "syntax", "caret", "payload", "atan", "Abs", "E", "factorial", "deep"],
+    ids=["key", "list", "syntax", "caret", "payload", "atan", "Abs", "E", "factorial", "deep",
+         "short", "long", "decreasing", "repeated", "out-of-range"],
 )
 def test_malformed_form_block_exits_2_and_runs_nothing(key, value, tmp_path, capsys):
     scenario = json.loads((SCENARIO_DIR / "check_forms_square.json").read_text())
@@ -185,6 +194,24 @@ def test_dual_route_with_reparam_shares_no_node():
     assert dual > 1e-2
     # the Hilbert side on zeta o rho is the length of zeta o rho (Euler identity)
     assert dual == pytest.approx(reparam, rel=1e-9)
+
+
+def test_grassmann_roundtrip_compares_each_chart_point_with_its_k_vector(monkeypatch):
+    # labelling every ray +1 keeps the two transitions consistent with each
+    # other; only the comparison with the source k-vector sees the lost sign
+    real = grassmann.to_grassmann
+
+    def plus_one(xi, pivot=None):
+        p = real(xi, pivot)
+        w = p.w.copy()
+        np.put_along_axis(w, np.asarray(p.pivot)[..., None], 1.0, axis=-1)
+        return grassmann.GrassmannPoint(p.base, p.pivot, np.ones_like(p.pivot_sign), w, p.k, p.m)
+
+    scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
+    scenario["checks"] = [{"name": "grassmann_roundtrip", "tolerance": 1e-13, "k": 2, "m": 4}]
+    assert [row.status for row in run_scenario("check", scenario, 42).rows] == ["PASS"]
+    monkeypatch.setattr(grassmann, "to_grassmann", plus_one)
+    assert [row.status for row in run_scenario("check", scenario, 42).rows] == ["FAIL"]
 
 
 def test_quadrature_defaults_come_from_the_spec(tmp_path, monkeypatch):
@@ -387,3 +414,51 @@ def test_every_check_is_gated_by_a_shipped_scenario():
         entry["name"] for path in SCENARIOS for entry in json.loads(path.read_text()).get("checks", [])
     }
     assert shipped == set(scenarios.CHECKS)
+
+
+# public names that no shipped scenario runs, each with the reason it stays
+LIBRARY_ONLY = {
+    "wedge": "builds a k-vector from tangent vectors; the lifts build theirs from minors",
+    "equivalent": "tests two k-vectors for the same ray; the checks compare chart points",
+    "grassmann_canonical_lift": "the ray of a canonical lift, for library use",
+    "hilbert_form": "the Hilbert form as a KForm; the dual route integrates it as a density",
+    "first_variation": "one field's variation; extremal_residual batches all fields",
+    "riemannian_metric": "metric kind 'riemannian', which no shipped scenario names",
+    "quartic_root_metric": "metric kind 'mth_root', which no shipped scenario names",
+}
+
+
+def _codes(obj):
+    """Code objects whose running counts as running ``obj``: a function's
+    own, or those of the functions defined in a class body."""
+    members = vars(obj).values() if inspect.isclass(obj) else [obj]
+    codes = set()
+    for member in members:
+        # a property runs its getter, a static or class method its function
+        member = inspect.unwrap(getattr(member, "fget", None) or getattr(member, "__func__", member))
+        if inspect.isfunction(member):
+            codes.add(member.__code__)
+    return codes
+
+
+def test_every_public_name_runs_on_a_shipped_scenario(tmp_path):
+    public = {
+        name: obj for name, obj in vars(grassvar).items()
+        if not name.startswith("_") and callable(obj) and not inspect.ismodule(obj)
+    }
+    for obj in public.values():
+        getattr(obj, "cache_clear", lambda: None)()  # a cache hit would skip the call
+    ran = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        for path in SCENARIOS:
+            _run(path, tmp_path / "out.csv", tmp_path / "dump.csv")
+    finally:
+        sys.setprofile(None)
+    unreached = {name for name, obj in public.items() if not _codes(obj) & ran}
+    assert unreached == set(LIBRARY_ONLY)
