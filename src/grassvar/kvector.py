@@ -61,25 +61,46 @@ def _index_table(k: int, m: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _permutations(k: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """The k! permutations of 0..k-1 in lexicographic order, the identity
+    first, each with whether it is odd (by its inversion count)."""
+    return tuple(
+        (p, sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2 == 1)
+        for p in itertools.permutations(range(k))
+    )
+
+
 def minors(J, k: int) -> np.ndarray:
-    """All k x k minors of a stack of matrices, from one stacked determinant.
+    """All k x k minors of a stack of matrices, by the Leibniz sum.
 
     ``J`` has shape ``(..., m, n)``; entry ``(..., r, c)`` of the result is
     det(J[..., I_r rows, K_c cols]) over the increasing multi-indices I_r
-    of size k in 1..m and K_c in 1..n, both in rank order.
+    of size k in 1..m and K_c in 1..n, both in rank order, computed as
+    sum over permutations s of sign(s) prod_i J[..., I_r[i], K_c[s(i)]].
+    Each term is a product of k gathered ``(..., R, C)`` arrays, added in
+    permutation order, so every minor is elementwise arithmetic on its own
+    matrix: a stack gives the same bits as each of its matrices alone.
     """
     J = np.asarray(J, dtype=float)
     m, n = J.shape[-2:]
     if not 1 <= k <= min(m, n):
         raise InvalidDegreeError(f"degree {k} not in 1..min({m}, {n})")
-    rows, cols = _index_table(k, m), _index_table(k, n)
-    sub = J[..., rows[:, None, :, None], cols[None, :, None, :]]
-    # C order at k = 1 as well: reductions over the strided fancy-index view
+    rows, cols = _index_table(k, m)[:, None, :], _index_table(k, n)[None, :, :]
+    out = None
+    for perm, odd in _permutations(k):
+        term = J[..., rows[..., 0], cols[..., perm[0]]]
+        for i in range(1, k):
+            term *= J[..., rows[..., i], cols[..., perm[i]]]
+        if out is None:
+            out = term
+        elif odd:
+            out -= term
+        else:
+            out += term
+    # the gathers are laid out strided; reductions over a strided result
     # would sum in another order and move results in the last bit
-    if k == 1:
-        return np.ascontiguousarray(sub[..., 0, 0])
-    with np.errstate(divide="ignore"):  # det flags a subnormal LU pivot; its value is finite
-        return np.linalg.det(sub)
+    return np.ascontiguousarray(out)
 
 
 @dataclass(frozen=True, eq=False)

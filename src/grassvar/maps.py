@@ -23,6 +23,8 @@ a map on a single point ``(n,)`` evaluates the stack N = 1 and returns
 """
 from __future__ import annotations
 
+import numbers
+import sys
 from typing import Callable
 
 import numpy as np
@@ -30,6 +32,7 @@ import numpy as np
 from .errors import DimensionMismatchError, MapEvaluationError
 
 FD_JACOBIAN_SCALE = 1e-6
+MAX_EXPONENT = 64  # a polynomial map holds the powers 0..deg of every axis at every node
 
 
 def _as_batch(t, dim: int) -> tuple[np.ndarray, bool]:
@@ -166,42 +169,85 @@ def segment(start, end) -> DifferentiableMap:
     )
 
 
+def _polynomial_term(term, n: int) -> tuple[float, tuple[int, ...]]:
+    """``(coeff, exponents)`` of one ``[coeff, exponents]`` pair, checked."""
+    try:
+        c, exps = term
+        exps = tuple(exps)
+    except (TypeError, ValueError):
+        raise MapEvaluationError(
+            f"polynomial term {term!r} is not a [coeff, exponents] pair"
+        ) from None
+    # an int beyond the float range compares exactly, where float() would overflow
+    if isinstance(c, bool) or not isinstance(c, numbers.Real) or not abs(c) <= sys.float_info.max:
+        raise MapEvaluationError(f"polynomial coefficient {c!r} is not a finite number")
+    if len(exps) != n:
+        raise DimensionMismatchError("exponent tuple length must equal domain_dim")
+    for e in exps:
+        if isinstance(e, bool) or not isinstance(e, numbers.Integral) or not 0 <= e <= MAX_EXPONENT:
+            raise MapEvaluationError(
+                f"polynomial exponent {e!r} is not an integer in 0..{MAX_EXPONENT}"
+            )
+    return float(c), tuple(int(e) for e in exps)
+
+
+def _monomial_sum(rows, n: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """T ``(N, n)`` -> ``(N, size)``: each slot's sum of coeff * prod_a t_a^e_a
+    over the table ``rows`` of ``(slot, coeff, exponents)``, ordered by slot."""
+    exps = np.array([e for _, _, e in rows], dtype=np.intp).reshape(len(rows), n)
+    coeffs = np.array([c for _, c, _ in rows])[:, None]
+    slots = [s for s, _, _ in rows]
+
+    def evaluate(T):
+        out = np.zeros((size, len(T)))
+        if slots:
+            powers = np.empty((int(exps.max()) + 1, n, len(T)))  # [p, a] = t_a^p
+            powers[0] = 1.0
+            for p in range(1, len(powers)):
+                np.multiply(powers[p - 1], T.T, out=powers[p])
+            mono = powers[exps[:, 0], 0]
+            for a in range(1, n):
+                mono *= powers[exps[:, a], a]
+            mono *= coeffs
+            for row, slot in enumerate(slots):  # in table order; a reduction would pair rows up
+                out[slot] += mono[row]
+        return np.ascontiguousarray(out.T)
+
+    return evaluate
+
+
 def polynomial_map(domain_dim: int, terms) -> DifferentiableMap:
-    """Componentwise multivariate polynomials.
+    """Componentwise multivariate polynomials, evaluated from monomial tables.
 
     ``terms`` is one list per output component of ``[coeff, exponents]``
-    pairs, exponents being a length-``domain_dim`` tuple of nonnegative
-    integers.
+    pairs: a finite real coefficient and ``domain_dim`` integer exponents in
+    0..``MAX_EXPONENT``; anything else raises :class:`MapEvaluationError`.
+    Construction flattens the terms into a value table, whose slots are the
+    components, and a Jacobian table, whose slots are component * domain_dim
+    + axis.  A call builds the powers t_a^0..t_a^deg of each axis by repeated
+    multiplication, multiplies each monomial's factors axis by axis, and adds
+    the monomials of each slot in table order, so a node's value depends on
+    that node alone.
     """
-    n = int(domain_dim)
-    parsed = []
-    for comp in terms:
-        parsed.append([(float(c), np.array([int(e) for e in exps])) for c, exps in comp])
-        for _, exps in parsed[-1]:
-            if len(exps) != n:
-                raise DimensionMismatchError("exponent tuple length must equal domain_dim")
+    n = domain_dim
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise MapEvaluationError(f"polynomial domain_dim {domain_dim!r} is not a positive integer")
+    n = int(n)
+    parsed = [[_polynomial_term(term, n) for term in comp] for comp in terms]
     m = len(parsed)
-
-    def ev(T):
-        out = np.zeros((len(T), m))
-        for i, comp in enumerate(parsed):
-            for c, exps in comp:
-                out[:, i] += c * np.prod(T**exps, axis=1)
-        return out
-
-    def jac(T):
-        J = np.zeros((len(T), m, n))
-        for i, comp in enumerate(parsed):
-            for c, exps in comp:
-                for j, e in enumerate(exps):
-                    if e == 0:
-                        continue
-                    lowered = exps.copy()
-                    lowered[j] -= 1
-                    J[:, i, j] += c * e * np.prod(T**lowered, axis=1)
-        return J
-
-    return DifferentiableMap("polynomial", n, m, ev, jac)
+    value = _monomial_sum([(i, c, e) for i, comp in enumerate(parsed) for c, e in comp], n, m)
+    jacobian = _monomial_sum(
+        [
+            (i * n + j, c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
+            for i, comp in enumerate(parsed)
+            for j in range(n)
+            for c, e in comp
+            if e[j] > 0
+        ],
+        n,
+        m * n,
+    )
+    return DifferentiableMap("polynomial", n, m, value, lambda T: jacobian(T).reshape(-1, m, n))
 
 
 def _columns(*entries) -> np.ndarray:

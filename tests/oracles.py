@@ -39,6 +39,48 @@ def reconstruct_full_tensor(comps, k, m):
     return T
 
 
+def cofactor_det(A):
+    """Determinant of a square nested list by cofactor expansion along the
+    first row."""
+    if len(A) == 1:
+        return A[0][0]
+    return sum(
+        (-1) ** j * A[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in A[1:]])
+        for j in range(len(A))
+    )
+
+
+def minors_by_cofactors(J, k):
+    """The C(m,k) x C(n,k) table of k x k minors of one m x n matrix, each
+    by cofactor expansion, rows and columns over increasing k-tuples."""
+    J = np.asarray(J, dtype=float).tolist()
+    m, n = len(J), len(J[0])
+    return np.array([
+        [cofactor_det([[J[i - 1][j - 1] for j in K] for i in I]) for K in increasing_tuples(k, n)]
+        for I in increasing_tuples(k, m)
+    ])
+
+
+def polynomial_by_terms(terms, T):
+    """Values ``(N, m)`` and Jacobians ``(N, m, n)`` of componentwise
+    polynomials ``[[coeff, exponents], ...]`` per component at the points
+    ``T`` ``(N, n)``, one term at a time with numpy powers."""
+    T = np.asarray(T, dtype=float)
+    n = T.shape[1]
+    values = np.zeros((len(T), len(terms)))
+    jac = np.zeros((len(T), len(terms), n))
+    for i, comp in enumerate(terms):
+        for c, exps in comp:
+            exps = np.array(exps, dtype=int)
+            values[:, i] += c * np.prod(T**exps, axis=1)
+            for j in range(n):
+                if exps[j] > 0:
+                    lowered = exps.copy()
+                    lowered[j] -= 1
+                    jac[:, i, j] += c * exps[j] * np.prod(T**lowered, axis=1)
+    return values, jac
+
+
 def lift_full_tensor_sum(J, comps, k):
     """Lift of a k-vector via the full sum over all index tuples.
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grassvar.errors import DimensionMismatchError, EvaluationError, InvalidDegreeError
 from grassvar.kvector import KVector, canonical_lift, lift_kvector, minors, wedge
@@ -17,7 +20,7 @@ from grassvar.maps import (
     trig_shear,
 )
 
-from .oracles import lift_full_tensor_sum, wedge_square_brute
+from .oracles import lift_full_tensor_sum, minors_by_cofactors, wedge_square_brute
 
 ORACLE_TOL = 1e-12
 FUNCTORIALITY_TOL = 1e-10
@@ -36,7 +39,7 @@ def test_wedge_basis_bivector():
 
 
 def test_minors_with_a_subnormal_pivot_do_not_warn():
-    # np.linalg.det flags a division by zero on a subnormal LU pivot
+    # an LU factorization would divide by the subnormal pivot
     assert abs(minors(np.array([[0.0, 1.0], [5e-324, 0.0]]), 2)[0, 0]) <= 5e-324
 
 
@@ -80,6 +83,27 @@ def test_minors_of_a_stack_match_each_matrix(rng):
             assert np.array_equal(M[i], minors(J[i], k))
             slow = lift_full_tensor_sum(J[i], np.eye(math.comb(n, k))[0], k)
             assert np.max(np.abs(M[i][:, 0] - slow)) <= ORACLE_TOL * max(1.0, np.max(np.abs(slow)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_minors_match_cofactor_expansion(data):
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, min(m, n, 4)))
+    J = data.draw(arrays(np.float64, (data.draw(st.integers(1, 4)), m, n),
+                         elements=st.floats(-2.0, 2.0)))
+    M = minors(J, k)
+    assert M.shape == (len(J), math.comb(m, k), math.comb(n, k))
+    for i in range(len(J)):
+        assert np.allclose(M[i], minors_by_cofactors(J[i], k), rtol=1e-12, atol=1e-12)
+
+
+def test_first_minors_are_the_entries_in_c_order(rng):
+    J = rng.normal(size=(5, 4, 3))
+    for stack in (J, J.transpose(0, 2, 1)):
+        M = minors(stack, 1)
+        assert M.flags.c_contiguous
+        assert np.array_equal(M, stack)
 
 
 def test_minors_degree_error():

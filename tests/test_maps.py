@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassvar.errors import DimensionMismatchError, MapEvaluationError
 from grassvar.maps import (
+    MAX_EXPONENT,
     DifferentiableMap,
     affine_map,
     circle,
@@ -25,7 +28,7 @@ from grassvar.maps import (
     trig_shear,
 )
 
-from .oracles import verify_jacobian
+from .oracles import polynomial_by_terms, verify_jacobian
 
 JAC_TOL = 1e-6
 
@@ -151,3 +154,78 @@ def test_positive_scale_inverse_divides_exactly():
     f = positive_scale([3.0, 7.0])
     y = np.array([1.0, 1.0])
     assert f.inverted()(y).tolist() == [1.0 / 3.0, 1.0 / 7.0]
+
+
+# -- polynomial maps ---------------------------------------------------------
+
+def _polynomials(n):
+    """Componentwise polynomials in n variables: up to 3 components of up to
+    4 terms each, a component may have none."""
+    term = st.tuples(st.floats(-2.0, 2.0), st.tuples(*[st.integers(0, 4)] * n))
+    return st.lists(st.lists(term, max_size=4), min_size=1, max_size=3)
+
+
+def _agrees_with_the_oracles(terms, T):
+    f = polynomial_map(T.shape[1], terms)
+    values, jac = polynomial_by_terms(terms, T)
+    assert np.allclose(f(T), values, rtol=1e-12, atol=1e-12)
+    assert np.allclose(f.jacobian(T), jac, rtol=1e-12, atol=1e-12)
+    for i, t in enumerate(T):  # a node's value depends on that node alone
+        assert np.array_equal(f(t), f(T)[i]) and np.array_equal(f.jacobian(t), f.jacobian(T)[i])
+    assert verify_jacobian(f, T) <= JAC_TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_polynomial_map_matches_the_per_term_oracle(data):
+    n = data.draw(st.integers(1, 3))
+    terms = data.draw(_polynomials(n))
+    T = np.array(data.draw(st.lists(st.tuples(*[st.floats(-1.5, 1.5)] * n), min_size=1, max_size=4)))
+    _agrees_with_the_oracles(terms, T)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [[(1.0, (2, 1))], [], [(0.5, (0, 3))]],  # a component with no terms
+        [[(2.5, (0, 0)), (1.0, (1, 0))], [(-1.0, (0, 0))]],  # constant terms
+        [[(1.0, (0, 0))], [(3.0, (0, 0)), (-0.5, (0, 0))]],  # degree 0 everywhere
+        [[(1.0, (MAX_EXPONENT, 0)), (1.0, (1, 1))]],
+    ],
+    ids=["empty-component", "constant-term", "degree-0", "largest-exponent"],
+)
+def test_polynomial_map_edge_cases(terms, rng):
+    _agrees_with_the_oracles(terms, rng.uniform(-1.0, 1.0, size=(5, 2)))
+
+
+# (id, domain_dim, one [coeff, exponents] term of the second component)
+BAD_POLYNOMIALS = [
+    ("exponent-float", 2, (1.0, (1.5, 0))),
+    ("exponent-integral-float", 2, (1.0, (2.0, 0))),
+    ("exponent-string", 2, (1.0, ("a", 0))),
+    ("exponent-negative", 2, (1.0, (-1, 0))),
+    ("exponent-bool", 2, (1.0, (True, 0))),
+    ("exponent-too-large", 2, (1.0, (MAX_EXPONENT + 1, 0))),
+    ("coefficient-string", 2, ("x", (1, 0))),
+    ("coefficient-bool", 2, (True, (1, 0))),
+    ("coefficient-nan", 2, (float("nan"), (1, 0))),
+    ("coefficient-huge", 2, (10**400, (1, 0))),
+    ("term-string", 2, "ab"),
+    ("term-number", 2, 1.0),
+    ("domain-float", 1.5, (1.0, (1, 0))),
+    ("domain-string", "a", (1.0, (1, 0))),
+    ("domain-0", 0, (1.0, (1, 0))),
+]
+
+
+@pytest.mark.parametrize(
+    "domain_dim, term", [case[1:] for case in BAD_POLYNOMIALS], ids=[c[0] for c in BAD_POLYNOMIALS]
+)
+def test_polynomial_map_rejects_bad_terms(domain_dim, term):
+    with pytest.raises(MapEvaluationError):
+        polynomial_map(domain_dim, [[(1.0, (1, 0))], [term]])
+
+
+def test_polynomial_exponent_tuple_length():
+    with pytest.raises(DimensionMismatchError):
+        polynomial_map(2, [[(1.0, (1, 0, 0))]])

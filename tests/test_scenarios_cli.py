@@ -15,6 +15,7 @@ and state the change.
 """
 import inspect
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -103,7 +104,9 @@ def cli_modules():
     return set(out.stdout.split())
 
 
-@pytest.mark.parametrize("module", ["scipy", "sympy", "jsonschema", "attrs", "referencing", "rpds"])
+@pytest.mark.parametrize(
+    "module", ["scipy", "sympy", "jsonschema", "attrs", "referencing", "rpds", "hypothesis"]
+)
 def test_cli_import_does_not_load(module, cli_modules):
     assert "grassvar.cli" in cli_modules
     assert module not in cli_modules
@@ -252,6 +255,22 @@ def _put(value, *keys):
     return edit
 
 
+def _graph_of(*term):
+    """An area scenario on the unit square over (u, v) -> (u, v, h) with a
+    polynomial h of the single ``[coeff, exponents]`` term given."""
+    return _put({
+        "catalog": "polynomial",
+        "params": {"domain_dim": 2, "terms": [[[1.0, [1, 0]]], [[1.0, [0, 1]]], [list(term)]]},
+        "box": [[0.0, 1.0], [0.0, 1.0]],
+    }, "geometry")
+
+
+def test_polynomial_graph_scenario_has_the_graph_area():
+    scenario = json.loads((SCENARIO_DIR / "area_sphere_zone.json").read_text())
+    _graph_of(1.0, [1, 0])(scenario)  # h = u: a plane of slope 1
+    assert run_scenario("area", scenario, 42).rows[0].value == pytest.approx(math.sqrt(2.0))
+
+
 # (id, subcommand, shipped scenario, edit of its JSON (None: no file; a str: raw text), location)
 SCENARIO_ERRORS = [
     ("unreadable", "length", "length_circle", None, "{path}"),
@@ -266,6 +285,16 @@ SCENARIO_ERRORS = [
     ("not-a-curve", "length", "length_circle", _put("sphere_patch", "geometry", "catalog"),
      "geometry/catalog"),
     ("no-box", "area", "area_sphere_zone", _drop("geometry", "box"), "geometry/box"),
+    ("polynomial-exponent-float", "area", "area_sphere_zone", _graph_of(1.0, [1.5, 0]),
+     "geometry"),
+    ("polynomial-exponent-string", "area", "area_sphere_zone", _graph_of(1.0, ["a", 0]),
+     "geometry"),
+    ("polynomial-coefficient-string", "area", "area_sphere_zone", _graph_of("x", [1, 0]),
+     "geometry"),
+    ("polynomial-exponent-negative", "area", "area_sphere_zone", _graph_of(1.0, [-1, 0]),
+     "geometry"),
+    ("polynomial-coefficient-huge", "area", "area_sphere_zone", _graph_of(10**400, [1, 0]),
+     "geometry"),
     ("box-dimension", "area", "area_sphere_zone", _put([[0.1, 3.0]], "geometry", "box"),
      "geometry/box"),
     ("no-form", "check", "check_partition_circle", _drop("form"), "form"),
@@ -423,8 +452,6 @@ LIBRARY_ONLY = {
     "grassmann_canonical_lift": "the ray of a canonical lift, for library use",
     "hilbert_form": "the Hilbert form as a KForm; the dual route integrates it as a density",
     "first_variation": "one field's variation; extremal_residual batches all fields",
-    "riemannian_metric": "metric kind 'riemannian', which no shipped scenario names",
-    "quartic_root_metric": "metric kind 'mth_root', which no shipped scenario names",
 }
 
 
