@@ -39,7 +39,7 @@ from .errors import (
 )
 from .forms import KForm
 from .kvector import canonical_lift
-from .maps import DifferentiableMap
+from .maps import DifferentiableMap, checked_dimension, checked_reals
 
 SLIT_TOL = 1e-13
 EPS_DEN = 1e-300  # guards homogeneity-residual denominators
@@ -106,11 +106,11 @@ def _norm(v: np.ndarray) -> np.ndarray:
 def _build_metric_field(m: int, spec) -> Callable[[np.ndarray], np.ndarray]:
     """y -> g(y) as a stack ``(N, m, m)``: a constant matrix, or one scaled by
     phi(y) = 1 + coeff |y|^2 (coeff >= 0 keeps g positive definite)."""
-    spec = spec or {}
+    spec = {} if spec is None else spec
+    if not isinstance(spec, dict):
+        raise InvalidMetricError(f"metric field must be an object, got {spec!r:.80}")
     kind = spec.get("field", "constant")
-    g0 = np.asarray(spec.get("matrix", np.eye(m)), dtype=float)
-    if g0.shape != (m, m):
-        raise InvalidMetricError(f"metric matrix must be {m}x{m}")
+    g0 = checked_reals(spec.get("matrix", np.eye(m)), "metric matrix", (m, m), InvalidMetricError)
     if np.max(np.abs(g0 - g0.T)) > 1e-12:
         raise InvalidMetricError("metric matrix must be symmetric")
     if np.any(np.linalg.eigvalsh(g0) <= 0.0):
@@ -118,7 +118,8 @@ def _build_metric_field(m: int, spec) -> Callable[[np.ndarray], np.ndarray]:
     if kind == "constant":
         return lambda Y: np.broadcast_to(g0, (len(Y), m, m))
     if kind == "conformal":
-        coeff = float(spec.get("coefficient", 0.0))
+        coeff = checked_reals(spec.get("coefficient", 0.0), "conformal coefficient", (),
+                              InvalidMetricError)
         if coeff < 0.0:
             raise InvalidMetricError("conformal coefficient must be >= 0")
         return lambda Y: (1.0 + coeff * _dot(Y, Y))[:, None, None] * g0
@@ -129,6 +130,7 @@ def _build_metric_field(m: int, spec) -> Callable[[np.ndarray], np.ndarray]:
 
 def euclidean_metric(dim: int) -> FinslerFunction:
     """F(y, v) = |v|; the fiber gradient is the unit vector v/|v|."""
+    dim = checked_dimension(dim, "dim", InvalidMetricError)
     return FinslerFunction(
         "euclidean", dim, 1, dim, lambda Y, V: _norm(V), lambda Y, V: V / _norm(V)[:, None]
     )
@@ -136,6 +138,7 @@ def euclidean_metric(dim: int) -> FinslerFunction:
 
 def riemannian_metric(dim: int, g: dict | None = None) -> FinslerFunction:
     """F(y, v) = sqrt(v^T g(y) v) with gradient g(y) v / F."""
+    dim = checked_dimension(dim, "dim", InvalidMetricError)
     return _randers_family("riemannian", dim, np.zeros(dim), g)
 
 
@@ -145,9 +148,8 @@ def randers_metric(dim: int, b, g: dict | None = None) -> FinslerFunction:
     Positivity of F on nonzero v is equivalent to |b|_g < 1 (norm taken
     with the inverse metric); the constructor rejects anything else.
     """
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if b.shape != (dim,):
-        raise InvalidMetricError(f"drift covector must have length {dim}")
+    dim = checked_dimension(dim, "dim", InvalidMetricError)
+    b = checked_reals(b, "drift covector", (dim,), InvalidMetricError)
     return _randers_family("randers", dim, b, g)
 
 
@@ -175,7 +177,7 @@ def _randers_family(kind: str, dim: int, b: np.ndarray, g) -> FinslerFunction:
 
 def quartic_root_metric(weights) -> FinslerFunction:
     """F(y, v) = (sum_i c_i v_i^4)^(1/4) with positive diagonal weights."""
-    c = np.asarray(weights, dtype=float).reshape(-1)
+    c = checked_reals(weights, "quartic weights", (None,), InvalidMetricError)
     if np.any(c <= 0.0):
         raise InvalidMetricError("quartic weights must be positive")
     dim = len(c)
@@ -196,6 +198,10 @@ def areal_gram(k: int, m: int) -> FinslerFunction:
     Gram determinant of the Jacobian columns, i.e. the classical k-area
     integrand.
     """
+    k = checked_dimension(k, "k", InvalidMetricError)
+    m = checked_dimension(m, "m", InvalidMetricError)
+    if k > m:
+        raise InvalidMetricError(f"no {k}-vectors in dimension {m}")
     fiber_dim = math.comb(m, k)
     return FinslerFunction(
         "areal_gram",
@@ -209,6 +215,7 @@ def areal_gram(k: int, m: int) -> FinslerFunction:
 
 def energy_metric(dim: int) -> FinslerFunction:
     """F(y, v) = |v|^2; 2-homogeneous, so every homogeneity check must fail."""
+    dim = checked_dimension(dim, "dim", InvalidMetricError)
     return FinslerFunction(
         "energy", dim, 1, dim, lambda Y, V: _dot(V, V), lambda Y, V: 2.0 * V
     )
@@ -227,17 +234,29 @@ METRIC_KINDS = {
 # -- checks ------------------------------------------------------------------
 
 def _sample_fibers(F: FinslerFunction, rng: np.random.Generator, count: int):
-    """Stacks ``(count, m)`` and ``(count, fiber_dim)`` of random samples,
-    base points uniform in the cube SAMPLE_BOX^m."""
-    ys, vs = [], []
-    while len(ys) < count:
-        y = rng.uniform(*SAMPLE_BOX, size=F.m)
-        v = rng.standard_normal(F.fiber_dim)
-        if np.max(np.abs(v)) <= 1e-6:
-            continue  # resample near-zero fibers
-        ys.append(y)
-        vs.append(v)
-    return np.array(ys).reshape(count, F.m), np.array(vs).reshape(count, F.fiber_dim)
+    """Stacks ``(count, m)`` and ``(count, fiber_dim)`` of random samples:
+    base points uniform in the cube SAMPLE_BOX^m, fibers standard normal,
+    each stack drawn in one call.  Rows whose fiber has max |v| <= 1e-6
+    are drawn again, base point and fiber, until none is left."""
+    Y = rng.uniform(*SAMPLE_BOX, size=(count, F.m))
+    V = rng.standard_normal((count, F.fiber_dim))
+    while True:
+        near_zero = np.flatnonzero(np.max(np.abs(V), axis=1) <= 1e-6)
+        if not len(near_zero):
+            return Y, V
+        Y[near_zero] = rng.uniform(*SAMPLE_BOX, size=(len(near_zero), F.m))
+        V[near_zero] = rng.standard_normal((len(near_zero), F.fiber_dim))
+
+
+def _scaled_samples(F: FinslerFunction, rng: np.random.Generator, count: int, lambdas):
+    """The scalings ``(1, *lambdas)`` as ``(1 + L, 1)`` and the samples of
+    :func:`_sample_fibers` stacked for each: ``(1 + L) * count`` base points
+    and fibers, the ones for scaling j in rows j * count ... (j + 1) * count."""
+    if any(lam <= 0 for lam in lambdas):
+        raise ValueError("lambdas must be positive")
+    lam = np.array([1.0, *lambdas])[:, None]
+    Y, V = _sample_fibers(F, rng, count)
+    return lam, np.tile(Y, (len(lam), 1)), (lam[:, :, None] * V).reshape(-1, F.fiber_dim)
 
 
 def check_homogeneity(
@@ -247,16 +266,11 @@ def check_homogeneity(
     lambdas=(0.5, 2.0, 10.0),
 ) -> float:
     """Max relative residual of F(y, lambda v) = lambda F(y, v) over random
-    samples and the given positive scalings."""
-    if any(lam <= 0 for lam in lambdas):
-        raise ValueError("lambdas must be positive")
-    Y, V = _sample_fibers(F, rng, sample_count)
-    base = F(Y, V)
-    worst = 0.0
-    for lam in lambdas:
-        r = np.abs(F(Y, lam * V) - lam * base) / (np.abs(lam * base) + EPS_DEN)
-        worst = max(worst, float(np.max(r, initial=0.0)))
-    return worst
+    samples and the given positive scalings, from one evaluation of F."""
+    lam, Y, V = _scaled_samples(F, rng, sample_count, lambdas)
+    values = F(Y, V).reshape(len(lam), sample_count)
+    base = lam[1:] * values[0]
+    return float(np.max(np.abs(values[1:] - base) / (np.abs(base) + EPS_DEN), initial=0.0))
 
 
 def check_projectability(
@@ -265,19 +279,14 @@ def check_projectability(
     sample_count: int = 100,
     lambdas=(0.5, 2.0, 10.0),
 ) -> float:
-    """Max residual of scale invariance of the fiber gradient.
+    """Max residual of scale invariance of the fiber gradient, from one
+    evaluation of it.
 
     0-homogeneity of dF/dv is the coordinate content of the Hilbert form
     descending to the ray space."""
-    if any(lam <= 0 for lam in lambdas):
-        raise ValueError("lambdas must be positive")
-    Y, V = _sample_fibers(F, rng, sample_count)
-    base = F.fiber_gradient(Y, V)
-    worst = 0.0
-    for lam in lambdas:
-        r = np.abs(F.fiber_gradient(Y, lam * V) - base)
-        worst = max(worst, float(np.max(r, initial=0.0)))
-    return worst
+    lam, Y, V = _scaled_samples(F, rng, sample_count, lambdas)
+    grads = F.fiber_gradient(Y, V).reshape(len(lam), sample_count, F.fiber_dim)
+    return float(np.max(np.abs(grads[1:] - grads[0]), initial=0.0))
 
 
 def hilbert_form(F: FinslerFunction) -> KForm:

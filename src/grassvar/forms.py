@@ -46,6 +46,7 @@ from .maps import DifferentiableMap, compose, insert_axis_map
 
 DEGENERACY_TOL = 1e-13
 CHUNK_NODES = 4096  # quadrature nodes evaluated per integrand call
+MAX_GAUSS_ORDER = 64  # nodes per cell and axis; the shipped scenarios use 8
 FD_STEP = 1e-5  # central-difference step for partials of plain callable coefficients
 COVER_OVERHANG = 0.35  # end windows of a uniform cover reach past the box by this many cells
 
@@ -158,7 +159,8 @@ class Piece:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor-product Gauss-Legendre settings."""
+    """Tensor-product Gauss-Legendre settings; the order is at most
+    ``MAX_GAUSS_ORDER``."""
 
     gauss_order: int = 8
     cells_per_axis: int = 16
@@ -168,8 +170,11 @@ class QuadratureSpec:
 
     def __post_init__(self):
         counts = (self.gauss_order, self.cells_per_axis, self.max_refinements)
-        if min(counts) < 1 or not self.target > 0:
-            raise ValueError("gauss_order, cells_per_axis, max_refinements need >= 1, target > 0")
+        if min(counts) < 1 or not self.target > 0 or self.gauss_order > MAX_GAUSS_ORDER:
+            raise ValueError(
+                f"gauss_order in 1..{MAX_GAUSS_ORDER}, cells_per_axis and max_refinements "
+                ">= 1, target > 0 required"
+            )
 
 
 @lru_cache(maxsize=None)
@@ -285,8 +290,8 @@ def lift_integral(
         lift = canonical_lift(piece.map, T)
         degenerate += int(np.count_nonzero(lift.norm <= DEGENERACY_TOL))
         vals = density(T, lift)
-        bad = ~np.isfinite(vals).reshape(-1, len(T)).all(axis=0)
-        if np.any(bad):
+        if not np.isfinite(vals).all():  # one flat test; nodes are searched only on failure
+            bad = ~np.isfinite(vals).reshape(-1, len(T)).all(axis=0)
             raise EvaluationError(f"non-finite integrand at t={T[bad][0]}")
         return vals
 

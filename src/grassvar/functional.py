@@ -10,9 +10,10 @@ zeta'^nu on the lift (zeta, zeta') of the curve, and the two routes must
 agree whenever the metric is positively homogeneous; that cross-check
 runs by default.
 
-The homogeneity probe runs once per public call, and a first-variation
-call walks the grid once, however many perturbed lengths it integrates:
-they are stacked on one node stack per quadrature chunk.
+The homogeneity probe runs once per public call.  Every public call walks
+the quadrature grid once: the cross-checked length integrates both routes
+as two components of one density, and a first-variation call stacks all
+its perturbed lengths on one node stack per quadrature chunk.
 """
 from __future__ import annotations
 
@@ -67,19 +68,26 @@ def curve_length(
 
     The areal value of F on the curve as a 1-piece, i.e. the integral of
     t -> F(zeta(t), zeta'(t)).  When the homogeneity probe passes and
-    ``cross_check`` is on, the value is also computed by
-    :func:`hilbert_route_length`; disagreement beyond 1e-10 raises
-    CrossCheckError.
+    ``cross_check`` is on, the same grid walk also integrates the Hilbert
+    route of :func:`hilbert_route_length`: the density is the stack
+    [F(zeta, zeta'), sum_nu dF/dv_nu(zeta, zeta') zeta'^nu], whose first
+    component the quadrature sums exactly as it would alone, adaptive
+    levels included.  Disagreement beyond 1e-10 raises CrossCheckError.
     """
     piece = _curve_piece(F, curve, interval)
     homogeneous = _homogeneity_probe(F)
-    direct = _lift_value(F, piece, q)
-    if cross_check and homogeneous:
-        via_hilbert = hilbert_route_length(F, curve, interval, q)
-        if abs(direct - via_hilbert) > DUAL_ROUTE_TOL * max(1.0, abs(direct)):
-            raise CrossCheckError(
-                f"direct length {direct!r} and Hilbert-form length {via_hilbert!r} disagree"
-            )
+    if not (cross_check and homogeneous):
+        return _lift_value(F, piece, q)
+
+    def both_routes(T, lift):
+        return np.stack([F(lift.base, lift.comps), _hilbert_value(F, lift)])
+
+    # a zero-width interval integrates to the scalar 0.0
+    direct, via_hilbert = map(float, np.broadcast_to(_lift_value(F, piece, q, both_routes), (2,)))
+    if abs(direct - via_hilbert) > DUAL_ROUTE_TOL * max(1.0, abs(direct)):
+        raise CrossCheckError(
+            f"direct length {direct!r} and Hilbert-form length {via_hilbert!r} disagree"
+        )
     return direct
 
 
@@ -93,11 +101,14 @@ def hilbert_route_length(
     form's value sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on the lift
     (zeta, zeta').  This is the integral of :func:`finsler.hilbert_form`
     over the map t -> (zeta, zeta'), whose dv block has zero coefficients."""
+    return lift_integral(
+        _curve_piece(F, curve, interval), lambda T, lift: _hilbert_value(F, lift), q
+    )
 
-    def hilbert_value(T, lift):
-        return np.sum(F.fiber_gradient(lift.base, lift.comps) * lift.comps, axis=1)
 
-    return lift_integral(_curve_piece(F, curve, interval), hilbert_value, q)
+def _hilbert_value(F: FinslerFunction, lift) -> np.ndarray:
+    """The Hilbert form's value sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on a lift."""
+    return np.sum(F.fiber_gradient(lift.base, lift.comps) * lift.comps, axis=1)
 
 
 def areal_value(
@@ -162,13 +173,12 @@ def reparametrized(
     """The curve zeta o rho and the interval rho^{-1}([a, b]) it runs over.
 
     ``rho`` must be a strictly increasing reparametrization (checked at the
-    quadrature resolution); its endpoint preimages are found by root
-    bracketing when no catalog inverse is attached.
+    quadrature resolution); its endpoint preimages come from
+    :func:`_preimages`.
     """
     if rho.domain_dim != 1 or rho.codomain_dim != 1:
         raise DimensionMismatchError("reparametrization must map an interval to an interval")
-    a, b = interval
-    sa, sb = _preimage(rho, a), _preimage(rho, b)
+    sa, sb = _preimages(rho, interval)
     S = np.linspace(sa, sb, 64).reshape(-1, 1)
     bad = rho.jacobian(S)[:, 0, 0] <= 0.0
     if np.any(bad):
@@ -176,38 +186,55 @@ def reparametrized(
     return compose(curve, rho), (sa, sb)
 
 
-def _preimage(rho: DifferentiableMap, value: float) -> float:
-    """s with rho(s) = value, for a strictly increasing rho.
+def _preimages(rho: DifferentiableMap, values) -> tuple[float, ...]:
+    """s with rho(s) = value for each of ``values``, for a strictly increasing rho.
 
-    Without a catalog inverse the bracket [value - j, value + j] is widened
-    until it holds a sign change, then bisected until its midpoint no
-    longer lies strictly inside it, i.e. to floating-point resolution.
+    A catalog inverse is called once per value.  Without one, every value's
+    bracket [value - j, value + j] is widened (j = 1, 2, ... 80) until it
+    holds a sign change of rho - value, and then all values are solved as
+    one stack by safeguarded Newton steps with ``rho.jacobian``: a step that
+    leaves its bracket, or does not halve the step before it, is replaced
+    by bisection, and every evaluation shrinks the bracket.  A value is done
+    when rho hits it, when its Newton step is within 8 ulp, or when its
+    bracket's midpoint no longer lies strictly inside it (floating-point
+    resolution).
     """
     if rho.has_inverse:
-        return float(rho.inverted()(np.array([value]))[0])
-
-    def f(s: float) -> float:
-        return float(rho(np.array([s]))[0]) - value
-
-    lo, hi = value - 1.0, value + 1.0
+        return tuple(float(rho.inverted()(np.array([v]))[0]) for v in values)
+    values = np.array(values, dtype=float)
+    n = len(values)
+    lo, hi = values - 1.0, values + 1.0
     for _ in range(80):
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo < 0.0 < fhi:
-            while True:
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    return mid
-                fmid = f(mid)
-                if fmid == 0.0:
-                    return mid
-                lo, hi = (mid, hi) if fmid < 0.0 else (lo, mid)
-        lo -= 1.0
-        hi += 1.0
-    raise OrientationError(f"{rho.name}: could not bracket a preimage of {value}")
+        f = rho(np.concatenate([lo, hi])[:, None])[:, 0] - np.concatenate([values, values])
+        flo, fhi = f[:n], f[n:]
+        found = (flo == 0.0) | (fhi == 0.0) | ((flo < 0.0) & (0.0 < fhi))
+        if found.all():
+            break
+        lo[~found] -= 1.0
+        hi[~found] += 1.0
+    else:
+        raise OrientationError(
+            f"{rho.name}: could not bracket a preimage of {values[~found][0]}"
+        )
+    s = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
+    last = hi - lo  # size of each value's last step
+    todo = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    while len(todo):
+        x, a, b = s[todo], lo[todo], hi[todo]
+        fx = rho(x[:, None])[:, 0] - values[todo]
+        a, b = np.where(fx < 0.0, x, a), np.where(fx > 0.0, x, b)
+        with np.errstate(all="ignore"):  # a step of 0/0 or x/0 is never taken
+            step = fx / rho.jacobian(x[:, None])[:, 0, 0]
+        # a step within 8 ulp may round to x itself, a bracket end: it is taken
+        converged = np.abs(step) <= 8.0 * np.spacing(np.abs(x))
+        inside = (a < x - step) & (x - step < b) & (np.abs(step) <= 0.5 * last[todo])
+        newton = converged | inside
+        mid = 0.5 * (a + b)
+        nxt = np.where(fx == 0.0, x, np.where(newton, np.clip(x - step, a, b), mid))
+        done = (fx == 0.0) | converged | (~newton & ~((a < mid) & (mid < b)))
+        s[todo], lo[todo], hi[todo], last[todo] = nxt, a, b, np.abs(nxt - x)
+        todo = todo[~done]
+    return tuple(map(float, s))
 
 
 @dataclass(frozen=True)

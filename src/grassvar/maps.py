@@ -23,6 +23,7 @@ a map on a single point ``(n,)`` evaluates the stack N = 1 and returns
 """
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from typing import Callable
@@ -47,9 +48,52 @@ def _as_batch(t, dim: int) -> tuple[np.ndarray, bool]:
 
 
 def _finite(name: str, what: str, T: np.ndarray, out: np.ndarray) -> None:
-    bad = ~np.isfinite(out).reshape(len(T), -1).all(axis=1)
-    if np.any(bad):
+    if not np.isfinite(out).all():  # one flat test; rows are searched only on failure
+        bad = ~np.isfinite(out).reshape(len(T), -1).all(axis=1)
         raise MapEvaluationError(f"{name}: non-finite {what} at t={T[bad][0]}")
+
+
+def checked_reals(value, what: str, shape: tuple = (), error=MapEvaluationError):
+    """``value`` as finite floats of ``shape``: a float for ``()``, else an
+    array whose ``None`` axes take any positive length.  Anything else (a
+    string, a bool, a ragged or misshapen list, a non-finite or overflowing
+    number) raises ``error`` naming ``what``; catalog maps and metrics read
+    every numeric parameter through this."""
+    if not shape and type(value) is float and math.isfinite(value):
+        return value  # the common case, a JSON number
+    try:
+        if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+            out = value.astype(float)
+        else:
+            items = np.asarray(value, dtype=object)
+            numeric = all(isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
+                          for x in items.flat)
+            out = items.astype(float) if numeric else None
+    except (TypeError, ValueError, OverflowError):  # ragged lists, ints past the float range
+        out = None
+    if out is None or out.ndim != len(shape) or not np.isfinite(out).all() or not all(
+        n >= 1 if want is None else n == want for n, want in zip(out.shape, shape)
+    ):
+        want = "x".join("n" if n is None else str(n) for n in shape)
+        kind = f"finite numbers of shape {want}" if shape else "a finite number"
+        raise error(f"{what} must be {kind}, got {value!r:.80}")
+    return float(out) if not shape else out
+
+
+def checked_dimension(value, what: str, error=MapEvaluationError) -> int:
+    """``value`` as a positive int; a bool, a float or anything else raises
+    ``error`` naming ``what``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_)):
+        if value >= 1:
+            return int(value)
+    raise error(f"{what} must be a positive integer, got {value!r:.80}")
+
+
+def _stacked(out, shape: tuple) -> np.ndarray:
+    """``out`` as floats of ``shape``, broadcast only when a callable
+    returned a constant (a fixed matrix, say)."""
+    out = np.asarray(out, dtype=float)
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 class DifferentiableMap:
@@ -81,17 +125,14 @@ class DifferentiableMap:
 
     def __call__(self, t) -> np.ndarray:
         T, single = _as_batch(t, self.domain_dim)
-        Y = np.broadcast_to(np.asarray(self._func(T), dtype=float), (len(T), self.codomain_dim))
+        Y = _stacked(self._func(T), (len(T), self.codomain_dim))
         _finite(self.name, "value", T, Y)
         return Y[0] if single else Y
 
     def jacobian(self, t) -> np.ndarray:
         T, single = _as_batch(t, self.domain_dim)
         if self._jacobian is not None:
-            J = np.broadcast_to(
-                np.asarray(self._jacobian(T), dtype=float),
-                (len(T), self.codomain_dim, self.domain_dim),
-            )
+            J = _stacked(self._jacobian(T), (len(T), self.codomain_dim, self.domain_dim))
         else:
             J = self._fd_jacobian(T)
         _finite(self.name, "Jacobian", T, J)
@@ -141,23 +182,24 @@ def _affine(name: str, A: np.ndarray, b: np.ndarray | None = None) -> Differenti
 
 
 def identity_map(dim: int) -> DifferentiableMap:
-    return _affine("identity", np.eye(int(dim)))
+    return _affine("identity", np.eye(checked_dimension(dim, "dim")))
 
 
 def linear_map(matrix) -> DifferentiableMap:
     """y = A t.  An inverse is attached when A is square and invertible."""
-    return _affine("linear", np.asarray(matrix, dtype=float))
+    return _affine("linear", checked_reals(matrix, "matrix", (None, None)))
 
 
 def affine_map(matrix, offset) -> DifferentiableMap:
     """y = A t + b, with inverse t = A^{-1}(y - b) for invertible square A."""
-    return _affine("affine", np.asarray(matrix, dtype=float), np.asarray(offset, dtype=float))
+    A = checked_reals(matrix, "matrix", (None, None))
+    return _affine("affine", A, checked_reals(offset, "offset", (len(A),)))
 
 
 def segment(start, end) -> DifferentiableMap:
     """Straight segment t -> p + t (q - p), t in [0, 1] by convention."""
-    p = np.asarray(start, dtype=float)
-    q = np.asarray(end, dtype=float)
+    p = checked_reals(start, "start", (None,))
+    q = checked_reals(end, "end", p.shape)
     d = q - p
     m = len(p)
     return DifferentiableMap(
@@ -229,10 +271,7 @@ def polynomial_map(domain_dim: int, terms) -> DifferentiableMap:
     the monomials of each slot in table order, so a node's value depends on
     that node alone.
     """
-    n = domain_dim
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise MapEvaluationError(f"polynomial domain_dim {domain_dim!r} is not a positive integer")
-    n = int(n)
+    n = checked_dimension(domain_dim, "polynomial domain_dim")
     parsed = [[_polynomial_term(term, n) for term in comp] for comp in terms]
     m = len(parsed)
     value = _monomial_sum([(i, c, e) for i, comp in enumerate(parsed) for c, e in comp], n, m)
@@ -258,9 +297,9 @@ def _columns(*entries) -> np.ndarray:
 
 def circle(radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> DifferentiableMap:
     """t -> center + radius (cos(t + phase), sin(t + phase))."""
-    r = float(radius)
-    c = np.asarray(center, dtype=float)
-    ph = float(phase)
+    r = checked_reals(radius, "radius")
+    c = checked_reals(center, "center", (2,))
+    ph = checked_reals(phase, "phase")
     return DifferentiableMap(
         "circle",
         1,
@@ -272,7 +311,7 @@ def circle(radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> Differ
 
 def helix(radius: float = 1.0, pitch: float = 1.0) -> DifferentiableMap:
     """t -> (r cos t, r sin t, pitch t)."""
-    r, p = float(radius), float(pitch)
+    r, p = checked_reals(radius, "radius"), checked_reals(pitch, "pitch")
     return DifferentiableMap(
         "helix",
         1,
@@ -284,7 +323,7 @@ def helix(radius: float = 1.0, pitch: float = 1.0) -> DifferentiableMap:
 
 def torus_patch(major_radius: float = 2.0, minor_radius: float = 1.0) -> DifferentiableMap:
     """(u, v) -> torus point with tube angle v, axial angle u."""
-    R, r = float(major_radius), float(minor_radius)
+    R, r = checked_reals(major_radius, "major_radius"), checked_reals(minor_radius, "minor_radius")
 
     def ev(T):
         u, v = T[:, 0], T[:, 1]
@@ -305,7 +344,7 @@ def torus_patch(major_radius: float = 2.0, minor_radius: float = 1.0) -> Differe
 
 def sphere_patch(radius: float = 1.0) -> DifferentiableMap:
     """(theta, phi) -> r (sin th cos ph, sin th sin ph, cos th); degenerate at poles."""
-    r = float(radius)
+    r = checked_reals(radius, "radius")
 
     def ev(T):
         th, ph = T[:, 0], T[:, 1]
@@ -337,11 +376,9 @@ def graph_surface(terms) -> DifferentiableMap:
 
 def fourier_curve(constant, cos_coeffs, sin_coeffs) -> DifferentiableMap:
     """t -> c + sum_j (A[:, j-1] cos(j t) + B[:, j-1] sin(j t)), j = 1..J."""
-    c = np.asarray(constant, dtype=float)
-    A = np.asarray(cos_coeffs, dtype=float).reshape(len(c), -1)
-    B = np.asarray(sin_coeffs, dtype=float).reshape(len(c), -1)
-    if A.shape != B.shape:
-        raise DimensionMismatchError("cos/sin coefficient arrays must have equal shape")
+    c = checked_reals(constant, "constant", (None,))
+    A = checked_reals(cos_coeffs, "cos_coeffs", (len(c), None))
+    B = checked_reals(sin_coeffs, "sin_coeffs", A.shape)
     m, J = A.shape
     js = np.arange(1, J + 1, dtype=float)
 
@@ -357,7 +394,7 @@ def fourier_curve(constant, cos_coeffs, sin_coeffs) -> DifferentiableMap:
 
 def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
     """Reparametrization s -> s + a sin s; a diffeomorphism of R for |a| < 1."""
-    a = float(amplitude)
+    a = checked_reals(amplitude, "amplitude")
     if abs(a) >= 1.0:
         raise MapEvaluationError("sine_shift requires |amplitude| < 1 to stay monotone")
 
@@ -390,7 +427,7 @@ def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
 
 def trig_shear(amplitude: float = 0.3) -> DifferentiableMap:
     """(x, y) -> (x + a sin y, y); unit Jacobian determinant, exact inverse."""
-    a = float(amplitude)
+    a = checked_reals(amplitude, "amplitude")
     inv = DifferentiableMap(
         "trig_shear_inverse",
         2,
@@ -410,7 +447,7 @@ def trig_shear(amplitude: float = 0.3) -> DifferentiableMap:
 
 def positive_scale(factors) -> DifferentiableMap:
     """Diagonal scaling with strictly positive factors."""
-    f = np.asarray(factors, dtype=float)
+    f = checked_reals(factors, "factors", (None,))
     if np.any(f <= 0):
         raise MapEvaluationError("positive_scale requires positive factors")
     D = np.diag(f)
@@ -458,7 +495,7 @@ def insert_axis_map(k: int, axis: int, value: float) -> DifferentiableMap:
         A[row, col] = 1.0
     b = np.zeros(k)
     b[axis - 1] = float(value)
-    return affine_map(A, b)
+    return _affine("affine", A, b)
 
 
 # name -> builder; the scenario loader resolves geometry through this table.

@@ -4,8 +4,11 @@ A scenario is a JSON document (``"version": "1"``) declaring a metric, a
 geometry from the map catalog, quadrature settings, and either quantities
 to compute (length/area/variation subcommands) or a list of named checks.
 ``SCENARIO_SCHEMA`` is a JSON Schema; one walk, :func:`_violation`, checks the
-keywords it uses: ``type enum minimum exclusiveMinimum required properties
-additionalProperties propertyNames.pattern items minItems maxItems``.
+keywords it uses: ``type enum minimum maximum exclusiveMinimum required
+properties additionalProperties propertyNames.pattern items minItems
+maxItems``.  The caps on sample counts, scalings, the Grassmann dimension
+and the Gauss order bound what one stacked check or quadrature chunk
+allocates.
 :func:`run_scenario` turns it into rows through one table, ``SUBCOMMANDS``:
 subcommand -> (the list it reads, ``compute`` or ``checks``; its row
 functions by name; the expected value of a row whose entry gives none).
@@ -30,6 +33,7 @@ from . import finsler, functional, grassmann
 from .errors import GrassvarError, ScenarioError
 from .finsler import FinslerFunction, METRIC_KINDS
 from .forms import (
+    MAX_GAUSS_ORDER,
     KForm,
     ParametricFormFamily,
     PartitionOfUnity,
@@ -49,6 +53,7 @@ SCHEMA_VERSION = "1"
 _number = {"type": "number"}
 _positive = {"type": "number", "exclusiveMinimum": 0}
 _count = {"type": "integer", "minimum": 1}
+_sample_count = {"type": "integer", "minimum": 1, "maximum": 100000}
 _tolerance = {"type": "number", "minimum": 0}
 _catalog_ref = {
     "type": "object",
@@ -115,7 +120,7 @@ SCENARIO_SCHEMA = {
         "quadrature": {
             "type": "object",
             "properties": {
-                "gauss_order": {"type": "integer", "minimum": 1},
+                "gauss_order": {"type": "integer", "minimum": 1, "maximum": MAX_GAUSS_ORDER},
                 "cells_per_axis": {"type": "integer", "minimum": 1},
                 "adaptive": {"type": "boolean"},
                 "target": _number,
@@ -142,11 +147,11 @@ SCENARIO_SCHEMA = {
                 "properties": {
                     "name": {"type": "string"},
                     "tolerance": _tolerance,
-                    "samples": _count,
-                    "count": _count,
-                    "lambdas": {"type": "array", "items": _positive, "minItems": 1},
+                    "samples": _sample_count,
+                    "count": _sample_count,
+                    "lambdas": {"type": "array", "items": _positive, "minItems": 1, "maxItems": 16},
                     "k": {"type": "integer", "minimum": 1},
-                    "m": {"type": "integer", "minimum": 2},
+                    "m": {"type": "integer", "minimum": 2, "maximum": 8},
                     "form": _form,
                 },
                 "required": ["name", "tolerance"],
@@ -217,6 +222,8 @@ def _violation(schema: dict, node, where: tuple = ()) -> tuple[str, tuple] | Non
         return f"{node!r} is not one of {schema['enum']!r}", where
     if _is(node, "number") and node < schema.get("minimum", -math.inf):
         return f"{node!r} is less than the minimum of {schema['minimum']!r}", where
+    if _is(node, "number") and node > schema.get("maximum", math.inf):
+        return f"{node!r} is greater than the maximum of {schema['maximum']!r}", where
     low = schema.get("exclusiveMinimum", -math.inf)
     if _is(node, "number") and node <= low:
         return f"{node!r} is less than or equal to the minimum of {low!r}", where
@@ -407,15 +414,18 @@ def _check_euler_identity(scenario, rng, q, samples=25):
 
 
 def _check_dual_route(scenario, rng, q):
+    """|direct length of zeta - Hilbert-route length of zeta o rho|: the two
+    sides share no node.  On one node set the two are the Euler identity
+    at each node, which would read 0 by construction."""
     F = build_metric(scenario["metric"])
     curve, ((a, b),) = build_geometry(scenario, "interval")
-    direct = functional.curve_length(F, curve, (a, b), q, cross_check=False)
     rho_spec = scenario.get("reparam")
-    if rho_spec is not None:  # the Hilbert side on zeta o rho: no node shared with `direct`
-        rho = build_map(rho_spec, "reparam")
-        curve, (a, b) = functional.reparametrized(curve, (a, b), rho)
-    via = functional.hilbert_route_length(F, curve, (a, b), q)
-    return abs(direct - via)
+    if rho_spec is None:
+        raise ScenarioError("dual_route needs a reparam block", "reparam")
+    rho = build_map(rho_spec, "reparam")
+    direct = functional.curve_length(F, curve, (a, b), q, cross_check=False)
+    curve, (a, b) = functional.reparametrized(curve, (a, b), rho)
+    return abs(direct - functional.hilbert_route_length(F, curve, (a, b), q))
 
 
 def _check_reparam_invariance(scenario, rng, q):
@@ -473,14 +483,20 @@ def _check_partition_independence(scenario, rng, q, form=None):
 def _check_grassmann_roundtrip(scenario, rng, q, k=2, m=4, count=200):
     if not 1 <= k < m:
         raise ScenarioError(f"grassmann_roundtrip needs 1 <= k < m, got k={k}, m={m}", "checks")
-    n, samples = math.comb(m, k), []
-    while len(samples) < count:
-        comps, base, off = rng.standard_normal(n), rng.standard_normal(m), rng.integers(0, n - 1)
-        pivot = np.argmax(np.abs(comps))  # the chart's own pivot, as to_grassmann picks it
+    n = math.comb(m, k)
+    comps, base = rng.standard_normal((count, n)), rng.standard_normal((count, m))
+    off = rng.integers(0, n - 1, size=count)
+    while True:
+        pivot = np.argmax(np.abs(comps), axis=1)  # the chart's own pivot, as to_grassmann picks it
         other = off + (off >= pivot)
-        if abs(comps[other] / comps[pivot]) >= 1e-3:  # safely inside both charts
-            samples.append((comps, base, other))
-    comps, base, other = (np.array(column) for column in zip(*samples))
+        pair = np.take_along_axis(comps, np.stack([other, pivot], axis=1), axis=1)
+        inside = np.abs(pair[:, 0] / pair[:, 1]) >= 1e-3  # safely inside both charts
+        rejected = np.flatnonzero(~inside)
+        if not len(rejected):
+            break
+        comps[rejected] = rng.standard_normal((len(rejected), n))
+        base[rejected] = rng.standard_normal((len(rejected), m))
+        off[rejected] = rng.integers(0, n - 1, size=len(rejected))
     p = grassmann.to_grassmann(KVector(base, comps, k, m))
     back = grassmann.grassmann_transition(grassmann.grassmann_transition(p, other), p.pivot)
     # each chart point must also be the ray it came from: xi / |xi^pivot|

@@ -184,3 +184,82 @@ def points_close(p, q, tol=1e-12, base_tol=None):
         np.allclose(p.base, q.base, rtol=base_tol, atol=base_tol)
         and np.max(np.abs(p.w - q.w)) <= tol
     )
+
+
+def homogeneity_by_lambda(F, Y, V, lambdas):
+    """Max relative residual of F(y, lambda v) = lambda F(y, v) on the
+    samples ``Y``, ``V``, one evaluation of F per scaling."""
+    base = F(Y, V)
+    worst = 0.0
+    for lam in lambdas:
+        r = np.abs(F(Y, lam * V) - lam * base) / (np.abs(lam * base) + 1e-300)
+        worst = max(worst, float(np.max(r, initial=0.0)))
+    return worst
+
+
+def projectability_by_lambda(F, Y, V, lambdas):
+    """Max |dF/dv(y, lambda v) - dF/dv(y, v)| on the samples ``Y``, ``V``,
+    one evaluation of the fiber gradient per scaling."""
+    base = F.fiber_gradient(Y, V)
+    return max(
+        float(np.max(np.abs(F.fiber_gradient(Y, lam * V) - base), initial=0.0)) for lam in lambdas
+    )
+
+
+def bisected_preimage(rho, value):
+    """s with rho(s) = value for an increasing scalar map, one scalar call
+    at a time: the bracket [value - j, value + j] is widened (j up to 80)
+    until it holds a sign change, then bisected until its midpoint no longer
+    lies strictly inside it."""
+    def f(s):
+        return float(rho(np.array([s]))[0]) - value
+
+    lo, hi = value - 1.0, value + 1.0
+    for _ in range(80):
+        flo, fhi = f(lo), f(hi)
+        if flo == 0.0:
+            return lo
+        if fhi == 0.0:
+            return hi
+        if flo < 0.0 < fhi:
+            while True:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    return mid
+                fmid = f(mid)
+                if fmid == 0.0:
+                    return mid
+                lo, hi = (mid, hi) if fmid < 0.0 else (lo, mid)
+        lo -= 1.0
+        hi += 1.0
+    raise ValueError(f"no bracket for {value}")
+
+
+class FirstRowRejected:
+    """A numpy Generator whose first ``standard_normal`` draw has the first
+    row 1e-7 e_last: a fiber of max |v| <= 1e-6, and a k-vector lying on
+    its pivot axis, outside every other chart.  A sampler that rejects such
+    rows must draw that row again; ``sizes`` records every draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.sizes = []
+        self._spoiled = False
+
+    def _draw(self, method, *args, size=None):
+        self.sizes.append((method, size))
+        return getattr(self._rng, method)(*args, size=size)
+
+    def standard_normal(self, size=None):
+        out = self._draw("standard_normal", size=size)
+        if not self._spoiled:
+            self._spoiled = True
+            out[0] = 0.0
+            out[0, -1] = 1e-7
+        return out
+
+    def uniform(self, low, high, size=None):
+        return self._draw("uniform", low, high, size=size)
+
+    def integers(self, low, high, size=None):
+        return self._draw("integers", low, high, size=size)

@@ -5,6 +5,7 @@ import pytest
 
 from grassvar.errors import DimensionMismatchError, InvalidMetricError, SlitDomainError
 from grassvar.finsler import (
+    _sample_fibers,
     areal_gram,
     check_homogeneity,
     check_projectability,
@@ -18,7 +19,12 @@ from grassvar.finsler import (
 )
 from grassvar.maps import circle, fourier_curve, helix
 
-from .oracles import fiber_gradient_fd_residual
+from .oracles import (
+    FirstRowRejected,
+    fiber_gradient_fd_residual,
+    homogeneity_by_lambda,
+    projectability_by_lambda,
+)
 
 HOMOGENEITY_TOL = 1e-11
 EULER_TOL = 1e-11
@@ -184,3 +190,28 @@ def test_euler_identity_fails_for_energy():
     # gradient . v = 2|v|^2 while F = |v|^2: residual equals F itself
     res = pullback_identity_residual(F, z, [0.4])
     assert res == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("lambdas", [(0.5, 2.0, 10.0), (3.0,), tuple(np.linspace(0.1, 9.0, 16))])
+def test_stacked_fiber_checks_equal_the_per_lambda_loop(lambdas, rng):
+    metrics = [*catalog_metrics(rng), energy_metric(3), areal_gram(2, 4)]
+    for F in metrics:
+        for check, oracle in [(check_homogeneity, homogeneity_by_lambda),
+                              (check_projectability, projectability_by_lambda)]:
+            samples = _sample_fibers(F, np.random.default_rng(7), 40)
+            expected = oracle(F, *samples, lambdas)
+            assert check(F, np.random.default_rng(7), 40, lambdas) == expected, (F.kind, check)
+
+
+def test_sample_fibers_draws_a_rejected_row_again():
+    F = randers_metric(3, [0.2, 0.1, -0.1])
+    stub = FirstRowRejected(3)
+    Y, V = _sample_fibers(F, stub, 5)
+    assert stub.sizes == [("uniform", (5, 3)), ("standard_normal", (5, 3)),
+                          ("uniform", (1, 3)), ("standard_normal", (1, 3))]
+    first = np.random.default_rng(3)
+    Y0, V0 = first.uniform(-1.0, 1.0, size=(5, 3)), first.standard_normal((5, 3))
+    assert np.array_equal(Y[1:], Y0[1:]) and np.array_equal(V[1:], V0[1:])
+    assert np.array_equal(Y[0], first.uniform(-1.0, 1.0, size=(1, 3))[0])
+    assert np.array_equal(V[0], first.standard_normal((1, 3))[0])
+    assert np.max(np.abs(V), axis=1).min() > 1e-6

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from grassvar import forms, functional
@@ -28,7 +30,7 @@ from grassvar.finsler import (
 from grassvar.forms import Piece, QuadratureSpec, integrate
 from grassvar.functional import (
     VariationField,
-    _preimage,
+    _preimages,
     areal_value,
     curve_length,
     default_variation_basis,
@@ -49,6 +51,8 @@ from grassvar.maps import (
     sine_shift,
     sphere_patch,
 )
+
+from .oracles import bisected_preimage
 
 Q = QuadratureSpec(gauss_order=8, cells_per_axis=16)
 Q64 = QuadratureSpec(gauss_order=8, cells_per_axis=64)
@@ -97,7 +101,7 @@ def test_hilbert_form_pullback_matches_hilbert_route():
         assert abs(pulled - hilbert_route_length(F, curve, interval, Q)) <= 1e-9
 
 
-def test_cross_checked_length_evaluates_each_layer_once_per_route(monkeypatch):
+def test_cross_checked_length_evaluates_each_layer_once(monkeypatch):
     z = circle()
     jacobian_calls, gradient_calls = [], []
     jacobian = z.jacobian
@@ -115,7 +119,29 @@ def test_cross_checked_length_evaluates_each_layer_once_per_route(monkeypatch):
     monkeypatch.setattr(FinslerFunction, "fiber_gradient", counted_gradient)
     val = curve_length(euclidean_metric(2), z, (0.0, TWO_PI), Q64)
     assert val == pytest.approx(TWO_PI, abs=1e-8)
-    assert (len(jacobian_calls), len(gradient_calls)) == (2, 1)
+    assert (len(jacobian_calls), len(gradient_calls)) == (1, 1)
+
+
+@pytest.mark.parametrize("q", [
+    Q, QuadratureSpec(gauss_order=3, cells_per_axis=1, adaptive=True, target=1e-9),
+    QuadratureSpec(gauss_order=2, cells_per_axis=1, adaptive=True, target=1e-14,
+                   max_refinements=3),
+], ids=["fixed", "adaptive", "adaptive-missed"])
+def test_cross_checked_length_equals_the_direct_walk_bit_for_bit(q):
+    conformal = riemannian_metric(3, {"field": "conformal", "coefficient": 0.3})
+    for F, curve, interval in [
+        (randers_metric(2, [0.2, -0.1]), circle(1.7), (0.2, 4.0)),
+        (conformal, helix(0.8, 0.5), (0.0, 5.0)),
+        (quartic_root_metric([1.0, 2.0]), circle(1.1), (0.0, 2.0)),
+    ]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            direct = functional._lift_value(F, Piece((interval,), curve), q)
+            checked = curve_length(F, curve, interval, q)
+        assert checked == direct
+        missed = [w for w in caught if w.category is QuadratureTargetWarning]
+        # one for the direct walk, then one for each route of the checked walk
+        assert len(missed) == (3 if q.target == 1e-14 else 0)
 
 
 def test_nonhomogeneous_warns_and_skips_cross_check():
@@ -222,10 +248,27 @@ def test_reparam_sine_shift_circle():
 def test_reparam_without_inverse_uses_the_bracketed_preimage():
     rho = polynomial_map(1, [[(1.0, (1,)), (1.0, (3,))]])  # s + s^3, strictly increasing
     assert not rho.has_inverse
-    assert _preimage(rho, 0.625) == pytest.approx(0.5, abs=1e-15)  # bisected in [-0.375, 1.625]
-    assert _preimage(rho, 10.0) == pytest.approx(2.0, abs=1e-15)  # after widening the bracket
+    # 0.625 is solved in [-0.375, 1.625], 10.0 after widening its bracket to [7, 13]
+    assert _preimages(rho, (0.625, 10.0)) == pytest.approx((0.5, 2.0), abs=1e-15)
     res = reparam_invariance_residual(euclidean_metric(2), circle(), (0.625, 10.0), rho, Q)
     assert res <= 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(-4.0, 4.0),
+    st.floats(-4.0, 4.0),
+)
+@example(1.0, 2.0, -2.0)  # rho(s) = 10: the bracket is widened to [7, 13]
+@example(1.0, 4.0, 1e-300)  # 68, and a target whose preimage is subnormal-sized
+@example(0.5, 0.0, 3.0)  # a target rho hits exactly
+def test_newton_preimages_are_within_2_ulp_of_the_bisection(c, s1, s2):
+    rho = polynomial_map(1, [[(1.0, (1,)), (c, (3,))]])  # s + c s^3: no catalog inverse
+    targets = [float(rho(np.array([s]))[0]) for s in (s1, s2)]
+    for got, target in zip(_preimages(rho, targets), targets):
+        expected = bisected_preimage(rho, target)
+        assert abs(got - expected) <= 2.0 * np.spacing(max(abs(got), abs(expected))), target
 
 
 def test_reparam_orientation_violation():

@@ -10,6 +10,7 @@ from grassvar.maps import (
     MAX_EXPONENT,
     DifferentiableMap,
     affine_map,
+    checked_reals,
     circle,
     compose,
     fourier_curve,
@@ -229,3 +230,21 @@ def test_polynomial_map_rejects_bad_terms(domain_dim, term):
 def test_polynomial_exponent_tuple_length():
     with pytest.raises(DimensionMismatchError):
         polynomial_map(2, [[(1.0, (1, 0, 0))]])
+
+
+@pytest.mark.parametrize("value, shape", [
+    ("1.5", ()), (True, ()), (None, ()), ([1.0], ()), (10**400, ()), (math.inf, ()),
+    ([0.0], (2,)), ([0.0, "x"], (2,)), ([0.0, np.bool_(True)], (2,)), ([], (None,)),
+    ([[1.0, 2.0], [3.0]], (None, None)), ([1.0, 2.0], (None, None)), ([[math.nan]], (1, 1)),
+])
+def test_checked_reals_rejects_non_numbers_and_wrong_shapes(value, shape):
+    with pytest.raises(MapEvaluationError, match="radius must be"):
+        checked_reals(value, "radius", shape)
+
+
+def test_checked_reals_reads_numbers_of_the_shape():
+    assert checked_reals(2, "radius") == 2.0 and isinstance(checked_reals(2, "radius"), float)
+    assert checked_reals(np.float64(0.5), "radius") == 0.5
+    assert np.array_equal(checked_reals((1, 2.5), "center", (2,)), [1.0, 2.5])
+    M = checked_reals([[1, 0, 2]], "matrix", (None, 3))
+    assert M.dtype == float and M.shape == (1, 3)

@@ -20,6 +20,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -30,6 +31,8 @@ from grassvar import cli, grassmann, scenarios
 from grassvar.errors import ScenarioError
 from grassvar.forms import QuadratureSpec
 from grassvar.scenarios import SCENARIO_SCHEMA, build_quadrature, load_scenario, run_scenario
+
+from .oracles import FirstRowRejected
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -217,6 +220,16 @@ def test_grassmann_roundtrip_compares_each_chart_point_with_its_k_vector(monkeyp
     assert [row.status for row in run_scenario("check", scenario, 42).rows] == ["FAIL"]
 
 
+def test_grassmann_roundtrip_draws_a_rejected_row_again():
+    stub = FirstRowRejected(5)
+    value = scenarios._check_grassmann_roundtrip({}, stub, QuadratureSpec(), k=2, m=4, count=5)
+    assert stub.sizes == [
+        ("standard_normal", (5, 6)), ("standard_normal", (5, 4)), ("integers", 5),
+        ("standard_normal", (1, 6)), ("standard_normal", (1, 4)), ("integers", 1),
+    ]
+    assert value <= 1e-13
+
+
 def test_quadrature_defaults_come_from_the_spec(tmp_path, monkeypatch):
     built = []
 
@@ -297,8 +310,35 @@ SCENARIO_ERRORS = [
      "geometry"),
     ("box-dimension", "area", "area_sphere_zone", _put([[0.1, 3.0]], "geometry", "box"),
      "geometry/box"),
+    # catalog and metric parameters, read by maps.checked_reals and checked_dimension
+    ("radius-string", "length", "length_circle", _put("x", "geometry", "params", "radius"),
+     "geometry"),
+    ("radius-bool", "length", "length_circle", _put(True, "geometry", "params", "radius"),
+     "geometry"),
+    ("center-short", "length", "length_circle", _put([0.0], "geometry", "params", "center"),
+     "geometry"),
+    ("start-short", "length", "length_randers_segment",
+     _put([0.0], "geometry", "params", "start"), "geometry"),
+    ("drift-string", "length", "length_randers_segment", _put(["x", 0, 0], "metric", "b"),
+     "metric"),
+    ("metric-matrix-string", "length", "length_randers_segment",
+     _put({"matrix": [["x"]]}, "metric", "g"), "metric"),
+    ("metric-field-number", "length", "length_randers_segment", _put(2, "metric", "g"),
+     "metric"),
+    ("metric-dim-float", "length", "length_circle", _put(2.5, "metric", "dim"), "metric"),
+    ("areal-degree-above-dim", "area", "area_sphere_zone",
+     _put({"kind": "areal_gram", "k": 4, "m": 3}, "metric"), "metric"),
+    ("identity-dim-string", "length", "length_circle",
+     _put({"catalog": "identity", "params": {"dim": "x"}, "interval": [0.0, 1.0]}, "geometry"),
+     "geometry"),
+    ("reparam-amplitude-string", "check", "check_suite_randers",
+     _put("x", "reparam", "params", "amplitude"), "reparam"),
+    ("alpha-amplitude-huge", "check", "check_forms_square",
+     _put(10**400, "alpha", "params", "amplitude"), "alpha"),
     ("no-form", "check", "check_partition_circle", _drop("form"), "form"),
     ("no-reparam", "check", "check_suite_randers", _drop("reparam"), "reparam"),
+    ("dual-route-no-reparam", "check", "check_suite_randers",
+     lambda s: (_drop("reparam")(s), _one_check(name="dual_route")(s)), "reparam"),
     ("no-alpha", "check", "check_forms_square", _drop("alpha"), "alpha"),
     ("no-family", "check", "check_forms_square", _drop("family"), "family"),
     ("quantity", "length", "length_circle", _put([{"name": "area"}], "compute"), "compute"),
@@ -396,6 +436,48 @@ def test_scenario_error_exits_2_names_its_location_and_writes_nothing(
     assert cli.main([*argv, "--quiet"]) == 2
     assert f"[{location.format(path=path)}]" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
+
+
+# one past each cap on what a stacked check or a quadrature chunk allocates
+OVER_CAP = [
+    ("samples", "homogeneity", {"samples": 100001}, [], "{path}#checks/0/samples"),
+    ("count", "lift_functoriality", {"count": 100001}, [], "{path}#checks/0/count"),
+    ("grassmann-count", "grassmann_roundtrip", {"count": 100001}, [], "{path}#checks/0/count"),
+    ("lambdas", "projectability", {"lambdas": [2.0] * 17}, [], "{path}#checks/0/lambdas"),
+    ("grassmann-m", "grassmann_roundtrip", {"k": 2, "m": 9}, [], "{path}#checks/0/m"),
+    ("gauss-order", "homogeneity", {}, ["--gauss-order", "65"], "quadrature"),
+]
+
+
+@pytest.mark.parametrize("check, params, extra, location",
+                         [case[1:] for case in OVER_CAP], ids=[case[0] for case in OVER_CAP])
+def test_over_cap_exits_2_at_once_and_writes_nothing(
+    check, params, extra, location, tmp_path, capsys
+):
+    scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
+    scenario["checks"] = [{"name": check, "tolerance": 1e-10, **params}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out.csv"
+    t0 = time.perf_counter()
+    assert cli.main(["check", "--scenario", str(path), "--csv", str(out), "--quiet", *extra]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert f"[{location.format(path=path)}]" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_caps_admit_the_cap_itself():
+    scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
+    scenario["checks"] = [
+        {"name": "homogeneity", "tolerance": 1e-11, "samples": 2, "lambdas": [2.0] * 16},
+        {"name": "grassmann_roundtrip", "tolerance": 1e-13, "k": 4, "m": 8, "count": 3},
+    ]
+    scenario["quadrature"]["gauss_order"] = 64
+    assert scenarios._violation(SCENARIO_SCHEMA, scenario) is None
+    rows = run_scenario("check", scenario, 42).rows
+    assert [row.status for row in rows] == ["PASS", "PASS"]
+    with pytest.raises(ValueError, match="gauss_order"):
+        QuadratureSpec(gauss_order=65)
 
 
 def test_misspelled_check_parameter_is_named(tmp_path, capsys):

@@ -21,7 +21,7 @@ SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
 
 # the keywords _violation implements; "description" carries no constraint
 WALKER_KEYWORDS = {
-    "type", "enum", "minimum", "exclusiveMinimum", "required", "properties",
+    "type", "enum", "minimum", "maximum", "exclusiveMinimum", "required", "properties",
     "additionalProperties", "propertyNames", "pattern", "items", "minItems", "maxItems",
 }
 REPLACEMENTS = [-1, 8.0, "x", [], {}, True, math.nan]
@@ -42,6 +42,11 @@ EDGES = [
     ({"type": "number", "exclusiveMinimum": 0}, [0, 0.0, -0.0, 1e-300, True, None]),
     ({"type": "integer", "minimum": 1}, [1, 0, 8.0, True, 2**70, None]),
     ({"type": "number", "minimum": 0}, [0, -1e-300, 0.0, False]),
+    # the caps: the cap itself and the cap + 1
+    ({"type": "integer", "minimum": 1, "maximum": 100000}, [100000, 100001, 100000.0, 2**70]),
+    ({"type": "integer", "minimum": 2, "maximum": 8}, [8, 9, 8.0]),
+    ({"type": "number", "maximum": 64}, [64, 65, 64.0, 64.00000000000001, True]),
+    ({"type": "array", "maxItems": 16}, [[0.5] * 16, [0.5] * 17]),
     ({"type": "array", "minItems": 2, "maxItems": 2}, [[1], [1, 2], [1, 2, 3], (1, 2)]),
     ({"type": ["string", "number"]}, [True, None, 1, "a", 1.5, [1]]),
     ({"type": "boolean"}, [True, 0, 1, None]),
@@ -111,8 +116,8 @@ def test_walker_implements_every_schema_keyword():
 
 
 @pytest.mark.parametrize("schema, values", EDGES, ids=[
-    "enum", "exclusive-minimum", "integer-minimum", "number-minimum", "item-count", "type-list",
-    "boolean"])
+    "enum", "exclusive-minimum", "integer-minimum", "number-minimum", "sample-cap",
+    "dimension-cap", "number-maximum", "item-cap", "item-count", "type-list", "boolean"])
 def test_walker_agrees_with_jsonschema_at_keyword_edges(schema, values):
     reference = _REFERENCE_CLASS(schema)
     for value in values:
