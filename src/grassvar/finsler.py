@@ -37,7 +37,7 @@ from .errors import (
     InvalidMetricError,
     SlitDomainError,
 )
-from .forms import KForm
+from .forms import CHUNK_NODES, KForm
 from .kvector import canonical_lift
 from .maps import DifferentiableMap, checked_dimension, checked_reals
 
@@ -250,13 +250,18 @@ def _sample_fibers(F: FinslerFunction, rng: np.random.Generator, count: int):
 
 def _scaled_samples(F: FinslerFunction, rng: np.random.Generator, count: int, lambdas):
     """The scalings ``(1, *lambdas)`` as ``(1 + L, 1)`` and the samples of
-    :func:`_sample_fibers` stacked for each: ``(1 + L) * count`` base points
-    and fibers, the ones for scaling j in rows j * count ... (j + 1) * count."""
+    :func:`_sample_fibers` stacked for each, yielded in chunks of at most
+    ``CHUNK_NODES`` rows (one sample at least): ``(1 + L) * n`` base points
+    and fibers for n consecutive samples, the ones for scaling j in rows
+    j * n ... (j + 1) * n."""
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("lambdas must be positive")
     lam = np.array([1.0, *lambdas])[:, None]
     Y, V = _sample_fibers(F, rng, count)
-    return lam, np.tile(Y, (len(lam), 1)), (lam[:, :, None] * V).reshape(-1, F.fiber_dim)
+    step = max(1, CHUNK_NODES // len(lam))
+    for start in range(0, count, step):
+        y, v = Y[start:start + step], V[start:start + step]
+        yield lam, np.tile(y, (len(lam), 1)), (lam[:, :, None] * v).reshape(-1, F.fiber_dim)
 
 
 def check_homogeneity(
@@ -266,11 +271,15 @@ def check_homogeneity(
     lambdas=(0.5, 2.0, 10.0),
 ) -> float:
     """Max relative residual of F(y, lambda v) = lambda F(y, v) over random
-    samples and the given positive scalings, from one evaluation of F."""
-    lam, Y, V = _scaled_samples(F, rng, sample_count, lambdas)
-    values = F(Y, V).reshape(len(lam), sample_count)
-    base = lam[1:] * values[0]
-    return float(np.max(np.abs(values[1:] - base) / (np.abs(base) + EPS_DEN), initial=0.0))
+    samples and the given positive scalings, from one evaluation of F per
+    chunk of :func:`_scaled_samples`."""
+    worst = 0.0
+    for lam, Y, V in _scaled_samples(F, rng, sample_count, lambdas):
+        values = F(Y, V).reshape(len(lam), -1)
+        base = lam[1:] * values[0]
+        residual = np.abs(values[1:] - base) / (np.abs(base) + EPS_DEN)
+        worst = max(worst, float(np.max(residual, initial=0.0)))
+    return worst
 
 
 def check_projectability(
@@ -280,13 +289,15 @@ def check_projectability(
     lambdas=(0.5, 2.0, 10.0),
 ) -> float:
     """Max residual of scale invariance of the fiber gradient, from one
-    evaluation of it.
+    evaluation of it per chunk of :func:`_scaled_samples`.
 
     0-homogeneity of dF/dv is the coordinate content of the Hilbert form
     descending to the ray space."""
-    lam, Y, V = _scaled_samples(F, rng, sample_count, lambdas)
-    grads = F.fiber_gradient(Y, V).reshape(len(lam), sample_count, F.fiber_dim)
-    return float(np.max(np.abs(grads[1:] - grads[0]), initial=0.0))
+    worst = 0.0
+    for lam, Y, V in _scaled_samples(F, rng, sample_count, lambdas):
+        grads = F.fiber_gradient(Y, V).reshape(len(lam), -1, F.fiber_dim)
+        worst = max(worst, float(np.max(np.abs(grads[1:] - grads[0]), initial=0.0)))
+    return worst
 
 
 def hilbert_form(F: FinslerFunction) -> KForm:

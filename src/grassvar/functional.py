@@ -191,13 +191,9 @@ def _preimages(rho: DifferentiableMap, values) -> tuple[float, ...]:
 
     A catalog inverse is called once per value.  Without one, every value's
     bracket [value - j, value + j] is widened (j = 1, 2, ... 80) until it
-    holds a sign change of rho - value, and then all values are solved as
-    one stack by safeguarded Newton steps with ``rho.jacobian``: a step that
-    leaves its bracket, or does not halve the step before it, is replaced
-    by bisection, and every evaluation shrinks the bracket.  A value is done
-    when rho hits it, when its Newton step is within 8 ulp, or when its
-    bracket's midpoint no longer lies strictly inside it (floating-point
-    resolution).
+    holds a sign change of rho - value, then bisected until its midpoint
+    no longer lies strictly inside it, i.e. to floating-point resolution.
+    The values are solved as one stack: one call of rho per step.
     """
     if rho.has_inverse:
         return tuple(float(rho.inverted()(np.array([v]))[0]) for v in values)
@@ -216,25 +212,19 @@ def _preimages(rho: DifferentiableMap, values) -> tuple[float, ...]:
         raise OrientationError(
             f"{rho.name}: could not bracket a preimage of {values[~found][0]}"
         )
-    s = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
-    last = hi - lo  # size of each value's last step
+    s = np.where(flo == 0.0, lo, hi)  # the bisected values are overwritten below
     todo = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    while len(todo):
-        x, a, b = s[todo], lo[todo], hi[todo]
-        fx = rho(x[:, None])[:, 0] - values[todo]
-        a, b = np.where(fx < 0.0, x, a), np.where(fx > 0.0, x, b)
-        with np.errstate(all="ignore"):  # a step of 0/0 or x/0 is never taken
-            step = fx / rho.jacobian(x[:, None])[:, 0, 0]
-        # a step within 8 ulp may round to x itself, a bracket end: it is taken
-        converged = np.abs(step) <= 8.0 * np.spacing(np.abs(x))
-        inside = (a < x - step) & (x - step < b) & (np.abs(step) <= 0.5 * last[todo])
-        newton = converged | inside
-        mid = 0.5 * (a + b)
-        nxt = np.where(fx == 0.0, x, np.where(newton, np.clip(x - step, a, b), mid))
-        done = (fx == 0.0) | converged | (~newton & ~((a < mid) & (mid < b)))
-        s[todo], lo[todo], hi[todo], last[todo] = nxt, a, b, np.abs(nxt - x)
-        todo = todo[~done]
-    return tuple(map(float, s))
+    while True:
+        mid = 0.5 * (lo[todo] + hi[todo])
+        s[todo] = mid
+        inside = (lo[todo] < mid) & (mid < hi[todo])
+        todo, mid = todo[inside], mid[inside]
+        if not len(todo):
+            return tuple(map(float, s))
+        fmid = rho(mid[:, None])[:, 0] - values[todo]
+        lo[todo] = np.where(fmid < 0.0, mid, lo[todo])
+        hi[todo] = np.where(fmid > 0.0, mid, hi[todo])
+        todo = todo[fmid != 0.0]
 
 
 @dataclass(frozen=True)

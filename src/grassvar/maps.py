@@ -23,7 +23,6 @@ a map on a single point ``(n,)`` evaluates the stack N = 1 and returns
 """
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from typing import Callable
@@ -59,8 +58,6 @@ def checked_reals(value, what: str, shape: tuple = (), error=MapEvaluationError)
     string, a bool, a ragged or misshapen list, a non-finite or overflowing
     number) raises ``error`` naming ``what``; catalog maps and metrics read
     every numeric parameter through this."""
-    if not shape and type(value) is float and math.isfinite(value):
-        return value  # the common case, a JSON number
     try:
         if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
             out = value.astype(float)

@@ -7,8 +7,9 @@ to compute (length/area/variation subcommands) or a list of named checks.
 keywords it uses: ``type enum minimum maximum exclusiveMinimum required
 properties additionalProperties propertyNames.pattern items minItems
 maxItems``.  The caps on sample counts, scalings, the Grassmann dimension
-and the Gauss order bound what one stacked check or quadrature chunk
-allocates.
+and the Gauss order bound the samples a check draws and the nodes of a
+quadrature cell; a sampled check evaluates its scaled samples in chunks
+of at most ``forms.CHUNK_NODES`` rows.
 :func:`run_scenario` turns it into rows through one table, ``SUBCOMMANDS``:
 subcommand -> (the list it reads, ``compute`` or ``checks``; its row
 functions by name; the expected value of a row whose entry gives none).

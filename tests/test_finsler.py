@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from grassvar import finsler
 from grassvar.errors import DimensionMismatchError, InvalidMetricError, SlitDomainError
 from grassvar.finsler import (
     _sample_fibers,
@@ -215,3 +217,21 @@ def test_sample_fibers_draws_a_rejected_row_again():
     assert np.array_equal(Y[0], first.uniform(-1.0, 1.0, size=(1, 3))[0])
     assert np.array_equal(V[0], first.standard_normal((1, 3))[0])
     assert np.max(np.abs(V), axis=1).min() > 1e-6
+
+
+def test_fiber_checks_evaluate_chunks_equal_to_the_loop(monkeypatch):
+    monkeypatch.setattr(finsler, "CHUNK_NODES", 10)  # 4 scalings: 2 samples, 8 rows a call
+    F0 = randers_metric(3, [0.2, 0.1, -0.1])
+    rows = []
+    F = dataclasses.replace(
+        F0,
+        _eval=lambda Y, V: (rows.append(len(Y)), F0._eval(Y, V))[1],
+        _grad=lambda Y, V: (rows.append(len(Y)), F0._grad(Y, V))[1],
+    )
+    lambdas = (0.5, 2.0, 10.0)
+    for check, oracle in [(check_homogeneity, homogeneity_by_lambda),
+                          (check_projectability, projectability_by_lambda)]:
+        rows.clear()
+        expected = oracle(F0, *_sample_fibers(F0, np.random.default_rng(7), 41), lambdas)
+        assert check(F, np.random.default_rng(7), 41, lambdas) == expected
+        assert rows == [8] * 20 + [4]

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import grassvar
-from grassvar import cli, grassmann, scenarios
+from grassvar import cli, finsler, forms, grassmann, scenarios
 from grassvar.errors import ScenarioError
 from grassvar.forms import QuadratureSpec
 from grassvar.scenarios import SCENARIO_SCHEMA, build_quadrature, load_scenario, run_scenario
@@ -438,7 +438,7 @@ def test_scenario_error_exits_2_names_its_location_and_writes_nothing(
     assert sorted(tmp_path.iterdir()) == before
 
 
-# one past each cap on what a stacked check or a quadrature chunk allocates
+# one past each cap on the samples a check draws or the Gauss order
 OVER_CAP = [
     ("samples", "homogeneity", {"samples": 100001}, [], "{path}#checks/0/samples"),
     ("count", "lift_functoriality", {"count": 100001}, [], "{path}#checks/0/count"),
@@ -464,6 +464,21 @@ def test_over_cap_exits_2_at_once_and_writes_nothing(
     assert time.perf_counter() - t0 < 1.0
     assert f"[{location.format(path=path)}]" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_sampled_check_evaluates_at_most_a_chunk_per_call(tmp_path, monkeypatch):
+    rows = []
+    call = finsler.FinslerFunction.__call__
+    monkeypatch.setattr(finsler.FinslerFunction, "__call__",
+                        lambda F, y, v: (rows.append(len(np.atleast_2d(v))), call(F, y, v))[1])
+    scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
+    scenario["checks"] = [
+        {"name": "homogeneity", "tolerance": 1e-11, "samples": 1000, "lambdas": [2.0] * 16},
+    ]
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["check", "--scenario", str(path), "--quiet"]) == 0
+    assert max(rows) <= forms.CHUNK_NODES and sum(rows) == 17 * 1000
 
 
 def test_caps_admit_the_cap_itself():
