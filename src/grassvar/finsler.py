@@ -19,9 +19,10 @@ SlitDomainError instead of propagating NaNs.
 
 Shape contract: a :class:`FinslerFunction` evaluates stacks of base points
 ``(N, m)`` and fiber arguments ``(N, fiber_dim)`` to values ``(N,)`` and
-fiber gradients ``(N, fiber_dim)``; the slit check runs on the whole stack
-before any division or square root.  One point ``(m,)``, ``(fiber_dim,)``
-gives a float and a ``(fiber_dim,)`` gradient.
+fiber gradients ``(N, fiber_dim)``; the slit check runs column by column
+(:func:`maps.row_max_abs`) on the whole stack before any division or square
+root.  One point ``(m,)``, ``(fiber_dim,)`` gives a float and a
+``(fiber_dim,)`` gradient.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .forms import CHUNK_NODES, KForm
 from .kvector import canonical_lift
-from .maps import DifferentiableMap, checked_dimension, checked_reals
+from .maps import DifferentiableMap, checked_dimension, checked_reals, row_max_abs
 
 SLIT_TOL = 1e-13
 EPS_DEN = 1e-300  # guards homogeneity-residual denominators
@@ -74,7 +75,7 @@ class FinslerFunction:
             raise DimensionMismatchError(f"fiber argument must have length {self.fiber_dim}")
         if len(Y) != len(V):
             raise DimensionMismatchError("base points and fiber arguments differ in number")
-        slit = np.max(np.abs(V), axis=1) <= SLIT_TOL * np.maximum(1.0, np.max(np.abs(Y), axis=1))
+        slit = row_max_abs(V) <= SLIT_TOL * np.maximum(1.0, row_max_abs(Y))
         if np.any(slit):
             raise SlitDomainError(
                 f"fiber argument is numerically zero (slit domain) at y={Y[slit][0]}"
@@ -241,7 +242,7 @@ def _sample_fibers(F: FinslerFunction, rng: np.random.Generator, count: int):
     Y = rng.uniform(*SAMPLE_BOX, size=(count, F.m))
     V = rng.standard_normal((count, F.fiber_dim))
     while True:
-        near_zero = np.flatnonzero(np.max(np.abs(V), axis=1) <= 1e-6)
+        near_zero = np.flatnonzero(row_max_abs(V) <= 1e-6)
         if not len(near_zero):
             return Y, V
         Y[near_zero] = rng.uniform(*SAMPLE_BOX, size=(len(near_zero), F.m))

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .expressions import ExprCoeff, signed_sum
 from .kvector import KVector, canonical_lift, enumerate_multiindices, minors, multiindex_ranks
-from .maps import DifferentiableMap, compose, insert_axis_map
+from .maps import DifferentiableMap, compose, insert_axis_map, row_max_abs
 
 DEGENERACY_TOL = 1e-13
 CHUNK_NODES = 4096  # quadrature nodes evaluated per integrand call
@@ -111,8 +111,8 @@ class KForm:
             [np.broadcast_to(np.asarray(c(Y), dtype=float), Y.shape[:1]) for c in self.coeffs],
             axis=-1,
         )
-        bad = ~np.isfinite(out).all(axis=1)
-        if np.any(bad):
+        if not np.isfinite(out).all():  # one flat test; rows are searched only on failure
+            bad = ~np.isfinite(out).all(axis=1)
             raise EvaluationError(f"non-finite form coefficient at y={Y[bad][0]}")
         return out[0] if y.ndim < 2 else out
 
@@ -219,7 +219,9 @@ def integrate_scalar_over_box(g: Callable[[np.ndarray], np.ndarray], box, q: Qua
         for start in range(0, size, CHUNK_NODES):
             idx = np.unravel_index(np.arange(start, min(start + CHUNK_NODES, size)), shape)
             T = np.stack([n[i] for n, i in zip(nodes, idx)], axis=1)
-            W = np.prod(np.stack([w[i] for w, i in zip(weights, idx)], axis=1), axis=1)
+            W = weights[0][idx[0]]  # times each later axis, in the order np.prod takes
+            for w, i in zip(weights[1:], idx[1:]):
+                W *= w[i]
             total = total + np.sum(W * np.asarray(g(T), dtype=float), axis=-1)
         return np.asarray(total)
 
@@ -288,7 +290,9 @@ def lift_integral(
     def g(T):
         nonlocal degenerate
         lift = canonical_lift(piece.map, T)
-        degenerate += int(np.count_nonzero(lift.norm <= DEGENERACY_TOL))
+        # |xi| >= max |xi_I| in floating point: only rows under the max screen can count
+        small = lift.comps[row_max_abs(lift.comps) <= DEGENERACY_TOL]
+        degenerate += int(np.count_nonzero(np.linalg.norm(small, axis=1) <= DEGENERACY_TOL))
         vals = density(T, lift)
         if not np.isfinite(vals).all():  # one flat test; nodes are searched only on failure
             bad = ~np.isfinite(vals).reshape(-1, len(T)).all(axis=0)

@@ -143,8 +143,14 @@ def _lift_value(L: FinslerFunction, piece: Piece, q: QuadratureSpec, density=Non
 
 def _curve_piece(F: FinslerFunction, curve: DifferentiableMap, interval) -> Piece:
     """The curve over ``interval`` as a 1-piece, after checking it fits F."""
-    if F.degree != 1 or curve.codomain_dim != F.m or curve.domain_dim != 1:
-        raise DimensionMismatchError("curve_length needs a degree-1 metric and a curve")
+    if F.degree != 1:
+        raise DimensionMismatchError(f"curve_length needs a degree-1 metric, not degree {F.degree}")
+    if curve.domain_dim != 1:
+        raise DimensionMismatchError(f"curve_length needs a 1-D domain, got {curve.domain_dim}-D")
+    if curve.codomain_dim != F.m:
+        raise DimensionMismatchError(
+            f"metric dimension {F.m} differs from curve codomain dimension {curve.codomain_dim}"
+        )
     return Piece((tuple(interval),), curve)
 
 
@@ -190,8 +196,8 @@ def _preimages(rho: DifferentiableMap, values) -> tuple[float, ...]:
     """s with rho(s) = value for each of ``values``, for a strictly increasing rho.
 
     A catalog inverse is called once per value.  Without one, every value's
-    bracket [value - j, value + j] is widened (j = 1, 2, ... 80) until it
-    holds a sign change of rho - value, then bisected until its midpoint
+    bracket [value - j, value + j] is widened (j = 1, 2, 4, ... 2^79) until
+    it holds a sign change of rho - value, then bisected until its midpoint
     no longer lies strictly inside it, i.e. to floating-point resolution.
     The values are solved as one stack: one call of rho per step.
     """
@@ -200,14 +206,16 @@ def _preimages(rho: DifferentiableMap, values) -> tuple[float, ...]:
     values = np.array(values, dtype=float)
     n = len(values)
     lo, hi = values - 1.0, values + 1.0
-    for _ in range(80):
+    for widening in range(80):
         f = rho(np.concatenate([lo, hi])[:, None])[:, 0] - np.concatenate([values, values])
         flo, fhi = f[:n], f[n:]
         found = (flo == 0.0) | (fhi == 0.0) | ((flo < 0.0) & (0.0 < fhi))
         if found.all():
             break
-        lo[~found] -= 1.0
-        hi[~found] += 1.0
+        # a bracketed value stays bracketed, so every value still open has
+        # half-width 2**widening; doubling it moves each end by as much
+        lo[~found] -= 2.0**widening
+        hi[~found] += 2.0**widening
     else:
         raise OrientationError(
             f"{rho.name}: could not bracket a preimage of {values[~found][0]}"

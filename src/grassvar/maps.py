@@ -52,6 +52,16 @@ def _finite(name: str, what: str, T: np.ndarray, out: np.ndarray) -> None:
         raise MapEvaluationError(f"{name}: non-finite {what} at t={T[bad][0]}")
 
 
+def row_max_abs(A: np.ndarray) -> np.ndarray:
+    """Row maxima of |A| for a stack ``(N, c)``, taken column by column, as
+    numpy reduces a short trailing axis slowly; max is exact, so this equals
+    ``np.max(np.abs(A), axis=1, initial=0.0)`` bit for bit, NaN included."""
+    out = np.zeros(len(A))
+    for j in range(A.shape[1]):
+        np.maximum(out, np.abs(A[:, j]), out=out)
+    return out
+
+
 def checked_reals(value, what: str, shape: tuple = (), error=MapEvaluationError):
     """``value`` as finite floats of ``shape``: a float for ``()``, else an
     array whose ``None`` axes take any positive length.  Anything else (a
@@ -136,7 +146,7 @@ class DifferentiableMap:
         return J[0] if single else J
 
     def _fd_jacobian(self, T: np.ndarray) -> np.ndarray:
-        h = FD_JACOBIAN_SCALE * np.maximum(1.0, np.max(np.abs(T), axis=1, initial=0.0))
+        h = FD_JACOBIAN_SCALE * np.maximum(1.0, row_max_abs(T))
         cols = []
         for j in range(self.domain_dim):
             step = np.zeros_like(T)
@@ -287,9 +297,12 @@ def polynomial_map(domain_dim: int, terms) -> DifferentiableMap:
 
 
 def _columns(*entries) -> np.ndarray:
-    """(N,) arrays or scalars -> an (N, len(entries)) stack; Jacobians are
-    built row-major from it and reshaped to (N, m, n)."""
-    return np.stack(np.broadcast_arrays(*entries), axis=1)
+    """(N,) arrays or scalars -> an (N, len(entries)) stack, filled in place;
+    Jacobians are built row-major from it and reshaped to (N, m, n)."""
+    out = np.empty(np.broadcast(*entries).shape + (len(entries),))
+    for j, entry in enumerate(entries):
+        out[:, j] = entry
+    return out
 
 
 def circle(radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> DifferentiableMap:
@@ -318,23 +331,25 @@ def helix(radius: float = 1.0, pitch: float = 1.0) -> DifferentiableMap:
     )
 
 
+def _sin_cos(T: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(sin t0, cos t0, sin t1, cos t1) at a stack of angle pairs ``(N, 2)``."""
+    return np.sin(T[:, 0]), np.cos(T[:, 0]), np.sin(T[:, 1]), np.cos(T[:, 1])
+
+
 def torus_patch(major_radius: float = 2.0, minor_radius: float = 1.0) -> DifferentiableMap:
     """(u, v) -> torus point with tube angle v, axial angle u."""
     R, r = checked_reals(major_radius, "major_radius"), checked_reals(minor_radius, "minor_radius")
 
     def ev(T):
-        u, v = T[:, 0], T[:, 1]
-        w = R + r * np.cos(v)
-        return _columns(w * np.cos(u), w * np.sin(u), r * np.sin(v))
+        su, cu, sv, cv = _sin_cos(T)
+        w = R + r * cv
+        return _columns(w * cu, w * su, r * sv)
 
     def jac(T):
-        u, v = T[:, 0], T[:, 1]
-        w = R + r * np.cos(v)
-        return _columns(
-            -w * np.sin(u), -r * np.sin(v) * np.cos(u),
-            w * np.cos(u), -r * np.sin(v) * np.sin(u),
-            0.0, r * np.cos(v),
-        ).reshape(-1, 3, 2)
+        su, cu, sv, cv = _sin_cos(T)
+        w = R + r * cv
+        rs = -r * sv
+        return _columns(-w * su, rs * cu, w * cu, rs * su, 0.0, r * cv).reshape(-1, 3, 2)
 
     return DifferentiableMap("torus_patch", 2, 3, ev, jac)
 
@@ -344,16 +359,13 @@ def sphere_patch(radius: float = 1.0) -> DifferentiableMap:
     r = checked_reals(radius, "radius")
 
     def ev(T):
-        th, ph = T[:, 0], T[:, 1]
-        return r * _columns(np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th))
+        sth, cth, sph, cph = _sin_cos(T)
+        return r * _columns(sth * cph, sth * sph, cth)
 
     def jac(T):
-        th, ph = T[:, 0], T[:, 1]
-        return r * _columns(
-            np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph),
-            np.cos(th) * np.sin(ph), np.sin(th) * np.cos(ph),
-            -np.sin(th), 0.0,
-        ).reshape(-1, 3, 2)
+        sth, cth, sph, cph = _sin_cos(T)
+        entries = cth * cph, -sth * sph, cth * sph, sth * cph, -sth, 0.0
+        return r * _columns(*entries).reshape(-1, 3, 2)
 
     return DifferentiableMap("sphere_patch", 2, 3, ev, jac)
 

@@ -131,6 +131,88 @@ def wedge_square_brute(comps, m):
     return out
 
 
+def same_bits(a, b):
+    """Equal shapes and equal bit patterns, except that a NaN matches any
+    NaN at the same position (a maximum may pick either of two payloads)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return False
+    nan = np.isnan(a)
+    return bool(
+        np.array_equal(nan, np.isnan(b))
+        and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+    )
+
+
+def row_max_by_reduction(A):
+    """max |A[i, j]| over j for each row, by numpy's reduction over axis 1."""
+    return np.max(np.abs(A), axis=1)
+
+
+def slit_rows(Y, V, tol):
+    """Rows whose fiber is numerically zero: max |v| <= tol * max(1, max |y|),
+    by row reductions."""
+    return row_max_by_reduction(V) <= tol * np.maximum(1.0, row_max_by_reduction(Y))
+
+
+def gauss_tensor_grid(box, order, cells):
+    """Nodes ``(N, k)`` and weights ``(N,)`` of the tensor Gauss-Legendre
+    rule with ``cells`` equal cells per axis, in row-major order of the
+    per-axis node lists; each weight is ``np.prod`` of its node's per-axis
+    weights."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    axis_nodes, axis_weights = [], []
+    for a, b in box:
+        h = (b - a) / cells
+        axis_nodes.append(np.concatenate([a + c * h + 0.5 * h * (x + 1.0) for c in range(cells)]))
+        axis_weights.append(np.concatenate([0.5 * h * w] * cells))
+    k = len(box)
+    nodes = np.stack(np.meshgrid(*axis_nodes, indexing="ij"), axis=-1).reshape(-1, k)
+    weights = np.stack(np.meshgrid(*axis_weights, indexing="ij"), axis=-1).reshape(-1, k)
+    return nodes, np.prod(weights, axis=1)
+
+
+def degenerate_node_count(jacobians, k, tol):
+    """Number of Jacobians whose k x k minors (the canonical lift, by
+    cofactors) have Euclidean norm <= tol."""
+    comps = np.array([minors_by_cofactors(J, k)[:, 0] for J in jacobians])
+    return int(np.count_nonzero(np.linalg.norm(comps, axis=1) <= tol))
+
+
+def sphere_patch_by_entries(r, T):
+    """Values and Jacobians of (th, ph) -> r (sin th cos ph, sin th sin ph,
+    cos th), each entry its own expression."""
+    th, ph = T[:, 0], T[:, 1]
+    values = np.stack(
+        [r * (np.sin(th) * np.cos(ph)), r * (np.sin(th) * np.sin(ph)), r * np.cos(th)], axis=1
+    )
+    jac = np.empty((len(T), 3, 2))
+    jac[:, 0, 0] = r * (np.cos(th) * np.cos(ph))
+    jac[:, 0, 1] = r * (-np.sin(th) * np.sin(ph))
+    jac[:, 1, 0] = r * (np.cos(th) * np.sin(ph))
+    jac[:, 1, 1] = r * (np.sin(th) * np.cos(ph))
+    jac[:, 2, 0] = r * -np.sin(th)
+    jac[:, 2, 1] = r * 0.0
+    return values, jac
+
+
+def torus_patch_by_entries(R, r, T):
+    """Values and Jacobians of (u, v) -> ((R + r cos v) cos u,
+    (R + r cos v) sin u, r sin v), each entry its own expression."""
+    u, v = T[:, 0], T[:, 1]
+    values = np.stack(
+        [(R + r * np.cos(v)) * np.cos(u), (R + r * np.cos(v)) * np.sin(u), r * np.sin(v)], axis=1
+    )
+    jac = np.empty((len(T), 3, 2))
+    jac[:, 0, 0] = -(R + r * np.cos(v)) * np.sin(u)
+    jac[:, 0, 1] = -r * np.sin(v) * np.cos(u)
+    jac[:, 1, 0] = (R + r * np.cos(v)) * np.cos(u)
+    jac[:, 1, 1] = -r * np.sin(v) * np.sin(u)
+    jac[:, 2, 0] = 0.0
+    jac[:, 2, 1] = r * np.cos(v)
+    return values, jac
+
+
 def gauss_reference_1d(g, a, b, order=40, cells=64):
     """High-order reference quadrature, independent of the package engine."""
     x, w = np.polynomial.legendre.leggauss(order)
@@ -208,13 +290,13 @@ def projectability_by_lambda(F, Y, V, lambdas):
 
 def bisected_preimage(rho, value):
     """s with rho(s) = value for an increasing scalar map, one scalar call
-    at a time: the bracket [value - j, value + j] is widened (j up to 80)
-    until it holds a sign change, then bisected until its midpoint no longer
-    lies strictly inside it."""
+    at a time: the bracket [value - j, value + j] is widened, doubling j
+    from 1 up to 2^79, until it holds a sign change, then bisected until its
+    midpoint no longer lies strictly inside it."""
     def f(s):
         return float(rho(np.array([s]))[0]) - value
 
-    lo, hi = value - 1.0, value + 1.0
+    lo, hi, width = value - 1.0, value + 1.0, 1.0
     for _ in range(80):
         flo, fhi = f(lo), f(hi)
         if flo == 0.0:
@@ -230,8 +312,7 @@ def bisected_preimage(rho, value):
                 if fmid == 0.0:
                     return mid
                 lo, hi = (mid, hi) if fmid < 0.0 else (lo, mid)
-        lo -= 1.0
-        hi += 1.0
+        lo, hi, width = lo - width, hi + width, 2.0 * width
     raise ValueError(f"no bracket for {value}")
 
 

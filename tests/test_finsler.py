@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grassvar import finsler
 from grassvar.errors import DimensionMismatchError, InvalidMetricError, SlitDomainError
@@ -26,6 +29,7 @@ from .oracles import (
     fiber_gradient_fd_residual,
     homogeneity_by_lambda,
     projectability_by_lambda,
+    slit_rows,
 )
 
 HOMOGENEITY_TOL = 1e-11
@@ -118,6 +122,29 @@ def test_slit_row_in_a_stack_raises_before_dividing():
             F(np.zeros((2, 2)), V)
         with pytest.raises(SlitDomainError):
             F.fiber_gradient(np.zeros((2, 2)), V)
+
+
+SLIT_ENTRIES = [0.0, -0.0, 1e-14, -1e-13, 1e-13, 1.0000000000000002e-13, 2e-13, -9e-13,
+                1e-12, 5e-324, 1.0, -3.0, math.nan, math.inf]
+BASE_ENTRIES = [0.0, 0.5, -1.0, 1.0000000000000002, 2.0, -9.0, 10.0, 1e3, math.nan, -math.inf]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_slit_test_flags_exactly_the_rows_of_the_reduction_formula(data):
+    m = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, m))
+    F = areal_gram(k, m)
+    rows = data.draw(st.integers(1, 6))
+    Y = data.draw(arrays(np.float64, (rows, m), elements=st.sampled_from(BASE_ENTRIES)))
+    V = data.draw(arrays(np.float64, (rows, F.fiber_dim), elements=st.sampled_from(SLIT_ENTRIES)))
+    flagged = slit_rows(Y, V, finsler.SLIT_TOL)
+    if flagged.any():
+        with pytest.raises(SlitDomainError) as info:
+            F._check_args(Y, V)
+        assert f"y={Y[flagged][0]}" in str(info.value)
+    else:
+        F._check_args(Y, V)
 
 
 def test_slit_domain_guard():

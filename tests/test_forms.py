@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from grassvar.errors import (
 from grassvar.expressions import ExprCoeff
 from grassvar.forms import (
     CHUNK_NODES,
+    DEGENERACY_TOL,
     KForm,
     ParametricFormFamily,
     PartitionOfUnity,
@@ -44,7 +46,14 @@ from grassvar.maps import (
     trig_shear,
 )
 
-from .oracles import gauss_reference_1d
+from .oracles import (
+    degenerate_node_count,
+    gauss_reference_1d,
+    gauss_tensor_grid,
+    minors_by_cofactors,
+    row_max_by_reduction,
+    same_bits,
+)
 
 Q = QuadratureSpec()
 Q_FAST = QuadratureSpec(gauss_order=8, cells_per_axis=4)
@@ -52,6 +61,19 @@ Q_FAST = QuadratureSpec(gauss_order=8, cells_per_axis=4)
 
 def area_form_2d():
     return KForm.from_dict(2, 2, {(1, 2): 1.0})
+
+
+@pytest.mark.parametrize("box, order, cells", [
+    ([(0.0, 3.0)], 5, 7),
+    ([(0.0, 1.0), (-1.0, 2.0)], 4, 3),
+    ([(0.0, 1.0), (0.0, 2.0), (-1.0, 1.5)], 3, 2),
+])
+def test_node_weights_are_the_product_of_the_axis_weights(box, order, cells):
+    # one component per node, the indicator of that node: each component's
+    # integral is that node's weight alone
+    q = QuadratureSpec(gauss_order=order, cells_per_axis=cells)
+    weights = integrate_scalar_over_box(lambda T: np.eye(len(T)), box, q)
+    assert same_bits(weights, gauss_tensor_grid(box, order, cells)[1])
 
 
 def test_quadrature_polynomial_exactness():
@@ -207,6 +229,63 @@ def test_integrate_degenerate_node_warns():
     pou = PartitionOfUnity.uniform_cover(stationary.param_box, 2)
     with pytest.warns(DegeneratePieceWarning):
         assert integrate_with_partition(eta, stationary, pou, q) == 0.0
+
+
+def _pinch_jacobians(T):
+    return np.stack([3.0 * T[:, 0] ** 2, np.zeros(len(T))], axis=1)[:, :, None]
+
+
+def _line_jacobians(T):  # (u, uv, uv^2, u^2 v, u^3 + uv): d/dv vanishes on u = 0
+    u, v, z = T[:, 0], T[:, 1], np.zeros(len(T))
+    du = np.stack([z + 1.0, v, v * v, 2.0 * u * v, 3.0 * u * u + v], axis=1)
+    dv = np.stack([z, u, 2.0 * u * v, u * u, u], axis=1)
+    return np.stack([du, dv], axis=2)
+
+
+TINY = 1.6e-7  # lift components of order TINY^2: some nodes pass the max screen but not the norm
+
+
+def _tiny_jacobians(T):  # TINY * (u, v, uv, u^2, v^2)
+    u, v, z = T[:, 0], T[:, 1], np.zeros(len(T))
+    du = np.stack([z + TINY, z, TINY * v, (2.0 * TINY) * u, z], axis=1)
+    dv = np.stack([z, z + TINY, TINY * u, z, (2.0 * TINY) * v], axis=1)
+    return np.stack([du, dv], axis=2)
+
+
+DEGENERATE_PIECES = {
+    "pinch": (polynomial_map(1, [[(1.0, (3,))], [(0.0, (0,))]]), [(-1.0, 1.0)],
+              _pinch_jacobians),
+    "line-in-R5": (polynomial_map(2, [
+        [(1.0, (1, 0))], [(1.0, (1, 1))], [(1.0, (1, 2))], [(1.0, (2, 1))],
+        [(1.0, (3, 0)), (1.0, (1, 1))],
+    ]), [(-1.0, 1.0), (0.0, 1.0)], _line_jacobians),
+    "tiny-in-R5": (polynomial_map(2, [
+        [(TINY, (1, 0))], [(TINY, (0, 1))], [(TINY, (1, 1))], [(TINY, (2, 0))], [(TINY, (0, 2))],
+    ]), [(0.5, 1.0), (0.5, 1.0)], _tiny_jacobians),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_PIECES))
+def test_degenerate_node_count_is_the_norm_count(name):
+    f, box, jacobians = DEGENERATE_PIECES[name]
+    k = len(box)
+    q = QuadratureSpec(gauss_order=3, cells_per_axis=3)
+    nodes, _ = gauss_tensor_grid(box, 3, 3)
+    expected = degenerate_node_count(jacobians(nodes), k, DEGENERACY_TOL)
+    assert expected > 0
+    eta = KForm.from_dict(k, f.codomain_dim, {tuple(range(1, k + 1)): 1.0})
+    with pytest.warns(DegeneratePieceWarning) as caught:
+        integrate(eta, Piece(box, f), q)
+    counts = [re.search(r"at (\d+) quadrature", str(w.message)) for w in caught]
+    assert [int(c.group(1)) for c in counts if c] == [expected]
+
+
+def test_tiny_piece_separates_the_norm_count_from_the_max_screen():
+    _, box, jacobians = DEGENERATE_PIECES["tiny-in-R5"]
+    J = jacobians(gauss_tensor_grid(box, 3, 3)[0])
+    comps = np.array([minors_by_cofactors(j, 2)[:, 0] for j in J])
+    screened = np.count_nonzero(row_max_by_reduction(comps) <= DEGENERACY_TOL)
+    assert degenerate_node_count(J, 2, DEGENERACY_TOL) < screened
 
 
 def test_piece_immersion_validation():

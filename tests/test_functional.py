@@ -263,10 +263,30 @@ def test_reparam_without_inverse_uses_the_bracketed_preimage():
 @example(1.0, 2.0, -2.0)  # rho(s) = 10: the bracket is widened to [7, 13]
 @example(1.0, 4.0, 1e-300)  # 68, and a target whose preimage is subnormal-sized
 @example(0.5, 0.0, 3.0)  # a target rho hits exactly
+@example(1.0, 4.9, -21.5)  # 122.5 and -9959.9: preimages beyond [v - 80, v + 80]
 def test_stacked_preimages_equal_the_scalar_bisection(c, s1, s2):
     rho = polynomial_map(1, [[(1.0, (1,)), (c, (3,))]])  # s + c s^3: no catalog inverse
     targets = [float(rho(np.array([s]))[0]) for s in (s1, s2)]
     assert _preimages(rho, targets) == tuple(bisected_preimage(rho, t) for t in targets)
+
+
+@pytest.mark.parametrize("metric, curve, named", [
+    (areal_gram(2, 3), circle(), "degree 2"),
+    (euclidean_metric(3), sphere_patch(), "needs a 1-D domain, got 2-D"),
+    (euclidean_metric(3), circle(), "metric dimension 3 differs from curve codomain dimension 2"),
+])
+def test_curve_mismatch_names_the_condition_that_failed(metric, curve, named):
+    with pytest.raises(DimensionMismatchError, match=named):
+        curve_length(metric, curve, (0.0, 1.0), Q)
+
+
+@pytest.mark.parametrize("target", [125.0, -125.0, 1e4, -1e4])
+def test_preimages_far_from_their_target_are_bracketed(target):
+    rho = polynomial_map(1, [[(1.0, (1,)), (1.0, (3,))]])  # s + s^3: 125 at s ~ 4.9
+    (s,) = _preimages(rho, (target,))
+    assert float(rho(np.array([s]))[0]) == pytest.approx(target, rel=1e-15)
+    assert _preimages(rho, (target, -target)) == (s, bisected_preimage(rho, -target))
+    assert s == bisected_preimage(rho, target)
 
 
 def test_reparam_orientation_violation():

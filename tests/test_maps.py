@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grassvar.errors import DimensionMismatchError, MapEvaluationError
 from grassvar.maps import (
@@ -22,6 +23,7 @@ from grassvar.maps import (
     linear_map,
     polynomial_map,
     positive_scale,
+    row_max_abs,
     segment,
     sine_shift,
     sphere_patch,
@@ -29,7 +31,14 @@ from grassvar.maps import (
     trig_shear,
 )
 
-from .oracles import polynomial_by_terms, verify_jacobian
+from .oracles import (
+    polynomial_by_terms,
+    row_max_by_reduction,
+    same_bits,
+    sphere_patch_by_entries,
+    torus_patch_by_entries,
+    verify_jacobian,
+)
 
 JAC_TOL = 1e-6
 
@@ -248,3 +257,37 @@ def test_checked_reals_reads_numbers_of_the_shape():
     assert np.array_equal(checked_reals((1, 2.5), "center", (2,)), [1.0, 2.5])
     M = checked_reals([[1, 0, 2]], "matrix", (None, 3))
     assert M.dtype == float and M.shape == (1, 3)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                  1e-13, -1e-13]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(arrays(
+    np.float64,
+    st.tuples(st.integers(0, 9), st.integers(1, 35)),
+    elements=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True)),
+))
+def test_row_max_abs_equals_the_row_reduction_bit_for_bit(A):
+    assert same_bits(row_max_abs(A), row_max_by_reduction(A))
+
+
+def test_row_max_abs_of_no_columns_is_zero():
+    assert same_bits(row_max_abs(np.zeros((3, 0))), np.zeros(3))
+
+
+@pytest.mark.parametrize("radius", [1.3, -0.7])
+def test_sphere_patch_equals_its_entry_expressions_bit_for_bit(radius, rng):
+    T = rng.uniform(-4.0, 4.0, size=(257, 2))
+    values, jac = sphere_patch_by_entries(radius, T)
+    f = sphere_patch(radius)
+    assert same_bits(f(T), values) and same_bits(f.jacobian(T), jac)
+
+
+@pytest.mark.parametrize("radii", [(2.0, 0.7), (-1.5, 0.4), (1.0, -2.0)])
+def test_torus_patch_equals_its_entry_expressions_bit_for_bit(radii, rng):
+    T = rng.uniform(-4.0, 4.0, size=(257, 2))
+    values, jac = torus_patch_by_entries(*radii, T)
+    f = torus_patch(*radii)
+    assert same_bits(f(T), values) and same_bits(f.jacobian(T), jac)

@@ -167,6 +167,16 @@ def test_bad_quadrature_exits_2(extra, block, tmp_path, capsys):
     assert "[quadrature]" in capsys.readouterr().err
 
 
+def test_metric_of_the_wrong_dimension_exits_3_naming_both_dimensions(tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "length_circle.json").read_text())
+    scenario["metric"] = {"kind": "euclidean", "dim": 3}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["length", "--scenario", str(path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "metric dimension 3" in err and "codomain dimension 2" in err
+
+
 @pytest.mark.parametrize("eps", [0, 0.0, -1e-4, float("nan"), float("inf")])
 def test_bad_variation_epsilon_exits_2(eps, tmp_path, capsys):
     scenario = json.loads((SCENARIO_DIR / "variation_line.json").read_text())
