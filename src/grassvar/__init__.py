@@ -2,13 +2,12 @@
 differential-form quadrature, and Finsler/areal variational functionals,
 all in explicit chart coordinates over boxes.
 
-The shipped scenarios run every name exported here except the library
-entry points :func:`wedge`, :func:`equivalent`,
+The shipped scenarios run every name exported here, and every metric kind,
+except the library entry points :func:`wedge`, :func:`equivalent`,
 :func:`grassmann_canonical_lift`, :func:`hilbert_form` and
-:func:`first_variation`, and the metric kinds ``riemannian`` and
-``mth_root``, which a scenario may name but none of the shipped ones does.
-``VariationField.radial_sine_bump``, ``KForm.partial`` and the map catalog
-of :mod:`grassvar.maps` are library entry points as well.
+:func:`first_variation`.  ``VariationField.radial_sine_bump``,
+``KForm.partial`` and the map catalog of :mod:`grassvar.maps` are library
+entry points as well.
 """
 
 from . import errors

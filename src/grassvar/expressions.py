@@ -3,10 +3,15 @@
 A coefficient is a string in the chart variables y1..ym built from numbers,
 ``pi``, ``+ - * / **``, unary ``+ -``, parentheses and the one-argument
 functions ``sin cos tan exp sqrt log``, e.g. ``"y1*y2**2 + sin(y3)"``;
-anything else raises ValueError.  The :func:`ast.parse` tree is checked node
-by node, folded (constant operations in numpy arithmetic: 1/0 gives inf),
-compiled once and run on numpy with no builtins, so scenario text never runs
-as Python.  :meth:`ExprCoeff.partial` differentiates the tree by the chain rule.
+anything else raises ValueError, and so does nesting right operands, signs
+and call arguments deeper than ``MAX_DEPTH`` (left operands, as in a long
+sum, do not nest).  The :func:`ast.parse` tree is checked node by node and
+folded (constant operations in numpy arithmetic: 1/0 gives inf); a
+coefficient evaluates it through nested closures that apply the same Python
+operators and numpy functions to the same operands in the same order, so
+scenario text never becomes Python code.  The closures are built on the first
+call, so a coefficient that is never evaluated costs only its tree.
+:meth:`ExprCoeff.partial` differentiates the tree by the chain rule.
 
 Shape contract: chart points ``(N, dim)`` give ``(N,)`` (a constant is
 broadcast); one point ``(dim,)`` gives a float.
@@ -15,12 +20,17 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 from ast import Add, Div, Mult, Pow, Sub
+from functools import cached_property
 
 import numpy as np
 
 _BINOPS = {Add: np.add, Sub: np.subtract, Mult: np.multiply, Div: np.divide, Pow: np.power}
+_OPERATORS = {Add: operator.add, Sub: operator.sub, Mult: operator.mul, Div: operator.truediv,
+              Pow: operator.pow}
 _FUNCS = {name: getattr(np, name) for name in ("sin", "cos", "tan", "exp", "sqrt", "log")}
+MAX_DEPTH = 200  # nested right operands, signs and calls; as deep as parentheses may nest
 
 
 def _num(x) -> ast.Constant:
@@ -52,18 +62,21 @@ def _parse(text: str, dim: int) -> ast.expr:
     """The checked, folded tree of ``text``; ValueError outside the grammar."""
     names = {f"y{i + 1}" for i in range(dim)} | {"pi"}
 
-    def build(node):
+    def build(node, depth=0):
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             return _num(node.value)
         if isinstance(node, ast.Name) and node.id in names:
             return _num(math.pi) if node.id == "pi" else ast.Name(node.id, ast.Load())
+        if depth == MAX_DEPTH:
+            raise ValueError(f"coefficient {text!r:.80} nests deeper than {MAX_DEPTH} levels")
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            return _bin(type(node.op), build(node.left), build(node.right))
+            return _bin(type(node.op), build(node.left, depth), build(node.right, depth + 1))
         if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
-            return _bin(Mult, _num(-1 if isinstance(node.op, ast.USub) else 1), build(node.operand))
+            sign = _num(-1 if isinstance(node.op, ast.USub) else 1)
+            return _bin(Mult, sign, build(node.operand, depth + 1))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
-            return _call(node.func.id, build(node.args[0]))
+            return _call(node.func.id, build(node.args[0], depth + 1))
         raise ValueError(f"{ast.unparse(node)!r} is not allowed in coefficient {text!r}")
 
     try:
@@ -97,6 +110,39 @@ def _diff(node: ast.expr, var: str) -> ast.expr:
     return _bin(Mult, node, _bin(Add, log_rate, _bin(Div, _bin(Mult, b, da), a)))
 
 
+def _closure(node: ast.expr, built: dict):
+    """A function of chart points ``Y`` ``(N, dim)`` that evaluates ``node``.
+
+    ``built`` (node id -> closure, for one tree) builds a subtree that a
+    partial shares once.  A chain of left operands is one loop, so closures
+    nest only as deep as right operands and call arguments."""
+    if id(node) in built:
+        return built[id(node)]
+    if isinstance(node, ast.Constant):
+        value = node.value
+        return built.setdefault(id(node), lambda Y: value)
+    if isinstance(node, ast.Name):
+        i = int(node.id[1:]) - 1
+        return built.setdefault(id(node), lambda Y: Y[:, i])
+    if isinstance(node, ast.Call):
+        f, u = _FUNCS[node.func.id], _closure(node.args[0], built)
+        return built.setdefault(id(node), lambda Y: f(u(Y)))
+    key, steps = id(node), []  # steps: (operator, right operand), outermost first
+    while isinstance(node, ast.BinOp) and id(node) not in built:
+        steps.append((_OPERATORS[type(node.op)], _closure(node.right, built)))
+        node = node.left
+    first = _closure(node, built)
+    steps.reverse()
+
+    def chain(Y):
+        value = first(Y)
+        for op, b in steps:
+            value = op(value, b(Y))
+        return value
+
+    return built.setdefault(key, chain)
+
+
 class ExprCoeff:
     """A function of the chart coordinates from a string, a number or a tree built here."""
 
@@ -104,16 +150,16 @@ class ExprCoeff:
         self.dim = int(dim)
         tree = _parse(expr, self.dim) if isinstance(expr, str) else expr
         self.tree = tree if isinstance(tree, ast.AST) else _num(tree)
-        body = ast.fix_missing_locations(ast.Expression(self.tree))
-        self._code = compile(body, "<coefficient>", "eval")
         self._partials: dict[int, ExprCoeff] = {}
+
+    @cached_property
+    def _evaluate(self):
+        return _closure(self.tree, {})
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         Y = np.atleast_2d(y)
-        env = dict(_FUNCS, **{f"y{i + 1}": Y[:, i] for i in range(self.dim)})
-        value = eval(self._code, {"__builtins__": {}}, env)
-        out = np.broadcast_to(np.asarray(value, dtype=float), Y.shape[:1])
+        out = np.broadcast_to(np.asarray(self._evaluate(Y), dtype=float), Y.shape[:1])
         return float(out[0]) if y.ndim < 2 else out
 
     def partial(self, j: int) -> ExprCoeff:

@@ -107,10 +107,9 @@ class KForm:
         """Coefficients at chart points ``(N, m)`` as ``(N, C(m,k))``."""
         y = np.asarray(y, dtype=float)
         Y = np.atleast_2d(y)
-        out = np.stack(
-            [np.broadcast_to(np.asarray(c(Y), dtype=float), Y.shape[:1]) for c in self.coeffs],
-            axis=-1,
-        )
+        out = np.empty((len(Y), len(self.coeffs)))
+        for col, c in enumerate(self.coeffs):
+            out[:, col] = c(Y)  # a constant is broadcast down its column
         if not np.isfinite(out).all():  # one flat test; rows are searched only on failure
             bad = ~np.isfinite(out).all(axis=1)
             raise EvaluationError(f"non-finite form coefficient at y={Y[bad][0]}")
@@ -191,7 +190,9 @@ def _axis_nodes(a: float, b: float, q: QuadratureSpec, cells: int):
     x, w = _gauss_rule(q.gauss_order)
     h = (b - a) / cells
     lo = a + np.arange(cells) * h
-    return (lo[:, None] + 0.5 * h * (x + 1.0)).ravel(), np.tile(0.5 * h * w, cells)
+    weights = np.empty((cells, len(w)))
+    weights[:] = 0.5 * h * w
+    return (lo[:, None] + 0.5 * h * (x + 1.0)).ravel(), weights.ravel()
 
 
 def integrate_scalar_over_box(g: Callable[[np.ndarray], np.ndarray], box, q: QuadratureSpec):
@@ -218,16 +219,20 @@ def integrate_scalar_over_box(g: Callable[[np.ndarray], np.ndarray], box, q: Qua
         total = 0.0
         for start in range(0, size, CHUNK_NODES):
             idx = np.unravel_index(np.arange(start, min(start + CHUNK_NODES, size)), shape)
-            T = np.stack([n[i] for n, i in zip(nodes, idx)], axis=1)
+            T = np.empty((len(idx[0]), len(box)))
+            for d, (n, i) in enumerate(zip(nodes, idx)):
+                T[:, d] = n[i]
             W = weights[0][idx[0]]  # times each later axis, in the order np.prod takes
             for w, i in zip(weights[1:], idx[1:]):
                 W *= w[i]
-            total = total + np.sum(W * np.asarray(g(T), dtype=float), axis=-1)
+            total = total + (W * np.asarray(g(T), dtype=float)).sum(axis=-1)
         return np.asarray(total)
 
     cells = q.cells_per_axis
     result = coarse = fixed(cells)
-    pending = np.full(result.shape, q.adaptive)  # components not yet accepted
+    if not q.adaptive:
+        return float(result) if result.ndim == 0 else result
+    pending = np.ones(result.shape, dtype=bool)  # components not yet accepted
     estimate = np.zeros(result.shape)
     for _ in range(q.max_refinements):
         if not pending.any():

@@ -27,6 +27,7 @@ from .errors import (
     CrossCheckError,
     DimensionMismatchError,
     ImmersionError,
+    MapEvaluationError,
     NonHomogeneousWarning,
     OrientationError,
     SlitDomainError,
@@ -199,15 +200,24 @@ def _preimages(rho: DifferentiableMap, values) -> tuple[float, ...]:
     bracket [value - j, value + j] is widened (j = 1, 2, 4, ... 2^79) until
     it holds a sign change of rho - value, then bisected until its midpoint
     no longer lies strictly inside it, i.e. to floating-point resolution.
-    The values are solved as one stack: one call of rho per step.
+    A value still unbracketed after the last widening, or when rho stops
+    being finite at the widened ends, raises OrientationError.  The values
+    are solved as one stack: one call of rho per step.
     """
     if rho.has_inverse:
         return tuple(float(rho.inverted()(np.array([v]))[0]) for v in values)
     values = np.array(values, dtype=float)
     n = len(values)
     lo, hi = values - 1.0, values + 1.0
+    found = np.zeros(n, dtype=bool)
     for widening in range(80):
-        f = rho(np.concatenate([lo, hi])[:, None])[:, 0] - np.concatenate([values, values])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = rho(np.concatenate([lo, hi])[:, None])[:, 0] - np.concatenate([values, values])
+        except MapEvaluationError:
+            if not widening:
+                raise
+            break  # rho is no longer finite at the widened ends
         flo, fhi = f[:n], f[n:]
         found = (flo == 0.0) | (fhi == 0.0) | ((flo < 0.0) & (0.0 < fhi))
         if found.all():
@@ -216,7 +226,7 @@ def _preimages(rho: DifferentiableMap, values) -> tuple[float, ...]:
         # half-width 2**widening; doubling it moves each end by as much
         lo[~found] -= 2.0**widening
         hi[~found] += 2.0**widening
-    else:
+    if not found.all():
         raise OrientationError(
             f"{rho.name}: could not bracket a preimage of {values[~found][0]}"
         )

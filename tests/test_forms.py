@@ -14,7 +14,7 @@ from grassvar.errors import (
     InvalidPartitionError,
     OrientationError,
 )
-from grassvar.expressions import ExprCoeff
+from grassvar.expressions import MAX_DEPTH, ExprCoeff
 from grassvar.forms import (
     CHUNK_NODES,
     DEGENERACY_TOL,
@@ -67,13 +67,28 @@ def area_form_2d():
     ([(0.0, 3.0)], 5, 7),
     ([(0.0, 1.0), (-1.0, 2.0)], 4, 3),
     ([(0.0, 1.0), (0.0, 2.0), (-1.0, 1.5)], 3, 2),
+    ([(0.0, 1.0), (-1.0, 2.0)], 7, 10),  # 4900 nodes: a full chunk and a short one
 ])
 def test_node_weights_are_the_product_of_the_axis_weights(box, order, cells):
-    # one component per node, the indicator of that node: each component's
-    # integral is that node's weight alone
+    # g sees the grid chunk by chunk, and its component j is the indicator of
+    # node picked[j], so that component's integral is that node's weight alone
+    nodes, weights = gauss_tensor_grid(box, order, cells)
+    n = len(nodes)
+    # every node of a one-chunk grid, else the ends of the grid and of its first chunk
+    ends = np.r_[:64, CHUNK_NODES - 64:CHUNK_NODES + 64, n - 64:n]
+    picked = np.arange(n) if n <= CHUNK_NODES else ends
+    seen = []
+
+    def g(T):
+        start = sum(map(len, seen))
+        seen.append(T.copy())
+        return (picked[:, None] == np.arange(start, start + len(T))).astype(float)
+
     q = QuadratureSpec(gauss_order=order, cells_per_axis=cells)
-    weights = integrate_scalar_over_box(lambda T: np.eye(len(T)), box, q)
-    assert same_bits(weights, gauss_tensor_grid(box, order, cells)[1])
+    picked_weights = integrate_scalar_over_box(g, box, q)
+    assert [len(T) for T in seen] == [min(CHUNK_NODES, n - s) for s in range(0, n, CHUNK_NODES)]
+    assert same_bits(np.concatenate(seen), nodes)
+    assert same_bits(picked_weights, weights[picked])
 
 
 def test_quadrature_polynomial_exactness():
@@ -508,6 +523,53 @@ def test_expr_coeff_partials_fold_zeros_and_ones():
     assert repr(c.partial(1)) == "ExprCoeff('y1 * y1', dim=2)"
     assert repr(c.partial(0).partial(0)) == "ExprCoeff('2.0 * y2', dim=2)"
     assert repr(c.partial(0).partial(0).partial(0)) == "ExprCoeff('0.0', dim=2)"
+
+
+# coefficients n levels deep, in each way the grammar nests: calls,
+# parenthesized right operands and a ** chain
+NESTINGS = {
+    "calls": lambda n: "sin(" * n + "y1" + ")" * n,
+    "products": lambda n: "y1*(" * n + "y1" + ")" * n,
+    "powers": lambda n: "**".join(["y1"] * (n + 1)),
+}
+
+
+def _nested_by_chain_rule(kind, n, y):
+    """Value and d/dy1 of ``NESTINGS[kind](n)`` at y1 = y, one level at a time."""
+    value, slope = y, np.ones_like(y)
+    for _ in range(n):
+        if kind == "calls":
+            value, slope = np.sin(value), np.cos(value) * slope
+        elif kind == "products":
+            value, slope = y * value, value + y * slope
+        else:
+            value, slope = y**value, y**value * (slope * np.log(y) + value / y)
+    return value, slope
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_coefficient_at_the_depth_limit_has_its_value_and_partial(kind):
+    Y = np.array([[0.6, 0.3], [0.999, -0.2], [1.2, 0.1]])
+    c = ExprCoeff(NESTINGS[kind](MAX_DEPTH), 2)
+    value, slope = _nested_by_chain_rule(kind, MAX_DEPTH, Y[:, 0])
+    assert c(Y) == pytest.approx(value, rel=1e-12)
+    assert c.partial(0)(Y) == pytest.approx(slope, rel=1e-10)
+    assert np.all(c.partial(1)(Y) == 0.0)
+    with pytest.raises(ValueError):
+        ExprCoeff(NESTINGS[kind](MAX_DEPTH + 1), 2)
+
+
+def test_long_sums_and_products_are_not_nesting():
+    # left operands are evaluated in a loop: the partial of a product of 600
+    # factors is a tree about 1200 levels deep, more than the interpreter's
+    # default recursion limit, yet its evaluation nests only as deep as its
+    # right operands
+    y = np.array([[0.999, 0.5]])
+    terms = 600
+    assert ExprCoeff(" + ".join(["y1*y2"] * terms), 2)(y) == pytest.approx(terms * 0.4995)
+    c = ExprCoeff("*".join(["y1"] * terms), 2)
+    assert c(y) == pytest.approx(0.999**terms, rel=1e-12)
+    assert c.partial(0)(y) == pytest.approx(terms * 0.999 ** (terms - 1), rel=1e-12)
 
 
 @pytest.mark.parametrize("text", ["y1 + 1/0", "y1 * 9**9**9**9"])

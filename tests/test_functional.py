@@ -13,6 +13,7 @@ from grassvar.errors import (
     CrossCheckError,
     DimensionMismatchError,
     ImmersionError,
+    MapEvaluationError,
     NonHomogeneousWarning,
     OrientationError,
     VariationConsistencyWarning,
@@ -287,6 +288,18 @@ def test_preimages_far_from_their_target_are_bracketed(target):
     assert float(rho(np.array([s]))[0]) == pytest.approx(target, rel=1e-15)
     assert _preimages(rho, (target, -target)) == (s, bisected_preimage(rho, -target))
     assert s == bisected_preimage(rho, target)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bracket_widening_stops_where_rho_stops_being_finite():
+    # -s^15 decreases, so no bracket of -3 holds a sign change, and s^15
+    # overflows near s = 2^68, before the 80th widening
+    rho = polynomial_map(1, [[(-1.0, (15,))]])
+    with pytest.raises(OrientationError, match="could not bracket a preimage of -3.0"):
+        _preimages(rho, (-3.0,))
+    # a first bracket where rho is already non-finite is a map error
+    with pytest.raises(MapEvaluationError, match="non-finite value"):
+        _preimages(rho, (1e300,))
 
 
 def test_reparam_orientation_violation():

@@ -29,10 +29,12 @@ import pytest
 import grassvar
 from grassvar import cli, finsler, forms, grassmann, scenarios
 from grassvar.errors import ScenarioError
+from grassvar.expressions import MAX_DEPTH
 from grassvar.forms import QuadratureSpec
 from grassvar.scenarios import SCENARIO_SCHEMA, build_quadrature, load_scenario, run_scenario
 
 from .oracles import FirstRowRejected
+from .test_forms import NESTINGS
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -151,6 +153,22 @@ def test_malformed_form_block_exits_2_and_runs_nothing(key, value, tmp_path, cap
     assert cli.main(["check", "--scenario", str(path), "--csv", str(out), "--quiet"]) == 2
     assert "form" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_coefficient_at_the_depth_limit_runs_and_one_level_more_exits_2(kind, tmp_path, capsys):
+    # the Stokes check of c(y1) dy2 evaluates the partial of c inside a CLI
+    # run; on [0.999, 1] four Gauss nodes integrate it to 1e-9
+    scenario = json.loads((SCENARIO_DIR / "check_forms_square.json").read_text())
+    scenario["geometry"]["box"] = [[0.999, 1.0], [0.0, 1.0]]
+    for depth, code in ((MAX_DEPTH, 0), (MAX_DEPTH + 1, 2)):
+        form = {"degree": 1, "dim": 2, "coefficients": {"2": NESTINGS[kind](depth)}}
+        scenario["checks"] = [{"name": "stokes", "tolerance": 1e-9, "form": form}]
+        path = tmp_path / f"depth{depth}.json"
+        path.write_text(json.dumps(scenario))
+        argv = ["check", "--scenario", str(path), "--gauss-order", "4", "--cells", "1", "--quiet"]
+        assert cli.main(argv) == code
+    assert "bad form" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
