@@ -5,9 +5,8 @@ all in explicit chart coordinates over boxes.
 The shipped scenarios run every name exported here, and every metric kind,
 except the library entry points :func:`wedge`, :func:`equivalent`,
 :func:`grassmann_canonical_lift`, :func:`hilbert_form` and
-:func:`first_variation`.  ``VariationField.radial_sine_bump``,
-``KForm.partial`` and the map catalog of :mod:`grassvar.maps` are library
-entry points as well.
+:func:`first_variation`.  ``VariationField.radial_sine_bump`` and the map
+catalog of :mod:`grassvar.maps` are library entry points as well.
 """
 
 from . import errors
@@ -26,7 +25,6 @@ from .finsler import (
 )
 from .forms import (
     KForm,
-    ParametricFormFamily,
     PartitionOfUnity,
     Piece,
     QuadratureSpec,

@@ -169,7 +169,10 @@ class ExprCoeff:
         return self._partials[j]
 
     def __repr__(self) -> str:
-        return f"ExprCoeff({ast.unparse(self.tree)!r}, dim={self.dim})"
+        try:
+            return f"ExprCoeff({ast.unparse(self.tree)!r}, dim={self.dim})"
+        except RecursionError:  # ast.unparse takes several frames per level of a deep partial
+            return f"ExprCoeff(<tree too deep to print>, dim={self.dim})"
 
 
 def signed_sum(terms, dim: int) -> ExprCoeff:

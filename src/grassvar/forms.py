@@ -47,7 +47,7 @@ from .maps import DifferentiableMap, compose, insert_axis_map, row_max_abs
 DEGENERACY_TOL = 1e-13
 CHUNK_NODES = 4096  # quadrature nodes evaluated per integrand call
 MAX_GAUSS_ORDER = 64  # nodes per cell and axis; the shipped scenarios use 8
-FD_STEP = 1e-5  # central-difference step for partials of plain callable coefficients
+MAX_REFINEMENTS = 6  # doublings of the cells per axis in adaptive mode
 COVER_OVERHANG = 0.35  # end windows of a uniform cover reach past the box by this many cells
 
 
@@ -65,8 +65,8 @@ class KForm:
         One coefficient function per increasing multi-index, in rank order
         (a single entry for k = 0), each mapping ``(N, m)`` to ``(N,)``.
         Entries may be plain callables or :class:`ExprCoeff`; only the
-        latter have analytic partials (plain callables get central
-        differences with step ``FD_STEP``).
+        latter have partials, so :func:`exterior_derivative` takes only
+        forms whose coefficients are all ExprCoeff.
     """
 
     def __init__(self, k: int, m: int, coeffs: Sequence[Callable]):
@@ -115,15 +115,6 @@ class KForm:
             raise EvaluationError(f"non-finite form coefficient at y={Y[bad][0]}")
         return out[0] if y.ndim < 2 else out
 
-    def partial(self, comp: int, j: int, Y: np.ndarray) -> np.ndarray:
-        """d(coeffs[comp])/dy^{j+1} at chart points ``(N, m)``, analytic when available."""
-        c = self.coeffs[comp]
-        if isinstance(c, ExprCoeff):
-            return c.partial(j)(Y)
-        step = np.zeros_like(Y)
-        step[:, j] = FD_STEP
-        return (c(Y + step) - c(Y - step)) / (2.0 * FD_STEP)
-
 
 @dataclass(frozen=True)
 class Piece:
@@ -159,20 +150,19 @@ class Piece:
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tensor-product Gauss-Legendre settings; the order is at most
-    ``MAX_GAUSS_ORDER``."""
+    ``MAX_GAUSS_ORDER``, and adaptive mode doubles the cells at most
+    ``MAX_REFINEMENTS`` times."""
 
     gauss_order: int = 8
     cells_per_axis: int = 16
     adaptive: bool = False
     target: float = 1e-9
-    max_refinements: int = 6
 
     def __post_init__(self):
-        counts = (self.gauss_order, self.cells_per_axis, self.max_refinements)
+        counts = (self.gauss_order, self.cells_per_axis)
         if min(counts) < 1 or not self.target > 0 or self.gauss_order > MAX_GAUSS_ORDER:
             raise ValueError(
-                f"gauss_order in 1..{MAX_GAUSS_ORDER}, cells_per_axis and max_refinements "
-                ">= 1, target > 0 required"
+                f"gauss_order in 1..{MAX_GAUSS_ORDER}, cells_per_axis >= 1, target > 0 required"
             )
 
 
@@ -234,7 +224,7 @@ def integrate_scalar_over_box(g: Callable[[np.ndarray], np.ndarray], box, q: Qua
         return float(result) if result.ndim == 0 else result
     pending = np.ones(result.shape, dtype=bool)  # components not yet accepted
     estimate = np.zeros(result.shape)
-    for _ in range(q.max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         if not pending.any():
             break
         cells *= 2
@@ -254,7 +244,7 @@ def integrate_scalar_over_box(g: Callable[[np.ndarray], np.ndarray], box, q: Qua
 
 
 def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
-    """Pull a degree-k form on the codomain of f back to its domain.
+    """Pull a degree-k form (k >= 1) on the codomain of f back to its domain.
 
     The coefficient at a target multi-index J is the minor expansion
     sum_I eta_I(f(t)) det(Jac(t)[I rows, J cols]).
@@ -266,8 +256,6 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
     n = f.domain_dim
     if eta.k > n:
         raise InvalidDegreeError(f"cannot pull a degree-{eta.k} form back to dimension {n}")
-    if eta.k == 0:
-        return KForm(0, n, [lambda T: eta.values(f(T))[:, 0]])
 
     def coeff(cols):
         def pulled(T):
@@ -386,31 +374,24 @@ class PartitionOfUnity:
             )
         return raw / total
 
-    def chi(self, j: int, t):
-        """The j-th normalized partition function at a point ``(k,)`` or points ``(N, k)``."""
-        w = self.weights(t)[j]
-        return float(w[0]) if np.ndim(t) < 2 else w
-
     @classmethod
-    def uniform_cover(cls, box, pieces_per_axis, overlap: float = 0.6) -> "PartitionOfUnity":
-        """Overlapping windows, ``pieces_per_axis[d]`` per axis, as a product cover.
+    def uniform_cover(cls, box, pieces: int, overlap: float = 0.6) -> "PartitionOfUnity":
+        """Overlapping windows, ``pieces`` per axis, as a product cover.
 
         ``overlap`` widens every window relative to the plain subdivision;
         the two end windows of each axis also reach ``COVER_OVERHANG`` cells
         beyond the box, so that the endpoints are interior to their support.
         """
-        if isinstance(pieces_per_axis, int):
-            pieces_per_axis = [pieces_per_axis] * len(box)
         per_axis_windows = []
-        for (a, b), n in zip(box, pieces_per_axis):
-            h = (b - a) / n
+        for a, b in box:
+            h = (b - a) / pieces
             wins = []
-            for i in range(n):
+            for i in range(pieces):
                 lo = a + i * h - overlap * h
                 hi = a + (i + 1) * h + overlap * h
                 if i == 0:
                     lo -= COVER_OVERHANG * h
-                if i == n - 1:
+                if i == pieces - 1:
                     hi += COVER_OVERHANG * h
                 wins.append((lo, hi))
             per_axis_windows.append(wins)
@@ -439,7 +420,7 @@ def integrate_with_partition(
             continue
 
         def density(T, lift, _j=j):
-            return pou.chi(_j, T) * pairing(T, lift)
+            return pou.weights(T)[_j] * pairing(T, lift)
 
         parts.append(lift_integral(Piece(sub, piece.map, piece.orientation), density, q))
     return float(np.sum(np.asarray(parts)))
@@ -453,24 +434,23 @@ def exterior_derivative(eta: KForm) -> KForm:
     """The degree-(k+1) form with coefficients
     (d eta)_J = sum_a (-1)^a d(eta_{J minus j_a}) / dy^{j_a}.
 
-    Partials are analytic for :class:`ExprCoeff` coefficients and central
-    differences with step FD_STEP otherwise.  When every coefficient
-    is an ExprCoeff, each (d eta)_J is built once as an ExprCoeff from the
-    signed partials, so a second application stays analytic.
+    Every coefficient must be an :class:`ExprCoeff`, whose partials are
+    analytic; any other coefficient raises EvaluationError.  Each (d eta)_J
+    is built once as an ExprCoeff from the signed partials, so a second
+    application stays analytic.
     """
     k, m = eta.k, eta.m
     if k + 1 > m:
         raise InvalidDegreeError(f"no degree-{k + 1} forms in dimension {m}")
+    if not all(isinstance(c, ExprCoeff) for c in eta.coeffs):
+        raise EvaluationError("exterior derivative needs ExprCoeff coefficients")
     coeffs = []
     for J in enumerate_multiindices(k + 1, m):
         signed = []  # (sign, source component, partial axis) per term of (d eta)_J
         for a, j in enumerate(J):
             rest = J[:a] + J[a + 1:]  # increasing, since J is
             signed.append(((-1) ** a, 0 if k == 0 else multiindex_ranks(k, m)[rest], j - 1))
-        if all(isinstance(c, ExprCoeff) for c in eta.coeffs):
-            coeffs.append(signed_sum([(s, eta.coeffs[c].partial(j)) for s, c, j in signed], m))
-        else:
-            coeffs.append(lambda y, _s=signed: sum(s * eta.partial(c, j, y) for s, c, j in _s))
+        coeffs.append(signed_sum([(s, eta.coeffs[c].partial(j)) for s, c, j in signed], m))
     return KForm(k + 1, m, coeffs)
 
 
@@ -544,23 +524,6 @@ def verify_domain_transform(
     return abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class ParametricFormFamily:
-    """A one-parameter family t -> g(t) * eta0 with analytic dg/dt."""
-
-    base: KForm
-    profile: Callable[[float], float]
-    profile_dot: Callable[[float], float]
-
-    def form_at(self, t: float) -> KForm:
-        g = float(self.profile(t))
-        return _scale_form(self.base, g)
-
-    def dform_at(self, t: float) -> KForm:
-        g = float(self.profile_dot(t))
-        return _scale_form(self.base, g)
-
-
 def _scale_form(eta: KForm, factor: float) -> KForm:
     return KForm(
         eta.k,
@@ -577,16 +540,19 @@ PROFILE_FAMILIES = {
 
 
 def verify_leibniz(
-    family: ParametricFormFamily,
+    eta: KForm,
+    g: Callable[[float], float],
+    g_dot: Callable[[float], float],
     piece: Piece,
     t0: float,
     dt_step: float = 1e-4,
     q: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """Residual of differentiation under the integral sign at t0:
-    | d/dt integral(eta_t) (central difference) - integral(d eta_t / dt) |."""
-    plus = integrate(family.form_at(t0 + dt_step), piece, q)
-    minus = integrate(family.form_at(t0 - dt_step), piece, q)
+    """Residual of differentiation under the integral sign at t0 for the
+    family eta_t = g(t) eta with analytic dg/dt = g_dot:
+    | d/dt integral(eta_t) (central difference) - integral(g_dot(t0) eta) |."""
+    plus = integrate(_scale_form(eta, float(g(t0 + dt_step))), piece, q)
+    minus = integrate(_scale_form(eta, float(g(t0 - dt_step))), piece, q)
     lhs = (plus - minus) / (2.0 * dt_step)
-    rhs = integrate(family.dform_at(t0), piece, q)
+    rhs = integrate(_scale_form(eta, float(g_dot(t0))), piece, q)
     return abs(lhs - rhs)

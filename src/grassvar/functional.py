@@ -7,8 +7,8 @@ case: one lift integral serves length, area, reparametrization and first
 variation.  For degree-1 metrics the length is recomputed through the
 Hilbert form, as the integral of its value sum_nu dF/dv_nu(zeta, zeta')
 zeta'^nu on the lift (zeta, zeta') of the curve, and the two routes must
-agree whenever the metric is positively homogeneous; that cross-check
-runs by default.
+agree whenever the metric is positively homogeneous; every length of a
+metric that passes the homogeneity probe runs that cross-check.
 
 The homogeneity probe runs once per public call.  Every public call walks
 the quadrature grid once: the cross-checked length integrates both routes
@@ -63,21 +63,19 @@ def curve_length(
     curve: DifferentiableMap,
     interval,
     q: QuadratureSpec = QuadratureSpec(),
-    cross_check: bool = True,
 ) -> float:
     """Length of a curve under a degree-1 fundamental function.
 
     The areal value of F on the curve as a 1-piece, i.e. the integral of
-    t -> F(zeta(t), zeta'(t)).  When the homogeneity probe passes and
-    ``cross_check`` is on, the same grid walk also integrates the Hilbert
-    route of :func:`hilbert_route_length`: the density is the stack
-    [F(zeta, zeta'), sum_nu dF/dv_nu(zeta, zeta') zeta'^nu], whose first
-    component the quadrature sums exactly as it would alone, adaptive
-    levels included.  Disagreement beyond 1e-10 raises CrossCheckError.
+    t -> F(zeta(t), zeta'(t)).  When the homogeneity probe passes, the
+    same grid walk also integrates the Hilbert route of
+    :func:`hilbert_route_length`: the density is the stack [F(zeta, zeta'),
+    sum_nu dF/dv_nu(zeta, zeta') zeta'^nu], whose first component the
+    quadrature sums exactly as it would alone, adaptive levels included.
+    Disagreement beyond 1e-10 raises CrossCheckError.
     """
     piece = _curve_piece(F, curve, interval)
-    homogeneous = _homogeneity_probe(F)
-    if not (cross_check and homogeneous):
+    if not _homogeneity_probe(F):
         return _lift_value(F, piece, q)
 
     def both_routes(T, lift):
@@ -102,8 +100,8 @@ def hilbert_route_length(
     form's value sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on the lift
     (zeta, zeta').  This is the integral of :func:`finsler.hilbert_form`
     over the map t -> (zeta, zeta'), whose dv block has zero coefficients."""
-    return lift_integral(
-        _curve_piece(F, curve, interval), lambda T, lift: _hilbert_value(F, lift), q
+    return _lift_value(
+        F, _curve_piece(F, curve, interval), q, lambda T, lift: _hilbert_value(F, lift)
     )
 
 
@@ -370,14 +368,12 @@ def extremal_residual(
     F: FinslerFunction,
     curve: DifferentiableMap,
     interval,
-    fields: list[VariationField] | None = None,
+    fields: list[VariationField],
     eps: float = 1e-4,
     q: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """Max |first variation| over a basis of variation fields; near zero on
-    extremal curves."""
-    if fields is None:
-        fields = default_variation_basis(interval, curve.codomain_dim)
+    """Max |first variation| over a basis of variation fields, such as
+    :func:`default_variation_basis`; near zero on extremal curves."""
     piece = _curve_piece(F, curve, interval)
     _homogeneity_probe(F)
     return float(np.max(np.abs(_variations(F, piece, fields, eps, q))))

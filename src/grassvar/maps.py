@@ -8,11 +8,9 @@ analytic Jacobian:
     torus_patch, sphere_patch, graph_surface, fourier_curve,
     sine_shift, trig_shear, positive_scale
 
-Python callers may additionally combine maps with :func:`compose`.  A
-central finite-difference Jacobian (step 1e-6 * max(1, |x|_inf)) backs any
-map constructed without an analytic one.  A map carries a value, a
-Jacobian and optionally an inverse, nothing else: no map has second
-derivatives.
+Python callers may additionally combine maps with :func:`compose`.  A map
+carries a value, an analytic Jacobian and optionally an inverse, nothing
+else: no map has second derivatives.
 
 Shape contract: every map evaluates a stack of N points at once.  The
 callables handed to :class:`DifferentiableMap` receive ``T`` of shape
@@ -31,7 +29,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, MapEvaluationError
 
-FD_JACOBIAN_SCALE = 1e-6
 MAX_EXPONENT = 64  # a polynomial map holds the powers 0..deg of every axis at every node
 
 
@@ -118,7 +115,7 @@ class DifferentiableMap:
         domain_dim: int,
         codomain_dim: int,
         func: Callable[[np.ndarray], np.ndarray],
-        jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+        jacobian: Callable[[np.ndarray], np.ndarray],
         inverse: "DifferentiableMap | None" = None,
     ):
         self.name = name
@@ -138,21 +135,9 @@ class DifferentiableMap:
 
     def jacobian(self, t) -> np.ndarray:
         T, single = _as_batch(t, self.domain_dim)
-        if self._jacobian is not None:
-            J = _stacked(self._jacobian(T), (len(T), self.codomain_dim, self.domain_dim))
-        else:
-            J = self._fd_jacobian(T)
+        J = _stacked(self._jacobian(T), (len(T), self.codomain_dim, self.domain_dim))
         _finite(self.name, "Jacobian", T, J)
         return J[0] if single else J
-
-    def _fd_jacobian(self, T: np.ndarray) -> np.ndarray:
-        h = FD_JACOBIAN_SCALE * np.maximum(1.0, row_max_abs(T))
-        cols = []
-        for j in range(self.domain_dim):
-            step = np.zeros_like(T)
-            step[:, j] = h
-            cols.append((self(T + step) - self(T - step)) / (2.0 * h[:, None]))
-        return np.stack(cols, axis=-1)
 
     def inverted(self) -> "DifferentiableMap":
         if self._inverse is None:
@@ -207,15 +192,7 @@ def segment(start, end) -> DifferentiableMap:
     """Straight segment t -> p + t (q - p), t in [0, 1] by convention."""
     p = checked_reals(start, "start", (None,))
     q = checked_reals(end, "end", p.shape)
-    d = q - p
-    m = len(p)
-    return DifferentiableMap(
-        "segment",
-        1,
-        m,
-        lambda T: p + T * d,
-        lambda T: d.reshape(m, 1),
-    )
+    return _affine("segment", (q - p)[:, None], p)
 
 
 def _polynomial_term(term, n: int) -> tuple[float, tuple[int, ...]]:

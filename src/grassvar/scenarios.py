@@ -36,7 +36,6 @@ from .finsler import FinslerFunction, METRIC_KINDS
 from .forms import (
     MAX_GAUSS_ORDER,
     KForm,
-    ParametricFormFamily,
     PartitionOfUnity,
     Piece,
     PROFILE_FAMILIES,
@@ -424,7 +423,7 @@ def _check_dual_route(scenario, rng, q):
     if rho_spec is None:
         raise ScenarioError("dual_route needs a reparam block", "reparam")
     rho = build_map(rho_spec, "reparam")
-    direct = functional.curve_length(F, curve, (a, b), q, cross_check=False)
+    direct = functional.areal_value(F, Piece(((a, b),), curve), q)
     curve, (a, b) = functional.reparametrized(curve, (a, b), rho)
     return abs(direct - functional.hilbert_route_length(F, curve, (a, b), q))
 
@@ -461,9 +460,8 @@ def _check_leibniz(scenario, rng, q, form=None):
     fam_spec = scenario.get("family")
     if fam_spec is None:
         raise ScenarioError("leibniz needs a family block", "family")
-    profile, profile_dot = PROFILE_FAMILIES[fam_spec["profile"]]
-    family = ParametricFormFamily(eta, profile, profile_dot)
-    return verify_leibniz(family, piece, fam_spec["t0"], fam_spec.get("dt_step", 1e-4), q)
+    g, g_dot = PROFILE_FAMILIES[fam_spec["profile"]]
+    return verify_leibniz(eta, g, g_dot, piece, fam_spec["t0"], fam_spec.get("dt_step", 1e-4), q)
 
 
 def _check_partition_independence(scenario, rng, q, form=None):

@@ -80,15 +80,15 @@ def test_zero_width_interval():
 
 def test_dual_route_agreement():
     F = randers_metric(2, [0.2, -0.1])
-    direct = curve_length(F, circle(1.7), (0.2, 4.0), Q, cross_check=True)
+    direct = curve_length(F, circle(1.7), (0.2, 4.0), Q)
     via = hilbert_route_length(F, circle(1.7), (0.2, 4.0), Q)
     assert abs(direct - via) <= 1e-10 * max(1.0, abs(direct))
 
 
 def test_hilbert_form_pullback_matches_hilbert_route():
     # the paper's statement: the Hilbert form integrated over t -> (zeta, zeta')
-    # gives the length; here through forms.integrate on a map whose Jacobian
-    # (with its zeta'' column) is the finite-difference fallback
+    # gives the length; here through forms.integrate on the map t -> (zeta, zeta').
+    # Its Jacobian's zeta'' block is left 0: the form's dv coefficients vanish
     conformal = riemannian_metric(3, {"field": "conformal", "coefficient": 0.3})
     for F, curve, interval in [
         (randers_metric(2, [0.2, -0.1]), circle(1.7), (0.2, 4.0)),
@@ -97,6 +97,9 @@ def test_hilbert_form_pullback_matches_hilbert_route():
         lifted = DifferentiableMap(
             "tangent", 1, 2 * F.m,
             lambda T, c=curve: np.concatenate([c(T), c.jacobian(T)[:, :, 0]], axis=1),
+            lambda T, c=curve: np.concatenate(
+                [c.jacobian(T), np.zeros((len(T), c.codomain_dim, 1))], axis=1
+            ),
         )
         pulled = integrate(hilbert_form(F), Piece((interval,), lifted), Q)
         assert abs(pulled - hilbert_route_length(F, curve, interval, Q)) <= 1e-9
@@ -125,10 +128,11 @@ def test_cross_checked_length_evaluates_each_layer_once(monkeypatch):
 
 @pytest.mark.parametrize("q", [
     Q, QuadratureSpec(gauss_order=3, cells_per_axis=1, adaptive=True, target=1e-9),
-    QuadratureSpec(gauss_order=2, cells_per_axis=1, adaptive=True, target=1e-14,
-                   max_refinements=3),
+    QuadratureSpec(gauss_order=2, cells_per_axis=1, adaptive=True, target=1e-14),
 ], ids=["fixed", "adaptive", "adaptive-missed"])
-def test_cross_checked_length_equals_the_direct_walk_bit_for_bit(q):
+def test_cross_checked_length_equals_the_direct_walk_bit_for_bit(q, monkeypatch):
+    if q.target == 1e-14:
+        monkeypatch.setattr(forms, "MAX_REFINEMENTS", 3)
     conformal = riemannian_metric(3, {"field": "conformal", "coefficient": 0.3})
     for F, curve, interval in [
         (randers_metric(2, [0.2, -0.1]), circle(1.7), (0.2, 4.0)),
@@ -157,14 +161,19 @@ def test_immersion_error_on_stationary_curve():
         curve_length(euclidean_metric(2), frozen, (0.0, 1.0), Q)
 
 
+def test_hilbert_route_on_a_stationary_curve_raises_immersion_error():
+    # the fiber gradient meets the slit as F does in curve_length
+    frozen = segment([0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ImmersionError, match="degenerate lift"):
+        hilbert_route_length(euclidean_metric(2), frozen, (0.0, 1.0), Q)
+
+
 def test_curve_length_additive_under_splitting():
     F = randers_metric(2, [0.2, 0.1])
     z = circle(1.3)
-    whole = curve_length(F, z, (0.0, 5.0), Q, cross_check=False)
+    whole = areal_value(F, Piece(((0.0, 5.0),), z), Q)
     c = 1.37  # arbitrary interior split point
-    parts = curve_length(F, z, (0.0, c), Q, cross_check=False) + curve_length(
-        F, z, (c, 5.0), Q, cross_check=False
-    )
+    parts = areal_value(F, Piece(((0.0, c),), z), Q) + areal_value(F, Piece(((c, 5.0),), z), Q)
     assert abs(whole - parts) <= 1e-11 * max(1.0, abs(whole))
 
 
@@ -333,21 +342,25 @@ def test_first_variation_zero_field_is_zero():
 
 def test_straight_line_extremal_euclidean():
     line = segment([0.0, 0.0], [2.0, 1.0])
-    res = extremal_residual(euclidean_metric(2), line, (0.0, 1.0), q=QuadratureSpec(8, 8))
+    fields = default_variation_basis((0.0, 1.0), 2)
+    res = extremal_residual(euclidean_metric(2), line, (0.0, 1.0), fields, q=QuadratureSpec(8, 8))
     assert res <= 1e-6
 
 
 def test_straight_line_extremal_randers():
     line = segment([0.0, 0.0], [2.0, 1.0])
     F = randers_metric(2, [0.25, -0.1])
-    res = extremal_residual(F, line, (0.0, 1.0), q=QuadratureSpec(8, 8))
+    res = extremal_residual(F, line, (0.0, 1.0), default_variation_basis((0.0, 1.0), 2),
+                            q=QuadratureSpec(8, 8))
     assert res <= 1e-6
 
 
 def test_circular_arc_not_extremal():
     arc = circle()  # quarter circle from (1,0) to (0,1) is not the chord
+    interval = (0.0, math.pi / 2)
     res = extremal_residual(
-        euclidean_metric(2), arc, (0.0, math.pi / 2), q=QuadratureSpec(8, 8)
+        euclidean_metric(2), arc, interval, default_variation_basis(interval, 2),
+        q=QuadratureSpec(8, 8),
     )
     assert res >= 1e-3
 
@@ -379,7 +392,7 @@ def _difference_quotients(F, curve, interval, fields, eps, q):
     """(length(zeta + eps V) - length(zeta - eps V)) / (2 eps) per field, each
     length its own walk, with the quadrature warnings those walks raise."""
     def length(field, c):
-        return curve_length(F, _shifted(curve, field, c), interval, q, cross_check=False)
+        return areal_value(F, Piece((interval,), _shifted(curve, field, c)), q)
 
     values = []
     with warnings.catch_warnings(record=True) as caught:
@@ -426,10 +439,10 @@ def test_batched_variation_equals_the_difference_quotient_of_lengths(case):
     assert extremal_residual(F, curve, interval, fields, 1e-4, q) == max(map(abs, expected))
 
 
-def test_batched_variation_warns_per_length_that_misses_the_target():
+def test_batched_variation_warns_per_length_that_misses_the_target(monkeypatch):
+    monkeypatch.setattr(forms, "MAX_REFINEMENTS", 3)
     F, curve, interval, fields, _ = VARIATION_CASES["adaptive"]
-    q = QuadratureSpec(gauss_order=2, cells_per_axis=1, adaptive=True, target=1e-12,
-                       max_refinements=3)
+    q = QuadratureSpec(gauss_order=2, cells_per_axis=1, adaptive=True, target=1e-12)
     expected, missed = _difference_quotients(F, curve, interval, fields, 1e-4, q)
     assert len(missed) == 4 * len(fields)
     with warnings.catch_warnings(record=True) as caught:
@@ -496,7 +509,7 @@ def test_cross_check_rejects_a_gradient_that_disagrees_with_the_value():
     )
     with pytest.raises(CrossCheckError):
         curve_length(F, circle(), (0.0, math.pi), Q)
-    assert curve_length(F, circle(), (0.0, math.pi), Q, cross_check=False) == pytest.approx(
+    assert areal_value(F, Piece(((0.0, math.pi),), circle()), Q) == pytest.approx(
         math.pi, abs=1e-12
     )
 

@@ -81,7 +81,7 @@ def test_d_squared_zero_on_generated_one_forms(texts, Y):
     dd = exterior_derivative(d_eta)
     assert all(isinstance(c, ExprCoeff) for c in dd.coeffs)
     # the three signed second partials of d_eta cancel up to rounding
-    scale = sum(np.abs(d_eta.partial(c, j, Y)) for c in range(3) for j in range(3))
+    scale = sum(np.abs(d_eta.coeffs[c].partial(j)(Y)) for c in range(3) for j in range(3))
     assert np.all(np.abs(dd.values(Y)[:, 0]) <= 1e-12 * (1.0 + scale)), texts
 
 
