@@ -194,6 +194,12 @@ def test_pullback_degree_error():
         pullback(eta, circle())  # cannot pull a 2-form back to a 1-dim domain
 
 
+def test_pullback_of_a_zero_form_raises_invalid_degree():
+    eta = KForm.from_dict(0, 2, {(): "y1*y2"})
+    with pytest.raises(InvalidDegreeError, match="degree 0"):
+        pullback(eta, trig_shear(0.3))
+
+
 # -- integrate ---------------------------------------------------------------
 
 def test_integrate_unit_square_area():

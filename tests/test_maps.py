@@ -134,6 +134,28 @@ def test_from_catalog_dispatch():
         from_catalog("circle", {"bogus": 1})
 
 
+def test_segment_is_its_closed_form_bit_for_bit(rng):
+    for m in (1, 2, 3):
+        p, q = rng.normal(size=m), rng.normal(size=m)
+        f = segment(p, q)
+        T = rng.uniform(-0.5, 1.5, size=(9, 1))
+        assert same_bits(f(T), p + T * (q - p))
+        assert same_bits(f.jacobian(T), np.broadcast_to((q - p)[:, None], (9, m, 1)))
+
+
+def test_only_a_one_dimensional_segment_has_an_exact_inverse():
+    f = segment([0.5], [2.5])
+    y = np.array([[0.5], [1.0], [2.5]])
+    assert np.array_equal(f.inverted()(y), [[0.0], [0.25], [1.0]])
+    assert np.array_equal(f.inverted().jacobian(y), np.full((3, 1, 1), 0.5))
+    assert not segment([0.0, 0.0], [1.0, 2.0]).has_inverse
+
+
+def test_a_map_needs_its_jacobian():
+    with pytest.raises(TypeError, match="jacobian"):
+        DifferentiableMap("raw", 1, 1, lambda T: T)
+
+
 def test_constructor_links_the_inverse():
     for f in [
         identity_map(2),
