@@ -6,9 +6,10 @@
     grassvar variation --scenario s.json ...
 
 Exit codes: 0 all rows pass, 1 at least one FAIL row, 2 scenario/input
-error, 3 runtime numeric error.  With a fixed ``--seed`` the CSV output is
-byte-identical across runs; wall-clock timings therefore go to the text
-report only and the CSV ``seconds`` column is pinned to 0.
+error or an output file that cannot be written, 3 runtime numeric error.
+With a fixed ``--seed`` the CSV output is byte-identical across runs;
+wall-clock timings therefore go to the text report only and the CSV
+``seconds`` column is pinned to 0.
 """
 from __future__ import annotations
 
@@ -53,13 +54,6 @@ def _report_line(row: Row) -> str:
     detail.append(row.status)
     detail.append(f"{row.seconds:.3f}s")
     return out + " (" + ", ".join(detail) + ")"
-
-
-def write_csv(path: str, rows: list[Row]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(_csv_line(row) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,15 +122,19 @@ def main(argv=None) -> int:
     report = "\n".join(lines) + "\n"
     if not args.quiet:
         sys.stdout.write(report)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
-    if args.csv:
-        write_csv(args.csv, result.rows)
-    if args.dump_integrand:
-        with open(args.dump_integrand, "w", encoding="utf-8", newline="\n") as fh:
-            for sample in result.samples:
-                fh.write(",".join(_fmt(x) for x in sample) + "\n")
+    outputs = [
+        (args.report, report),
+        (args.csv, "".join(line + "\n" for line in [CSV_HEADER, *map(_csv_line, result.rows)])),
+        (args.dump_integrand, "".join(",".join(map(_fmt, s)) + "\n" for s in result.samples)),
+    ]
+    for path, text in outputs:
+        if path:
+            try:
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+                return 2
 
     return 1 if n_fail else 0
 

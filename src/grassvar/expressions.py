@@ -11,7 +11,8 @@ coefficient evaluates it through nested closures that apply the same Python
 operators and numpy functions to the same operands in the same order, so
 scenario text never becomes Python code.  The closures are built on the first
 call, so a coefficient that is never evaluated costs only its tree.
-:meth:`ExprCoeff.partial` differentiates the tree by the chain rule.
+:meth:`ExprCoeff.partial` differentiates the tree by the chain rule; its
+tree shares subtrees, and each shared subtree is evaluated once per call.
 
 Shape contract: chart points ``(N, dim)`` give ``(N,)`` (a constant is
 broadcast); one point ``(dim,)`` gives a float.
@@ -110,12 +111,33 @@ def _diff(node: ast.expr, var: str) -> ast.expr:
     return _bin(Mult, node, _bin(Add, log_rate, _bin(Div, _bin(Mult, b, da), a)))
 
 
-def _closure(node: ast.expr, built: dict):
+def _shared(tree: ast.expr) -> set[int]:
+    """ids of the nodes of ``tree`` reached through more than one parent
+    edge: a partial reuses subtrees such as ``a ** b`` itself."""
+    seen, shared, stack = set(), set(), [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            shared.add(id(node))
+            continue
+        seen.add(id(node))
+        if isinstance(node, ast.BinOp):
+            stack += (node.left, node.right)
+        elif isinstance(node, ast.Call):
+            stack.append(node.args[0])
+    return shared
+
+
+def _closure(node: ast.expr, built: dict, shared: set[int], memo: dict):
     """A function of chart points ``Y`` ``(N, dim)`` that evaluates ``node``.
 
     ``built`` (node id -> closure, for one tree) builds a subtree that a
     partial shares once.  A chain of left operands is one loop, so closures
-    nest only as deep as right operands and call arguments."""
+    nest only as deep as right operands and call arguments.  A node in
+    ``shared`` (see :func:`_shared`) ends the chain that reaches it and gets
+    its own closure, which keeps its value in ``memo`` until the call ends,
+    so a shared subtree is evaluated once per call.  A chain is built from
+    its innermost operand out, the order it evaluates in."""
     if id(node) in built:
         return built[id(node)]
     if isinstance(node, ast.Constant):
@@ -124,23 +146,38 @@ def _closure(node: ast.expr, built: dict):
     if isinstance(node, ast.Name):
         i = int(node.id[1:]) - 1
         return built.setdefault(id(node), lambda Y: Y[:, i])
+    key = id(node)
     if isinstance(node, ast.Call):
-        f, u = _FUNCS[node.func.id], _closure(node.args[0], built)
-        return built.setdefault(id(node), lambda Y: f(u(Y)))
-    key, steps = id(node), []  # steps: (operator, right operand), outermost first
-    while isinstance(node, ast.BinOp) and id(node) not in built:
-        steps.append((_OPERATORS[type(node.op)], _closure(node.right, built)))
-        node = node.left
-    first = _closure(node, built)
-    steps.reverse()
+        f, u = _FUNCS[node.func.id], _closure(node.args[0], built, shared, memo)
 
-    def chain(Y):
-        value = first(Y)
-        for op, b in steps:
-            value = op(value, b(Y))
-        return value
+        def evaluate(Y):
+            return f(u(Y))
+    else:
+        chain = []  # the operations down the left operands, outermost first
+        while True:
+            chain.append(node)
+            node = node.left
+            if not isinstance(node, ast.BinOp) or id(node) in shared:
+                break
+        first = _closure(node, built, shared, memo)
+        steps = [(_OPERATORS[type(op.op)], _closure(op.right, built, shared, memo))
+                 for op in reversed(chain)]
 
-    return built.setdefault(key, chain)
+        def evaluate(Y):
+            value = first(Y)
+            for op, b in steps:
+                value = op(value, b(Y))
+            return value
+
+    if key not in shared:
+        return built.setdefault(key, evaluate)
+
+    def once(Y):
+        if key not in memo:
+            memo[key] = evaluate(Y)
+        return memo[key]
+
+    return built.setdefault(key, once)
 
 
 class ExprCoeff:
@@ -154,7 +191,18 @@ class ExprCoeff:
 
     @cached_property
     def _evaluate(self):
-        return _closure(self.tree, {})
+        shared, memo = _shared(self.tree), {}
+        root = _closure(self.tree, {}, shared, memo)
+        if not shared:
+            return root
+
+        def evaluate(Y):
+            try:
+                return root(Y)
+            finally:
+                memo.clear()
+
+        return evaluate
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)

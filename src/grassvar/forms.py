@@ -185,12 +185,59 @@ def _axis_nodes(a: float, b: float, q: QuadratureSpec, cells: int):
     return (lo[:, None] + 0.5 * h * (x + 1.0)).ravel(), weights.ravel()
 
 
+def _chunks(nodes, weights):
+    """The tensor grid of the per-axis ``nodes`` and ``weights`` in row-major
+    order, as ``(T, W)`` chunks of ``CHUNK_NODES`` nodes ``(N, k)`` and
+    weights ``(N,)``.
+
+    A row is a run of the last axis at fixed leading axes.  Each chunk is
+    built from pieces that are either whole rows or a part of one row: the
+    leading axes are gathered once per row and broadcast along it, the last
+    axis is laid in as a slice, and a weight is the product of its node's
+    per-axis weights in axis order (the order ``np.prod`` takes).  So the
+    work per chunk is O(chunk) for any row length.  A 1-D grid is one row,
+    and its chunks are slices.
+    """
+    *lead_nodes, last = nodes
+    *lead_weights, last_w = weights
+    lead_shape, row, k = tuple(map(len, lead_nodes)), len(last), len(nodes)
+    size = row * math.prod(lead_shape)
+    for start in range(0, size, CHUNK_NODES):
+        stop = min(start + CHUNK_NODES, size)
+        if k == 1:
+            yield last[start:stop, None], last_w[start:stop]
+            continue
+        first = start // row
+        lead = np.unravel_index(np.arange(first, (stop - 1) // row + 1), lead_shape)
+        row_T = [n[i] for n, i in zip(lead_nodes, lead)]
+        row_W = lead_weights[0][lead[0]]
+        for w, i in zip(lead_weights[1:], lead[1:]):
+            row_W *= w[i]
+        T, W = np.empty((stop - start, k)), np.empty(stop - start)
+        # [start, a) ends the first row, [a, b) is whole rows, [b, stop) begins the last
+        a = min(-(-start // row) * row, stop)
+        b = max(a, stop // row * row)
+        for lo, hi in ((start, a), (a, b), (b, stop)):
+            if lo == hi:
+                continue
+            rows = (hi - 1) // row - lo // row + 1
+            col, cols = lo % row, (hi - lo) // rows
+            r = slice(lo // row - first, lo // row - first + rows)
+            block = T[lo - start:hi - start].reshape(rows, cols, k)
+            for d, values in enumerate(row_T):
+                block[:, :, d] = values[r, None]
+            block[:, :, -1] = last[col:col + cols]
+            np.multiply(row_W[r, None], last_w[col:col + cols],
+                        out=W[lo - start:hi - start].reshape(rows, cols))
+        yield T, W
+
+
 def integrate_scalar_over_box(g: Callable[[np.ndarray], np.ndarray], box, q: QuadratureSpec):
     """Quadrature of a function over a product of intervals.
 
     ``g`` maps nodes ``(N, k)`` to values ``(N,)``, giving a float, or to p
     components ``(p, N)``, giving ``(p,)``; a zero-width box gives 0.0.  The
-    tensor grid is walked by flat index in chunks of ``CHUNK_NODES`` nodes
+    tensor grid is walked in row-major order in chunks of ``CHUNK_NODES`` nodes
     and never built whole, so memory stays bounded at any refinement level.
     Each component's chunk sums are added in a fixed order, so results are
     deterministic and equal to walking that component alone.  In adaptive
@@ -204,17 +251,8 @@ def integrate_scalar_over_box(g: Callable[[np.ndarray], np.ndarray], box, q: Qua
 
     def fixed(cells: int) -> np.ndarray:
         nodes, weights = zip(*[_axis_nodes(a, b, q, cells) for a, b in box])
-        shape = tuple(len(n) for n in nodes)
-        size = math.prod(shape)
         total = 0.0
-        for start in range(0, size, CHUNK_NODES):
-            idx = np.unravel_index(np.arange(start, min(start + CHUNK_NODES, size)), shape)
-            T = np.empty((len(idx[0]), len(box)))
-            for d, (n, i) in enumerate(zip(nodes, idx)):
-                T[:, d] = n[i]
-            W = weights[0][idx[0]]  # times each later axis, in the order np.prod takes
-            for w, i in zip(weights[1:], idx[1:]):
-                W *= w[i]
+        for T, W in _chunks(nodes, weights):
             total = total + (W * np.asarray(g(T), dtype=float)).sum(axis=-1)
         return np.asarray(total)
 
@@ -259,8 +297,8 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
 
     def coeff(cols):
         def pulled(T):
-            M = minors(f.jacobian(T)[:, :, cols], eta.k)[:, :, 0]
-            return np.sum(eta.values(f(T)) * M, axis=1)
+            Y, J = f.value_and_jacobian(T)
+            return np.sum(eta.values(Y) * minors(J[:, :, cols], eta.k)[:, :, 0], axis=1)
 
         return pulled
 

@@ -277,10 +277,12 @@ class VariationField:
             s = T - a
             return np.where((s == 0.0) | (T == b), 0.0, np.sin(mu * s)) * e
 
-        def jac(T):
-            return (mu * np.cos(mu * (T - a)) * e)[:, :, None]
+        def value_and_jacobian(T):
+            return ev(T), (mu * np.cos(mu * (T - a)) * e)[:, :, None]
 
-        return cls(DifferentiableMap(f"sine_bump_{mode}_{coord}", 1, dim, ev, jac), (a, b))
+        return cls(
+            DifferentiableMap(f"sine_bump_{mode}_{coord}", 1, dim, ev, value_and_jacobian), (a, b)
+        )
 
     @classmethod
     def radial_sine_bump(cls, interval, mode: int) -> "VariationField":
@@ -288,19 +290,20 @@ class VariationField:
         a, b = float(interval[0]), float(interval[1])
         mu = math.pi * mode / (b - a)
 
-        def radial(T):
-            return np.concatenate([np.cos(T), np.sin(T)], axis=1)
-
         def ev(T):
-            return np.where((T == a) | (T == b), 0.0, np.sin(mu * (T - a))) * radial(T)
+            radial = np.concatenate([np.cos(T), np.sin(T)], axis=1)
+            return np.where((T == a) | (T == b), 0.0, np.sin(mu * (T - a))) * radial
 
-        def jac(T):
-            s = T - a
-            d = mu * np.cos(mu * s) * radial(T)
-            d += np.sin(mu * s) * np.concatenate([-np.sin(T), np.cos(T)], axis=1)
-            return d[:, :, None]
+        def value_and_jacobian(T):
+            cos, sin, bump = np.cos(T), np.sin(T), np.sin(mu * (T - a))
+            radial = np.concatenate([cos, sin], axis=1)
+            d = mu * np.cos(mu * (T - a)) * radial
+            d += bump * np.concatenate([-sin, cos], axis=1)
+            return np.where((T == a) | (T == b), 0.0, bump) * radial, d[:, :, None]
 
-        return cls(DifferentiableMap(f"radial_sine_bump_{mode}", 1, 2, ev, jac), (a, b))
+        return cls(
+            DifferentiableMap(f"radial_sine_bump_{mode}", 1, 2, ev, value_and_jacobian), (a, b)
+        )
 
 
 def first_variation(
@@ -335,8 +338,10 @@ def _variations(F: FinslerFunction, piece: Piece, fields, eps: float, q) -> np.n
     coeffs = np.array([eps, -eps, eps / 2.0, -eps / 2.0])[:, None, None]
 
     def perturbed(T, lift):
-        V = np.stack([field.map(T) for field in fields])[:, None]
-        dV = np.stack([field.map.jacobian(T)[:, :, 0] for field in fields])[:, None]
+        V, dV = np.empty((2, len(fields), 1) + lift.base.shape)
+        for i, field in enumerate(fields):
+            Y, J = field.map.value_and_jacobian(T)
+            V[i, 0], dV[i, 0] = Y, J[:, :, 0]
         base, comps = lift.base + coeffs * V, lift.comps + coeffs * dV
         return F(base.reshape(-1, m), comps.reshape(-1, m)).reshape(-1, len(T))
 

@@ -181,8 +181,9 @@ def lift_kvector(f: DifferentiableMap, x, xi: KVector) -> KVector:
         raise DimensionMismatchError(f"k-vectors at {xi.base.shape} not based at points {x.shape}")
     # minors raises InvalidDegreeError for k > m; a row-wise sum, since a
     # stacked matmul rounds a row apart from the same row alone
-    comps = np.sum(minors(f.jacobian(x), xi.k) * xi.comps[..., None, :], axis=-1)
-    return KVector(f(x), comps, xi.k, f.codomain_dim)
+    Y, J = f.value_and_jacobian(x)
+    comps = np.sum(minors(J, xi.k) * xi.comps[..., None, :], axis=-1)
+    return KVector(Y, comps, xi.k, f.codomain_dim)
 
 
 def canonical_lift(f: DifferentiableMap, t) -> KVector:
@@ -196,4 +197,5 @@ def canonical_lift(f: DifferentiableMap, t) -> KVector:
         raise InvalidDegreeError(
             f"parametrization domain {k} exceeds chart dimension {f.codomain_dim}"
         )
-    return KVector(f(t), minors(f.jacobian(t), k)[..., 0], k, f.codomain_dim)
+    Y, J = f.value_and_jacobian(t)
+    return KVector(Y, minors(J, k)[..., 0], k, f.codomain_dim)

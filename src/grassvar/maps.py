@@ -12,9 +12,17 @@ Python callers may additionally combine maps with :func:`compose`.  A map
 carries a value, an analytic Jacobian and optionally an inverse, nothing
 else: no map has second derivatives.
 
+Every map has two evaluation callables: ``value``, for callers that need
+the points alone, and ``value_and_jacobian``, one pass that returns the
+value and the Jacobian from shared intermediates (the trig of a patch, the
+powers of a polynomial, the inner map of a composition).  Both return the
+same value bit for bit, so a caller that needs both makes the fused call
+once per stack.
+
 Shape contract: every map evaluates a stack of N points at once.  The
 callables handed to :class:`DifferentiableMap` receive ``T`` of shape
-``(N, n)`` and return values ``(N, m)`` and Jacobians ``(N, m, n)``; a
+``(N, n)``; ``value`` returns values ``(N, m)`` and ``value_and_jacobian``
+returns the pair of values ``(N, m)`` and Jacobians ``(N, m, n)``; a
 constant result (a fixed matrix, say) is broadcast to the stack.  Calling
 a map on a single point ``(n,)`` evaluates the stack N = 1 and returns
 ``(m,)`` and ``(m, n)``.
@@ -101,12 +109,15 @@ def _stacked(out, shape: tuple) -> np.ndarray:
 
 
 class DifferentiableMap:
-    """A map R^n -> R^m given by evaluation and Jacobian callables.
+    """A map R^n -> R^m given by a value callable and a fused
+    value-and-Jacobian callable.
 
-    Immutable after construction.  ``inverse`` is optional and analytic
-    where the catalog provides it; the constructor links it back to this
-    map, so ``f.inverted().inverted() is f``.  Both callables follow the
-    stacked shape contract of the module docstring.
+    ``value(T)`` returns the values; ``value_and_jacobian(T)`` returns the
+    pair ``(values, Jacobians)`` in one pass, and its values must equal
+    ``value(T)`` bit for bit.  Immutable after construction.  ``inverse``
+    is optional and analytic where the catalog provides it; the constructor
+    links it back to this map, so ``f.inverted().inverted() is f``.  Both
+    callables follow the stacked shape contract of the module docstring.
     """
 
     def __init__(
@@ -114,30 +125,37 @@ class DifferentiableMap:
         name: str,
         domain_dim: int,
         codomain_dim: int,
-        func: Callable[[np.ndarray], np.ndarray],
-        jacobian: Callable[[np.ndarray], np.ndarray],
+        value: Callable[[np.ndarray], np.ndarray],
+        value_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         inverse: "DifferentiableMap | None" = None,
     ):
         self.name = name
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
-        self._func = func
-        self._jacobian = jacobian
+        self._value = value
+        self._value_and_jacobian = value_and_jacobian
         self._inverse = inverse
         if inverse is not None:
             inverse._inverse = self
 
     def __call__(self, t) -> np.ndarray:
         T, single = _as_batch(t, self.domain_dim)
-        Y = _stacked(self._func(T), (len(T), self.codomain_dim))
+        Y = _stacked(self._value(T), (len(T), self.codomain_dim))
         _finite(self.name, "value", T, Y)
         return Y[0] if single else Y
 
-    def jacobian(self, t) -> np.ndarray:
+    def value_and_jacobian(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """``(f(t), Jacobian at t)`` from one pass, checked as each alone is."""
         T, single = _as_batch(t, self.domain_dim)
-        J = _stacked(self._jacobian(T), (len(T), self.codomain_dim, self.domain_dim))
+        Y, J = self._value_and_jacobian(T)
+        Y = _stacked(Y, (len(T), self.codomain_dim))
+        J = _stacked(J, (len(T), self.codomain_dim, self.domain_dim))
+        _finite(self.name, "value", T, Y)
         _finite(self.name, "Jacobian", T, J)
-        return J[0] if single else J
+        return (Y[0], J[0]) if single else (Y, J)
+
+    def jacobian(self, t) -> np.ndarray:
+        return self.value_and_jacobian(t)[1]
 
     def inverted(self) -> "DifferentiableMap":
         if self._inverse is None:
@@ -167,10 +185,10 @@ def _affine(name: str, A: np.ndarray, b: np.ndarray | None = None) -> Differenti
     inverse = None
     if m == n and abs(np.linalg.det(A)) > 1e-300:
         Ainv = np.linalg.inv(A)
-        inverse = DifferentiableMap(
-            f"{name}_inverse", m, n, lambda Y: (Y - b) @ Ainv.T, lambda Y: Ainv
-        )
-    return DifferentiableMap(name, n, m, lambda T: T @ A.T + b, lambda T: A, inverse)
+        back = lambda Y: (Y - b) @ Ainv.T
+        inverse = DifferentiableMap(f"{name}_inverse", m, n, back, lambda Y: (back(Y), Ainv))
+    value = lambda T: T @ A.T + b
+    return DifferentiableMap(name, n, m, value, lambda T: (value(T), A), inverse)
 
 
 def identity_map(dim: int) -> DifferentiableMap:
@@ -217,26 +235,28 @@ def _polynomial_term(term, n: int) -> tuple[float, tuple[int, ...]]:
     return float(c), tuple(int(e) for e in exps)
 
 
-def _monomial_sum(rows, n: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """T ``(N, n)`` -> ``(N, size)``: each slot's sum of coeff * prod_a t_a^e_a
-    over the table ``rows`` of ``(slot, coeff, exponents)``, ordered by slot."""
-    exps = np.array([e for _, _, e in rows], dtype=np.intp).reshape(len(rows), n)
-    coeffs = np.array([c for _, c, _ in rows])[:, None]
-    slots = [s for s, _, _ in rows]
+def _powers(T: np.ndarray, degree: int) -> np.ndarray:
+    """``(degree + 1, n, N)`` table with [p, a] = t_a^p, by repeated multiplication."""
+    powers = np.empty((degree + 1, T.shape[1], len(T)))
+    powers[0] = 1.0
+    for p in range(1, degree + 1):
+        np.multiply(powers[p - 1], T.T, out=powers[p])
+    return powers
 
-    def evaluate(T):
-        out = np.zeros((size, len(T)))
-        if slots:
-            powers = np.empty((int(exps.max()) + 1, n, len(T)))  # [p, a] = t_a^p
-            powers[0] = 1.0
-            for p in range(1, len(powers)):
-                np.multiply(powers[p - 1], T.T, out=powers[p])
-            mono = powers[exps[:, 0], 0]
+
+def _monomial_sum(rows, n: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """powers ``(deg + 1, n, N)`` from :func:`_powers` -> ``(N, size)``: each
+    slot's sum of coeff * prod_a t_a^e_a over the table ``rows`` of ``(slot,
+    coeff, exponents)``, ordered by slot.  Monomials are made one row at a
+    time from views of the powers, so no temporary is larger than a node
+    column."""
+    def evaluate(powers):
+        out = np.zeros((size, powers.shape[2]))
+        for slot, c, e in rows:  # in table order; a reduction would pair rows up
+            mono = powers[e[0], 0]
             for a in range(1, n):
-                mono *= powers[exps[:, a], a]
-            mono *= coeffs
-            for row, slot in enumerate(slots):  # in table order; a reduction would pair rows up
-                out[slot] += mono[row]
+                mono = mono * powers[e[a], a]
+            out[slot] += mono * c
         return np.ascontiguousarray(out.T)
 
     return evaluate
@@ -251,13 +271,15 @@ def polynomial_map(domain_dim: int, terms) -> DifferentiableMap:
     Construction flattens the terms into a value table, whose slots are the
     components, and a Jacobian table, whose slots are component * domain_dim
     + axis.  A call builds the powers t_a^0..t_a^deg of each axis by repeated
-    multiplication, multiplies each monomial's factors axis by axis, and adds
-    the monomials of each slot in table order, so a node's value depends on
-    that node alone.
+    multiplication, once for both tables, multiplies each monomial's factors
+    axis by axis, and adds the monomials of each slot in table order, so a
+    node's value depends on that node alone.
     """
     n = checked_dimension(domain_dim, "polynomial domain_dim")
     parsed = [[_polynomial_term(term, n) for term in comp] for comp in terms]
     m = len(parsed)
+    # the Jacobian's exponents are the value's lowered by one, so this degree covers both
+    degree = max((max(e) for comp in parsed for _, e in comp), default=0)
     value = _monomial_sum([(i, c, e) for i, comp in enumerate(parsed) for c, e in comp], n, m)
     jacobian = _monomial_sum(
         [
@@ -270,7 +292,14 @@ def polynomial_map(domain_dim: int, terms) -> DifferentiableMap:
         n,
         m * n,
     )
-    return DifferentiableMap("polynomial", n, m, value, lambda T: jacobian(T).reshape(-1, m, n))
+
+    def value_and_jacobian(T):
+        powers = _powers(T, degree)
+        return value(powers), jacobian(powers).reshape(-1, m, n)
+
+    return DifferentiableMap(
+        "polynomial", n, m, lambda T: value(_powers(T, degree)), value_and_jacobian
+    )
 
 
 def _columns(*entries) -> np.ndarray:
@@ -282,29 +311,38 @@ def _columns(*entries) -> np.ndarray:
     return out
 
 
+def _trig_map(name: str, n: int, m: int, trig, value, jacobian) -> DifferentiableMap:
+    """A map whose value and Jacobian are ``value(T, *trig(T))`` and
+    ``jacobian(T, *trig(T))``: the fused call takes the sines and cosines
+    ``trig(T)`` once for both."""
+    def value_and_jacobian(T):
+        parts = trig(T)
+        return value(T, *parts), jacobian(T, *parts)
+
+    return DifferentiableMap(name, n, m, lambda T: value(T, *trig(T)), value_and_jacobian)
+
+
 def circle(radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> DifferentiableMap:
     """t -> center + radius (cos(t + phase), sin(t + phase))."""
     r = checked_reals(radius, "radius")
     c = checked_reals(center, "center", (2,))
     ph = checked_reals(phase, "phase")
-    return DifferentiableMap(
-        "circle",
-        1,
-        2,
-        lambda T: c + r * _columns(np.cos(T[:, 0] + ph), np.sin(T[:, 0] + ph)),
-        lambda T: r * _columns(-np.sin(T[:, 0] + ph), np.cos(T[:, 0] + ph))[:, :, None],
+    return _trig_map(
+        "circle", 1, 2,
+        lambda T: (np.cos(T[:, 0] + ph), np.sin(T[:, 0] + ph)),
+        lambda T, cos, sin: c + r * _columns(cos, sin),
+        lambda T, cos, sin: r * _columns(-sin, cos)[:, :, None],
     )
 
 
 def helix(radius: float = 1.0, pitch: float = 1.0) -> DifferentiableMap:
     """t -> (r cos t, r sin t, pitch t)."""
     r, p = checked_reals(radius, "radius"), checked_reals(pitch, "pitch")
-    return DifferentiableMap(
-        "helix",
-        1,
-        3,
-        lambda T: _columns(r * np.cos(T[:, 0]), r * np.sin(T[:, 0]), p * T[:, 0]),
-        lambda T: _columns(-r * np.sin(T[:, 0]), r * np.cos(T[:, 0]), p)[:, :, None],
+    return _trig_map(
+        "helix", 1, 3,
+        lambda T: (np.cos(T[:, 0]), np.sin(T[:, 0])),
+        lambda T, cos, sin: _columns(r * cos, r * sin, p * T[:, 0]),
+        lambda T, cos, sin: _columns(-r * sin, r * cos, p)[:, :, None],
     )
 
 
@@ -317,46 +355,44 @@ def torus_patch(major_radius: float = 2.0, minor_radius: float = 1.0) -> Differe
     """(u, v) -> torus point with tube angle v, axial angle u."""
     R, r = checked_reals(major_radius, "major_radius"), checked_reals(minor_radius, "minor_radius")
 
-    def ev(T):
-        su, cu, sv, cv = _sin_cos(T)
+    def value(T, su, cu, sv, cv):
         w = R + r * cv
         return _columns(w * cu, w * su, r * sv)
 
-    def jac(T):
-        su, cu, sv, cv = _sin_cos(T)
+    def jacobian(T, su, cu, sv, cv):
         w = R + r * cv
         rs = -r * sv
         return _columns(-w * su, rs * cu, w * cu, rs * su, 0.0, r * cv).reshape(-1, 3, 2)
 
-    return DifferentiableMap("torus_patch", 2, 3, ev, jac)
+    return _trig_map("torus_patch", 2, 3, _sin_cos, value, jacobian)
 
 
 def sphere_patch(radius: float = 1.0) -> DifferentiableMap:
     """(theta, phi) -> r (sin th cos ph, sin th sin ph, cos th); degenerate at poles."""
     r = checked_reals(radius, "radius")
 
-    def ev(T):
-        sth, cth, sph, cph = _sin_cos(T)
+    def value(T, sth, cth, sph, cph):
         return r * _columns(sth * cph, sth * sph, cth)
 
-    def jac(T):
-        sth, cth, sph, cph = _sin_cos(T)
+    def jacobian(T, sth, cth, sph, cph):
         entries = cth * cph, -sth * sph, cth * sph, sth * cph, -sth, 0.0
         return r * _columns(*entries).reshape(-1, 3, 2)
 
-    return DifferentiableMap("sphere_patch", 2, 3, ev, jac)
+    return _trig_map("sphere_patch", 2, 3, _sin_cos, value, jacobian)
 
 
 def graph_surface(terms) -> DifferentiableMap:
     """(u, v) -> (u, v, h(u, v)) with h a polynomial given by [coeff, (eu, ev)]."""
     h = polynomial_map(2, [terms])
 
-    def jac(T):
-        Jh = h.jacobian(T)[:, 0]
-        return _columns(1.0, 0.0, 0.0, 1.0, Jh[:, 0], Jh[:, 1]).reshape(-1, 3, 2)
+    def value_and_jacobian(T):
+        Yh, Jh = h.value_and_jacobian(T)
+        Jh = Jh[:, 0]
+        J = _columns(1.0, 0.0, 0.0, 1.0, Jh[:, 0], Jh[:, 1]).reshape(-1, 3, 2)
+        return np.concatenate([T, Yh], axis=1), J
 
     return DifferentiableMap(
-        "graph_surface", 2, 3, lambda T: np.concatenate([T, h(T)], axis=1), jac
+        "graph_surface", 2, 3, lambda T: np.concatenate([T, h(T)], axis=1), value_and_jacobian
     )
 
 
@@ -367,15 +403,12 @@ def fourier_curve(constant, cos_coeffs, sin_coeffs) -> DifferentiableMap:
     B = checked_reals(sin_coeffs, "sin_coeffs", A.shape)
     m, J = A.shape
     js = np.arange(1, J + 1, dtype=float)
-
-    def ev(T):
-        return c + np.cos(T * js) @ A.T + np.sin(T * js) @ B.T
-
-    def jac(T):
-        d = -(js * np.sin(T * js)) @ A.T + (js * np.cos(T * js)) @ B.T
-        return d[:, :, None]
-
-    return DifferentiableMap("fourier_curve", 1, m, ev, jac)
+    return _trig_map(
+        "fourier_curve", 1, m,
+        lambda T: (np.cos(T * js), np.sin(T * js)),
+        lambda T, cos, sin: c + cos @ A.T + sin @ B.T,
+        lambda T, cos, sin: (-(js * sin) @ A.T + (js * cos) @ B.T)[:, :, None],
+    )
 
 
 def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
@@ -394,19 +427,17 @@ def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
                 break
         return s
 
-    inv = DifferentiableMap(
-        "sine_shift_inverse",
-        1,
-        1,
-        inv_ev,
-        lambda Y: (1.0 / (1.0 + a * np.cos(inv_ev(Y))))[:, :, None],
-    )
+    def inv_value_and_jacobian(Y):
+        s = inv_ev(Y)
+        return s, (1.0 / (1.0 + a * np.cos(s)))[:, :, None]
+
+    inv = DifferentiableMap("sine_shift_inverse", 1, 1, inv_ev, inv_value_and_jacobian)
     return DifferentiableMap(
         "sine_shift",
         1,
         1,
         lambda T: T + a * np.sin(T),
-        lambda T: (1.0 + a * np.cos(T))[:, :, None],
+        lambda T: (T + a * np.sin(T), (1.0 + a * np.cos(T))[:, :, None]),
         inv,
     )
 
@@ -414,21 +445,20 @@ def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
 def trig_shear(amplitude: float = 0.3) -> DifferentiableMap:
     """(x, y) -> (x + a sin y, y); unit Jacobian determinant, exact inverse."""
     a = checked_reals(amplitude, "amplitude")
-    inv = DifferentiableMap(
-        "trig_shear_inverse",
-        2,
-        2,
-        lambda T: _columns(T[:, 0] - a * np.sin(T[:, 1]), T[:, 1]),
-        lambda T: _columns(1.0, -a * np.cos(T[:, 1]), 0.0, 1.0).reshape(-1, 2, 2),
-    )
-    return DifferentiableMap(
-        "trig_shear",
-        2,
-        2,
-        lambda T: _columns(T[:, 0] + a * np.sin(T[:, 1]), T[:, 1]),
-        lambda T: _columns(1.0, a * np.cos(T[:, 1]), 0.0, 1.0).reshape(-1, 2, 2),
-        inv,
-    )
+
+    def shear(sign):
+        """(x, y) -> (x + sign a sin y, y) as its value and fused callables."""
+        def value(T):
+            return _columns(T[:, 0] + sign * a * np.sin(T[:, 1]), T[:, 1])
+
+        def value_and_jacobian(T):
+            J = _columns(1.0, sign * a * np.cos(T[:, 1]), 0.0, 1.0).reshape(-1, 2, 2)
+            return value(T), J
+
+        return value, value_and_jacobian
+
+    inv = DifferentiableMap("trig_shear_inverse", 2, 2, *shear(-1.0))
+    return DifferentiableMap("trig_shear", 2, 2, *shear(1.0), inv)
 
 
 def positive_scale(factors) -> DifferentiableMap:
@@ -439,8 +469,9 @@ def positive_scale(factors) -> DifferentiableMap:
     D = np.diag(f)
     Dinv = np.diag(1.0 / f)
     n = len(f)
-    inv = DifferentiableMap("positive_scale_inverse", n, n, lambda Y: Y / f, lambda Y: Dinv)
-    return DifferentiableMap("positive_scale", n, n, lambda T: f * T, lambda T: D, inv)
+    back = lambda Y: Y / f
+    inv = DifferentiableMap("positive_scale_inverse", n, n, back, lambda Y: (back(Y), Dinv))
+    return DifferentiableMap("positive_scale", n, n, lambda T: f * T, lambda T: (f * T, D), inv)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +481,17 @@ def positive_scale(factors) -> DifferentiableMap:
 def _bare_compose(
     outer: DifferentiableMap, inner: DifferentiableMap, inverse: DifferentiableMap | None = None
 ) -> DifferentiableMap:
+    def value_and_jacobian(T):
+        Y, J_inner = inner.value_and_jacobian(T)
+        Z, J_outer = outer.value_and_jacobian(Y)
+        return Z, J_outer @ J_inner
+
     return DifferentiableMap(
         f"{outer.name}({inner.name})",
         inner.domain_dim,
         outer.codomain_dim,
         lambda T: outer(inner(T)),
-        lambda T: outer.jacobian(inner(T)) @ inner.jacobian(T),
+        value_and_jacobian,
         inverse,
     )
 

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from grassvar import forms
+from grassvar import expressions, forms
 from grassvar.errors import (
     QuadratureTargetWarning,
     DegeneratePieceWarning,
@@ -68,14 +69,32 @@ def area_form_2d():
     ([(0.0, 1.0), (-1.0, 2.0)], 4, 3),
     ([(0.0, 1.0), (0.0, 2.0), (-1.0, 1.5)], 3, 2),
     ([(0.0, 1.0), (-1.0, 2.0)], 7, 10),  # 4900 nodes: a full chunk and a short one
+    # 9261 nodes in 3 chunks; rows of 21 do not divide a chunk, so chunks split rows
+    ([(0.0, 1.0), (0.0, 2.0), (-1.0, 1.5)], 7, 3),
 ])
 def test_node_weights_are_the_product_of_the_axis_weights(box, order, cells):
+    _check_walk(box, order, cells, CHUNK_NODES)
+
+
+@pytest.mark.parametrize("box, order, cells", [
+    ([(0.0, 3.0)], 5, 3),
+    ([(0.0, 1.0), (-1.0, 2.0)], 4, 3),
+    ([(0.0, 1.0), (0.0, 2.0), (-1.0, 1.5)], 3, 3),
+])
+@pytest.mark.parametrize("chunk", [1, 5, 7, 25])
+def test_chunks_that_split_rows_keep_the_nodes_and_weights(box, order, cells, chunk, monkeypatch):
+    # rows of 12 or 9 nodes: chunks within one row, across two, and of whole rows
+    monkeypatch.setattr(forms, "CHUNK_NODES", chunk)
+    _check_walk(box, order, cells, chunk)
+
+
+def _check_walk(box, order, cells, chunk):
     # g sees the grid chunk by chunk, and its component j is the indicator of
     # node picked[j], so that component's integral is that node's weight alone
     nodes, weights = gauss_tensor_grid(box, order, cells)
     n = len(nodes)
     # every node of a one-chunk grid, else the ends of the grid and of its first chunk
-    ends = np.r_[:64, CHUNK_NODES - 64:CHUNK_NODES + 64, n - 64:n]
+    ends = np.r_[:64, chunk - 64:chunk + 64, n - 64:n]
     picked = np.arange(n) if n <= CHUNK_NODES else ends
     seen = []
 
@@ -86,7 +105,7 @@ def test_node_weights_are_the_product_of_the_axis_weights(box, order, cells):
 
     q = QuadratureSpec(gauss_order=order, cells_per_axis=cells)
     picked_weights = integrate_scalar_over_box(g, box, q)
-    assert [len(T) for T in seen] == [min(CHUNK_NODES, n - s) for s in range(0, n, CHUNK_NODES)]
+    assert [len(T) for T in seen] == [min(chunk, n - s) for s in range(0, n, chunk)]
     assert same_bits(np.concatenate(seen), nodes)
     assert same_bits(picked_weights, weights[picked])
 
@@ -571,6 +590,43 @@ def test_coefficient_at_the_depth_limit_has_its_value_and_partial(kind):
     assert np.all(c.partial(1)(Y) == 0.0)
     with pytest.raises(ValueError):
         ExprCoeff(NESTINGS[kind](MAX_DEPTH + 1), 2)
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+@pytest.mark.parametrize("n", [25, 100])
+def test_a_partial_evaluates_each_shared_subtree_once_per_call(kind, n, monkeypatch):
+    # the partial of a**b reuses a**b itself, so a chain of n powers shares
+    # subtrees n levels deep; each distinct operation or call runs once per call
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append(1) or f(*args)
+
+    for table in (expressions._OPERATORS, expressions._FUNCS):
+        for key, f in list(table.items()):
+            monkeypatch.setitem(table, key, counted(f))
+    partial = ExprCoeff(NESTINGS[kind](n), 2).partial(0)
+    Y = np.full((16, 2), 0.9)
+    for _ in range(2):  # the first call also builds the closures
+        calls.clear()
+        partial(Y)
+        assert len(calls) == _operation_count(partial.tree)
+
+
+def _operation_count(tree):
+    """Distinct BinOp and Call nodes of a tree whose subtrees may be shared."""
+    seen, stack, count = set(), [tree], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += isinstance(node, (ast.BinOp, ast.Call))
+        if isinstance(node, ast.BinOp):
+            stack += (node.left, node.right)
+        elif isinstance(node, ast.Call):
+            stack.append(node.args[0])
+    return count
 
 
 def test_long_sums_and_products_are_not_nesting():

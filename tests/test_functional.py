@@ -94,12 +94,13 @@ def test_hilbert_form_pullback_matches_hilbert_route():
         (randers_metric(2, [0.2, -0.1]), circle(1.7), (0.2, 4.0)),
         (conformal, helix(0.8, 0.5), (0.0, 5.0)),
     ]:
+        def tangent(T, c=curve):
+            Y, J = c.value_and_jacobian(T)
+            zeros = np.zeros((len(T), c.codomain_dim, 1))
+            return np.concatenate([Y, J[:, :, 0]], axis=1), np.concatenate([J, zeros], axis=1)
+
         lifted = DifferentiableMap(
-            "tangent", 1, 2 * F.m,
-            lambda T, c=curve: np.concatenate([c(T), c.jacobian(T)[:, :, 0]], axis=1),
-            lambda T, c=curve: np.concatenate(
-                [c.jacobian(T), np.zeros((len(T), c.codomain_dim, 1))], axis=1
-            ),
+            "tangent", 1, 2 * F.m, lambda T, t=tangent: t(T)[0], tangent
         )
         pulled = integrate(hilbert_form(F), Piece((interval,), lifted), Q)
         assert abs(pulled - hilbert_route_length(F, curve, interval, Q)) <= 1e-9
@@ -107,23 +108,45 @@ def test_hilbert_form_pullback_matches_hilbert_route():
 
 def test_cross_checked_length_evaluates_each_layer_once(monkeypatch):
     z = circle()
-    jacobian_calls, gradient_calls = [], []
-    jacobian = z.jacobian
+    fused_calls, value_calls, gradient_calls = [], [], []
+    fused, value = z.value_and_jacobian, z._value
     gradient = FinslerFunction.fiber_gradient
 
-    def counted_jacobian(t):
-        jacobian_calls.append(1)
-        return jacobian(t)
+    def counted_fused(t):
+        fused_calls.append(1)
+        return fused(t)
+
+    def counted_value(T):
+        value_calls.append(1)
+        return value(T)
 
     def counted_gradient(self, y, v):
         gradient_calls.append(1)
         return gradient(self, y, v)
 
-    monkeypatch.setattr(z, "jacobian", counted_jacobian)
+    monkeypatch.setattr(z, "value_and_jacobian", counted_fused)
+    monkeypatch.setattr(z, "_value", counted_value)
     monkeypatch.setattr(FinslerFunction, "fiber_gradient", counted_gradient)
     val = curve_length(euclidean_metric(2), z, (0.0, TWO_PI), Q64)
     assert val == pytest.approx(TWO_PI, abs=1e-8)
-    assert (len(jacobian_calls), len(gradient_calls)) == (1, 1)
+    assert (len(fused_calls), len(value_calls), len(gradient_calls)) == (1, 0, 1)
+
+
+def test_areal_value_makes_one_fused_map_call_per_chunk(monkeypatch):
+    f = sphere_patch(1.2)
+    calls = {"fused": 0, "value": 0}
+
+    def counted(kind, fn):
+        def wrapper(T):
+            calls[kind] += 1
+            return fn(T)
+        return wrapper
+
+    monkeypatch.setattr(f, "_value_and_jacobian", counted("fused", f._value_and_jacobian))
+    monkeypatch.setattr(f, "_value", counted("value", f._value))
+    piece = Piece(((0.3, 2.8), (0.0, 5.0)), f)
+    areal_value(areal_gram(2, 3), piece, QuadratureSpec(gauss_order=8, cells_per_axis=16))
+    assert calls == {"fused": 4, "value": 0}  # 128 x 128 nodes in chunks of 4096
 
 
 @pytest.mark.parametrize("q", [
@@ -333,7 +356,8 @@ def test_variation_field_endpoints_enforced():
 
 def test_first_variation_zero_field_is_zero():
     zero_map = DifferentiableMap(
-        "zero", 1, 2, lambda T: np.zeros((len(T), 2)), lambda T: np.zeros((len(T), 2, 1))
+        "zero", 1, 2, lambda T: np.zeros((len(T), 2)),
+        lambda T: (np.zeros((len(T), 2)), np.zeros((len(T), 2, 1))),
     )
     zero = VariationField(zero_map, (0.0, 1.0))
     line = segment([0.0, 0.0], [1.0, 1.0])
@@ -384,7 +408,9 @@ def _shifted(curve, field, c):
         1,
         curve.codomain_dim,
         lambda T: curve(T) + c * field.map(T),
-        lambda T: curve.jacobian(T) + c * field.map.jacobian(T),
+        lambda T: tuple(
+            a + c * b for a, b in zip(curve.value_and_jacobian(T), field.map.value_and_jacobian(T))
+        ),
     )
 
 
@@ -469,7 +495,8 @@ def test_perturbed_lift_on_the_slit_raises_immersion_error():
     line = segment([0.0, 0.0], [1.0, 0.0])  # zeta' = (1, 0)
     # V' = (-2, 0) everywhere, so zeta' + 0.5 V' vanishes at every node
     pinch = DifferentiableMap(
-        "pinch", 1, 2, lambda T: np.zeros((len(T), 2)), lambda T: np.array([[-2.0], [0.0]])
+        "pinch", 1, 2, lambda T: np.zeros((len(T), 2)),
+        lambda T: (np.zeros((len(T), 2)), np.array([[-2.0], [0.0]])),
     )
     fields = default_variation_basis((0.0, 1.0), 2, modes=1) + [VariationField(pinch, (0.0, 1.0))]
     with pytest.raises(ImmersionError, match="degenerate lift"):

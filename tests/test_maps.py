@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grassvar.errors import DimensionMismatchError, MapEvaluationError
+from grassvar.functional import VariationField
 from grassvar.maps import (
+    CATALOG,
     MAX_EXPONENT,
     DifferentiableMap,
     affine_map,
@@ -73,8 +75,59 @@ def test_stack_matches_single_points(rng):
             assert np.allclose(f.jacobian(T)[i], f.jacobian(t), rtol=1e-14, atol=1e-15)
 
 
+# parameters of every catalog name; a name missing here fails the test below
+CATALOG_PARAMS = {
+    "identity": {"dim": 3},
+    "linear": {"matrix": [[2.0, 1.0], [0.5, 3.0]]},
+    "affine": {"matrix": [[2.0, 1.0, 0.0], [0.5, 3.0, 1.0], [0.0, -1.0, 1.5]],
+               "offset": [0.3, -0.2, 0.1]},
+    "polynomial": {"domain_dim": 2,
+                   "terms": [[[1.0, [2, 1]]], [[0.5, [0, 3]], [-2.0, [1, 0]]], []]},
+    "segment": {"start": [0.5], "end": [2.5]},
+    "circle": {"radius": 1.5, "center": [0.2, -0.3], "phase": 0.4},
+    "helix": {"radius": 0.8, "pitch": 0.5},
+    "torus_patch": {"major_radius": 2.0, "minor_radius": 0.7},
+    "sphere_patch": {"radius": 1.3},
+    "graph_surface": {"terms": [[1.0, [2, 0]], [-0.5, [1, 3]]]},
+    "fourier_curve": {"constant": [0.1, 0.0], "cos_coeffs": [[0.5, -0.2], [0.1, 0.3]],
+                      "sin_coeffs": [[0.2, 0.1], [-0.4, 0.6]]},
+    "sine_shift": {"amplitude": 0.3},
+    "trig_shear": {"amplitude": 0.25},
+    "positive_scale": {"factors": [2.0, 0.5, 1.5]},
+}
+
+
+def _fused_cases():
+    """(id, builder) for every catalog name, each catalog inverse, a composition
+    and the variation fields."""
+    for name in sorted(CATALOG):
+        build = lambda name=name: from_catalog(name, CATALOG_PARAMS[name])
+        yield name, build
+        if name in CATALOG_PARAMS and build().has_inverse:
+            yield f"{name}_inverse", lambda build=build: build().inverted()
+    composed = lambda: compose(positive_scale([2.0, 0.5]), trig_shear(0.25))
+    yield "compose", composed
+    yield "compose_inverse", lambda: composed().inverted()
+    yield "sine_bump", lambda: VariationField.sine_bump((-2.0, 1.5), 2, 1, 3).map
+    yield "radial_sine_bump", lambda: VariationField.radial_sine_bump((-2.0, 1.5), 3).map
+
+
+FUSED_CASES = list(_fused_cases())
+
+
+@pytest.mark.parametrize("build", [b for _, b in FUSED_CASES], ids=[i for i, _ in FUSED_CASES])
+def test_the_fused_call_equals_value_and_jacobian_bit_for_bit(build, rng):
+    f = build()
+    T = rng.uniform(-2.0, 2.0, size=(33, f.domain_dim))
+    for t in (T, T[0]):  # a stack and one point
+        Y, J = f.value_and_jacobian(t)
+        assert same_bits(f(t), Y) and same_bits(f.jacobian(t), J)
+
+
 def test_non_finite_value_names_the_node():
-    f = DifferentiableMap("log", 1, 1, lambda T: np.log(T), lambda T: 1.0 / T[:, :, None])
+    f = DifferentiableMap(
+        "log", 1, 1, lambda T: np.log(T), lambda T: (np.log(T), 1.0 / T[:, :, None])
+    )
     with np.errstate(divide="ignore"):
         with pytest.raises(MapEvaluationError, match=r"t=\[0\.\]"):
             f(np.array([[1.0], [0.0]]))
@@ -168,8 +221,8 @@ def test_constructor_links_the_inverse():
     ]:
         assert f.inverted().inverted() is f
     assert not linear_map([[1.0, 2.0]]).has_inverse
-    inv = DifferentiableMap("half", 1, 1, lambda Y: 0.5 * Y, lambda Y: np.array([[0.5]]))
-    f = DifferentiableMap("double", 1, 1, lambda T: 2.0 * T, lambda T: np.array([[2.0]]), inv)
+    inv = DifferentiableMap("half", 1, 1, lambda Y: 0.5 * Y, lambda Y: (0.5 * Y, [[0.5]]))
+    f = DifferentiableMap("double", 1, 1, lambda T: 2.0 * T, lambda T: (2.0 * T, [[2.0]]), inv)
     assert f.inverted() is inv and inv.inverted() is f
 
 

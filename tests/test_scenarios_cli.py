@@ -466,6 +466,15 @@ def test_scenario_error_exits_2_names_its_location_and_writes_nothing(
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("flag", ["--csv", "--report", "--dump-integrand"])
+def test_unwritable_output_exits_2_naming_the_path(flag, tmp_path, capsys):
+    # exit 1 would read as a FAIL row; a path that cannot be written is an input error
+    bad = tmp_path / "missing" / "out.txt"
+    argv = ["length", "--scenario", str(SCENARIO_DIR / "length_circle.json"), "--quiet"]
+    assert cli.main([*argv, flag, str(bad)]) == 2
+    assert capsys.readouterr().err == f"cannot write {bad}: No such file or directory\n"
+
+
 # one past each cap on the samples a check draws or the Gauss order
 OVER_CAP = [
     ("samples", "homogeneity", {"samples": 100001}, [], "{path}#checks/0/samples"),
