@@ -432,13 +432,9 @@ def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
         return s, (1.0 / (1.0 + a * np.cos(s)))[:, :, None]
 
     inv = DifferentiableMap("sine_shift_inverse", 1, 1, inv_ev, inv_value_and_jacobian)
+    value = lambda T: T + a * np.sin(T)
     return DifferentiableMap(
-        "sine_shift",
-        1,
-        1,
-        lambda T: T + a * np.sin(T),
-        lambda T: (T + a * np.sin(T), (1.0 + a * np.cos(T))[:, :, None]),
-        inv,
+        "sine_shift", 1, 1, value, lambda T: (value(T), (1.0 + a * np.cos(T))[:, :, None]), inv
     )
 
 
