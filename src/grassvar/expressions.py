@@ -111,33 +111,35 @@ def _diff(node: ast.expr, var: str) -> ast.expr:
     return _bin(Mult, node, _bin(Add, log_rate, _bin(Div, _bin(Mult, b, da), a)))
 
 
-def _shared(tree: ast.expr) -> set[int]:
-    """ids of the nodes of ``tree`` reached through more than one parent
-    edge: a partial reuses subtrees such as ``a ** b`` itself."""
-    seen, shared, stack = set(), set(), [tree]
+def _shared(tree: ast.expr) -> list[ast.expr]:
+    """The operations and calls of ``tree`` reached through more than one
+    parent edge, children before parents: a partial reuses subtrees such as
+    ``a ** b`` itself."""
+    parents, order, stack = {}, [], [(tree, False)]
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            shared.add(id(node))
+        node, done = stack.pop()
+        if done:
+            order.append(node)
             continue
-        seen.add(id(node))
+        parents[id(node)] = parents.get(id(node), 0) + 1
+        if parents[id(node)] > 1:
+            continue
+        stack.append((node, True))
         if isinstance(node, ast.BinOp):
-            stack += (node.left, node.right)
+            stack += ((node.left, False), (node.right, False))
         elif isinstance(node, ast.Call):
-            stack.append(node.args[0])
-    return shared
+            stack.append((node.args[0], False))
+    return [node for node in order
+            if isinstance(node, (ast.BinOp, ast.Call)) and parents[id(node)] > 1]
 
 
-def _closure(node: ast.expr, built: dict, shared: set[int], memo: dict):
+def _closure(node: ast.expr, built: dict):
     """A function of chart points ``Y`` ``(N, dim)`` that evaluates ``node``.
 
     ``built`` (node id -> closure, for one tree) builds a subtree that a
-    partial shares once.  A chain of left operands is one loop, so closures
-    nest only as deep as right operands and call arguments.  A node in
-    ``shared`` (see :func:`_shared`) ends the chain that reaches it and gets
-    its own closure, which keeps its value in ``memo`` until the call ends,
-    so a shared subtree is evaluated once per call.  A chain is built from
-    its innermost operand out, the order it evaluates in."""
+    partial shares once.  A chain of left operands is one loop that stops at
+    a node already built, so closures nest only as deep as right operands and
+    call arguments."""
     if id(node) in built:
         return built[id(node)]
     if isinstance(node, ast.Constant):
@@ -146,38 +148,23 @@ def _closure(node: ast.expr, built: dict, shared: set[int], memo: dict):
     if isinstance(node, ast.Name):
         i = int(node.id[1:]) - 1
         return built.setdefault(id(node), lambda Y: Y[:, i])
-    key = id(node)
     if isinstance(node, ast.Call):
-        f, u = _FUNCS[node.func.id], _closure(node.args[0], built, shared, memo)
+        f, u = _FUNCS[node.func.id], _closure(node.args[0], built)
+        return built.setdefault(id(node), lambda Y: f(u(Y)))
+    key, steps = id(node), []  # steps: (operator, right operand), outermost first
+    while isinstance(node, ast.BinOp) and id(node) not in built:
+        steps.append((_OPERATORS[type(node.op)], _closure(node.right, built)))
+        node = node.left
+    first = _closure(node, built)
+    steps.reverse()
 
-        def evaluate(Y):
-            return f(u(Y))
-    else:
-        chain = []  # the operations down the left operands, outermost first
-        while True:
-            chain.append(node)
-            node = node.left
-            if not isinstance(node, ast.BinOp) or id(node) in shared:
-                break
-        first = _closure(node, built, shared, memo)
-        steps = [(_OPERATORS[type(op.op)], _closure(op.right, built, shared, memo))
-                 for op in reversed(chain)]
+    def chain(Y):
+        value = first(Y)
+        for op, b in steps:
+            value = op(value, b(Y))
+        return value
 
-        def evaluate(Y):
-            value = first(Y)
-            for op, b in steps:
-                value = op(value, b(Y))
-            return value
-
-    if key not in shared:
-        return built.setdefault(key, evaluate)
-
-    def once(Y):
-        if key not in memo:
-            memo[key] = evaluate(Y)
-        return memo[key]
-
-    return built.setdefault(key, once)
+    return built.setdefault(key, chain)
 
 
 class ExprCoeff:
@@ -191,13 +178,22 @@ class ExprCoeff:
 
     @cached_property
     def _evaluate(self):
-        shared, memo = _shared(self.tree), {}
-        root = _closure(self.tree, {}, shared, memo)
-        if not shared:
+        # each shared node is built once its shared children are, then read
+        # back from memo; a call fills memo in that order before the root, so
+        # no evaluation recurses down a chain of shared nodes
+        built, memo, fill = {}, {}, []
+        for node in _shared(self.tree):
+            key = id(node)
+            fill.append((key, _closure(node, built)))
+            built[key] = lambda Y, key=key: memo[key]
+        root = _closure(self.tree, built)
+        if not fill:
             return root
 
         def evaluate(Y):
             try:
+                for key, f in fill:
+                    memo[key] = f(Y)
                 return root(Y)
             finally:
                 memo.clear()

@@ -290,20 +290,23 @@ class VariationField:
         a, b = float(interval[0]), float(interval[1])
         mu = math.pi * mode / (b - a)
 
-        def ev(T):
-            radial = np.concatenate([np.cos(T), np.sin(T)], axis=1)
-            return np.where((T == a) | (T == b), 0.0, np.sin(mu * (T - a))) * radial
+        def parts(T):
+            """cos t, sin t, the bump sin(mu (t - a)) and the radial direction."""
+            cos, sin = np.cos(T), np.sin(T)
+            return cos, sin, np.sin(mu * (T - a)), np.concatenate([cos, sin], axis=1)
+
+        def value(T, bump, radial):
+            return np.where((T == a) | (T == b), 0.0, bump) * radial
 
         def value_and_jacobian(T):
-            cos, sin, bump = np.cos(T), np.sin(T), np.sin(mu * (T - a))
-            radial = np.concatenate([cos, sin], axis=1)
+            cos, sin, bump, radial = parts(T)
             d = mu * np.cos(mu * (T - a)) * radial
             d += bump * np.concatenate([-sin, cos], axis=1)
-            return np.where((T == a) | (T == b), 0.0, bump) * radial, d[:, :, None]
+            return value(T, bump, radial), d[:, :, None]
 
-        return cls(
-            DifferentiableMap(f"radial_sine_bump_{mode}", 1, 2, ev, value_and_jacobian), (a, b)
-        )
+        return cls(DifferentiableMap(
+            f"radial_sine_bump_{mode}", 1, 2, lambda T: value(T, *parts(T)[2:]), value_and_jacobian
+        ), (a, b))
 
 
 def first_variation(

@@ -155,6 +155,8 @@ class DifferentiableMap:
         return (Y[0], J[0]) if single else (Y, J)
 
     def jacobian(self, t) -> np.ndarray:
+        """The Jacobian half of :meth:`value_and_jacobian`: the value is
+        computed and checked too, so a non-finite value raises here."""
         return self.value_and_jacobian(t)[1]
 
     def inverted(self) -> "DifferentiableMap":
@@ -384,16 +386,14 @@ def sphere_patch(radius: float = 1.0) -> DifferentiableMap:
 def graph_surface(terms) -> DifferentiableMap:
     """(u, v) -> (u, v, h(u, v)) with h a polynomial given by [coeff, (eu, ev)]."""
     h = polynomial_map(2, [terms])
+    graph = lambda T, Yh: np.concatenate([T, Yh], axis=1)
 
     def value_and_jacobian(T):
         Yh, Jh = h.value_and_jacobian(T)
         Jh = Jh[:, 0]
-        J = _columns(1.0, 0.0, 0.0, 1.0, Jh[:, 0], Jh[:, 1]).reshape(-1, 3, 2)
-        return np.concatenate([T, Yh], axis=1), J
+        return graph(T, Yh), _columns(1.0, 0.0, 0.0, 1.0, Jh[:, 0], Jh[:, 1]).reshape(-1, 3, 2)
 
-    return DifferentiableMap(
-        "graph_surface", 2, 3, lambda T: np.concatenate([T, h(T)], axis=1), value_and_jacobian
-    )
+    return DifferentiableMap("graph_surface", 2, 3, lambda T: graph(T, h(T)), value_and_jacobian)
 
 
 def fourier_curve(constant, cos_coeffs, sin_coeffs) -> DifferentiableMap:
@@ -467,7 +467,8 @@ def positive_scale(factors) -> DifferentiableMap:
     n = len(f)
     back = lambda Y: Y / f
     inv = DifferentiableMap("positive_scale_inverse", n, n, back, lambda Y: (back(Y), Dinv))
-    return DifferentiableMap("positive_scale", n, n, lambda T: f * T, lambda T: (f * T, D), inv)
+    value = lambda T: f * T
+    return DifferentiableMap("positive_scale", n, n, value, lambda T: (value(T), D), inv)
 
 
 # ---------------------------------------------------------------------------

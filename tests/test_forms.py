@@ -642,6 +642,18 @@ def test_long_sums_and_products_are_not_nesting():
     assert c.partial(0)(y) == pytest.approx(terms * 0.999 ** (terms - 1), rel=1e-12)
 
 
+@pytest.mark.parametrize("wrap, expected", [
+    # every prefix of the product is shared by the product and its partial;
+    # here the partial's first operation needs the whole product at once
+    ("sin({})", lambda n, x: math.cos(x**n) * n * x ** (n - 1)),
+    ("y1*({})", lambda n, x: (n + 1) * x**n),
+], ids=["sin", "times"])
+def test_partial_of_an_operation_on_a_long_product_is_not_nesting(wrap, expected):
+    terms, x = 600, 0.999
+    c = ExprCoeff(wrap.format("*".join(["y1"] * terms)), 2)
+    assert c.partial(0)(np.array([[x, 0.5]])) == pytest.approx(expected(terms, x), rel=1e-12)
+
+
 @pytest.mark.parametrize("text", ["y1 + 1/0", "y1 * 9**9**9**9"])
 def test_non_finite_constant_is_folded_and_caught_at_evaluation(text):
     # folded in numpy arithmetic: no ZeroDivisionError, no huge Python integer
