@@ -298,7 +298,12 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
     def coeff(cols):
         def pulled(T):
             Y, J = f.value_and_jacobian(T)
-            return np.sum(eta.values(Y) * minors(J[:, :, cols], eta.k)[:, :, 0], axis=1)
+            # the whole Jacobian is freed before the minors, and the columns
+            # before the coefficients, so a chunk holds no more than apart
+            J = J[:, :, cols]
+            M = minors(J, eta.k)[:, :, 0]
+            del J
+            return np.sum(eta.values(Y) * M, axis=1)
 
         return pulled
 
