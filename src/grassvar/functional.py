@@ -10,15 +10,17 @@ zeta'^nu on the lift (zeta, zeta') of the curve, and the two routes must
 agree whenever the metric is positively homogeneous; every length of a
 metric that passes the homogeneity probe runs that cross-check.
 
-The homogeneity probe runs once per public call.  Every public call walks
-the quadrature grid once: the cross-checked length integrates both routes
-as two components of one density, and a first-variation call stacks all
-its perturbed lengths on one node stack per quadrature chunk.
+The homogeneity probe runs once per metric object, so a metric that fails
+it warns once.  Every public call walks the quadrature grid once: the
+cross-checked length integrates both routes as two components of one
+density, and a first-variation call stacks all its perturbed lengths on one
+node stack per quadrature chunk.
 """
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,23 +41,28 @@ from .maps import DifferentiableMap, compose
 
 DUAL_ROUTE_TOL = 1e-10
 _PROBE_SEED = 12345  # fixed: the probe must not perturb caller-visible RNG state
+_VERDICTS = weakref.WeakKeyDictionary()  # metric -> its probe's verdict; keeps no metric alive
 
 
-def _homogeneity_probe(F: FinslerFunction, tol: float = 1e-8) -> bool:
+def _homogeneity_probe(F: FinslerFunction, stacklevel: int = 3, tol: float = 1e-8) -> bool:
+    """Whether F passes the homogeneity probe, which runs once per metric object."""
+    if F in _VERDICTS:
+        return _VERDICTS[F]
     rng = np.random.default_rng(_PROBE_SEED)
     try:
         residual = check_homogeneity(F, rng, sample_count=8, lambdas=(0.5, 2.0))
     except SlitDomainError:
+        _VERDICTS[F] = False
         return False
+    _VERDICTS[F] = not residual > tol
     if residual > tol:
         warnings.warn(
             f"{F.kind}: homogeneity residual {residual:.3g}; the functional value "
             "is parametrization-dependent",
             NonHomogeneousWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
-        return False
-    return True
+    return _VERDICTS[F]
 
 
 def curve_length(
@@ -127,13 +134,13 @@ def areal_value(
             f"Lagrangian of degree {L.degree} on {L.fiber_dim} fiber components in dimension "
             f"{L.m} does not fit a {k}-piece in dimension {m}"
         )
-    _homogeneity_probe(L)
     return _lift_value(L, piece, q)
 
 
 def _lift_value(L: FinslerFunction, piece: Piece, q: QuadratureSpec, density=None):
     """Oriented quadrature of L on the canonical lift of the piece, or of a
-    ``density`` that evaluates L."""
+    ``density`` that evaluates L, after the homogeneity probe of L."""
+    _homogeneity_probe(L, stacklevel=4)
     try:
         return lift_integral(piece, density or (lambda T, lift: L(lift.base, lift.comps)), q)
     except SlitDomainError as exc:
@@ -166,7 +173,6 @@ def reparam_invariance_residual(
     """
     piece = _curve_piece(F, curve, interval)
     composed, preimage = reparametrized(curve, piece.param_box[0], rho)
-    _homogeneity_probe(F)
     L1 = _lift_value(F, piece, q)
     L2 = _lift_value(F, Piece((preimage,), composed), q)
     return abs(L1 - L2)
@@ -324,13 +330,12 @@ def first_variation(
     VariationConsistencyWarning flags disagreement beyond 1e-5.
     """
     piece = _curve_piece(F, curve, interval)
-    _homogeneity_probe(F)
     return float(_variations(F, piece, [field], eps, q)[0])
 
 
 def _variations(F: FinslerFunction, piece: Piece, fields, eps: float, q) -> np.ndarray:
-    """:func:`first_variation` of every field on a curve piece, without the
-    probe, from one grid walk: per chunk the perturbed lifts
+    """:func:`first_variation` of every field on a curve piece, from one grid
+    walk: per chunk the perturbed lifts
     (zeta + c V, zeta' + c V') for c = +-eps, +-eps/2 of all fields are
     stacked into one evaluation of F."""
     if not 0.0 < eps < math.inf:
@@ -383,5 +388,4 @@ def extremal_residual(
     """Max |first variation| over a basis of variation fields, such as
     :func:`default_variation_basis`; near zero on extremal curves."""
     piece = _curve_piece(F, curve, interval)
-    _homogeneity_probe(F)
     return float(np.max(np.abs(_variations(F, piece, fields, eps, q))))

@@ -13,11 +13,12 @@ of at most ``forms.CHUNK_NODES`` rows.
 :func:`run_scenario` turns it into rows through one table, ``SUBCOMMANDS``:
 subcommand -> (the list it reads, ``compute`` or ``checks``; its row
 functions by name; the expected value of a row whose entry gives none).
-Each row function is ``fn(scenario, rng, q, **params) -> float``: its
-keyword arguments are the parameters an entry may give, and it integrates
-on the run's quadrature ``q``, so ``--gauss-order`` and ``--cells`` apply
-to every subcommand, checks included.  The CLI front end in
-:mod:`grassvar.cli` turns the rows into a text report and a CSV file.
+Each row function is ``fn(run, **params) -> float``: its keyword arguments
+are the parameters an entry may give, and the :class:`Run` builds each input
+once, on first use; every row integrates on its quadrature ``run.q``, so
+``--gauss-order`` and ``--cells`` apply to every subcommand, checks included.
+The CLI front end in :mod:`grassvar.cli` turns the rows into a text report
+and a CSV file.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,7 +88,6 @@ SCENARIO_SCHEMA = {
     "type": "object",
     "properties": {
         "version": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
         "metric": {
             "type": "object",
             "properties": {"kind": {"type": "string"}},
@@ -300,54 +301,11 @@ class Row:
         return "PASS" if self.residual <= self.tolerance else "FAIL"
 
 
-def build_metric(spec: dict) -> FinslerFunction:
-    kind = spec.get("kind")
-    if kind not in METRIC_KINDS:
-        raise ScenarioError(f"unknown metric kind {kind!r}", "metric/kind")
-    args = {k: v for k, v in spec.items() if k != "kind"}
-    try:
-        return METRIC_KINDS[kind](**args)
-    except (TypeError, GrassvarError) as exc:
-        raise ScenarioError(f"bad metric parameters for {kind!r}: {exc}", "metric") from exc
-
-
 def build_map(spec: dict, where: str) -> DifferentiableMap:
     try:
         return from_catalog(spec["catalog"], spec.get("params"))
     except GrassvarError as exc:
         raise ScenarioError(str(exc), where) from exc
-
-
-def build_geometry(scenario: dict, need: str) -> tuple[DifferentiableMap, tuple]:
-    """Resolve the geometry block; ``need`` is 'interval' or 'box'."""
-    geo = scenario.get("geometry")
-    if geo is None:
-        raise ScenarioError("scenario has no geometry block", "geometry")
-    mp = build_map(geo, "geometry")
-    if need == "interval":
-        iv = geo.get("interval")
-        if iv is None:
-            raise ScenarioError("geometry needs an interval", "geometry/interval")
-        if mp.domain_dim != 1:
-            raise ScenarioError(
-                f"catalog map {geo['catalog']!r} is not a curve", "geometry/catalog"
-            )
-        return mp, ((float(iv[0]), float(iv[1])),)
-    box = geo.get("box")
-    if box is None:
-        raise ScenarioError("geometry needs a box", "geometry/box")
-    box = tuple((float(a), float(b)) for a, b in box)
-    if mp.domain_dim != len(box):
-        raise ScenarioError(
-            f"box dimension {len(box)} does not match map domain {mp.domain_dim}",
-            "geometry/box",
-        )
-    return mp, box
-
-
-def build_piece(scenario: dict, need: str = "box") -> Piece:
-    mp, box = build_geometry(scenario, need)
-    return Piece(box, mp, scenario["geometry"].get("orientation", 1))
 
 
 def build_quadrature(scenario: dict, overrides: dict | None = None) -> QuadratureSpec:
@@ -359,11 +317,8 @@ def build_quadrature(scenario: dict, overrides: dict | None = None) -> Quadratur
         raise ScenarioError(str(exc), "quadrature") from exc
 
 
-def build_form(scenario: dict, form: dict | None = None) -> KForm:
-    """Resolve a form block; a check entry may carry its own ``form`` override."""
-    spec = form or scenario.get("form")
-    if spec is None:
-        raise ScenarioError("scenario has no form block", "form")
+def build_form(spec: dict) -> KForm:
+    """Resolve a form block: the scenario's, or a check entry's own ``form``."""
     error = _violation(_form, spec)  # run_scenario also takes dicts load_scenario never saw
     if error is not None:
         raise ScenarioError(error[0], "form")
@@ -375,114 +330,152 @@ def build_form(scenario: dict, form: dict | None = None) -> KForm:
         raise ScenarioError(f"bad form: {exc}", "form") from exc
 
 
+@dataclass
+class Run:
+    """One scenario run: the scenario, the seed and the quadrature ``q``.
+    Each input the rows read is built on its first use and then kept, so a
+    block no row reads is never built, and a missing or malformed one raises
+    its ScenarioError in the first row that reads it."""
+
+    scenario: dict
+    seed: int
+    q: QuadratureSpec
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed)
+
+    def block(self, name: str) -> dict:
+        """The scenario's ``name`` block; a missing one is an error at ``name``."""
+        if self.scenario.get(name) is None:
+            raise ScenarioError(f"scenario has no {name} block", name)
+        return self.scenario[name]
+
+    @cached_property
+    def metric(self) -> FinslerFunction:
+        spec = self.block("metric")
+        kind = spec.get("kind")
+        if kind not in METRIC_KINDS:
+            raise ScenarioError(f"unknown metric kind {kind!r}", "metric/kind")
+        args = {k: v for k, v in spec.items() if k != "kind"}
+        try:
+            return METRIC_KINDS[kind](**args)
+        except (TypeError, GrassvarError) as exc:
+            raise ScenarioError(f"bad metric parameters for {kind!r}: {exc}", "metric") from exc
+
+    curve = cached_property(lambda self: self._geometry("interval"))
+    piece = cached_property(lambda self: self._geometry("box"))
+
+    def _geometry(self, need: str) -> Piece:
+        """The geometry's map over its ``need``: over the ``interval`` a 1-piece
+        (the curve functionals take no orientation), over the ``box`` a piece
+        with the block's orientation."""
+        geo = self.block("geometry")
+        mp, box, where = build_map(geo, "geometry"), geo.get(need), f"geometry/{need}"
+        if box is None:
+            raise ScenarioError(f"geometry block has no {need}", where)
+        if need == "interval":
+            if mp.domain_dim != 1:
+                raise ScenarioError(
+                    f"catalog map {geo['catalog']!r} is not a curve", "geometry/catalog"
+                )
+            box = [box]
+        elif mp.domain_dim != len(box):
+            raise ScenarioError(
+                f"box dimension {len(box)} does not match map domain {mp.domain_dim}", where
+            )
+        if any(a > b for a, b in box):
+            raise ScenarioError(f"{need} {geo[need]} is reversed: an axis runs high to low", where)
+        return Piece(box, mp, geo.get("orientation", 1) if need == "box" else 1)
+
+    form = cached_property(lambda self: build_form(self.block("form")))
+    reparam = cached_property(lambda self: build_map(self.block("reparam"), "reparam"))
+
+    def form_or(self, override: dict | None) -> KForm:
+        """A check entry's own form, or else the scenario's."""
+        return self.form if override is None else build_form(override)
+
+
 # ---------------------------------------------------------------------------
-# row functions: fn(scenario, rng, q, **params) -> the value of one row
+# row functions: fn(run, **params) -> the value of one row
 # ---------------------------------------------------------------------------
 
-def _length(scenario, rng, q):
-    F = build_metric(scenario["metric"])
-    curve, (interval,) = build_geometry(scenario, "interval")
-    return functional.curve_length(F, curve, interval, q)
+def _length(run):
+    F, curve = run.metric, run.curve
+    return functional.curve_length(F, curve.map, curve.param_box[0], run.q)
 
 
-def _area(scenario, rng, q):
-    return functional.areal_value(build_metric(scenario["metric"]), build_piece(scenario), q)
+def _area(run):
+    return functional.areal_value(run.metric, run.piece, run.q)
 
 
-def _extremality(scenario, rng, q):
+def _extremality(run):
     """Max |first variation| of the length over the scenario's sine-bump fields."""
-    F = build_metric(scenario["metric"])
-    curve, (interval,) = build_geometry(scenario, "interval")
-    var = scenario.get("variation", {})
-    basis = functional.default_variation_basis(interval, curve.codomain_dim, var.get("modes", 4))
-    return functional.extremal_residual(F, curve, interval, basis, var.get("epsilon", 1e-4), q)
+    F, curve, var = run.metric, run.curve, run.scenario.get("variation", {})
+    (interval,), eps = curve.param_box, var.get("epsilon", 1e-4)
+    dim, modes = curve.map.codomain_dim, var.get("modes", 4)
+    basis = functional.default_variation_basis(interval, dim, modes)
+    return functional.extremal_residual(F, curve.map, interval, basis, eps, run.q)
 
 
 def _fiber_check(probe):
     """Row function of a sampled check of the metric on its fibers."""
-    def row(scenario, rng, q, samples=100, lambdas=(0.5, 2.0, 10.0)):
-        return probe(build_metric(scenario["metric"]), rng, samples, tuple(lambdas))
+    def row(run, samples=100, lambdas=(0.5, 2.0, 10.0)):
+        return probe(run.metric, run.rng, samples, tuple(lambdas))
 
     return row
 
 
-def _check_euler_identity(scenario, rng, q, samples=25):
-    F = build_metric(scenario["metric"])
-    curve, ((a, b),) = build_geometry(scenario, "interval")
-    ts = rng.uniform(a, b, size=samples)
-    return finsler.pullback_identity_residual(F, curve, ts)
+def _check_euler_identity(run, samples=25):
+    F, curve = run.metric, run.curve
+    ((a, b),) = curve.param_box
+    return finsler.pullback_identity_residual(F, curve.map, run.rng.uniform(a, b, size=samples))
 
 
-def _check_dual_route(scenario, rng, q):
+def _check_dual_route(run):
     """|direct length of zeta - Hilbert-route length of zeta o rho|: the two
     sides share no node.  On one node set the two are the Euler identity
     at each node, which would read 0 by construction."""
-    F = build_metric(scenario["metric"])
-    curve, ((a, b),) = build_geometry(scenario, "interval")
-    rho_spec = scenario.get("reparam")
-    if rho_spec is None:
-        raise ScenarioError("dual_route needs a reparam block", "reparam")
-    rho = build_map(rho_spec, "reparam")
-    direct = functional.areal_value(F, Piece(((a, b),), curve), q)
-    curve, (a, b) = functional.reparametrized(curve, (a, b), rho)
-    return abs(direct - functional.hilbert_route_length(F, curve, (a, b), q))
+    F, curve, rho = run.metric, run.curve, run.reparam
+    direct = functional.areal_value(F, curve, run.q)
+    composed, interval = functional.reparametrized(curve.map, curve.param_box[0], rho)
+    return abs(direct - functional.hilbert_route_length(F, composed, interval, run.q))
 
 
-def _check_reparam_invariance(scenario, rng, q):
-    F = build_metric(scenario["metric"])
-    curve, (interval,) = build_geometry(scenario, "interval")
-    rho_spec = scenario.get("reparam")
-    if rho_spec is None:
-        raise ScenarioError("reparam_invariance needs a reparam block", "reparam")
-    rho = build_map(rho_spec, "reparam")
-    return functional.reparam_invariance_residual(F, curve, interval, rho, q)
+def _check_reparam_invariance(run):
+    F, curve, rho = run.metric, run.curve, run.reparam
+    return functional.reparam_invariance_residual(F, curve.map, curve.param_box[0], rho, run.q)
 
 
-def _check_stokes(scenario, rng, q, form=None):
-    eta = build_form(scenario, form)
-    piece = build_piece(scenario)
-    return verify_stokes(eta, piece, q)
+def _check_stokes(run, form=None):
+    return verify_stokes(run.form_or(form), run.piece, run.q)
 
 
-def _check_domain_transform(scenario, rng, q, form=None):
-    eta = build_form(scenario, form)
-    piece = build_piece(scenario)
-    alpha_spec = scenario.get("alpha")
-    if alpha_spec is None:
-        raise ScenarioError("domain_transform needs an alpha block", "alpha")
-    alpha = build_map(alpha_spec, "alpha")
-    return verify_domain_transform(eta, alpha, piece, q)
+def _check_domain_transform(run, form=None):
+    eta, piece = run.form_or(form), run.piece
+    return verify_domain_transform(eta, build_map(run.block("alpha"), "alpha"), piece, run.q)
 
 
-def _check_leibniz(scenario, rng, q, form=None):
-    eta = build_form(scenario, form)
-    piece = build_piece(scenario)
-    fam_spec = scenario.get("family")
-    if fam_spec is None:
-        raise ScenarioError("leibniz needs a family block", "family")
-    g, g_dot = PROFILE_FAMILIES[fam_spec["profile"]]
-    return verify_leibniz(eta, g, g_dot, piece, fam_spec["t0"], fam_spec.get("dt_step", 1e-4), q)
+def _check_leibniz(run, form=None):
+    eta, piece = run.form_or(form), run.piece
+    fam = run.block("family")
+    g, g_dot = PROFILE_FAMILIES[fam["profile"]]
+    return verify_leibniz(eta, g, g_dot, piece, fam["t0"], fam.get("dt_step", 1e-4), run.q)
 
 
-def _check_partition_independence(scenario, rng, q, form=None):
-    eta = build_form(scenario, form)
-    piece = build_piece(scenario)
-    part = scenario.get("partition", {})
-    covers = part.get("covers", [2, 3])
-    overlap = part.get("overlap", 0.6)
-    values = [
-        integrate_with_partition(
-            eta, piece, PartitionOfUnity.uniform_cover(piece.param_box, n, overlap), q
-        )
-        for n in covers
-    ]
+def _check_partition_independence(run, form=None):
+    eta, piece = run.form_or(form), run.piece
+    part = run.scenario.get("partition", {})
+    covers = [PartitionOfUnity.uniform_cover(piece.param_box, n, part.get("overlap", 0.6))
+              for n in part.get("covers", [2, 3])]
+    values = [integrate_with_partition(eta, piece, cover, run.q) for cover in covers]
     return max(abs(v - values[0]) for v in values[1:])
 
 
-def _check_grassmann_roundtrip(scenario, rng, q, k=2, m=4, count=200):
+def _check_grassmann_roundtrip(run, k=2, m=4, count=200):
     if not 1 <= k < m:
         raise ScenarioError(f"grassmann_roundtrip needs 1 <= k < m, got k={k}, m={m}", "checks")
-    n = math.comb(m, k)
+    rng, n = run.rng, math.comb(m, k)
     comps, base = rng.standard_normal((count, n)), rng.standard_normal((count, m))
     off = rng.integers(0, n - 1, size=count)
     while True:
@@ -504,8 +497,8 @@ def _check_grassmann_roundtrip(scenario, rng, q, k=2, m=4, count=200):
     return float(max(np.max(np.abs(back.w - p.w)), source))
 
 
-def _check_lift_functoriality(scenario, rng, q, count=50):
-    worst = 0.0
+def _check_lift_functoriality(run, count=50):
+    rng, worst = run.rng, 0.0
     for k in range(1, 5):
         # n2 > k where possible: at n2 = k Cauchy-Binet has one term and misses a |det|
         n1, n2, n3 = (int(rng.integers(low, 5)) for low in (k, min(k + 1, 4), k))
@@ -555,16 +548,16 @@ class RunResult:
     samples: list[tuple[float, ...]] = field(default_factory=list)  # integrand dumps
 
 
-# subcommand -> (its geometry, samples per axis) of the --dump-integrand grid
-DUMP_GRIDS = {"length": ("interval", 257), "area": ("box", 17)}
+# subcommand -> (the run's piece, samples per axis) of the --dump-integrand grid
+DUMP_GRIDS = {"length": ("curve", 257), "area": ("piece", 17)}
 
 
-def _dump_lift(scenario: dict, need: str, per_axis: int) -> list[tuple[float, ...]]:
+def _dump_lift(run: Run, geometry: str, per_axis: int) -> list[tuple[float, ...]]:
     """Samples (t..., L on the canonical lift at t) on an even grid of the piece."""
-    piece = build_piece(scenario, need)
+    piece = getattr(run, geometry)
     T = piece.grid(per_axis)
     lift = canonical_lift(piece.map, T)
-    values = build_metric(scenario["metric"])(lift.base, lift.comps)
+    values = run.metric(lift.base, lift.comps)
     return [(*t, value) for t, value in zip(T, values)]
 
 
@@ -578,8 +571,9 @@ def run_scenario(
     """One row per entry of the subcommand's list: its row function's value
     against the entry's expected value and tolerance."""
     key, quantities, default_expected = SUBCOMMANDS[subcommand]
-    rng = np.random.default_rng(seed)
-    q = build_quadrature(scenario, q_overrides)
+    if seed < 0:
+        raise ScenarioError(f"seed must be a non-negative integer, got {seed}", "seed")
+    run = Run(scenario, seed, build_quadrature(scenario, q_overrides))
     default_name = next(iter(quantities))
     entries = scenario.get(key)
     if key == "checks" and not entries:
@@ -596,7 +590,7 @@ def run_scenario(
             )
         params = {k: v for k, v in entry.items() if k not in ("name", "expected", "tolerance")}
         try:  # a parameter the row function does not take is an error, not ignored
-            calls.append(inspect.signature(quantities[name]).bind(scenario, rng, q, **params))
+            calls.append(inspect.signature(quantities[name]).bind(run, **params))
         except TypeError as exc:
             raise ScenarioError(f"{name!r} {exc}", f"{key}/{i}") from exc
     result = RunResult()
@@ -607,5 +601,5 @@ def run_scenario(
         expected = entry.get("expected", default_expected)
         result.rows.append(Row(entry["name"], value, expected, entry.get("tolerance"), seconds))
     if dump and subcommand in DUMP_GRIDS:
-        result.samples = _dump_lift(scenario, *DUMP_GRIDS[subcommand])
+        result.samples = _dump_lift(run, *DUMP_GRIDS[subcommand])
     return result

@@ -579,3 +579,19 @@ def test_homogeneity_probe_runs_once_per_public_call(monkeypatch):
     assert len(calls) == 3
     curve_length(euclidean_metric(2), circle(), (0.0, 1.0), QuadratureSpec(8, 4))
     assert len(calls) == 4
+
+
+def test_one_metric_is_probed_and_warns_once_across_functionals(monkeypatch):
+    calls = _count_probes(monkeypatch)
+    F, q = energy_metric(2), QuadratureSpec(8, 4)
+    fields = default_variation_basis((0.0, 1.0), 2, modes=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve_length(F, circle(), (0.0, 1.0), q)
+        areal_value(F, Piece(((0.0, 1.0),), circle()), q)
+        reparam_invariance_residual(F, circle(), (0.0, 1.0), sine_shift(0.3), q)
+        extremal_residual(F, circle(), (0.0, 1.0), fields, q=q)
+    assert len(calls) == 1
+    assert [w.category for w in caught if w.category is NonHomogeneousWarning] == [
+        NonHomogeneousWarning
+    ]

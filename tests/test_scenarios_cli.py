@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import grassvar
-from grassvar import cli, finsler, forms, grassmann, scenarios
+from grassvar import cli, finsler, forms, functional, grassmann, scenarios
 from grassvar.errors import ScenarioError
 from grassvar.expressions import MAX_DEPTH
 from grassvar.forms import QuadratureSpec
@@ -250,12 +250,61 @@ def test_grassmann_roundtrip_compares_each_chart_point_with_its_k_vector(monkeyp
 
 def test_grassmann_roundtrip_draws_a_rejected_row_again():
     stub = FirstRowRejected(5)
-    value = scenarios._check_grassmann_roundtrip({}, stub, QuadratureSpec(), k=2, m=4, count=5)
+    run = scenarios.Run({}, 5, QuadratureSpec())
+    run.rng = stub
+    value = scenarios._check_grassmann_roundtrip(run, k=2, m=4, count=5)
     assert stub.sizes == [
         ("standard_normal", (5, 6)), ("standard_normal", (5, 4)), ("integers", 5),
         ("standard_normal", (1, 6)), ("standard_normal", (1, 4)), ("integers", 1),
     ]
     assert value <= 1e-13
+
+
+def test_zero_width_interval_is_valid_and_has_length_zero():
+    scenario = json.loads((SCENARIO_DIR / "length_circle.json").read_text())
+    scenario["geometry"]["interval"] = [1.0, 1.0]
+    assert run_scenario("length", scenario, 42).rows[0].value == 0.0
+
+
+@pytest.mark.parametrize("sub, stem", [("length", "length_circle"),
+                                       ("check", "check_suite_randers")])
+def test_negative_seed_exits_2_and_writes_nothing(sub, stem, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = [sub, "--scenario", str(SCENARIO_DIR / f"{stem}.json"), "--csv", str(out)]
+    assert cli.main([*argv, "--seed", "-1", "--quiet"]) == 2
+    assert "[seed]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# scenario -> (subcommand, metric builds, homogeneity probes, RNGs made) of one run
+RUN_BUILDS = {
+    "check_suite_randers": ("check", 1, 1, 2),
+    "area_sphere_zone": ("area", 1, 1, 1),
+    "length_circle": ("length", 1, 1, 1),
+    "variation_line": ("variation", 1, 1, 1),
+    "check_forms_square": ("check", 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(RUN_BUILDS))
+def test_a_run_builds_each_input_once_and_makes_an_rng_only_to_draw(stem, monkeypatch):
+    # the integrand dump of area and length reads the same metric and piece
+    sub, *expected = RUN_BUILDS[stem]
+    builds, probes, seeds = [], [], []
+
+    def counted(log, fn):
+        return lambda *args, **kwargs: (log.append(args[:1]), fn(*args, **kwargs))[1]
+
+    for kind, build in list(scenarios.METRIC_KINDS.items()):
+        monkeypatch.setitem(scenarios.METRIC_KINDS, kind, counted(builds, build))
+    probe = functional.check_homogeneity
+    monkeypatch.setattr(functional, "check_homogeneity", counted(probes, probe))
+    monkeypatch.setattr(np.random, "default_rng", counted(seeds, np.random.default_rng))
+    scenario = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
+    run_scenario(sub, scenario, 42, dump=True)
+    assert [len(builds), len(probes), len(seeds)] == expected
+    # the probe draws from its own fixed seed; only the sampled checks use the run's
+    assert ((42,) in seeds) == (stem == "check_suite_randers")
 
 
 def test_quadrature_defaults_come_from_the_spec(tmp_path, monkeypatch):
@@ -326,6 +375,13 @@ SCENARIO_ERRORS = [
     ("not-a-curve", "length", "length_circle", _put("sphere_patch", "geometry", "catalog"),
      "geometry/catalog"),
     ("no-box", "area", "area_sphere_zone", _drop("geometry", "box"), "geometry/box"),
+    ("interval-reversed", "length", "length_circle", _put([1.0, 0.0], "geometry", "interval"),
+     "geometry/interval"),
+    ("box-reversed", "area", "area_sphere_zone", _put([0.0, -1.0], "geometry", "box", 1),
+     "geometry/box"),
+    ("no-metric", "length", "length_circle", _drop("metric"), "metric"),
+    ("check-no-metric", "check", "check_suite_randers", _drop("metric"), "metric"),
+    ("seed-key", "length", "length_circle", _put(7, "seed"), "{path}#<root>"),
     ("polynomial-exponent-float", "area", "area_sphere_zone", _graph_of(1.0, [1.5, 0]),
      "geometry"),
     ("polynomial-exponent-string", "area", "area_sphere_zone", _graph_of(1.0, ["a", 0]),
