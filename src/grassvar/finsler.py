@@ -310,24 +310,33 @@ def hilbert_form(F: FinslerFunction) -> KForm:
     functional of a homogeneous F; :func:`functional.hilbert_route_length`
     evaluates that integral directly on the curve.
     """
-    if F.degree != 1:
-        raise DimensionMismatchError("the Hilbert form construction is degree-1 only")
+    require_fit(F, 1, F.m)  # a metric of curves
     m = F.m
     coeffs = [lambda Z, _nu=nu: F.fiber_gradient(Z[:, :m], Z[:, m:])[:, _nu] for nu in range(m)]
     coeffs += [lambda Z: np.zeros(len(Z))] * m
     return KForm(1, 2 * m, coeffs)
 
 
-def pullback_identity_residual(F: FinslerFunction, curve: DifferentiableMap, t_samples) -> float:
-    """Max residual of the Euler identity sum_nu dF/dv_nu(z, z') z'^nu = F(z, z')
-    along a curve; this is the coordinate content of the pullback statement
-    for the Hilbert form."""
-    if F.degree != 1 or curve.codomain_dim != F.m or curve.domain_dim != 1:
-        raise DimensionMismatchError("need a degree-1 metric and a curve into its chart")
-    lift = canonical_lift(curve, np.asarray(t_samples, dtype=float).reshape(-1, 1))
-    Y, V = lift.base, lift.comps
+def require_fit(L: FinslerFunction, k: int, m: int) -> None:
+    """Raise DimensionMismatchError unless L is a degree-k Lagrangian on the
+    C(m, k) lift components of a k-piece in dimension m; a curve is k = 1."""
+    if (L.m, L.degree, L.fiber_dim) != (m, k, math.comb(m, k)):
+        raise DimensionMismatchError(
+            f"metric of degree {L.degree} on {L.fiber_dim} fiber components in metric dimension "
+            f"{L.m} does not fit a {k}-piece in codomain dimension {m}"
+        )
+
+
+def pullback_identity_residual(L: FinslerFunction, f: DifferentiableMap, T) -> float:
+    """Max residual of the Euler identity sum_I dL/dxi_I xi_I = L on the
+    canonical lift (y, xi) of the k-parametrization f at the nodes ``T``,
+    read as ``(N, k)``; this is the coordinate content of the pullback
+    statement for the Hilbert form."""
+    require_fit(L, f.domain_dim, f.codomain_dim)
+    lift = canonical_lift(f, np.asarray(T, dtype=float).reshape(-1, f.domain_dim))
+    Y, Xi = lift.base, lift.comps
     try:
-        residual = _dot(F.fiber_gradient(Y, V), V) - F(Y, V)
+        residual = _dot(L.fiber_gradient(Y, Xi), Xi) - L(Y, Xi)
     except SlitDomainError as exc:
-        raise ImmersionError(f"{curve.name}: zero velocity ({exc})") from exc
+        raise ImmersionError(f"{f.name}: degenerate lift ({exc})") from exc
     return float(np.max(np.abs(residual), initial=0.0))

@@ -1,14 +1,14 @@
 """Parameter-invariant functionals: curve length, k-area, first variation.
 
-The value of the functional on a parametrized piece is the quadrature of
-the fiber Lagrangian evaluated on the canonical lift of the
-parametrization, by :func:`forms.lift_integral`.  Length is the k = 1
-case: one lift integral serves length, area, reparametrization and first
-variation.  For degree-1 metrics the length is recomputed through the
-Hilbert form, as the integral of its value sum_nu dF/dv_nu(zeta, zeta')
-zeta'^nu on the lift (zeta, zeta') of the curve, and the two routes must
-agree whenever the metric is positively homogeneous; every length of a
-metric that passes the homogeneity probe runs that cross-check.
+Every functional takes a :class:`forms.Piece`, and a curve is a 1-piece.
+The value on a piece is the quadrature of the fiber Lagrangian on the
+canonical lift of its parametrization, by :func:`forms.lift_integral`,
+after one test that the metric fits the piece (:func:`finsler.require_fit`);
+the curve functionals also ask for a 1-piece.  For degree-1 metrics the
+length is recomputed through the Hilbert form, as the integral of its value
+sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on the lift (zeta, zeta'), and the
+two routes must agree whenever the metric is positively homogeneous; every
+length of a metric that passes the homogeneity probe runs that cross-check.
 
 The homogeneity probe runs once per metric object, so a metric that fails
 it warns once.  Every public call walks the quadrature grid once: the
@@ -35,7 +35,7 @@ from .errors import (
     SlitDomainError,
     VariationConsistencyWarning,
 )
-from .finsler import FinslerFunction, check_homogeneity
+from .finsler import FinslerFunction, check_homogeneity, require_fit
 from .forms import Piece, QuadratureSpec, lift_integral
 from .maps import DifferentiableMap, compose
 
@@ -66,14 +66,11 @@ def _homogeneity_probe(F: FinslerFunction, stacklevel: int = 3, tol: float = 1e-
 
 
 def curve_length(
-    F: FinslerFunction,
-    curve: DifferentiableMap,
-    interval,
-    q: QuadratureSpec = QuadratureSpec(),
+    F: FinslerFunction, piece: Piece, q: QuadratureSpec = QuadratureSpec()
 ) -> float:
-    """Length of a curve under a degree-1 fundamental function.
+    """Length of a curve, a 1-piece, under a degree-1 fundamental function.
 
-    The areal value of F on the curve as a 1-piece, i.e. the integral of
+    The areal value of F on the piece, i.e. the integral of
     t -> F(zeta(t), zeta'(t)).  When the homogeneity probe passes, the
     same grid walk also integrates the Hilbert route of
     :func:`hilbert_route_length`: the density is the stack [F(zeta, zeta'),
@@ -81,15 +78,17 @@ def curve_length(
     quadrature sums exactly as it would alone, adaptive levels included.
     Disagreement beyond 1e-10 raises CrossCheckError.
     """
-    piece = _curve_piece(F, curve, interval)
+    _curve_interval(piece)
+
+    def routes(T, lift):  # _lift_value probes F before the walk and keeps the verdict
+        values = F(lift.base, lift.comps)
+        return np.stack([values, _hilbert_value(F, lift)]) if _homogeneity_probe(F) else values
+
+    value = _lift_value(F, piece, q, routes)
     if not _homogeneity_probe(F):
-        return _lift_value(F, piece, q)
-
-    def both_routes(T, lift):
-        return np.stack([F(lift.base, lift.comps), _hilbert_value(F, lift)])
-
+        return value
     # a zero-width interval integrates to the scalar 0.0
-    direct, via_hilbert = map(float, np.broadcast_to(_lift_value(F, piece, q, both_routes), (2,)))
+    direct, via_hilbert = map(float, np.broadcast_to(value, (2,)))
     if abs(direct - via_hilbert) > DUAL_ROUTE_TOL * max(1.0, abs(direct)):
         raise CrossCheckError(
             f"direct length {direct!r} and Hilbert-form length {via_hilbert!r} disagree"
@@ -98,18 +97,15 @@ def curve_length(
 
 
 def hilbert_route_length(
-    F: FinslerFunction,
-    curve: DifferentiableMap,
-    interval,
-    q: QuadratureSpec = QuadratureSpec(),
+    F: FinslerFunction, piece: Piece, q: QuadratureSpec = QuadratureSpec()
 ) -> float:
-    """Length computed solely through the Hilbert form: the integral of the
-    form's value sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on the lift
-    (zeta, zeta').  This is the integral of :func:`finsler.hilbert_form`
-    over the map t -> (zeta, zeta'), whose dv block has zero coefficients."""
-    return _lift_value(
-        F, _curve_piece(F, curve, interval), q, lambda T, lift: _hilbert_value(F, lift)
-    )
+    """Length of a 1-piece computed solely through the Hilbert form: the
+    integral of the form's value sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on
+    the lift (zeta, zeta').  This is the integral of
+    :func:`finsler.hilbert_form` over the map t -> (zeta, zeta'), whose dv
+    block has zero coefficients."""
+    _curve_interval(piece)
+    return _lift_value(F, piece, q, lambda T, lift: _hilbert_value(F, lift))
 
 
 def _hilbert_value(F: FinslerFunction, lift) -> np.ndarray:
@@ -128,18 +124,14 @@ def areal_value(
     of the piece's parametrization; for the ``areal_gram`` kind this is
     the classical k-area (square root of the Gram determinant).
     """
-    k, m = piece.k, piece.map.codomain_dim
-    if (L.m, L.degree, L.fiber_dim) != (m, k, math.comb(m, k)):
-        raise DimensionMismatchError(
-            f"Lagrangian of degree {L.degree} on {L.fiber_dim} fiber components in dimension "
-            f"{L.m} does not fit a {k}-piece in dimension {m}"
-        )
     return _lift_value(L, piece, q)
 
 
 def _lift_value(L: FinslerFunction, piece: Piece, q: QuadratureSpec, density=None):
     """Oriented quadrature of L on the canonical lift of the piece, or of a
-    ``density`` that evaluates L, after the homogeneity probe of L."""
+    ``density`` that evaluates L.  Every functional passes here, so this is
+    where L's fit to the piece is checked, before the homogeneity probe."""
+    require_fit(L, piece.k, piece.map.codomain_dim)
     _homogeneity_probe(L, stacklevel=4)
     try:
         return lift_integral(piece, density or (lambda T, lift: L(lift.base, lift.comps)), q)
@@ -147,46 +139,33 @@ def _lift_value(L: FinslerFunction, piece: Piece, q: QuadratureSpec, density=Non
         raise ImmersionError(f"{piece.map.name}: degenerate lift ({exc})") from exc
 
 
-def _curve_piece(F: FinslerFunction, curve: DifferentiableMap, interval) -> Piece:
-    """The curve over ``interval`` as a 1-piece, after checking it fits F."""
-    if F.degree != 1:
-        raise DimensionMismatchError(f"curve_length needs a degree-1 metric, not degree {F.degree}")
-    if curve.domain_dim != 1:
-        raise DimensionMismatchError(f"curve_length needs a 1-D domain, got {curve.domain_dim}-D")
-    if curve.codomain_dim != F.m:
-        raise DimensionMismatchError(
-            f"metric dimension {F.m} differs from curve codomain dimension {curve.codomain_dim}"
-        )
-    return Piece((tuple(interval),), curve)
+def _curve_interval(piece: Piece) -> tuple[float, float]:
+    """The interval of a 1-piece: the curve functionals' test, which with the
+    fit of :func:`_lift_value` asks for a degree-1 metric on a 1-piece."""
+    if piece.k != 1:
+        raise DimensionMismatchError(f"a curve functional needs a 1-piece, not a {piece.k}-piece")
+    return piece.param_box[0]
 
 
 def reparam_invariance_residual(
-    F: FinslerFunction,
-    curve: DifferentiableMap,
-    interval,
-    rho: DifferentiableMap,
-    q: QuadratureSpec = QuadratureSpec(),
+    F: FinslerFunction, piece: Piece, rho: DifferentiableMap, q: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """| length(zeta over [a,b]) - length(zeta o rho over rho^{-1}([a,b])) |.
 
     ``rho`` is checked and inverted by :func:`reparametrized`.
     """
-    piece = _curve_piece(F, curve, interval)
-    composed, preimage = reparametrized(curve, piece.param_box[0], rho)
-    L1 = _lift_value(F, piece, q)
-    L2 = _lift_value(F, Piece((preimage,), composed), q)
-    return abs(L1 - L2)
+    moved = reparametrized(piece, rho)
+    return abs(_lift_value(F, piece, q) - _lift_value(F, moved, q))
 
 
-def reparametrized(
-    curve: DifferentiableMap, interval, rho: DifferentiableMap
-) -> tuple[DifferentiableMap, tuple[float, float]]:
-    """The curve zeta o rho and the interval rho^{-1}([a, b]) it runs over.
+def reparametrized(piece: Piece, rho: DifferentiableMap) -> Piece:
+    """The 1-piece zeta o rho over rho^{-1}([a, b]), with the piece's orientation.
 
     ``rho`` must be a strictly increasing reparametrization (checked at the
     quadrature resolution); its endpoint preimages come from
     :func:`_preimages`.
     """
+    interval = _curve_interval(piece)
     if rho.domain_dim != 1 or rho.codomain_dim != 1:
         raise DimensionMismatchError("reparametrization must map an interval to an interval")
     sa, sb = _preimages(rho, interval)
@@ -194,7 +173,7 @@ def reparametrized(
     bad = rho.jacobian(S)[:, 0, 0] <= 0.0
     if np.any(bad):
         raise OrientationError(f"{rho.name}: derivative not positive at s={S[bad][0, 0]}")
-    return compose(curve, rho), (sa, sb)
+    return Piece(((sa, sb),), compose(piece.map, rho), piece.orientation)
 
 
 def _preimages(rho: DifferentiableMap, values) -> tuple[float, ...]:
@@ -274,7 +253,7 @@ class VariationField:
     def sine_bump(cls, interval, mode: int, coord: int, dim: int) -> "VariationField":
         """sin(pi * mode * (t-a)/(b-a)) along coordinate ``coord`` (0-based)."""
         a, b = float(interval[0]), float(interval[1])
-        mu = math.pi * mode / (b - a)
+        mu = math.pi * mode / (b - a) if b > a else 0.0  # zero width: the zero field
         e = np.zeros(dim)
         e[coord] = 1.0
 
@@ -294,7 +273,7 @@ class VariationField:
     def radial_sine_bump(cls, interval, mode: int) -> "VariationField":
         """Bump-weighted radial direction (cos t, sin t) for planar circle arcs."""
         a, b = float(interval[0]), float(interval[1])
-        mu = math.pi * mode / (b - a)
+        mu = math.pi * mode / (b - a) if b > a else 0.0  # zero width: the zero field
 
         def parts(T):
             """cos t, sin t, the bump sin(mu (t - a)) and the radial direction."""
@@ -317,8 +296,7 @@ class VariationField:
 
 def first_variation(
     F: FinslerFunction,
-    curve: DifferentiableMap,
-    interval,
+    piece: Piece,
     field: VariationField,
     eps: float = 1e-4,
     q: QuadratureSpec = QuadratureSpec(),
@@ -329,15 +307,15 @@ def first_variation(
     A second evaluation at eps/2 cross-checks the differencing; a
     VariationConsistencyWarning flags disagreement beyond 1e-5.
     """
-    piece = _curve_piece(F, curve, interval)
     return float(_variations(F, piece, [field], eps, q)[0])
 
 
 def _variations(F: FinslerFunction, piece: Piece, fields, eps: float, q) -> np.ndarray:
-    """:func:`first_variation` of every field on a curve piece, from one grid
+    """:func:`first_variation` of every field on a 1-piece, from one grid
     walk: per chunk the perturbed lifts
     (zeta + c V, zeta' + c V') for c = +-eps, +-eps/2 of all fields are
     stacked into one evaluation of F."""
+    _curve_interval(piece)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"variation epsilon must be positive and finite, got {eps!r}")
     m = piece.map.codomain_dim
@@ -368,8 +346,10 @@ def _variations(F: FinslerFunction, piece: Piece, fields, eps: float, q) -> np.n
     return values
 
 
-def default_variation_basis(interval, dim: int, modes: int = 4) -> list[VariationField]:
-    """Sine bumps of modes 1..modes along every coordinate direction."""
+def default_variation_basis(piece: Piece, modes: int = 4) -> list[VariationField]:
+    """Sine bumps of modes 1..modes over a 1-piece's interval, along every
+    coordinate direction of its codomain."""
+    interval, dim = _curve_interval(piece), piece.map.codomain_dim
     return [
         VariationField.sine_bump(interval, j, c, dim)
         for c in range(dim)
@@ -379,13 +359,11 @@ def default_variation_basis(interval, dim: int, modes: int = 4) -> list[Variatio
 
 def extremal_residual(
     F: FinslerFunction,
-    curve: DifferentiableMap,
-    interval,
+    piece: Piece,
     fields: list[VariationField],
     eps: float = 1e-4,
     q: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Max |first variation| over a basis of variation fields, such as
     :func:`default_variation_basis`; near zero on extremal curves."""
-    piece = _curve_piece(F, curve, interval)
     return float(np.max(np.abs(_variations(F, piece, fields, eps, q))))

@@ -15,8 +15,10 @@ subcommand -> (the list it reads, ``compute`` or ``checks``; its row
 functions by name; the expected value of a row whose entry gives none).
 Each row function is ``fn(run, **params) -> float``: its keyword arguments
 are the parameters an entry may give, and the :class:`Run` builds each input
-once, on first use; every row integrates on its quadrature ``run.q``, so
-``--gauss-order`` and ``--cells`` apply to every subcommand, checks included.
+once, on first use.  The curve rows hand ``run.curve``, a 1-piece, to the
+functionals as it is, and the area and form rows ``run.piece``; every row
+integrates on its quadrature ``run.q``, so ``--gauss-order`` and ``--cells``
+apply to every subcommand, checks included.
 The CLI front end in :mod:`grassvar.cli` turns the rows into a text report
 and a CSV file.
 """
@@ -187,11 +189,6 @@ SCENARIO_SCHEMA = {
         "variation": {
             "type": "object",
             "properties": {"epsilon": _positive, "modes": {"type": "integer", "minimum": 1}},
-            "additionalProperties": False,
-        },
-        "output": {
-            "type": "object",
-            "properties": {"csv": {"type": "string"}, "report": {"type": "string"}},
             "additionalProperties": False,
         },
     },
@@ -368,8 +365,7 @@ class Run:
 
     def _geometry(self, need: str) -> Piece:
         """The geometry's map over its ``need``: over the ``interval`` a 1-piece
-        (the curve functionals take no orientation), over the ``box`` a piece
-        with the block's orientation."""
+        of orientation 1, over the ``box`` a piece with the block's orientation."""
         geo = self.block("geometry")
         mp, box, where = build_map(geo, "geometry"), geo.get(need), f"geometry/{need}"
         if box is None:
@@ -401,8 +397,7 @@ class Run:
 # ---------------------------------------------------------------------------
 
 def _length(run):
-    F, curve = run.metric, run.curve
-    return functional.curve_length(F, curve.map, curve.param_box[0], run.q)
+    return functional.curve_length(run.metric, run.curve, run.q)
 
 
 def _area(run):
@@ -412,10 +407,8 @@ def _area(run):
 def _extremality(run):
     """Max |first variation| of the length over the scenario's sine-bump fields."""
     F, curve, var = run.metric, run.curve, run.scenario.get("variation", {})
-    (interval,), eps = curve.param_box, var.get("epsilon", 1e-4)
-    dim, modes = curve.map.codomain_dim, var.get("modes", 4)
-    basis = functional.default_variation_basis(interval, dim, modes)
-    return functional.extremal_residual(F, curve.map, interval, basis, eps, run.q)
+    basis = functional.default_variation_basis(curve, var.get("modes", 4))
+    return functional.extremal_residual(F, curve, basis, var.get("epsilon", 1e-4), run.q)
 
 
 def _fiber_check(probe):
@@ -438,13 +431,12 @@ def _check_dual_route(run):
     at each node, which would read 0 by construction."""
     F, curve, rho = run.metric, run.curve, run.reparam
     direct = functional.areal_value(F, curve, run.q)
-    composed, interval = functional.reparametrized(curve.map, curve.param_box[0], rho)
-    return abs(direct - functional.hilbert_route_length(F, composed, interval, run.q))
+    moved = functional.reparametrized(curve, rho)
+    return abs(direct - functional.hilbert_route_length(F, moved, run.q))
 
 
 def _check_reparam_invariance(run):
-    F, curve, rho = run.metric, run.curve, run.reparam
-    return functional.reparam_invariance_residual(F, curve.map, curve.param_box[0], rho, run.q)
+    return functional.reparam_invariance_residual(run.metric, run.curve, run.reparam, run.q)
 
 
 def _check_stokes(run, form=None):

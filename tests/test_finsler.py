@@ -22,7 +22,8 @@ from grassvar.finsler import (
     randers_metric,
     riemannian_metric,
 )
-from grassvar.maps import circle, fourier_curve, helix
+from grassvar.forms import Piece
+from grassvar.maps import circle, fourier_curve, helix, sphere_patch
 
 from .oracles import (
     FirstRowRejected,
@@ -219,6 +220,22 @@ def test_euler_identity_fails_for_energy():
     # gradient . v = 2|v|^2 while F = |v|^2: residual equals F itself
     res = pullback_identity_residual(F, z, [0.4])
     assert res == pytest.approx(1.0, rel=1e-12)
+
+
+def test_euler_identity_on_a_k_piece():
+    # sum_I dL/dxi_I xi_I = L on the canonical lift of a 2-parametrization
+    zone = Piece(((0.1, math.pi - 0.1), (0.0, 2 * math.pi)), sphere_patch())
+    assert pullback_identity_residual(areal_gram(2, 3), zone.map, zone.grid(7)) <= 1e-12
+
+
+@pytest.mark.parametrize("L, f, named", [
+    (areal_gram(2, 3), helix(0.8, 0.4), "degree 2 .* a 1-piece"),
+    (euclidean_metric(3), sphere_patch(), "degree 1 .* a 2-piece"),
+    (euclidean_metric(2), helix(0.8, 0.4), "metric dimension 2 .* codomain dimension 3"),
+])
+def test_euler_identity_needs_a_metric_that_fits_the_parametrization(L, f, named):
+    with pytest.raises(DimensionMismatchError, match=named):
+        pullback_identity_residual(L, f, np.zeros((3, f.domain_dim)))
 
 
 @pytest.mark.parametrize("lambdas", [(0.5, 2.0, 10.0), (3.0,), tuple(np.linspace(0.1, 9.0, 16))])

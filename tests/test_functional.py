@@ -58,30 +58,35 @@ from .oracles import bisected_preimage
 Q = QuadratureSpec(gauss_order=8, cells_per_axis=16)
 Q64 = QuadratureSpec(gauss_order=8, cells_per_axis=64)
 TWO_PI = 2.0 * math.pi
+CIRCLE = Piece(((0.0, TWO_PI),), circle())  # the unit circle, once around
+QUARTER = Piece(((0.0, math.pi / 2),), circle())
+LINE = Piece(((0.0, 1.0),), segment([0.0, 0.0], [2.0, 1.0]))
+UNIT_ARC = Piece(((0.0, 1.0),), circle())
+ZONE = Piece(((0.1, 3.0), (0.0, 6.0)), sphere_patch())
 
 
 # -- curve length ------------------------------------------------------------
 
 def test_circle_length_is_two_pi():
-    val = curve_length(euclidean_metric(2), circle(), (0.0, TWO_PI), Q64)
+    val = curve_length(euclidean_metric(2), CIRCLE, Q64)
     assert val == pytest.approx(TWO_PI, abs=1e-8)
 
 
 def test_randers_segment_closed_form():
     p, q = np.array([0.0, 0.0, 0.0]), np.array([1.0, 2.0, 2.0])
     b = np.array([0.3, 0.0, 0.0])
-    val = curve_length(randers_metric(3, b), segment(p, q), (0.0, 1.0), Q)
+    val = curve_length(randers_metric(3, b), Piece(((0.0, 1.0),), segment(p, q)), Q)
     assert val == pytest.approx(np.linalg.norm(q - p) + b @ (q - p), abs=1e-12)
 
 
 def test_zero_width_interval():
-    assert curve_length(euclidean_metric(2), circle(), (1.0, 1.0), Q) == 0.0
+    assert curve_length(euclidean_metric(2), Piece(((1.0, 1.0),), circle()), Q) == 0.0
 
 
 def test_dual_route_agreement():
     F = randers_metric(2, [0.2, -0.1])
-    direct = curve_length(F, circle(1.7), (0.2, 4.0), Q)
-    via = hilbert_route_length(F, circle(1.7), (0.2, 4.0), Q)
+    direct = curve_length(F, Piece(((0.2, 4.0),), circle(1.7)), Q)
+    via = hilbert_route_length(F, Piece(((0.2, 4.0),), circle(1.7)), Q)
     assert abs(direct - via) <= 1e-10 * max(1.0, abs(direct))
 
 
@@ -103,7 +108,7 @@ def test_hilbert_form_pullback_matches_hilbert_route():
             "tangent", 1, 2 * F.m, lambda T, t=tangent: t(T)[0], tangent
         )
         pulled = integrate(hilbert_form(F), Piece((interval,), lifted), Q)
-        assert abs(pulled - hilbert_route_length(F, curve, interval, Q)) <= 1e-9
+        assert abs(pulled - hilbert_route_length(F, Piece((interval,), curve), Q)) <= 1e-9
 
 
 def test_cross_checked_length_evaluates_each_layer_once(monkeypatch):
@@ -127,7 +132,7 @@ def test_cross_checked_length_evaluates_each_layer_once(monkeypatch):
     monkeypatch.setattr(z, "value_and_jacobian", counted_fused)
     monkeypatch.setattr(z, "_value", counted_value)
     monkeypatch.setattr(FinslerFunction, "fiber_gradient", counted_gradient)
-    val = curve_length(euclidean_metric(2), z, (0.0, TWO_PI), Q64)
+    val = curve_length(euclidean_metric(2), Piece(((0.0, TWO_PI),), z), Q64)
     assert val == pytest.approx(TWO_PI, abs=1e-8)
     assert (len(fused_calls), len(value_calls), len(gradient_calls)) == (1, 0, 1)
 
@@ -165,7 +170,7 @@ def test_cross_checked_length_equals_the_direct_walk_bit_for_bit(q, monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             direct = functional._lift_value(F, Piece((interval,), curve), q)
-            checked = curve_length(F, curve, interval, q)
+            checked = curve_length(F, Piece((interval,), curve), q)
         assert checked == direct
         missed = [w for w in caught if w.category is QuadratureTargetWarning]
         # one for the direct walk, then one for each route of the checked walk
@@ -174,21 +179,21 @@ def test_cross_checked_length_equals_the_direct_walk_bit_for_bit(q, monkeypatch)
 
 def test_nonhomogeneous_warns_and_skips_cross_check():
     with pytest.warns(NonHomogeneousWarning):
-        val = curve_length(energy_metric(2), circle(), (0.0, TWO_PI), Q)
+        val = curve_length(energy_metric(2), CIRCLE, Q)
     assert val == pytest.approx(TWO_PI, abs=1e-9)  # |zeta'| = 1 so energy = length here
 
 
 def test_immersion_error_on_stationary_curve():
     frozen = segment([0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ImmersionError):
-        curve_length(euclidean_metric(2), frozen, (0.0, 1.0), Q)
+        curve_length(euclidean_metric(2), Piece(((0.0, 1.0),), frozen), Q)
 
 
 def test_hilbert_route_on_a_stationary_curve_raises_immersion_error():
     # the fiber gradient meets the slit as F does in curve_length
     frozen = segment([0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ImmersionError, match="degenerate lift"):
-        hilbert_route_length(euclidean_metric(2), frozen, (0.0, 1.0), Q)
+        hilbert_route_length(euclidean_metric(2), Piece(((0.0, 1.0),), frozen), Q)
 
 
 def test_curve_length_additive_under_splitting():
@@ -264,18 +269,17 @@ def test_areal_dimension_check():
 
 def test_reparam_affine():
     rho = affine_map([[2.0]], [-0.5])
-    res = reparam_invariance_residual(euclidean_metric(2), circle(), (0.0, TWO_PI), rho, Q)
+    res = reparam_invariance_residual(euclidean_metric(2), CIRCLE, rho, Q)
     assert res <= 1e-10
 
 
 def test_reparam_sine_shift_circle():
     rho = sine_shift(0.3)
-    res = reparam_invariance_residual(euclidean_metric(2), circle(), (0.0, TWO_PI), rho, Q)
+    res = reparam_invariance_residual(euclidean_metric(2), CIRCLE, rho, Q)
     assert res <= 1e-8
     # both routes should individually hit the closed form
-    assert curve_length(euclidean_metric(2), circle(), (0.0, TWO_PI), Q) == pytest.approx(
-        TWO_PI, abs=1e-10
-    )
+    length = curve_length(euclidean_metric(2), CIRCLE, Q)
+    assert length == pytest.approx(TWO_PI, abs=1e-10)
 
 
 def test_reparam_without_inverse_uses_the_bracketed_preimage():
@@ -283,7 +287,8 @@ def test_reparam_without_inverse_uses_the_bracketed_preimage():
     assert not rho.has_inverse
     # 0.625 is solved in [-0.375, 1.625], 10.0 after widening its bracket to [7, 13]
     assert _preimages(rho, (0.625, 10.0)) == pytest.approx((0.5, 2.0), abs=1e-15)
-    res = reparam_invariance_residual(euclidean_metric(2), circle(), (0.625, 10.0), rho, Q)
+    arc = Piece(((0.625, 10.0),), circle())
+    res = reparam_invariance_residual(euclidean_metric(2), arc, rho, Q)
     assert res <= 1e-10
 
 
@@ -303,14 +308,45 @@ def test_stacked_preimages_equal_the_scalar_bisection(c, s1, s2):
     assert _preimages(rho, targets) == tuple(bisected_preimage(rho, t) for t in targets)
 
 
-@pytest.mark.parametrize("metric, curve, named", [
-    (areal_gram(2, 3), circle(), "degree 2"),
-    (euclidean_metric(3), sphere_patch(), "needs a 1-D domain, got 2-D"),
-    (euclidean_metric(3), circle(), "metric dimension 3 differs from curve codomain dimension 2"),
-])
-def test_curve_mismatch_names_the_condition_that_failed(metric, curve, named):
-    with pytest.raises(DimensionMismatchError, match=named):
-        curve_length(metric, curve, (0.0, 1.0), Q)
+PLANE_BUMP = VariationField.sine_bump((0.0, 1.0), 1, 0, 2)
+FUNCTIONALS = {
+    "curve_length": lambda F, piece: curve_length(F, piece, Q),
+    "hilbert_route_length": lambda F, piece: hilbert_route_length(F, piece, Q),
+    "reparam_invariance_residual":
+        lambda F, piece: reparam_invariance_residual(F, piece, sine_shift(0.3), Q),
+    "first_variation": lambda F, piece: first_variation(F, piece, PLANE_BUMP, q=Q),
+    "extremal_residual": lambda F, piece: extremal_residual(F, piece, [PLANE_BUMP], q=Q),
+    "areal_value": lambda F, piece: areal_value(F, piece, Q),
+}
+MISFITS = {  # a new metric per case, so no earlier probe verdict hides a warning
+    "degree": (lambda: areal_gram(2, 2), UNIT_ARC, "metric of degree 2 .* a 1-piece"),
+    "surface": (lambda: energy_metric(3), ZONE, "2-piece"),
+    "codomain": (lambda: energy_metric(3), UNIT_ARC, "metric dimension 3 .* codomain dimension 2"),
+}
+
+
+@pytest.mark.parametrize("misfit", sorted(MISFITS))
+@pytest.mark.parametrize("functional_name", sorted(FUNCTIONALS))
+def test_fit_is_checked_before_the_probe(functional_name, misfit, monkeypatch):
+    calls = _count_probes(monkeypatch)
+    metric, piece, named = MISFITS[misfit]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DimensionMismatchError, match=named):
+            FUNCTIONALS[functional_name](metric(), piece)
+    assert calls == []
+    assert not [w for w in caught if w.category is NonHomogeneousWarning]
+
+
+def test_reparametrized_is_a_piece_over_the_preimage_with_the_orientation():
+    rho = sine_shift(0.3)
+    for orientation in (1, -1):
+        piece = Piece(((0.2, 4.0),), circle(1.7), orientation)
+        moved = functional.reparametrized(piece, rho)
+        assert moved.param_box == (_preimages(rho, (0.2, 4.0)),)
+        assert moved.orientation == orientation
+        T = moved.grid(9)
+        assert np.array_equal(moved.map(T), piece.map(rho(T)))
 
 
 @pytest.mark.parametrize("target", [125.0, -125.0, 1e4, -1e4])
@@ -337,13 +373,13 @@ def test_bracket_widening_stops_where_rho_stops_being_finite():
 def test_reparam_orientation_violation():
     rho = affine_map([[-1.0]], [0.0])
     with pytest.raises(OrientationError):
-        reparam_invariance_residual(euclidean_metric(2), circle(), (0.0, TWO_PI), rho, Q)
+        reparam_invariance_residual(euclidean_metric(2), CIRCLE, rho, Q)
 
 
 def test_reparam_energy_depends_on_parametrization():
     rho = affine_map([[2.0]], [0.0])  # double speed halves the interval
     with pytest.warns(NonHomogeneousWarning):
-        res = reparam_invariance_residual(energy_metric(2), circle(), (0.0, TWO_PI), rho, Q)
+        res = reparam_invariance_residual(energy_metric(2), CIRCLE, rho, Q)
     assert res > 1.0  # energy of the sped-up circle doubles
 
 
@@ -360,44 +396,49 @@ def test_first_variation_zero_field_is_zero():
         lambda T: (np.zeros((len(T), 2)), np.zeros((len(T), 2, 1))),
     )
     zero = VariationField(zero_map, (0.0, 1.0))
-    line = segment([0.0, 0.0], [1.0, 1.0])
-    assert first_variation(euclidean_metric(2), line, (0.0, 1.0), zero, q=Q) == 0.0
+    line = Piece(((0.0, 1.0),), segment([0.0, 0.0], [1.0, 1.0]))
+    assert first_variation(euclidean_metric(2), line, zero, q=Q) == 0.0
 
 
 def test_straight_line_extremal_euclidean():
-    line = segment([0.0, 0.0], [2.0, 1.0])
-    fields = default_variation_basis((0.0, 1.0), 2)
-    res = extremal_residual(euclidean_metric(2), line, (0.0, 1.0), fields, q=QuadratureSpec(8, 8))
+    fields = default_variation_basis(LINE)
+    res = extremal_residual(euclidean_metric(2), LINE, fields, q=QuadratureSpec(8, 8))
     assert res <= 1e-6
 
 
 def test_straight_line_extremal_randers():
-    line = segment([0.0, 0.0], [2.0, 1.0])
     F = randers_metric(2, [0.25, -0.1])
-    res = extremal_residual(F, line, (0.0, 1.0), default_variation_basis((0.0, 1.0), 2),
-                            q=QuadratureSpec(8, 8))
+    res = extremal_residual(F, LINE, default_variation_basis(LINE), q=QuadratureSpec(8, 8))
     assert res <= 1e-6
 
 
 def test_circular_arc_not_extremal():
-    arc = circle()  # quarter circle from (1,0) to (0,1) is not the chord
-    interval = (0.0, math.pi / 2)
+    # quarter circle from (1,0) to (0,1) is not the chord
     res = extremal_residual(
-        euclidean_metric(2), arc, interval, default_variation_basis(interval, 2),
-        q=QuadratureSpec(8, 8),
+        euclidean_metric(2), QUARTER, default_variation_basis(QUARTER), q=QuadratureSpec(8, 8)
     )
     assert res >= 1e-3
 
 
 def test_radial_variation_increases_circle_length():
     field = VariationField.radial_sine_bump((0.0, math.pi / 2), 1)
-    val = first_variation(euclidean_metric(2), circle(), (0.0, math.pi / 2), field, q=Q)
+    val = first_variation(euclidean_metric(2), QUARTER, field, q=Q)
     # d/deps integral |zeta' + eps V'| = integral of the bump profile > 0
     assert val > 0.1
 
 
+@pytest.mark.parametrize("field", [
+    VariationField.sine_bump((0.5, 0.5), 1, 0, 2), VariationField.radial_sine_bump((0.5, 0.5), 1),
+], ids=["sine_bump", "radial_sine_bump"])
+def test_a_bump_on_a_zero_width_interval_is_the_zero_field(field):
+    Y, J = field.map.value_and_jacobian(np.array([[0.5]]))
+    assert not Y.any() and not J.any()
+    point = Piece(((0.5, 0.5),), circle())
+    assert first_variation(euclidean_metric(2), point, field, q=Q) == 0.0
+
+
 def test_variation_basis_shape():
-    basis = default_variation_basis((0.0, 1.0), 3)
+    basis = default_variation_basis(Piece(((0.0, 1.0),), segment([0.0] * 3, [1.0] * 3)))
     assert len(basis) == 12  # 4 modes per coordinate direction
 
 
@@ -414,11 +455,11 @@ def _shifted(curve, field, c):
     )
 
 
-def _difference_quotients(F, curve, interval, fields, eps, q):
+def _difference_quotients(F, piece, fields, eps, q):
     """(length(zeta + eps V) - length(zeta - eps V)) / (2 eps) per field, each
     length its own walk, with the quadrature warnings those walks raise."""
     def length(field, c):
-        return areal_value(F, Piece((interval,), _shifted(curve, field, c)), q)
+        return areal_value(F, Piece(piece.param_box, _shifted(piece.map, field, c)), q)
 
     values = []
     with warnings.catch_warnings(record=True) as caught:
@@ -430,28 +471,33 @@ def _difference_quotients(F, curve, interval, fields, eps, q):
     return values, [str(w.message) for w in caught if w.category is QuadratureTargetWarning]
 
 
+RANDERS_SEGMENT = Piece(((0.0, 1.0),), segment([0.0, 1.0, 0.0], [2.0, -1.0, 0.5]))
+QUARTIC_FOURIER = Piece(
+    ((0.3, 2.5),), fourier_curve([0.1, 0.0], [[1.0, 0.2], [0.0, 0.1]], [[0.0, 0.1], [0.8, 0.0]])
+)
+CONFORMAL_CIRCLE = Piece(((0.0, TWO_PI),), circle(0.9))
+ADAPTIVE_CIRCLE = Piece(((0.0, 2.0),), circle(1.1))
 VARIATION_CASES = {
     "euclidean_arc_radial": (
-        euclidean_metric(2), circle(1.3), (0.2, 1.9),
+        euclidean_metric(2), Piece(((0.2, 1.9),), circle(1.3)),
         [VariationField.radial_sine_bump((0.2, 1.9), j) for j in (1, 2, 3)], Q,
     ),
     "randers_segment": (
-        randers_metric(3, [0.2, -0.1, 0.15]), segment([0.0, 1.0, 0.0], [2.0, -1.0, 0.5]),
-        (0.0, 1.0), default_variation_basis((0.0, 1.0), 3), QuadratureSpec(8, 8),
+        randers_metric(3, [0.2, -0.1, 0.15]), RANDERS_SEGMENT,
+        default_variation_basis(RANDERS_SEGMENT), QuadratureSpec(8, 8),
     ),
     "quartic_fourier": (
-        quartic_root_metric([1.0, 2.0]),
-        fourier_curve([0.1, 0.0], [[1.0, 0.2], [0.0, 0.1]], [[0.0, 0.1], [0.8, 0.0]]),
-        (0.3, 2.5), default_variation_basis((0.3, 2.5), 2), Q,
+        quartic_root_metric([1.0, 2.0]), QUARTIC_FOURIER,
+        default_variation_basis(QUARTIC_FOURIER), Q,
     ),
     "conformal_circle": (
-        riemannian_metric(2, {"field": "conformal", "coefficient": 0.4}), circle(0.9),
-        (0.0, TWO_PI), default_variation_basis((0.0, TWO_PI), 2, modes=3), QuadratureSpec(8, 8),
+        riemannian_metric(2, {"field": "conformal", "coefficient": 0.4}), CONFORMAL_CIRCLE,
+        default_variation_basis(CONFORMAL_CIRCLE, modes=3), QuadratureSpec(8, 8),
     ),
     "adaptive": (
-        randers_metric(2, [0.3, 0.1]), circle(1.1), (0.0, 2.0),
+        randers_metric(2, [0.3, 0.1]), ADAPTIVE_CIRCLE,
         [VariationField.radial_sine_bump((0.0, 2.0), j) for j in (1, 3)]
-        + default_variation_basis((0.0, 2.0), 2, modes=2),
+        + default_variation_basis(ADAPTIVE_CIRCLE, modes=2),
         QuadratureSpec(gauss_order=3, cells_per_axis=1, adaptive=True, target=1e-9),
     ),
 }
@@ -459,21 +505,21 @@ VARIATION_CASES = {
 
 @pytest.mark.parametrize("case", sorted(VARIATION_CASES))
 def test_batched_variation_equals_the_difference_quotient_of_lengths(case):
-    F, curve, interval, fields, q = VARIATION_CASES[case]
-    expected, _ = _difference_quotients(F, curve, interval, fields, 1e-4, q)
-    assert first_variation(F, curve, interval, fields[1], 1e-4, q) == expected[1]
-    assert extremal_residual(F, curve, interval, fields, 1e-4, q) == max(map(abs, expected))
+    F, piece, fields, q = VARIATION_CASES[case]
+    expected, _ = _difference_quotients(F, piece, fields, 1e-4, q)
+    assert first_variation(F, piece, fields[1], 1e-4, q) == expected[1]
+    assert extremal_residual(F, piece, fields, 1e-4, q) == max(map(abs, expected))
 
 
 def test_batched_variation_warns_per_length_that_misses_the_target(monkeypatch):
     monkeypatch.setattr(forms, "MAX_REFINEMENTS", 3)
-    F, curve, interval, fields, _ = VARIATION_CASES["adaptive"]
+    F, piece, fields, _ = VARIATION_CASES["adaptive"]
     q = QuadratureSpec(gauss_order=2, cells_per_axis=1, adaptive=True, target=1e-12)
-    expected, missed = _difference_quotients(F, curve, interval, fields, 1e-4, q)
+    expected, missed = _difference_quotients(F, piece, fields, 1e-4, q)
     assert len(missed) == 4 * len(fields)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = extremal_residual(F, curve, interval, fields, 1e-4, q)
+        value = extremal_residual(F, piece, fields, 1e-4, q)
     assert value == max(map(abs, expected))
     assert [str(w.message) for w in caught if w.category is QuadratureTargetWarning] == missed
 
@@ -482,34 +528,33 @@ def test_every_variation_call_is_one_grid_walk(monkeypatch):
     walks = []
     walk = forms.integrate_scalar_over_box
     monkeypatch.setattr(forms, "integrate_scalar_over_box", lambda *a: walks.append(1) or walk(*a))
-    line = segment([0.0, 0.0], [2.0, 1.0])
-    fields = default_variation_basis((0.0, 1.0), 2)
+    fields = default_variation_basis(LINE)
     assert len(fields) == 8
-    extremal_residual(euclidean_metric(2), line, (0.0, 1.0), fields, q=Q)
+    extremal_residual(euclidean_metric(2), LINE, fields, q=Q)
     assert len(walks) == 1
-    first_variation(euclidean_metric(2), line, (0.0, 1.0), fields[3], q=Q)
+    first_variation(euclidean_metric(2), LINE, fields[3], q=Q)
     assert len(walks) == 2
 
 
 def test_perturbed_lift_on_the_slit_raises_immersion_error():
-    line = segment([0.0, 0.0], [1.0, 0.0])  # zeta' = (1, 0)
+    line = Piece(((0.0, 1.0),), segment([0.0, 0.0], [1.0, 0.0]))  # zeta' = (1, 0)
     # V' = (-2, 0) everywhere, so zeta' + 0.5 V' vanishes at every node
     pinch = DifferentiableMap(
         "pinch", 1, 2, lambda T: np.zeros((len(T), 2)),
         lambda T: (np.zeros((len(T), 2)), np.array([[-2.0], [0.0]])),
     )
-    fields = default_variation_basis((0.0, 1.0), 2, modes=1) + [VariationField(pinch, (0.0, 1.0))]
+    fields = default_variation_basis(line, modes=1) + [VariationField(pinch, (0.0, 1.0))]
     with pytest.raises(ImmersionError, match="degenerate lift"):
-        extremal_residual(euclidean_metric(2), line, (0.0, 1.0), fields, 0.5, Q)
+        extremal_residual(euclidean_metric(2), line, fields, 0.5, Q)
 
 
 def test_batched_variation_warns_once_per_inconsistent_field():
     arc = (0.0, math.pi / 2)
     fields = [VariationField.radial_sine_bump(arc, 1), VariationField.sine_bump(arc, 1, 0, 2),
               VariationField.radial_sine_bump(arc, 2)]
-    expected, _ = _difference_quotients(euclidean_metric(2), circle(), arc, fields, 0.2, Q)
+    expected, _ = _difference_quotients(euclidean_metric(2), QUARTER, fields, 0.2, Q)
     with pytest.warns(VariationConsistencyWarning) as record:
-        extremal_residual(euclidean_metric(2), circle(), arc, fields, 0.2, Q)
+        extremal_residual(euclidean_metric(2), QUARTER, fields, 0.2, Q)
     messages = [str(w.message) for w in record if w.category is VariationConsistencyWarning]
     # the mode-2 radial bump has zero first variation at every eps; the others do not
     assert [text.split(" (")[1].split(")")[0] for text in messages] == [
@@ -519,12 +564,11 @@ def test_batched_variation_warns_once_per_inconsistent_field():
 
 @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
 def test_variation_epsilon_must_be_positive_and_finite(eps):
-    line = segment([0.0, 0.0], [2.0, 1.0])
     field = VariationField.sine_bump((0.0, 1.0), 1, 0, 2)
     with pytest.raises(ValueError, match="epsilon"):
-        first_variation(euclidean_metric(2), line, (0.0, 1.0), field, eps, Q)
+        first_variation(euclidean_metric(2), LINE, field, eps, Q)
     with pytest.raises(ValueError, match="epsilon"):
-        extremal_residual(euclidean_metric(2), line, (0.0, 1.0), [field], eps, Q)
+        extremal_residual(euclidean_metric(2), LINE, [field], eps, Q)
 
 
 # -- cross-checks and the homogeneity probe ----------------------------------
@@ -535,7 +579,7 @@ def test_cross_check_rejects_a_gradient_that_disagrees_with_the_value():
         "bad_gradient", 2, 1, 2, lambda Y, V: norm(V), lambda Y, V: 2.0 * V / norm(V)[:, None]
     )
     with pytest.raises(CrossCheckError):
-        curve_length(F, circle(), (0.0, math.pi), Q)
+        curve_length(F, Piece(((0.0, math.pi),), circle()), Q)
     assert areal_value(F, Piece(((0.0, math.pi),), circle()), Q) == pytest.approx(
         math.pi, abs=1e-12
     )
@@ -544,12 +588,13 @@ def test_cross_check_rejects_a_gradient_that_disagrees_with_the_value():
 def test_coarse_eps_warns_variation_inconsistency():
     field = VariationField.radial_sine_bump((0.0, math.pi / 2), 1)
     with pytest.warns(VariationConsistencyWarning, match="eps=0.2"):
-        first_variation(euclidean_metric(2), circle(), (0.0, math.pi / 2), field, 0.2, Q)
+        first_variation(euclidean_metric(2), QUARTER, field, 0.2, Q)
 
 
 def test_reversed_interval_is_rejected():
+    # the Piece itself refuses the reversed interval, before any functional runs
     with pytest.raises(DimensionMismatchError, match="empty interval"):
-        curve_length(euclidean_metric(2), circle(), (1.0, 0.0), Q)
+        curve_length(euclidean_metric(2), Piece(((1.0, 0.0),), circle()), Q)
 
 
 def _count_probes(monkeypatch):
@@ -566,31 +611,30 @@ def _count_probes(monkeypatch):
 
 def test_homogeneity_probe_runs_once_per_public_call(monkeypatch):
     calls = _count_probes(monkeypatch)
-    line = segment([0.0, 0.0], [2.0, 1.0])
-    fields = default_variation_basis((0.0, 1.0), 2)
+    fields = default_variation_basis(LINE)
     assert len(fields) == 8
-    extremal_residual(euclidean_metric(2), line, (0.0, 1.0), fields, q=QuadratureSpec(8, 4))
+    extremal_residual(euclidean_metric(2), LINE, fields, q=QuadratureSpec(8, 4))
     assert len(calls) == 1
-    first_variation(euclidean_metric(2), line, (0.0, 1.0), fields[0], q=QuadratureSpec(8, 4))
+    first_variation(euclidean_metric(2), LINE, fields[0], q=QuadratureSpec(8, 4))
     assert len(calls) == 2
     reparam_invariance_residual(
-        euclidean_metric(2), circle(), (0.0, 1.0), sine_shift(0.3), QuadratureSpec(8, 4)
+        euclidean_metric(2), UNIT_ARC, sine_shift(0.3), QuadratureSpec(8, 4)
     )
     assert len(calls) == 3
-    curve_length(euclidean_metric(2), circle(), (0.0, 1.0), QuadratureSpec(8, 4))
+    curve_length(euclidean_metric(2), UNIT_ARC, QuadratureSpec(8, 4))
     assert len(calls) == 4
 
 
 def test_one_metric_is_probed_and_warns_once_across_functionals(monkeypatch):
     calls = _count_probes(monkeypatch)
     F, q = energy_metric(2), QuadratureSpec(8, 4)
-    fields = default_variation_basis((0.0, 1.0), 2, modes=1)
+    fields = default_variation_basis(UNIT_ARC, modes=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        curve_length(F, circle(), (0.0, 1.0), q)
-        areal_value(F, Piece(((0.0, 1.0),), circle()), q)
-        reparam_invariance_residual(F, circle(), (0.0, 1.0), sine_shift(0.3), q)
-        extremal_residual(F, circle(), (0.0, 1.0), fields, q=q)
+        curve_length(F, UNIT_ARC, q)
+        areal_value(F, UNIT_ARC, q)
+        reparam_invariance_residual(F, UNIT_ARC, sine_shift(0.3), q)
+        extremal_residual(F, UNIT_ARC, fields, q=q)
     assert len(calls) == 1
     assert [w.category for w in caught if w.category is NonHomogeneousWarning] == [
         NonHomogeneousWarning

@@ -266,6 +266,17 @@ def test_zero_width_interval_is_valid_and_has_length_zero():
     assert run_scenario("length", scenario, 42).rows[0].value == 0.0
 
 
+def test_variation_on_a_zero_width_interval_reads_zero(tmp_path):
+    # its sine bumps are the zero field there, as the length is 0.0
+    scenario = json.loads((SCENARIO_DIR / "variation_line.json").read_text())
+    scenario["geometry"]["interval"] = [0.5, 0.5]
+    path, out = tmp_path / "point.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["variation", "--scenario", str(path), "--csv", str(out), "--quiet"]) == 0
+    name, value, *_, status, seconds = out.read_text().splitlines()[1].split(",")
+    assert (name, float(value), status) == ("extremal_residual", 0.0, "PASS")
+
+
 @pytest.mark.parametrize("sub, stem", [("length", "length_circle"),
                                        ("check", "check_suite_randers")])
 def test_negative_seed_exits_2_and_writes_nothing(sub, stem, tmp_path, capsys):
@@ -382,6 +393,7 @@ SCENARIO_ERRORS = [
     ("no-metric", "length", "length_circle", _drop("metric"), "metric"),
     ("check-no-metric", "check", "check_suite_randers", _drop("metric"), "metric"),
     ("seed-key", "length", "length_circle", _put(7, "seed"), "{path}#<root>"),
+    ("output-key", "length", "length_circle", _put({"csv": "o.csv"}, "output"), "{path}#<root>"),
     ("polynomial-exponent-float", "area", "area_sphere_zone", _graph_of(1.0, [1.5, 0]),
      "geometry"),
     ("polynomial-exponent-string", "area", "area_sphere_zone", _graph_of(1.0, ["a", 0]),
