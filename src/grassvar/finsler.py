@@ -39,7 +39,7 @@ from .errors import (
     SlitDomainError,
 )
 from .forms import CHUNK_NODES, KForm
-from .kvector import canonical_lift
+from .kvector import Lift, canonical_lift
 from .maps import DifferentiableMap, checked_dimension, checked_reals, row_max_abs
 
 SLIT_TOL = 1e-13
@@ -55,6 +55,13 @@ class FinslerFunction:
     vectors (fiber_dim = m), k for areal Lagrangians on k-vector components
     (fiber_dim = C(m, k)).  ``_eval`` and ``_grad`` map stacks ``(N, m)``,
     ``(N, fiber_dim)`` to ``(N,)`` and ``(N, fiber_dim)``.
+
+    The public calls, ``F(y, v)`` and :meth:`fiber_gradient`, check the
+    shapes and run the slit test on every call.  The quadrature's densities
+    call :meth:`_on_lift` instead, on a :class:`kvector.Lift` whose values,
+    Jacobians and components :func:`kvector.checked_lift` has checked once
+    and whose fit to F the functional has tested: it makes only the slit
+    test, from the lift's own row maxima.
     """
 
     kind: str
@@ -75,11 +82,7 @@ class FinslerFunction:
             raise DimensionMismatchError(f"fiber argument must have length {self.fiber_dim}")
         if len(Y) != len(V):
             raise DimensionMismatchError("base points and fiber arguments differ in number")
-        slit = row_max_abs(V) <= SLIT_TOL * np.maximum(1.0, row_max_abs(Y))
-        if np.any(slit):
-            raise SlitDomainError(
-                f"fiber argument is numerically zero (slit domain) at y={Y[slit][0]}"
-            )
+        _slit_test(Y, row_max_abs(V))
         return Y, V, single
 
     def __call__(self, y, v):
@@ -92,6 +95,26 @@ class FinslerFunction:
         out = np.asarray(self._grad(Y, V), dtype=float).reshape(len(Y), self.fiber_dim)
         return out[0] if single else out
 
+    def _on_lift(self, lift: Lift, gradient: bool = False) -> np.ndarray:
+        """F, or its fiber gradient, at the rows of a lift that fits F."""
+        _slit_test(lift.base, lift.scale)
+        if gradient:
+            return np.asarray(self._grad(lift.base, lift.comps), dtype=float).reshape(
+                len(lift.base), self.fiber_dim
+            )
+        return np.asarray(self._eval(lift.base, lift.comps), dtype=float).reshape(len(lift.base))
+
+
+def _slit_test(Y: np.ndarray, scale: np.ndarray) -> None:
+    """Raise SlitDomainError at the first row whose fiber argument is
+    numerically zero: row maximum ``scale`` of |v| at most SLIT_TOL times
+    max(1, max |y|).  A NaN in a row never flags it."""
+    slit = scale <= SLIT_TOL * np.maximum(1.0, row_max_abs(Y))
+    if np.any(slit):
+        raise SlitDomainError(
+            f"fiber argument is numerically zero (slit domain) at y={Y[slit][0]}"
+        )
+
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (N, d) stacks."""
@@ -99,7 +122,24 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(v, axis=1)
+    """Row norms, bit for bit ``np.linalg.norm(v, axis=1)``, from column
+    squares, so no temporary is wider than a column.  numpy adds a row of
+    fewer than 8 squares in order, and a row of 8 to 128 contiguous squares
+    pairwise: eight running sums of every 8th square, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+    order.  Other rows go to numpy."""
+    c = v.shape[1]
+    if c > 128 or (c >= 8 and v.strides[1] != v.itemsize):
+        return np.linalg.norm(v, axis=1)
+    square = lambda j: v[:, j] * v[:, j]
+    head, lanes = (c - c % 8, 8) if c >= 8 else (c, 1)
+    r = [square(j) for j in range(lanes)]
+    for j in range(lanes, head):
+        r[j % lanes] += square(j)
+    s = r[0] if lanes == 1 else ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(head, c):
+        s += square(j)
+    return np.sqrt(s)
 
 
 # -- metric fields -----------------------------------------------------------

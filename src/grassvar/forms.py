@@ -15,8 +15,9 @@ Shape contract: form coefficients receive a stack of chart points
 for k = 1, and return ``(N,)``, or ``(p, N)`` for p integrals on one walk;
 the integral is a float, or ``(p,)``.  Densities handed to
 :func:`lift_integral` receive the nodes ``(N, k)`` and the canonical lift
-at them, a :class:`KVector` stack with ``base`` ``(N, m)`` and ``comps``
-``(N, C(m,k))``, and return ``(N,)`` or ``(p, N)`` likewise.  Every
+at them, a :class:`kvector.Lift` with ``base`` ``(N, m)``, ``comps``
+``(N, C(m,k))`` and their row maxima ``scale`` ``(N,)``, and return
+``(N,)`` or ``(p, N)`` likewise.  Every
 integral over a canonical lift goes through :func:`lift_integral`: a form
 is the density <eta(y), xi>, a Lagrangian the density L(y, xi).
 """
@@ -41,8 +42,8 @@ from .errors import (
     QuadratureTargetWarning,
 )
 from .expressions import ExprCoeff, signed_sum
-from .kvector import KVector, canonical_lift, enumerate_multiindices, minors, multiindex_ranks
-from .maps import DifferentiableMap, compose, insert_axis_map, row_max_abs
+from .kvector import Lift, checked_lift, enumerate_multiindices, minors, multiindex_ranks
+from .maps import DifferentiableMap, compose, insert_axis_map
 
 DEGENERACY_TOL = 1e-13
 CHUNK_NODES = 4096  # quadrature nodes evaluated per integrand call
@@ -311,7 +312,7 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
 
 
 def lift_integral(
-    piece: Piece, density: Callable[[np.ndarray, KVector], np.ndarray], q: QuadratureSpec
+    piece: Piece, density: Callable[[np.ndarray, Lift], np.ndarray], q: QuadratureSpec
 ) -> float:
     """Oriented integral over a piece of a density on its canonical lift.
 
@@ -320,14 +321,21 @@ def lift_integral(
     lift)`` follows the density contract of the module docstring.  Nodes
     where the lift vanishes are counted and reported by one
     DegeneratePieceWarning; a non-finite density raises EvaluationError.
+
+    Each chunk is checked once: :func:`kvector.checked_lift` checks the
+    map's values and Jacobians and, by their row maxima, the lift's
+    components; the degenerate screen here and the slit test of a
+    Lagrangian density (``FinslerFunction._on_lift``) reuse those maxima.
+    The public :func:`kvector.canonical_lift` and ``FinslerFunction``
+    calls keep every check of their own.
     """
     degenerate = 0
 
     def g(T):
         nonlocal degenerate
-        lift = canonical_lift(piece.map, T)
+        lift = checked_lift(piece.map, T)
         # |xi| >= max |xi_I| in floating point: only rows under the max screen can count
-        small = lift.comps[row_max_abs(lift.comps) <= DEGENERACY_TOL]
+        small = lift.comps[lift.scale <= DEGENERACY_TOL]
         degenerate += int(np.count_nonzero(np.linalg.norm(small, axis=1) <= DEGENERACY_TOL))
         vals = density(T, lift)
         if not np.isfinite(vals).all():  # one flat test; nodes are searched only on failure
@@ -345,7 +353,7 @@ def lift_integral(
     return result
 
 
-def _paired(eta: KForm) -> Callable[[np.ndarray, KVector], np.ndarray]:
+def _paired(eta: KForm) -> Callable[[np.ndarray, Lift], np.ndarray]:
     """The density <eta(y), xi>: the form's coefficients paired with the lift."""
     return lambda T, lift: np.sum(eta.values(lift.base) * lift.comps, axis=1)
 

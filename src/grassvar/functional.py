@@ -81,7 +81,7 @@ def curve_length(
     _curve_interval(piece)
 
     def routes(T, lift):  # _lift_value probes F before the walk and keeps the verdict
-        values = F(lift.base, lift.comps)
+        values = F._on_lift(lift)
         return np.stack([values, _hilbert_value(F, lift)]) if _homogeneity_probe(F) else values
 
     value = _lift_value(F, piece, q, routes)
@@ -110,7 +110,7 @@ def hilbert_route_length(
 
 def _hilbert_value(F: FinslerFunction, lift) -> np.ndarray:
     """The Hilbert form's value sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on a lift."""
-    return np.sum(F.fiber_gradient(lift.base, lift.comps) * lift.comps, axis=1)
+    return np.sum(F._on_lift(lift, gradient=True) * lift.comps, axis=1)
 
 
 def areal_value(
@@ -130,11 +130,13 @@ def areal_value(
 def _lift_value(L: FinslerFunction, piece: Piece, q: QuadratureSpec, density=None):
     """Oriented quadrature of L on the canonical lift of the piece, or of a
     ``density`` that evaluates L.  Every functional passes here, so this is
-    where L's fit to the piece is checked, before the homogeneity probe."""
+    where L's fit to the piece is checked, before the homogeneity probe;
+    the densities then evaluate L on the lift by ``L._on_lift``, which
+    relies on that fit."""
     require_fit(L, piece.k, piece.map.codomain_dim)
     _homogeneity_probe(L, stacklevel=4)
     try:
-        return lift_integral(piece, density or (lambda T, lift: L(lift.base, lift.comps)), q)
+        return lift_integral(piece, density or (lambda T, lift: L._on_lift(lift)), q)
     except SlitDomainError as exc:
         raise ImmersionError(f"{piece.map.name}: degenerate lift ({exc})") from exc
 

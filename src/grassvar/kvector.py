@@ -15,11 +15,14 @@ a wedge of tangent vectors forward::
 Compound matrices are multiplicative in the Jacobian (Cauchy-Binet), which
 makes the lift functorial under composition.
 
-Shape contract: :func:`minors` is the one place where minors are
-computed.  It takes a stack of Jacobians ``(..., m, n)`` and returns
-``(..., C(m,k), C(n,k))``.  :func:`canonical_lift` at nodes ``(N, k)``
-returns a :class:`KVector` stack with ``base`` ``(N, m)`` and ``comps``
-``(N, C(m,k))``; at a single point ``(k,)`` it returns one k-vector.
+Shape contract: :func:`minors` takes a stack of Jacobians ``(..., m, n)``
+and returns ``(..., C(m,k), C(n,k))``; the canonical lift, whose Jacobians
+have the k columns of one column set, writes the same minors into one
+``(..., C(m,k))`` array instead (:func:`_lift_minors`).
+:func:`canonical_lift` at nodes ``(N, k)`` returns a :class:`KVector` stack
+with ``base`` ``(N, m)`` and ``comps`` ``(N, C(m,k))``; at a single point
+``(k,)`` it returns one k-vector.  :func:`checked_lift` is the quadrature's
+form of it: a :class:`Lift` of the same arrays with their row maxima.
 :func:`lift_kvector` takes points ``(N, n)`` and a k-vector stack based
 there and returns the N lifts; one point ``(n,)`` is the N = 1 case.
 """
@@ -29,12 +32,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EvaluationError, InvalidDegreeError
-from .maps import DifferentiableMap
+from .maps import DifferentiableMap, row_max_abs
 
 
 @lru_cache(maxsize=None)
@@ -101,6 +104,41 @@ def minors(J, k: int) -> np.ndarray:
     # the gathers are laid out strided; reductions over a strided result
     # would sum in another order and move results in the last bit
     return np.ascontiguousarray(out)
+
+
+@lru_cache(maxsize=None)
+def _lift_terms(k: int, m: int) -> tuple:
+    """The Leibniz terms of the minors of an ``(m, k)`` matrix, k >= 2: per
+    increasing row set in rank order, the ``((row, col), ...)`` factors and
+    the oddness of each permutation, the identity first."""
+    return tuple(
+        tuple((tuple(zip(rows, perm)), odd) for perm, odd in _permutations(k))
+        for rows in itertools.combinations(range(m), k)
+    )
+
+
+def _lift_minors(J: np.ndarray) -> np.ndarray:
+    """``minors(J, k)[..., 0]`` for Jacobians ``(..., m, k)``, k <= m, built in
+    one ``(..., C(m,k))`` array: each minor is written into its column from
+    column views of J, with the products and the permutation order of
+    :func:`minors`, so every bit is the same, and no temporary is wider than
+    a node column."""
+    m, k = J.shape[-2:]
+    if k == 1:  # the minors are the entries
+        return J[..., 0].copy()
+    stack = J.reshape((-1, m, k))
+    out = np.empty((len(stack), math.comb(m, k)))
+    term = np.empty(len(stack))
+    for col, terms in zip(out.T, _lift_terms(k, m)):
+        for j, (factors, odd) in enumerate(terms):
+            into = col if j == 0 else term
+            (a, b), (c, d), *rest = factors
+            np.multiply(stack[:, a, b], stack[:, c, d], out=into)
+            for a, b in rest:
+                np.multiply(into, stack[:, a, b], out=into)
+            if j:
+                (np.subtract if odd else np.add)(col, term, out=col)
+    return out.reshape(J.shape[:-2] + out.shape[-1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,16 +224,51 @@ def lift_kvector(f: DifferentiableMap, x, xi: KVector) -> KVector:
     return KVector(Y, comps, xi.k, f.codomain_dim)
 
 
+def _canonical_minors(f: DifferentiableMap, t) -> tuple[np.ndarray, np.ndarray]:
+    """``(f(t), the k x k minors of its Jacobian columns)`` at ``t``, from one
+    checked fused call of f."""
+    if f.domain_dim > f.codomain_dim:
+        raise InvalidDegreeError(
+            f"parametrization domain {f.domain_dim} exceeds chart dimension {f.codomain_dim}"
+        )
+    Y, J = f.value_and_jacobian(t)
+    return Y, _lift_minors(J)
+
+
 def canonical_lift(f: DifferentiableMap, t) -> KVector:
     """Lift a parametrization f: R^k -> chart through the canonical field.
 
     Equals the wedge of the k Jacobian columns of f at t, based at f(t).
-    ``t`` is one point ``(k,)`` or a stack of nodes ``(N, k)``.
+    ``t`` is one point ``(k,)`` or a stack of nodes ``(N, k)``.  The
+    k-vector makes every check of :class:`KVector`.
     """
-    k = f.domain_dim
-    if k > f.codomain_dim:
-        raise InvalidDegreeError(
-            f"parametrization domain {k} exceeds chart dimension {f.codomain_dim}"
-        )
-    Y, J = f.value_and_jacobian(t)
-    return KVector(Y, minors(J, k)[..., 0], k, f.codomain_dim)
+    return KVector(*_canonical_minors(f, t), f.domain_dim, f.codomain_dim)
+
+
+class Lift(NamedTuple):
+    """The canonical lift at a stack of nodes, as :func:`checked_lift` makes
+    it: ``base`` ``(N, m)`` and ``comps`` ``(N, C(m,k))`` as in a
+    :class:`KVector` stack, and ``scale``, the row maxima of |comps|
+    (:func:`maps.row_max_abs`), which the degenerate-node screen and the
+    slit test share."""
+
+    base: np.ndarray
+    comps: np.ndarray
+    scale: np.ndarray
+
+
+def checked_lift(f: DifferentiableMap, T: np.ndarray) -> Lift:
+    """The canonical lift of f at nodes ``(N, k)``, each array checked once.
+
+    f's ``value_and_jacobian`` checks the values and the Jacobians, and the
+    minors are built from them in their shapes, so no :class:`KVector` is
+    made to check them again.  The minors can overflow from a finite
+    Jacobian; the row maxima are finite exactly when every component is
+    (max propagates NaN), so testing them is the one finiteness test of the
+    components, with the error :class:`KVector` raises.
+    """
+    Y, comps = _canonical_minors(f, T)
+    scale = row_max_abs(comps)
+    if not np.isfinite(scale).all():
+        raise EvaluationError("non-finite k-vector data")
+    return Lift(Y, comps, scale)

@@ -250,16 +250,16 @@ def _monomial_sum(rows, n: int, size: int) -> Callable[[np.ndarray], np.ndarray]
     """powers ``(deg + 1, n, N)`` from :func:`_powers` -> ``(N, size)``: each
     slot's sum of coeff * prod_a t_a^e_a over the table ``rows`` of ``(slot,
     coeff, exponents)``, ordered by slot.  Monomials are made one row at a
-    time from views of the powers, so no temporary is larger than a node
-    column."""
+    time from views of the powers and added into their slot's column, so no
+    temporary is larger than a node column and the result is not copied."""
     def evaluate(powers):
-        out = np.zeros((size, powers.shape[2]))
+        out = np.zeros((powers.shape[2], size))
         for slot, c, e in rows:  # in table order; a reduction would pair rows up
             mono = powers[e[0], 0]
             for a in range(1, n):
                 mono = mono * powers[e[a], a]
-            out[slot] += mono * c
-        return np.ascontiguousarray(out.T)
+            out[:, slot] += mono * c
+        return out
 
     return evaluate
 
@@ -384,16 +384,21 @@ def sphere_patch(radius: float = 1.0) -> DifferentiableMap:
 
 
 def graph_surface(terms) -> DifferentiableMap:
-    """(u, v) -> (u, v, h(u, v)) with h a polynomial given by [coeff, (eu, ev)]."""
+    """(u, v) -> (u, v, h(u, v)) with h a polynomial given by [coeff, (eu, ev)].
+
+    h's raw callables are called, unchecked: the graph's own checks cover
+    its height and the height's Jacobian, and name the node."""
     h = polynomial_map(2, [terms])
     graph = lambda T, Yh: np.concatenate([T, Yh], axis=1)
 
     def value_and_jacobian(T):
-        Yh, Jh = h.value_and_jacobian(T)
+        Yh, Jh = h._value_and_jacobian(T)
         Jh = Jh[:, 0]
         return graph(T, Yh), _columns(1.0, 0.0, 0.0, 1.0, Jh[:, 0], Jh[:, 1]).reshape(-1, 3, 2)
 
-    return DifferentiableMap("graph_surface", 2, 3, lambda T: graph(T, h(T)), value_and_jacobian)
+    return DifferentiableMap(
+        "graph_surface", 2, 3, lambda T: graph(T, h._value(T)), value_and_jacobian
+    )
 
 
 def fourier_curve(constant, cos_coeffs, sin_coeffs) -> DifferentiableMap:

@@ -30,7 +30,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -365,12 +365,18 @@ class Run:
 
     def _geometry(self, need: str) -> Piece:
         """The geometry's map over its ``need``: over the ``interval`` a 1-piece
-        of orientation 1, over the ``box`` a piece with the block's orientation."""
+        of orientation 1, over the ``box`` a piece with the block's orientation.
+        A curve is oriented by its interval, so it takes no orientation key."""
         geo = self.block("geometry")
         mp, box, where = build_map(geo, "geometry"), geo.get(need), f"geometry/{need}"
         if box is None:
             raise ScenarioError(f"geometry block has no {need}", where)
         if need == "interval":
+            if "orientation" in geo:
+                raise ScenarioError(
+                    "a curve runs along its interval; orientation applies to a box",
+                    "geometry/orientation",
+                )
             if mp.domain_dim != 1:
                 raise ScenarioError(
                     f"catalog map {geo['catalog']!r} is not a curve", "geometry/catalog"
@@ -382,7 +388,7 @@ class Run:
             )
         if any(a > b for a, b in box):
             raise ScenarioError(f"{need} {geo[need]} is reversed: an axis runs high to low", where)
-        return Piece(box, mp, geo.get("orientation", 1) if need == "box" else 1)
+        return Piece(box, mp, geo.get("orientation", 1))
 
     form = cached_property(lambda self: build_form(self.block("form")))
     reparam = cached_property(lambda self: build_map(self.block("reparam"), "reparam"))
@@ -553,6 +559,9 @@ def _dump_lift(run: Run, geometry: str, per_axis: int) -> list[tuple[float, ...]
     return [(*t, value) for t, value in zip(T, values)]
 
 
+_signature = lru_cache(maxsize=None)(inspect.signature)  # of the fixed row functions
+
+
 def run_scenario(
     subcommand: str,
     scenario: dict,
@@ -582,7 +591,7 @@ def run_scenario(
             )
         params = {k: v for k, v in entry.items() if k not in ("name", "expected", "tolerance")}
         try:  # a parameter the row function does not take is an error, not ignored
-            calls.append(inspect.signature(quantities[name]).bind(run, **params))
+            calls.append(_signature(quantities[name]).bind(run, **params))
         except TypeError as exc:
             raise ScenarioError(f"{name!r} {exc}", f"{key}/{i}") from exc
     result = RunResult()

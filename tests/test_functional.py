@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,10 +14,12 @@ from grassvar.errors import (
     QuadratureTargetWarning,
     CrossCheckError,
     DimensionMismatchError,
+    EvaluationError,
     ImmersionError,
     MapEvaluationError,
     NonHomogeneousWarning,
     OrientationError,
+    SlitDomainError,
     VariationConsistencyWarning,
 )
 from grassvar.finsler import (
@@ -29,6 +33,7 @@ from grassvar.finsler import (
     riemannian_metric,
 )
 from grassvar.forms import Piece, QuadratureSpec, integrate
+from grassvar.kvector import canonical_lift, checked_lift
 from grassvar.functional import (
     VariationField,
     _preimages,
@@ -47,6 +52,7 @@ from grassvar.maps import (
     fourier_curve,
     graph_surface,
     helix,
+    linear_map,
     polynomial_map,
     segment,
     sine_shift,
@@ -115,7 +121,8 @@ def test_cross_checked_length_evaluates_each_layer_once(monkeypatch):
     z = circle()
     fused_calls, value_calls, gradient_calls = [], [], []
     fused, value = z.value_and_jacobian, z._value
-    gradient = FinslerFunction.fiber_gradient
+    F = euclidean_metric(2)
+    gradient = F._grad
 
     def counted_fused(t):
         fused_calls.append(1)
@@ -125,14 +132,14 @@ def test_cross_checked_length_evaluates_each_layer_once(monkeypatch):
         value_calls.append(1)
         return value(T)
 
-    def counted_gradient(self, y, v):
+    def counted_gradient(Y, V):  # the gradient layer itself, whichever call reaches it
         gradient_calls.append(1)
-        return gradient(self, y, v)
+        return gradient(Y, V)
 
     monkeypatch.setattr(z, "value_and_jacobian", counted_fused)
     monkeypatch.setattr(z, "_value", counted_value)
-    monkeypatch.setattr(FinslerFunction, "fiber_gradient", counted_gradient)
-    val = curve_length(euclidean_metric(2), Piece(((0.0, TWO_PI),), z), Q64)
+    F = dataclasses.replace(F, _grad=counted_gradient)
+    val = curve_length(F, Piece(((0.0, TWO_PI),), z), Q64)
     assert val == pytest.approx(TWO_PI, abs=1e-8)
     assert (len(fused_calls), len(value_calls), len(gradient_calls)) == (1, 0, 1)
 
@@ -253,6 +260,100 @@ def test_quadrature_target_warning_reports_the_estimate():
     assert "stopped at 64 cells/axis" in message
     estimate = float(message.split("estimate ")[1].split(" >")[0])
     assert estimate > 0.0
+
+
+# -- the one-check chunk path -------------------------------------------------
+
+OVERFLOWING = linear_map([[1e200, 0.0], [0.0, 1e200], [0.0, 0.0]])  # finite J, minors inf
+UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
+
+
+def test_minors_overflowing_from_a_finite_jacobian_raise_evaluation_error():
+    # numpy reports the overflow first; silenced here, the one check must still fire
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="non-finite k-vector"):
+        areal_value(areal_gram(2, 3), Piece(UNIT_SQUARE, OVERFLOWING), Q)
+
+
+def test_a_zero_lift_raises_immersion_error():
+    flat = linear_map(np.zeros((3, 2)))
+    with pytest.raises(ImmersionError, match="degenerate lift"):
+        areal_value(areal_gram(2, 3), Piece(UNIT_SQUARE, flat), Q)
+
+
+def test_a_lift_vanishing_at_some_nodes_raises_at_the_first_of_them():
+    # (u, v) -> (u, u v, u^2 v): the lift vanishes on u = 0, the middle node column,
+    # whose Gauss node is -5.55e-17 in floating point
+    f = polynomial_map(2, [[(1.0, (1, 0))], [(1.0, (1, 1))], [(1.0, (2, 1))]])
+    with pytest.raises(ImmersionError, match=r"slit domain\) at y=\[-5\.55111512e-17 "):
+        areal_value(areal_gram(2, 3), Piece(((-1.0, 1.0), (0.0, 1.0)), f), QuadratureSpec(3, 3))
+
+
+def test_public_lift_and_metric_calls_keep_their_checks():
+    T = np.array([[0.2, 0.3], [0.5, 0.5]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(EvaluationError, match="non-finite k-vector data"):
+            canonical_lift(OVERFLOWING, T)
+        with pytest.raises(EvaluationError, match="non-finite k-vector data"):
+            checked_lift(OVERFLOWING, T)
+    L = areal_gram(2, 3)
+    with pytest.raises(SlitDomainError):
+        L(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(SlitDomainError):
+        L.fiber_gradient(np.zeros(3), np.zeros(3))
+    with pytest.raises(DimensionMismatchError):
+        L(np.zeros((2, 3)), np.ones((2, 2)))
+    with pytest.raises(DimensionMismatchError):
+        L(np.zeros((3, 3)), np.ones((2, 3)))
+    # the quadrature's path makes the slit test too, from the lift's row maxima
+    with pytest.raises(SlitDomainError):
+        L._on_lift(checked_lift(linear_map(np.zeros((3, 2))), T))
+
+
+def test_the_lift_path_evaluates_as_the_public_calls_bit_for_bit(rng):
+    for L, f, T in [
+        (areal_gram(2, 3), sphere_patch(1.3), rng.uniform(0.2, 2.9, size=(300, 2))),
+        (randers_metric(3, [0.2, 0.1, -0.3]), helix(0.8, 0.5), rng.uniform(0.0, 5.0, (300, 1))),
+    ]:
+        lift, public = checked_lift(f, T), canonical_lift(f, T)
+        assert np.array_equal(lift.base, public.base)
+        assert np.array_equal(lift.comps, public.comps)
+        assert np.array_equal(L._on_lift(lift), L(public.base, public.comps))
+        assert np.array_equal(L._on_lift(lift, gradient=True),
+                              L.fiber_gradient(public.base, public.comps))
+
+
+# an R^5 polynomial 2-piece: 64 x 64 nodes, one chunk of CHUNK_NODES
+R5_PIECE = Piece(((-0.7, 1.2), (-0.4, 0.9)), polynomial_map(2, [
+    [[1.0, [1, 0]]], [[1.0, [0, 1]]],
+    [[0.7, [2, 0]], [-0.4, [1, 1]], [0.3, [0, 2]], [0.25, [2, 2]]],
+    [[-0.6, [1, 2]], [0.5, [0, 1]], [0.2, [3, 0]]],
+    [[0.45, [2, 1]], [-0.35, [0, 3]], [0.15, [1, 0]], [1.1, [0, 0]]],
+]))
+R5_Q = QuadratureSpec(gauss_order=8, cells_per_axis=8)
+
+
+def test_r5_polynomial_area_keeps_its_bits():
+    # the value before the lift path wrote its minors column by column
+    assert areal_value(areal_gram(2, 5), R5_PIECE, R5_Q).hex() == "0x1.04586f802e2a4p+2"
+
+
+def test_one_areal_chunk_makes_no_whole_chunk_copy():
+    """Traced peak growth of one areal_value over one 4096-node chunk of the
+    R^5 piece.  About 1000 KiB: the nodes and weights, the powers table, the
+    values (N, 5), the Jacobian table (N, 10) and the minors (N, 10).  The
+    count is deterministic; the same call made 1548 KiB when the monomial
+    table was transposed by a copy and the minors were gathered and copied,
+    and any further (N, 10) copy (320 KiB) crosses the bound."""
+    L = areal_gram(2, 5)
+    areal_value(L, R5_PIECE, R5_Q)  # the probe and the caches, once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        areal_value(L, R5_PIECE, R5_Q)
+        growth = (tracemalloc.get_traced_memory()[1] - base) / 1024
+    finally:
+        tracemalloc.stop()
+    assert growth <= 1100
 
 
 def test_areal_dimension_check():

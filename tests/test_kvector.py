@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grassvar.errors import DimensionMismatchError, EvaluationError, InvalidDegreeError
-from grassvar.kvector import KVector, canonical_lift, lift_kvector, minors, wedge
+from grassvar.kvector import KVector, _lift_minors, canonical_lift, lift_kvector, minors, wedge
 from grassvar.maps import (
     affine_map,
     circle,
@@ -20,7 +20,7 @@ from grassvar.maps import (
     trig_shear,
 )
 
-from .oracles import lift_full_tensor_sum, minors_by_cofactors, wedge_square_brute
+from .oracles import lift_full_tensor_sum, minors_by_cofactors, same_bits, wedge_square_brute
 
 ORACLE_TOL = 1e-12
 FUNCTORIALITY_TOL = 1e-10
@@ -83,6 +83,22 @@ def test_minors_of_a_stack_match_each_matrix(rng):
             assert np.array_equal(M[i], minors(J[i], k))
             slow = lift_full_tensor_sum(J[i], np.eye(math.comb(n, k))[0], k)
             assert np.max(np.abs(M[i][:, 0] - slow)) <= ORACLE_TOL * max(1.0, np.max(np.abs(slow)))
+
+
+@pytest.mark.parametrize("k, m", [(k, m) for m in range(1, 6) for k in range(1, min(m, 3) + 1)])
+def test_lift_minors_are_the_stacked_minors_bit_for_bit(k, m, rng):
+    # the canonical lift writes each minor into its column; the gathered minors
+    # of the stack and of each matrix alone must give the same bits
+    J = rng.normal(size=(9, m, k)) * np.exp(rng.normal(size=(9, m, k)) * 3.0)
+    J[0, 0, 0], J[1] = np.nan, np.inf  # non-finite entries keep their positions too
+    with np.errstate(invalid="ignore", over="ignore"):
+        stacked = minors(J, k)
+        lifted = _lift_minors(J)
+        assert lifted.shape == (9, math.comb(m, k)) and lifted.flags.c_contiguous
+        assert same_bits(lifted, stacked[..., 0])
+        for i in range(9):
+            assert same_bits(stacked[i], minors(J[i], k))
+            assert same_bits(lifted[i], _lift_minors(J[i]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

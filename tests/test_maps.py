@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from grassvar import maps
 from grassvar.errors import DimensionMismatchError, MapEvaluationError
 from grassvar.functional import VariationField
 from grassvar.maps import (
@@ -131,6 +132,34 @@ def test_non_finite_value_names_the_node():
     with np.errstate(divide="ignore"):
         with pytest.raises(MapEvaluationError, match=r"t=\[0\.\]"):
             f(np.array([[1.0], [0.0]]))
+
+
+def test_graph_surface_checks_its_stack_once(monkeypatch):
+    checked = []
+    finite = maps._finite
+
+    def counted(name, *args):
+        checked.append(name)
+        return finite(name, *args)
+
+    monkeypatch.setattr(maps, "_finite", counted)
+    f = graph_surface([[1.0, (2, 0)], [1.0, (0, 2)]])
+    T = np.array([[0.5, -0.4], [1.0, 1.0]])
+    f.value_and_jacobian(T)
+    f(T)
+    assert checked == ["graph_surface"] * 3  # the value and the Jacobian, then the value
+
+
+def test_non_finite_graph_height_names_the_node():
+    # h = 6e307 u^2: the height overflows at u = 2, its Jacobian 1.2e308 u already at u = 1.6
+    f = graph_surface([[6e307, (2, 0)]])
+    with np.errstate(over="ignore"):
+        for call in (f, f.value_and_jacobian):
+            with pytest.raises(MapEvaluationError, match=r"graph_surface: .* value at t=\[2\. 0\.\]"):
+                call(np.array([[0.5, 0.0], [2.0, 0.0]]))
+        jacobian = r"graph_surface: non-finite Jacobian at t=\[1\.6 0\. \]"
+        with pytest.raises(MapEvaluationError, match=jacobian):
+            f.value_and_jacobian(np.array([[0.5, 0.0], [1.6, 0.0]]))
 
 
 def test_inverses_roundtrip(rng):

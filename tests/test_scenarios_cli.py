@@ -195,6 +195,60 @@ def test_metric_of_the_wrong_dimension_exits_3_naming_both_dimensions(tmp_path, 
     assert "metric dimension 3" in err and "codomain dimension 2" in err
 
 
+# the quadrature checks each chunk once (kvector.checked_lift); each error
+# of that one check still reaches the CLI, as exit 3 naming its class
+ONE_CHECK_ERRORS = {
+    # finite Jacobian entries 1e200 whose 2 x 2 minors overflow to inf
+    "minors-overflow": ([[1e200, 0.0], [0.0, 1e200], [0.0, 0.0]], "EvaluationError",
+                        "non-finite k-vector data"),
+    "zero-lift": ([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "ImmersionError", "degenerate lift"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CHECK_ERRORS))
+def test_lift_errors_of_the_one_check_path_exit_3(name, tmp_path, capsys):
+    matrix, error, text = ONE_CHECK_ERRORS[name]
+    scenario = json.loads((SCENARIO_DIR / "area_sphere_zone.json").read_text())
+    scenario["geometry"] = {"catalog": "linear", "params": {"matrix": matrix},
+                            "box": [[0.0, 1.0], [0.0, 1.0]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out.csv"
+    assert cli.main(["area", "--scenario", str(path), "--csv", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert f"numeric error ({error})" in err and text in err
+    assert not out.exists()
+
+
+def test_a_lift_vanishing_at_one_node_warns_once_with_its_count(tmp_path, capsys):
+    # t -> (t^3, 0) on [-1, 1]: with 3 cells of order 3 one node sits at t = 0
+    scenario = {
+        "version": "1",
+        "geometry": {"catalog": "polynomial",
+                     "params": {"domain_dim": 1, "terms": [[[1.0, [3]]], [[0.0, [0]]]]},
+                     "box": [[-1.0, 1.0]]},
+        "form": {"degree": 0, "dim": 2, "coefficients": {"": "y1"}},
+        "quadrature": {"gauss_order": 3, "cells_per_axis": 3},
+        "checks": [{"name": "stokes", "tolerance": 1e-12}],
+    }
+    path = tmp_path / "pinch.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["check", "--scenario", str(path)]) == 0
+    warned = [line for line in capsys.readouterr().out.splitlines() if "Degenerate" in line]
+    assert warned == ["warning: DegeneratePieceWarning: polynomial: "
+                      "canonical lift vanished at 1 quadrature node(s)"]
+
+
+def test_row_signatures_are_read_once_per_row_function():
+    scenario = load_scenario(str(SCENARIO_DIR / "check_suite_randers.json"))
+    scenarios._signature.cache_clear()
+    for _ in range(2):
+        run_scenario("check", scenario, 0)
+    info = scenarios._signature.cache_info()
+    assert info.misses == len({entry["name"] for entry in scenario["checks"]})
+    assert info.hits == 2 * len(scenario["checks"]) - info.misses
+
+
 @pytest.mark.parametrize("eps", [0, 0.0, -1e-4, float("nan"), float("inf")])
 def test_bad_variation_epsilon_exits_2(eps, tmp_path, capsys):
     scenario = json.loads((SCENARIO_DIR / "variation_line.json").read_text())
@@ -390,6 +444,11 @@ SCENARIO_ERRORS = [
      "geometry/interval"),
     ("box-reversed", "area", "area_sphere_zone", _put([0.0, -1.0], "geometry", "box", 1),
      "geometry/box"),
+    # a curve runs along its interval: an orientation key is refused, not ignored
+    ("interval-orientation", "length", "length_circle", _put(-1, "geometry", "orientation"),
+     "geometry/orientation"),
+    ("interval-orientation-plus", "variation", "variation_line",
+     _put(1, "geometry", "orientation"), "geometry/orientation"),
     ("no-metric", "length", "length_circle", _drop("metric"), "metric"),
     ("check-no-metric", "check", "check_suite_randers", _drop("metric"), "metric"),
     ("seed-key", "length", "length_circle", _put(7, "seed"), "{path}#<root>"),
