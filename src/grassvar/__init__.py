@@ -2,11 +2,7 @@
 differential-form quadrature, and Finsler/areal variational functionals,
 all in explicit chart coordinates over boxes.
 
-The shipped scenarios run every name exported here, and every metric kind,
-except the library entry points :func:`wedge`, :func:`equivalent`,
-:func:`grassmann_canonical_lift`, :func:`hilbert_form` and
-:func:`first_variation`.  ``VariationField.radial_sine_bump`` and the map
-catalog of :mod:`grassvar.maps` are library entry points as well.
+The shipped scenarios run every name exported here and every metric kind.
 """
 
 from . import errors
@@ -17,7 +13,6 @@ from .finsler import (
     check_projectability,
     energy_metric,
     euclidean_metric,
-    hilbert_form,
     pullback_identity_residual,
     quartic_root_metric,
     randers_metric,
@@ -42,17 +37,14 @@ from .functional import (
     areal_value,
     curve_length,
     extremal_residual,
-    first_variation,
     reparam_invariance_residual,
 )
 from .grassmann import (
     GrassmannPoint,
-    equivalent,
-    grassmann_canonical_lift,
     grassmann_transition,
     to_grassmann,
 )
-from .kvector import KVector, canonical_lift, enumerate_multiindices, lift_kvector, wedge
+from .kvector import KVector, canonical_lift, enumerate_multiindices, lift_kvector
 from .maps import DifferentiableMap, compose, from_catalog
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Finsler fundamental functions, areal Lagrangians, and the Hilbert form.
+"""Finsler fundamental functions, areal Lagrangians and their fiber gradients.
 
 A fundamental function F(y, v) is positive for nonzero fiber argument and
 positively 1-homogeneous in v; its fiber gradient dF/dv is then
@@ -38,7 +38,7 @@ from .errors import (
     InvalidMetricError,
     SlitDomainError,
 )
-from .forms import CHUNK_NODES, KForm
+from .forms import CHUNK_NODES
 from .kvector import Lift, canonical_lift
 from .maps import DifferentiableMap, checked_dimension, checked_reals, row_max_abs
 
@@ -339,22 +339,6 @@ def check_projectability(
         grads = F.fiber_gradient(Y, V).reshape(len(lam), -1, F.fiber_dim)
         worst = max(worst, float(np.max(np.abs(grads[1:] - grads[0]), initial=0.0)))
     return worst
-
-
-def hilbert_form(F: FinslerFunction) -> KForm:
-    """The 1-form (dF/dv_nu) dy^nu on the doubled chart (y, v) of TY.
-
-    Coefficients of the dy block are the fiber-gradient entries evaluated
-    at the chart point; coefficients of the dv block vanish.  Its integral
-    over the map t -> (zeta, zeta') of a curve reproduces the length
-    functional of a homogeneous F; :func:`functional.hilbert_route_length`
-    evaluates that integral directly on the curve.
-    """
-    require_fit(F, 1, F.m)  # a metric of curves
-    m = F.m
-    coeffs = [lambda Z, _nu=nu: F.fiber_gradient(Z[:, :m], Z[:, m:])[:, _nu] for nu in range(m)]
-    coeffs += [lambda Z: np.zeros(len(Z))] * m
-    return KForm(1, 2 * m, coeffs)
 
 
 def require_fit(L: FinslerFunction, k: int, m: int) -> None:

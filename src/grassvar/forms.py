@@ -42,7 +42,7 @@ from .errors import (
     QuadratureTargetWarning,
 )
 from .expressions import ExprCoeff, signed_sum
-from .kvector import Lift, checked_lift, enumerate_multiindices, minors, multiindex_ranks
+from .kvector import Lift, _lift_minors, checked_lift, enumerate_multiindices, multiindex_ranks
 from .maps import DifferentiableMap, compose, insert_axis_map
 
 DEGENERACY_TOL = 1e-13
@@ -302,7 +302,7 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
             # the whole Jacobian is freed before the minors, and the columns
             # before the coefficients, so a chunk holds no more than apart
             J = J[:, :, cols]
-            M = minors(J, eta.k)[:, :, 0]
+            M = _lift_minors(J)
             del J
             return np.sum(eta.values(Y) * M, axis=1)
 
@@ -545,7 +545,7 @@ def verify_stokes(eta: KForm, piece: Piece, q: QuadratureSpec = QuadratureSpec()
 
 
 def _check_orientation_preserving(alpha: DifferentiableMap, points: np.ndarray) -> None:
-    det = minors(alpha.jacobian(points), alpha.domain_dim)[:, 0, 0]
+    det = _lift_minors(alpha.jacobian(points))[:, 0]
     bad = det <= 0.0
     if np.any(bad):
         raise OrientationError(

@@ -13,8 +13,8 @@ length of a metric that passes the homogeneity probe runs that cross-check.
 The homogeneity probe runs once per metric object, so a metric that fails
 it warns once.  Every public call walks the quadrature grid once: the
 cross-checked length integrates both routes as two components of one
-density, and a first-variation call stacks all its perturbed lengths on one
-node stack per quadrature chunk.
+density, and :func:`extremal_residual` stacks all its perturbed lengths on
+one node stack per quadrature chunk.
 """
 from __future__ import annotations
 
@@ -101,9 +101,10 @@ def hilbert_route_length(
 ) -> float:
     """Length of a 1-piece computed solely through the Hilbert form: the
     integral of the form's value sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on
-    the lift (zeta, zeta').  This is the integral of
-    :func:`finsler.hilbert_form` over the map t -> (zeta, zeta'), whose dv
-    block has zero coefficients."""
+    the lift (zeta, zeta').  This is the integral of the Hilbert 1-form
+    (dF/dv_nu) dy^nu of the doubled chart (y, v) over the map
+    t -> (zeta, zeta'), whose dv block has zero coefficients (Krupka,
+    Introduction to Global Variational Geometry, 2015)."""
     _curve_interval(piece)
     return _lift_value(F, piece, q, lambda T, lift: _hilbert_value(F, lift))
 
@@ -271,52 +272,15 @@ class VariationField:
             DifferentiableMap(f"sine_bump_{mode}_{coord}", 1, dim, ev, value_and_jacobian), (a, b)
         )
 
-    @classmethod
-    def radial_sine_bump(cls, interval, mode: int) -> "VariationField":
-        """Bump-weighted radial direction (cos t, sin t) for planar circle arcs."""
-        a, b = float(interval[0]), float(interval[1])
-        mu = math.pi * mode / (b - a) if b > a else 0.0  # zero width: the zero field
-
-        def parts(T):
-            """cos t, sin t, the bump sin(mu (t - a)) and the radial direction."""
-            cos, sin = np.cos(T), np.sin(T)
-            return cos, sin, np.sin(mu * (T - a)), np.concatenate([cos, sin], axis=1)
-
-        def value(T, bump, radial):
-            return np.where((T == a) | (T == b), 0.0, bump) * radial
-
-        def value_and_jacobian(T):
-            cos, sin, bump, radial = parts(T)
-            d = mu * np.cos(mu * (T - a)) * radial
-            d += bump * np.concatenate([-sin, cos], axis=1)
-            return value(T, bump, radial), d[:, :, None]
-
-        return cls(DifferentiableMap(
-            f"radial_sine_bump_{mode}", 1, 2, lambda T: value(T, *parts(T)[2:]), value_and_jacobian
-        ), (a, b))
-
-
-def first_variation(
-    F: FinslerFunction,
-    piece: Piece,
-    field: VariationField,
-    eps: float = 1e-4,
-    q: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Central-difference derivative of the length along a variation field:
-    (length(zeta + eps V) - length(zeta - eps V)) / (2 eps), for eps > 0.
-
-    A second evaluation at eps/2 cross-checks the differencing; a
-    VariationConsistencyWarning flags disagreement beyond 1e-5.
-    """
-    return float(_variations(F, piece, [field], eps, q)[0])
-
 
 def _variations(F: FinslerFunction, piece: Piece, fields, eps: float, q) -> np.ndarray:
-    """:func:`first_variation` of every field on a 1-piece, from one grid
-    walk: per chunk the perturbed lifts
+    """The first variation of the length of a 1-piece along every field,
+    by central differences (length(zeta + eps V) - length(zeta - eps V)) /
+    (2 eps), eps > 0, from one grid walk: per chunk the perturbed lifts
     (zeta + c V, zeta' + c V') for c = +-eps, +-eps/2 of all fields are
-    stacked into one evaluation of F."""
+    stacked into one evaluation of F.  The eps/2 quotient cross-checks the
+    differencing; a VariationConsistencyWarning flags a field where the two
+    disagree beyond 1e-5."""
     _curve_interval(piece)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"variation epsilon must be positive and finite, got {eps!r}")

@@ -22,13 +22,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    ImmersionError,
     NotInChartError,
     PivotDegenerateError,
     ZeroKVectorError,
 )
-from .kvector import KVector, canonical_lift, enumerate_multiindices
-from .maps import DifferentiableMap
+from .kvector import KVector, enumerate_multiindices
 
 PIVOT_TOL = 1e-12  # relative degeneracy threshold for pivot components
 
@@ -79,25 +77,6 @@ class GrassmannPoint:
         return f"GrassmannPoint(k={self.k}, m={self.m}, {chart})"
 
 
-def equivalent(xi1: KVector, xi2: KVector, tol: float = 1e-9):
-    """True iff xi1 = lambda xi2 for some lambda > 0 (same base point), row-wise.
-
-    lambda is fixed from the largest-magnitude component and verified on
-    all others within relative ``tol``.
-    """
-    if (xi1.k, xi1.m) != (xi2.k, xi2.m) or xi1.comps.shape != xi2.comps.shape:
-        raise DimensionMismatchError("degree/dimension mismatch")
-    n1 = np.max(np.abs(xi1.comps), axis=-1)
-    if np.any(n1 == 0.0) or np.any(np.max(np.abs(xi2.comps), axis=-1) == 0.0):
-        raise ZeroKVectorError("equivalence is defined for nonzero k-vectors")
-    if not np.allclose(xi1.base, xi2.base, rtol=tol, atol=tol):
-        raise DimensionMismatchError("k-vectors based at different points")
-    i = np.argmax(np.abs(xi2.comps), axis=-1)
-    lam = (_at(xi1.comps, i) / _at(xi2.comps, i))[..., None]
-    same = (lam[..., 0] > 0.0) & (np.max(np.abs(xi1.comps - lam * xi2.comps), axis=-1) <= tol * n1)
-    return same if same.ndim else bool(same)
-
-
 def to_grassmann(xi: KVector, pivot=None) -> GrassmannPoint:
     """Chart representative of the ray of ``xi`` at ``pivot``, a rank or one per row.
 
@@ -136,13 +115,3 @@ def grassmann_transition(p: GrassmannPoint, new_pivot) -> GrassmannPoint:
         return to_grassmann(p.representative(), new_pivot)
     except PivotDegenerateError as err:
         raise NotInChartError(f"ray not in the chart: {err}") from None
-
-
-def grassmann_canonical_lift(f: DifferentiableMap, t) -> GrassmannPoint:
-    """Ray of the canonical lift of a parametrization at t ``(k,)`` or nodes ``(N, k)``."""
-    kv = canonical_lift(f, t)
-    vanish = np.max(np.abs(kv.comps), axis=-1) == 0.0
-    if np.any(vanish):
-        node = np.reshape(np.asarray(t, dtype=float), vanish.shape + (-1,))[vanish][0]
-        raise ImmersionError(f"{f.name}: parametrization not immersed at t={node}")
-    return to_grassmann(kv)

@@ -1,4 +1,4 @@
-"""k-vectors in chart coordinates: the multi-index layout, wedges and lifts.
+"""k-vectors in chart coordinates: the multi-index layout, minors and lifts.
 
 A k-vector at a point y of an m-dimensional chart is stored as the array of
 its components over strictly increasing multi-indices.  This module owns
@@ -15,10 +15,12 @@ a wedge of tangent vectors forward::
 Compound matrices are multiplicative in the Jacobian (Cauchy-Binet), which
 makes the lift functorial under composition.
 
-Shape contract: :func:`minors` takes a stack of Jacobians ``(..., m, n)``
-and returns ``(..., C(m,k), C(n,k))``; the canonical lift, whose Jacobians
-have the k columns of one column set, writes the same minors into one
-``(..., C(m,k))`` array instead (:func:`_lift_minors`).
+Shape contract: the one minors kernel, :func:`_lift_minors`, takes a stack
+of k-column matrices ``(..., m, k)`` and returns their minors
+``(..., C(m,k))``, the components of the wedge of the columns; the
+canonical lift, the pullback and the orientation test call it on their
+k-column Jacobians.  :func:`minors` stacks it over the increasing column
+sets of ``(..., m, n)`` into the compound matrices ``(..., C(m,k), C(n,k))``.
 :func:`canonical_lift` at nodes ``(N, k)`` returns a :class:`KVector` stack
 with ``base`` ``(N, m)`` and ``comps`` ``(N, C(m,k))``; at a single point
 ``(k,)`` it returns one k-vector.  :func:`checked_lift` is the quadrature's
@@ -32,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,74 +57,50 @@ def multiindex_ranks(k: int, m: int) -> dict[tuple[int, ...], int]:
     return {index: r for r, index in enumerate(enumerate_multiindices(k, m))}
 
 
-@lru_cache(maxsize=None)
-def _index_table(k: int, m: int) -> np.ndarray:
-    """Zero-based rows of :func:`enumerate_multiindices`; read-only, since
-    every caller shares the cached array."""
-    table = np.array(enumerate_multiindices(k, m), dtype=np.intp) - 1
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
-def _permutations(k: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
-    """The k! permutations of 0..k-1 in lexicographic order, the identity
-    first, each with whether it is odd (by its inversion count)."""
-    return tuple(
-        (p, sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2 == 1)
-        for p in itertools.permutations(range(k))
-    )
-
-
 def minors(J, k: int) -> np.ndarray:
-    """All k x k minors of a stack of matrices, by the Leibniz sum.
+    """All k x k minors of a stack of matrices: their k-th compound matrices.
 
     ``J`` has shape ``(..., m, n)``; entry ``(..., r, c)`` of the result is
     det(J[..., I_r rows, K_c cols]) over the increasing multi-indices I_r
-    of size k in 1..m and K_c in 1..n, both in rank order, computed as
-    sum over permutations s of sign(s) prod_i J[..., I_r[i], K_c[s(i)]].
-    Each term is a product of k gathered ``(..., R, C)`` arrays, added in
-    permutation order, so every minor is elementwise arithmetic on its own
-    matrix: a stack gives the same bits as each of its matrices alone.
+    of size k in 1..m and K_c in 1..n, both in rank order.  Column c is
+    :func:`_lift_minors` of the k columns K_c, so it has the kernel's bits.
     """
     J = np.asarray(J, dtype=float)
     m, n = J.shape[-2:]
     if not 1 <= k <= min(m, n):
         raise InvalidDegreeError(f"degree {k} not in 1..min({m}, {n})")
-    rows, cols = _index_table(k, m)[:, None, :], _index_table(k, n)[None, :, :]
-    out = None
-    for perm, odd in _permutations(k):
-        term = J[..., rows[..., 0], cols[..., perm[0]]]
-        for i in range(1, k):
-            term *= J[..., rows[..., i], cols[..., perm[i]]]
-        if out is None:
-            out = term
-        elif odd:
-            out -= term
-        else:
-            out += term
-    # the gathers are laid out strided; reductions over a strided result
-    # would sum in another order and move results in the last bit
-    return np.ascontiguousarray(out)
+    return np.stack(
+        [_lift_minors(J[..., list(cols)]) for cols in itertools.combinations(range(n), k)], axis=-1
+    )
 
 
 @lru_cache(maxsize=None)
 def _lift_terms(k: int, m: int) -> tuple:
     """The Leibniz terms of the minors of an ``(m, k)`` matrix, k >= 2: per
-    increasing row set in rank order, the ``((row, col), ...)`` factors and
-    the oddness of each permutation, the identity first."""
+    increasing row set in rank order, the ``((row, col), ...)`` factors of
+    each permutation of the k columns with its oddness (by its inversion
+    count), the permutations in lexicographic order, the identity first."""
+    perms = [
+        (p, sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2 == 1)
+        for p in itertools.permutations(range(k))
+    ]
     return tuple(
-        tuple((tuple(zip(rows, perm)), odd) for perm, odd in _permutations(k))
+        tuple((tuple(zip(rows, perm)), odd) for perm, odd in perms)
         for rows in itertools.combinations(range(m), k)
     )
 
 
 def _lift_minors(J: np.ndarray) -> np.ndarray:
-    """``minors(J, k)[..., 0]`` for Jacobians ``(..., m, k)``, k <= m, built in
-    one ``(..., C(m,k))`` array: each minor is written into its column from
-    column views of J, with the products and the permutation order of
-    :func:`minors`, so every bit is the same, and no temporary is wider than
-    a node column."""
+    """The k x k minors of matrices ``(..., m, k)``, k <= m, by the Leibniz
+    sum, in one ``(..., C(m,k))`` array.
+
+    Column r is det(J[..., I_r rows, :]) over the increasing row sets I_r in
+    rank order, the sum over permutations s of sign(s) prod_i
+    J[..., I_r[i], s(i)], written into its column from column views of J
+    with the terms added in permutation order.  Every minor is elementwise
+    arithmetic on its own matrix, so a stack gives the same bits as each of
+    its matrices alone, and no temporary is wider than a node column.
+    """
     m, k = J.shape[-2:]
     if k == 1:  # the minors are the entries
         return J[..., 0].copy()
@@ -182,26 +160,6 @@ class KVector:
 
     def __repr__(self) -> str:
         return f"KVector(k={self.k}, m={self.m}, base={self.base}, comps={self.comps})"
-
-
-def wedge(vectors: Sequence, base) -> KVector:
-    """Wedge product of k tangent vectors at a common base point.
-
-    The component at multi-index I is the minor of the m x k column matrix
-    [v_1 ... v_k] with rows selected by I; the result is decomposable by
-    construction.
-    """
-    cols = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
-    k = len(cols)
-    if k == 0:
-        raise InvalidDegreeError("wedge needs at least one vector")
-    m = cols[0].shape[0]
-    for v in cols:
-        if v.shape != (m,):
-            raise DimensionMismatchError("all wedge factors must have equal dimension")
-    if k > m:
-        raise InvalidDegreeError(f"cannot wedge {k} vectors in dimension {m}")
-    return KVector(np.asarray(base, dtype=float), minors(np.column_stack(cols), k)[:, 0], k, m)
 
 
 def lift_kvector(f: DifferentiableMap, x, xi: KVector) -> KVector:

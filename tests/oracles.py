@@ -3,14 +3,19 @@
 Everything here recomputes quantities by brute force, structured so that
 it shares no code path with the production implementations it checks: the
 multi-index layout and permutation parity are enumerated here afresh, and
-the finite-difference residuals take their own steps.
+the finite-difference residuals take their own steps.  It also holds the
+helpers that several test modules share: the ray test :func:`equivalent`
+and the radial variation field :func:`radial_sine_bump`.
 """
 import itertools
 import math
 
 import numpy as np
 
+from grassvar.errors import DimensionMismatchError, ZeroKVectorError
+from grassvar.functional import VariationField
 from grassvar.grassmann import grassmann_transition
+from grassvar.maps import DifferentiableMap
 
 
 def increasing_tuples(k, m):
@@ -266,6 +271,49 @@ def points_close(p, q, tol=1e-12, base_tol=None):
         np.allclose(p.base, q.base, rtol=base_tol, atol=base_tol)
         and np.max(np.abs(p.w - q.w)) <= tol
     )
+
+
+def equivalent(xi1, xi2, tol=1e-9):
+    """Whether xi1 = lambda xi2 for some lambda > 0 at the same base point,
+    row by row: lambda is fixed from the largest-magnitude component of xi2
+    and checked on all the others within relative ``tol``."""
+    if (xi1.k, xi1.m) != (xi2.k, xi2.m) or xi1.comps.shape != xi2.comps.shape:
+        raise DimensionMismatchError("degree/dimension mismatch")
+    n1 = np.max(np.abs(xi1.comps), axis=-1)
+    if np.any(n1 == 0.0) or np.any(np.max(np.abs(xi2.comps), axis=-1) == 0.0):
+        raise ZeroKVectorError("equivalence is defined for nonzero k-vectors")
+    if not np.allclose(xi1.base, xi2.base, rtol=tol, atol=tol):
+        raise DimensionMismatchError("k-vectors based at different points")
+    i = np.argmax(np.abs(xi2.comps), axis=-1)[..., None]
+    lam = np.take_along_axis(xi1.comps, i, axis=-1) / np.take_along_axis(xi2.comps, i, axis=-1)
+    same = (lam[..., 0] > 0.0) & (np.max(np.abs(xi1.comps - lam * xi2.comps), axis=-1) <= tol * n1)
+    return same if same.ndim else bool(same)
+
+
+def radial_sine_bump(interval, mode):
+    """The variation field sin(mu (t - a)) (cos t, sin t), mu = pi mode / (b - a),
+    of planar circle arcs over ``interval`` (a, b), clamped to 0 at both
+    ends; the zero field on a zero-width interval."""
+    a, b = float(interval[0]), float(interval[1])
+    mu = math.pi * mode / (b - a) if b > a else 0.0
+
+    def parts(T):
+        """cos t, sin t, the bump sin(mu (t - a)) and the radial direction."""
+        cos, sin = np.cos(T), np.sin(T)
+        return cos, sin, np.sin(mu * (T - a)), np.concatenate([cos, sin], axis=1)
+
+    def value(T, bump, radial):
+        return np.where((T == a) | (T == b), 0.0, bump) * radial
+
+    def value_and_jacobian(T):
+        cos, sin, bump, radial = parts(T)
+        d = mu * np.cos(mu * (T - a)) * radial
+        d += bump * np.concatenate([-sin, cos], axis=1)
+        return value(T, bump, radial), d[:, :, None]
+
+    return VariationField(DifferentiableMap(
+        f"radial_sine_bump_{mode}", 1, 2, lambda T: value(T, *parts(T)[2:]), value_and_jacobian
+    ), (a, b))
 
 
 def homogeneity_by_lambda(F, Y, V, lambdas):

@@ -16,10 +16,10 @@ from grassvar.finsler import (
     check_projectability,
     energy_metric,
     euclidean_metric,
-    hilbert_form,
     pullback_identity_residual,
     quartic_root_metric,
     randers_metric,
+    require_fit,
     riemannian_metric,
 )
 from grassvar.forms import Piece
@@ -168,42 +168,35 @@ def test_slit_domain_guard():
         F.fiber_gradient(np.zeros(2), np.array([0.0, 1e-15]))
 
 
-# -- Hilbert form ------------------------------------------------------------
+# -- fiber gradients: the Hilbert form's coefficients ------------------------
 
-def test_hilbert_form_euclidean_coefficients():
-    F = euclidean_metric(2)
-    eta = hilbert_form(F)
-    z = np.array([0.3, -0.1, 3.0, 4.0])  # (y, v)
-    vals = eta.values(z)
-    assert np.allclose(vals[:2], [0.6, 0.8])
-    assert np.allclose(vals[2:], 0.0)
+def test_fiber_gradient_euclidean_closed_form():
+    v = np.array([3.0, 4.0])
+    assert np.allclose(euclidean_metric(2).fiber_gradient(np.array([0.3, -0.1]), v), [0.6, 0.8])
 
 
-def test_hilbert_form_randers_coefficients():
-    b = np.array([0.3, 0.0])
-    eta = hilbert_form(randers_metric(2, b))
-    z = np.array([0.0, 0.0, 0.0, 2.0])
-    assert np.allclose(eta.values(z)[:2], np.array([0.0, 1.0]) + b)
-
-
-def test_hilbert_form_riemannian_coefficients(rng):
-    g = np.array([[2.0, 0.3], [0.3, 1.0]])
-    eta = hilbert_form(riemannian_metric(2, {"field": "constant", "matrix": g.tolist()}))
+def test_fiber_gradient_randers_closed_form(rng):
+    b = np.array([0.3, -0.2])
     v = rng.normal(size=2)
-    z = np.concatenate([np.zeros(2), v])
-    expected = g @ v / math.sqrt(v @ g @ v)
-    assert np.allclose(eta.values(z)[:2], expected)
+    grad = randers_metric(2, b).fiber_gradient(rng.normal(size=2), v)
+    assert np.allclose(grad, v / np.linalg.norm(v) + b)
 
 
-def test_hilbert_form_slit_error():
-    eta = hilbert_form(euclidean_metric(2))
+def test_fiber_gradient_riemannian_closed_form(rng):
+    g = np.array([[2.0, 0.3], [0.3, 1.0]])
+    F = riemannian_metric(2, {"field": "constant", "matrix": g.tolist()})
+    v = rng.normal(size=2)
+    assert np.allclose(F.fiber_gradient(np.zeros(2), v), g @ v / math.sqrt(v @ g @ v))
+
+
+def test_fiber_gradient_at_the_zero_fiber_raises_slit_error():
     with pytest.raises(SlitDomainError):
-        eta.values(np.array([0.0, 0.0, 0.0, 0.0]))
+        euclidean_metric(2).fiber_gradient(np.zeros(2), np.zeros(2))
 
 
-def test_hilbert_form_rejects_areal():
-    with pytest.raises(DimensionMismatchError):
-        hilbert_form(areal_gram(2, 3))
+def test_an_areal_metric_does_not_fit_a_curve():
+    with pytest.raises(DimensionMismatchError, match="degree 2 .* a 1-piece"):
+        require_fit(areal_gram(2, 3), 1, 3)
 
 
 # -- Euler identity ----------------------------------------------------------

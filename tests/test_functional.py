@@ -27,12 +27,11 @@ from grassvar.finsler import (
     areal_gram,
     energy_metric,
     euclidean_metric,
-    hilbert_form,
     quartic_root_metric,
     randers_metric,
     riemannian_metric,
 )
-from grassvar.forms import Piece, QuadratureSpec, integrate
+from grassvar.forms import KForm, Piece, QuadratureSpec, integrate
 from grassvar.kvector import canonical_lift, checked_lift
 from grassvar.functional import (
     VariationField,
@@ -41,7 +40,6 @@ from grassvar.functional import (
     curve_length,
     default_variation_basis,
     extremal_residual,
-    first_variation,
     hilbert_route_length,
     reparam_invariance_residual,
 )
@@ -59,7 +57,7 @@ from grassvar.maps import (
     sphere_patch,
 )
 
-from .oracles import bisected_preimage
+from .oracles import bisected_preimage, radial_sine_bump
 
 Q = QuadratureSpec(gauss_order=8, cells_per_axis=16)
 Q64 = QuadratureSpec(gauss_order=8, cells_per_axis=64)
@@ -113,7 +111,12 @@ def test_hilbert_form_pullback_matches_hilbert_route():
         lifted = DifferentiableMap(
             "tangent", 1, 2 * F.m, lambda T, t=tangent: t(T)[0], tangent
         )
-        pulled = integrate(hilbert_form(F), Piece((interval,), lifted), Q)
+        # (dF/dv_nu) dy^nu on the doubled chart (y, v): its dv block vanishes
+        hilbert = KForm(1, 2 * F.m, [
+            lambda Z, F=F, nu=nu: F.fiber_gradient(Z[:, :F.m], Z[:, F.m:])[:, nu]
+            for nu in range(F.m)
+        ] + [lambda Z: np.zeros(len(Z))] * F.m)
+        pulled = integrate(hilbert, Piece((interval,), lifted), Q)
         assert abs(pulled - hilbert_route_length(F, Piece((interval,), curve), Q)) <= 1e-9
 
 
@@ -415,7 +418,7 @@ FUNCTIONALS = {
     "hilbert_route_length": lambda F, piece: hilbert_route_length(F, piece, Q),
     "reparam_invariance_residual":
         lambda F, piece: reparam_invariance_residual(F, piece, sine_shift(0.3), Q),
-    "first_variation": lambda F, piece: first_variation(F, piece, PLANE_BUMP, q=Q),
+    "first_variation": lambda F, piece: functional._variations(F, piece, [PLANE_BUMP], 1e-4, Q)[0],
     "extremal_residual": lambda F, piece: extremal_residual(F, piece, [PLANE_BUMP], q=Q),
     "areal_value": lambda F, piece: areal_value(F, piece, Q),
 }
@@ -498,7 +501,7 @@ def test_first_variation_zero_field_is_zero():
     )
     zero = VariationField(zero_map, (0.0, 1.0))
     line = Piece(((0.0, 1.0),), segment([0.0, 0.0], [1.0, 1.0]))
-    assert first_variation(euclidean_metric(2), line, zero, q=Q) == 0.0
+    assert functional._variations(euclidean_metric(2), line, [zero], 1e-4, Q)[0] == 0.0
 
 
 def test_straight_line_extremal_euclidean():
@@ -522,20 +525,20 @@ def test_circular_arc_not_extremal():
 
 
 def test_radial_variation_increases_circle_length():
-    field = VariationField.radial_sine_bump((0.0, math.pi / 2), 1)
-    val = first_variation(euclidean_metric(2), QUARTER, field, q=Q)
+    field = radial_sine_bump((0.0, math.pi / 2), 1)
+    val = functional._variations(euclidean_metric(2), QUARTER, [field], 1e-4, Q)[0]
     # d/deps integral |zeta' + eps V'| = integral of the bump profile > 0
     assert val > 0.1
 
 
 @pytest.mark.parametrize("field", [
-    VariationField.sine_bump((0.5, 0.5), 1, 0, 2), VariationField.radial_sine_bump((0.5, 0.5), 1),
+    VariationField.sine_bump((0.5, 0.5), 1, 0, 2), radial_sine_bump((0.5, 0.5), 1),
 ], ids=["sine_bump", "radial_sine_bump"])
 def test_a_bump_on_a_zero_width_interval_is_the_zero_field(field):
     Y, J = field.map.value_and_jacobian(np.array([[0.5]]))
     assert not Y.any() and not J.any()
     point = Piece(((0.5, 0.5),), circle())
-    assert first_variation(euclidean_metric(2), point, field, q=Q) == 0.0
+    assert functional._variations(euclidean_metric(2), point, [field], 1e-4, Q)[0] == 0.0
 
 
 def test_variation_basis_shape():
@@ -581,7 +584,7 @@ ADAPTIVE_CIRCLE = Piece(((0.0, 2.0),), circle(1.1))
 VARIATION_CASES = {
     "euclidean_arc_radial": (
         euclidean_metric(2), Piece(((0.2, 1.9),), circle(1.3)),
-        [VariationField.radial_sine_bump((0.2, 1.9), j) for j in (1, 2, 3)], Q,
+        [radial_sine_bump((0.2, 1.9), j) for j in (1, 2, 3)], Q,
     ),
     "randers_segment": (
         randers_metric(3, [0.2, -0.1, 0.15]), RANDERS_SEGMENT,
@@ -597,7 +600,7 @@ VARIATION_CASES = {
     ),
     "adaptive": (
         randers_metric(2, [0.3, 0.1]), ADAPTIVE_CIRCLE,
-        [VariationField.radial_sine_bump((0.0, 2.0), j) for j in (1, 3)]
+        [radial_sine_bump((0.0, 2.0), j) for j in (1, 3)]
         + default_variation_basis(ADAPTIVE_CIRCLE, modes=2),
         QuadratureSpec(gauss_order=3, cells_per_axis=1, adaptive=True, target=1e-9),
     ),
@@ -608,7 +611,7 @@ VARIATION_CASES = {
 def test_batched_variation_equals_the_difference_quotient_of_lengths(case):
     F, piece, fields, q = VARIATION_CASES[case]
     expected, _ = _difference_quotients(F, piece, fields, 1e-4, q)
-    assert first_variation(F, piece, fields[1], 1e-4, q) == expected[1]
+    assert functional._variations(F, piece, [fields[1]], 1e-4, q)[0] == expected[1]
     assert extremal_residual(F, piece, fields, 1e-4, q) == max(map(abs, expected))
 
 
@@ -633,7 +636,7 @@ def test_every_variation_call_is_one_grid_walk(monkeypatch):
     assert len(fields) == 8
     extremal_residual(euclidean_metric(2), LINE, fields, q=Q)
     assert len(walks) == 1
-    first_variation(euclidean_metric(2), LINE, fields[3], q=Q)
+    functional._variations(euclidean_metric(2), LINE, [fields[3]], 1e-4, Q)
     assert len(walks) == 2
 
 
@@ -651,8 +654,8 @@ def test_perturbed_lift_on_the_slit_raises_immersion_error():
 
 def test_batched_variation_warns_once_per_inconsistent_field():
     arc = (0.0, math.pi / 2)
-    fields = [VariationField.radial_sine_bump(arc, 1), VariationField.sine_bump(arc, 1, 0, 2),
-              VariationField.radial_sine_bump(arc, 2)]
+    fields = [radial_sine_bump(arc, 1), VariationField.sine_bump(arc, 1, 0, 2),
+              radial_sine_bump(arc, 2)]
     expected, _ = _difference_quotients(euclidean_metric(2), QUARTER, fields, 0.2, Q)
     with pytest.warns(VariationConsistencyWarning) as record:
         extremal_residual(euclidean_metric(2), QUARTER, fields, 0.2, Q)
@@ -667,7 +670,7 @@ def test_batched_variation_warns_once_per_inconsistent_field():
 def test_variation_epsilon_must_be_positive_and_finite(eps):
     field = VariationField.sine_bump((0.0, 1.0), 1, 0, 2)
     with pytest.raises(ValueError, match="epsilon"):
-        first_variation(euclidean_metric(2), LINE, field, eps, Q)
+        functional._variations(euclidean_metric(2), LINE, [field], eps, Q)
     with pytest.raises(ValueError, match="epsilon"):
         extremal_residual(euclidean_metric(2), LINE, [field], eps, Q)
 
@@ -687,9 +690,9 @@ def test_cross_check_rejects_a_gradient_that_disagrees_with_the_value():
 
 
 def test_coarse_eps_warns_variation_inconsistency():
-    field = VariationField.radial_sine_bump((0.0, math.pi / 2), 1)
+    field = radial_sine_bump((0.0, math.pi / 2), 1)
     with pytest.warns(VariationConsistencyWarning, match="eps=0.2"):
-        first_variation(euclidean_metric(2), QUARTER, field, 0.2, Q)
+        functional._variations(euclidean_metric(2), QUARTER, [field], 0.2, Q)
 
 
 def test_reversed_interval_is_rejected():
@@ -716,7 +719,7 @@ def test_homogeneity_probe_runs_once_per_public_call(monkeypatch):
     assert len(fields) == 8
     extremal_residual(euclidean_metric(2), LINE, fields, q=QuadratureSpec(8, 4))
     assert len(calls) == 1
-    first_variation(euclidean_metric(2), LINE, fields[0], q=QuadratureSpec(8, 4))
+    functional._variations(euclidean_metric(2), LINE, [fields[0]], 1e-4, QuadratureSpec(8, 4))
     assert len(calls) == 2
     reparam_invariance_residual(
         euclidean_metric(2), UNIT_ARC, sine_shift(0.3), QuadratureSpec(8, 4)

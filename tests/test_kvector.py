@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grassvar.errors import DimensionMismatchError, EvaluationError, InvalidDegreeError
-from grassvar.kvector import KVector, _lift_minors, canonical_lift, lift_kvector, minors, wedge
+from grassvar.kvector import KVector, _lift_minors, canonical_lift, lift_kvector, minors
 from grassvar.maps import (
     affine_map,
     circle,
@@ -33,9 +33,14 @@ def random_kvector(rng, k, m, base=None):
 
 # -- wedge -------------------------------------------------------------------
 
+def wedge(*vectors):
+    """The components of v_1 ^ ... ^ v_k: the minors of the column matrix
+    [v_1 ... v_k], from the kernel the lifts run."""
+    return minors(np.column_stack(vectors), len(vectors))[:, 0]
+
+
 def test_wedge_basis_bivector():
-    kv = wedge([np.array([1.0, 0, 0]), np.array([0, 1.0, 0])], base=np.zeros(3))
-    assert np.allclose(kv.comps, [1.0, 0.0, 0.0])
+    assert np.allclose(wedge(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])), [1.0, 0.0, 0.0])
 
 
 def test_minors_with_a_subnormal_pivot_do_not_warn():
@@ -45,31 +50,25 @@ def test_minors_with_a_subnormal_pivot_do_not_warn():
 
 def test_wedge_parallel_vectors_vanish():
     v = np.array([0.3, -1.0, 2.0])
-    kv = wedge([v, v], base=np.zeros(3))
-    assert np.allclose(kv.comps, 0.0)
+    assert np.allclose(wedge(v, v), 0.0)
 
 
 def test_wedge_minors_match_cross_product():
     v1, v2 = np.array([1.0, 2.0, 0.0]), np.array([0.0, 1.0, 3.0])
-    kv = wedge([v1, v2], base=np.zeros(3))
     cross = np.cross(v1, v2)  # (6, -3, 1)
     assert np.allclose(cross, [6.0, -3.0, 1.0])
     # reindex: comps = ((1,2), (1,3), (2,3)) = (cross_3, -cross_2, cross_1)
-    assert np.allclose(kv.comps, [cross[2], -cross[1], cross[0]])
+    assert np.allclose(wedge(v1, v2), [cross[2], -cross[1], cross[0]])
 
 
 def test_wedge_alternating(rng):
     vs = [rng.normal(size=4) for _ in range(3)]
-    a = wedge(vs, base=np.zeros(4))
-    b = wedge([vs[1], vs[0], vs[2]], base=np.zeros(4))
-    assert np.allclose(a.comps, -b.comps)
+    assert np.allclose(wedge(*vs), -wedge(vs[1], vs[0], vs[2]))
 
 
 def test_wedge_multilinear(rng):
     u, v, w = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-    left = wedge([2.0 * u + w, v], base=np.zeros(3)).comps
-    right = 2.0 * wedge([u, v], base=np.zeros(3)).comps + wedge([w, v], base=np.zeros(3)).comps
-    assert np.allclose(left, right)
+    assert np.allclose(wedge(2.0 * u + w, v), 2.0 * wedge(u, v) + wedge(w, v))
 
 
 # -- minors ------------------------------------------------------------------
@@ -87,18 +86,23 @@ def test_minors_of_a_stack_match_each_matrix(rng):
 
 @pytest.mark.parametrize("k, m", [(k, m) for m in range(1, 6) for k in range(1, min(m, 3) + 1)])
 def test_lift_minors_are_the_stacked_minors_bit_for_bit(k, m, rng):
-    # the canonical lift writes each minor into its column; the gathered minors
-    # of the stack and of each matrix alone must give the same bits
-    J = rng.normal(size=(9, m, k)) * np.exp(rng.normal(size=(9, m, k)) * 3.0)
-    J[0, 0, 0], J[1] = np.nan, np.inf  # non-finite entries keep their positions too
-    with np.errstate(invalid="ignore", over="ignore"):
-        stacked = minors(J, k)
-        lifted = _lift_minors(J)
-        assert lifted.shape == (9, math.comb(m, k)) and lifted.flags.c_contiguous
-        assert same_bits(lifted, stacked[..., 0])
-        for i in range(9):
-            assert same_bits(stacked[i], minors(J[i], k))
-            assert same_bits(lifted[i], _lift_minors(J[i]))
+    # column c of the compound matrix is the kernel on column set c, and
+    # both give a stack the same bits as each of its matrices alone
+    for n in range(k, 5):
+        J = rng.normal(size=(9, m, n)) * np.exp(rng.normal(size=(9, m, n)) * 3.0)
+        J[0, 0, 0], J[1] = np.nan, np.inf  # non-finite entries keep their positions too
+        with np.errstate(invalid="ignore", over="ignore"):
+            stacked = minors(J, k)
+            assert stacked.shape == (9, math.comb(m, k), math.comb(n, k))
+            assert stacked.flags.c_contiguous
+            for c, cols in enumerate(itertools.combinations(range(n), k)):
+                lifted = _lift_minors(J[:, :, list(cols)])
+                assert lifted.shape == (9, math.comb(m, k)) and lifted.flags.c_contiguous
+                assert same_bits(stacked[..., c], lifted)
+                for i in range(9):
+                    assert same_bits(lifted[i], _lift_minors(J[i][:, list(cols)]))
+            for i in range(9):
+                assert same_bits(stacked[i], minors(J[i], k))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -294,17 +298,15 @@ def test_canonical_section_matches_composed_lift():
 
 def test_plucker_zero_for_wedges(rng):
     for _ in range(10):
-        v1, v2 = rng.normal(size=5), rng.normal(size=5)
-        kv = wedge([v1, v2], base=np.zeros(5))
-        assert np.linalg.norm(wedge_square_brute(kv.comps, 5)) <= 1e-12 * max(1.0, kv.norm**2)
-        assert np.linalg.norm(wedge_square_brute(3.7 * kv.comps, 5)) <= 1e-11 * max(
-            1.0, kv.norm**2
-        )
+        comps = wedge(rng.normal(size=5), rng.normal(size=5))
+        scale = max(1.0, np.linalg.norm(comps) ** 2)
+        assert np.linalg.norm(wedge_square_brute(comps, 5)) <= 1e-12 * scale
+        assert np.linalg.norm(wedge_square_brute(3.7 * comps, 5)) <= 1e-11 * scale
 
 
 def test_plucker_nondecomposable_example():
     # the oracle sees a square that does not vanish, so the Pluecker
-    # properties of wedge() cannot pass by construction
+    # properties of the wedges cannot pass by construction
     comps = np.zeros(math.comb(4, 2))
     comps[0] = 1.0  # e1^e2
     comps[-1] = 1.0  # e3^e4

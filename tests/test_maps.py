@@ -36,6 +36,7 @@ from grassvar.maps import (
 
 from .oracles import (
     polynomial_by_terms,
+    radial_sine_bump,
     row_max_by_reduction,
     same_bits,
     sphere_patch_by_entries,
@@ -110,7 +111,7 @@ def _fused_cases():
     yield "compose", composed
     yield "compose_inverse", lambda: composed().inverted()
     yield "sine_bump", lambda: VariationField.sine_bump((-2.0, 1.5), 2, 1, 3).map
-    yield "radial_sine_bump", lambda: VariationField.radial_sine_bump((-2.0, 1.5), 3).map
+    yield "radial_sine_bump", lambda: radial_sine_bump((-2.0, 1.5), 3).map
 
 
 FUSED_CASES = list(_fused_cases())

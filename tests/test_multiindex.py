@@ -1,12 +1,11 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 from grassvar.errors import DimensionMismatchError, InvalidDegreeError
 from grassvar.forms import KForm
-from grassvar.kvector import _index_table, enumerate_multiindices, multiindex_ranks
+from grassvar.kvector import enumerate_multiindices, multiindex_ranks
 
 from .oracles import permutation_sign
 
@@ -23,8 +22,6 @@ def test_enumerate_count_and_order(k, m):
     assert len(tuples) == math.comb(m, k)
     assert tuples == sorted(tuples)
     assert len(set(tuples)) == len(tuples)
-    # the zero-based minor table is the same layout
-    assert np.array_equal(_index_table(k, m) + 1, tuples)
 
 
 def test_enumerate_invalid_degree():

@@ -706,18 +706,6 @@ def test_every_check_is_gated_by_a_shipped_scenario():
     assert shipped == set(scenarios.CHECKS)
 
 
-# public names that no shipped scenario runs, each with the reason it stays;
-# a class's public methods, classmethods and properties count as names of their own
-LIBRARY_ONLY = {
-    "wedge": "builds a k-vector from tangent vectors; the lifts build theirs from minors",
-    "equivalent": "tests two k-vectors for the same ray; the checks compare chart points",
-    "grassmann_canonical_lift": "the ray of a canonical lift, for library use",
-    "hilbert_form": "the Hilbert form as a KForm; the dual route integrates it as a density",
-    "first_variation": "one field's variation; extremal_residual batches all fields",
-    "VariationField.radial_sine_bump": "the tests' closed-form radial variations use it",
-}
-
-
 def _code(member):
     """The code object whose running counts as running ``member``, or None:
     a property runs its getter, a static or class method its function."""
@@ -756,5 +744,5 @@ def test_every_public_name_runs_on_a_shipped_scenario(tmp_path):
             _run(path, tmp_path / "out.csv", tmp_path / "dump.csv")
     finally:
         sys.setprofile(None)
-    unreached = {name for name, codes in public.items() if not codes & ran}
-    assert unreached == set(LIBRARY_ONLY)
+    # a class's public methods, classmethods and properties count as names of their own
+    assert {name for name, codes in public.items() if not codes & ran} == set()
