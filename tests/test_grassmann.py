@@ -5,10 +5,12 @@ import pytest
 
 from grassvar.errors import (
     DimensionMismatchError,
+    ImmersionError,
     NotInChartError,
     PivotDegenerateError,
     ZeroKVectorError,
 )
+from grassvar.finsler import areal_gram, pullback_identity_residual
 from grassvar.grassmann import GrassmannPoint, grassmann_transition, to_grassmann
 from grassvar.kvector import KVector, canonical_lift, enumerate_multiindices, multiindex_ranks
 from grassvar.maps import (
@@ -16,6 +18,7 @@ from grassvar.maps import (
     compose,
     graph_surface,
     linear_map,
+    polynomial_map,
     torus_patch,
     trig_shear,
 )
@@ -190,6 +193,16 @@ def test_orientation_reversal_flips_sign(rng):
     assert np.allclose(composed.w[mask], direct.w[mask], atol=1e-12)
 
 
+def test_lift_immersion_failure():
+    # the lift of a non-immersed map has no ray, and its Euler check reports the immersion
+    collapse = linear_map([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+    t = np.array([0.3, 0.3])
+    with pytest.raises(ZeroKVectorError, match="zero k-vector has no ray$"):
+        to_grassmann(canonical_lift(collapse, t))
+    with pytest.raises(ImmersionError, match="degenerate lift"):
+        pullback_identity_residual(areal_gram(2, 3), collapse, t)
+
+
 def test_lift_of_a_node_stack_is_a_stacked_point():
     patch = torus_patch(2.0, 0.7)
     T = np.array([[0.2, 0.3], [0.4, 0.5], [1.1, -0.6]])
@@ -200,6 +213,16 @@ def test_lift_of_a_node_stack_is_a_stacked_point():
         one = to_grassmann(canonical_lift(patch, t))
         assert (one.pivot, one.pivot_sign) == (p.pivot[i], p.pivot_sign[i])
         assert np.array_equal(one.w, p.w[i]) and np.array_equal(one.base, p.base[i])
+
+
+def test_lift_immersion_failure_names_the_first_collapsed_node():
+    # (u^2, v^2, uv) is immersed away from the origin only, nodes 1 and 3 here
+    cone = polynomial_map(2, [[(1.0, (2, 0))], [(1.0, (0, 2))], [(1.0, (1, 1))]])
+    T = np.array([[0.3, 0.1], [0.0, 0.0], [0.25, 0.5], [0.0, 0.0]])
+    with pytest.raises(ZeroKVectorError, match=r"\(row 1\)$"):
+        to_grassmann(canonical_lift(cone, T))
+    with pytest.raises(ImmersionError, match=r"at y=\[0\. 0\. 0\.\]\)$"):
+        pullback_identity_residual(areal_gram(2, 3), cone, T)
 
 
 def test_repr_of_a_stack():
