@@ -37,7 +37,6 @@ from .functional import (
     areal_value,
     curve_length,
     extremal_residual,
-    reparam_invariance_residual,
 )
 from .grassmann import (
     GrassmannPoint,

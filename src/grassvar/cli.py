@@ -19,7 +19,7 @@ import warnings
 
 from . import __version__
 from .errors import GrassvarError, ScenarioError
-from .scenarios import Row, RunResult, load_scenario, run_scenario
+from .scenarios import Row, load_scenario, run_scenario
 
 CSV_HEADER = "name,value,expected,tolerance,residual,status,seconds"
 

@@ -274,71 +274,64 @@ METRIC_KINDS = {
 
 # -- checks ------------------------------------------------------------------
 
-def _sample_fibers(F: FinslerFunction, rng: np.random.Generator, count: int):
+def _sample_fibers(m: int, fiber_dim: int, rng: np.random.Generator, count: int):
     """Stacks ``(count, m)`` and ``(count, fiber_dim)`` of random samples:
     base points uniform in the cube SAMPLE_BOX^m, fibers standard normal,
     each stack drawn in one call.  Rows whose fiber has max |v| <= 1e-6
     are drawn again, base point and fiber, until none is left."""
-    Y = rng.uniform(*SAMPLE_BOX, size=(count, F.m))
-    V = rng.standard_normal((count, F.fiber_dim))
+    Y = rng.uniform(*SAMPLE_BOX, size=(count, m))
+    V = rng.standard_normal((count, fiber_dim))
     while True:
         near_zero = np.flatnonzero(row_max_abs(V) <= 1e-6)
         if not len(near_zero):
             return Y, V
-        Y[near_zero] = rng.uniform(*SAMPLE_BOX, size=(len(near_zero), F.m))
-        V[near_zero] = rng.standard_normal((len(near_zero), F.fiber_dim))
+        Y[near_zero] = rng.uniform(*SAMPLE_BOX, size=(len(near_zero), m))
+        V[near_zero] = rng.standard_normal((len(near_zero), fiber_dim))
 
 
-def _scaled_samples(F: FinslerFunction, rng: np.random.Generator, count: int, lambdas):
-    """The scalings ``(1, *lambdas)`` as ``(1 + L, 1)`` and the samples of
-    :func:`_sample_fibers` stacked for each, yielded in chunks of at most
+def _scaled_samples(Y: np.ndarray, V: np.ndarray, lambdas):
+    """The scalings ``(1, *lambdas)`` as ``(1 + L, 1)`` and the samples
+    ``Y``, ``V`` stacked for each, yielded in chunks of at most
     ``CHUNK_NODES`` rows (one sample at least): ``(1 + L) * n`` base points
     and fibers for n consecutive samples, the ones for scaling j in rows
     j * n ... (j + 1) * n."""
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("lambdas must be positive")
     lam = np.array([1.0, *lambdas])[:, None]
-    Y, V = _sample_fibers(F, rng, count)
     step = max(1, CHUNK_NODES // len(lam))
-    for start in range(0, count, step):
+    for start in range(0, len(Y), step):
         y, v = Y[start:start + step], V[start:start + step]
-        yield lam, np.tile(y, (len(lam), 1)), (lam[:, :, None] * v).reshape(-1, F.fiber_dim)
+        yield lam, np.tile(y, (len(lam), 1)), (lam[:, :, None] * v).reshape(-1, V.shape[1])
 
 
-def check_homogeneity(
-    F: FinslerFunction,
-    rng: np.random.Generator,
-    sample_count: int = 100,
-    lambdas=(0.5, 2.0, 10.0),
-) -> float:
-    """Max relative residual of F(y, lambda v) = lambda F(y, v) over random
-    samples and the given positive scalings, from one evaluation of F per
-    chunk of :func:`_scaled_samples`."""
+def check_homogeneity(F: FinslerFunction, Y: np.ndarray, V: np.ndarray, lambdas) -> float:
+    """Max relative residual of F(y, lambda v) = lambda F(y, v) over the
+    samples ``Y`` ``(n, m)``, ``V`` ``(n, fiber_dim)``, such as
+    :func:`_sample_fibers` draws, and the given positive scalings, from one
+    evaluation of F per chunk of :func:`_scaled_samples`.  A NaN residual
+    at any sample makes the result NaN, which fails every tolerance."""
     worst = 0.0
-    for lam, Y, V in _scaled_samples(F, rng, sample_count, lambdas):
-        values = F(Y, V).reshape(len(lam), -1)
+    for lam, Ys, Vs in _scaled_samples(Y, V, lambdas):
+        values = F(Ys, Vs).reshape(len(lam), -1)
         base = lam[1:] * values[0]
         residual = np.abs(values[1:] - base) / (np.abs(base) + EPS_DEN)
-        worst = max(worst, float(np.max(residual, initial=0.0)))
-    return worst
+        worst = np.maximum(worst, np.max(residual, initial=0.0))
+    return float(worst)
 
 
-def check_projectability(
-    F: FinslerFunction,
-    rng: np.random.Generator,
-    sample_count: int = 100,
-    lambdas=(0.5, 2.0, 10.0),
-) -> float:
-    """Max residual of scale invariance of the fiber gradient, from one
-    evaluation of it per chunk of :func:`_scaled_samples`.
+def check_projectability(F: FinslerFunction, Y: np.ndarray, V: np.ndarray, lambdas) -> float:
+    """Max residual of scale invariance of the fiber gradient over the
+    samples ``Y``, ``V`` and the given positive scalings, from one
+    evaluation of it per chunk of :func:`_scaled_samples`; NaN as in
+    :func:`check_homogeneity`.
 
     0-homogeneity of dF/dv is the coordinate content of the Hilbert form
     descending to the ray space."""
     worst = 0.0
-    for lam, Y, V in _scaled_samples(F, rng, sample_count, lambdas):
-        grads = F.fiber_gradient(Y, V).reshape(len(lam), -1, F.fiber_dim)
-        worst = max(worst, float(np.max(np.abs(grads[1:] - grads[0]), initial=0.0)))
-    return worst
+    for lam, Ys, Vs in _scaled_samples(Y, V, lambdas):
+        grads = F.fiber_gradient(Ys, Vs).reshape(len(lam), -1, F.fiber_dim)
+        worst = np.maximum(worst, np.max(np.abs(grads[1:] - grads[0]), initial=0.0))
+    return float(worst)
 
 
 def require_fit(L: FinslerFunction, k: int, m: int) -> None:

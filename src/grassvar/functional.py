@@ -11,7 +11,10 @@ two routes must agree whenever the metric is positively homogeneous; every
 length of a metric that passes the homogeneity probe runs that cross-check.
 
 The homogeneity probe runs once per metric object, so a metric that fails
-it warns once.  Every public call walks the quadrature grid once: the
+it warns once; a NaN residual fails it too.  Its 8 samples depend only on
+the fiber shape (m, fiber_dim): they are drawn from a fixed seed once per
+shape in a process and kept read-only, so no caller-visible RNG state
+moves.  Every public call walks the quadrature grid once: the
 cross-checked length integrates both routes as two components of one
 density, and :func:`extremal_residual` stacks all its perturbed lengths on
 one node stack per quadrature chunk.
@@ -22,6 +25,7 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .errors import (
     SlitDomainError,
     VariationConsistencyWarning,
 )
-from .finsler import FinslerFunction, check_homogeneity, require_fit
+from .finsler import FinslerFunction, _sample_fibers, check_homogeneity, require_fit
 from .forms import Piece, QuadratureSpec, lift_integral
 from .maps import DifferentiableMap, compose
 
@@ -44,25 +48,34 @@ _PROBE_SEED = 12345  # fixed: the probe must not perturb caller-visible RNG stat
 _VERDICTS = weakref.WeakKeyDictionary()  # metric -> its probe's verdict; keeps no metric alive
 
 
+@lru_cache(maxsize=None)
+def _probe_samples(m: int, fiber_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's 8 read-only samples of the fiber shape (m, fiber_dim)."""
+    samples = _sample_fibers(m, fiber_dim, np.random.default_rng(_PROBE_SEED), 8)
+    for a in samples:
+        a.setflags(write=False)
+    return samples
+
+
 def _homogeneity_probe(F: FinslerFunction, stacklevel: int = 3, tol: float = 1e-8) -> bool:
-    """Whether F passes the homogeneity probe, which runs once per metric object."""
+    """Whether F passes the homogeneity probe, which runs once per metric
+    object; a NaN residual fails it."""
     if F in _VERDICTS:
         return _VERDICTS[F]
-    rng = np.random.default_rng(_PROBE_SEED)
     try:
-        residual = check_homogeneity(F, rng, sample_count=8, lambdas=(0.5, 2.0))
+        residual = check_homogeneity(F, *_probe_samples(F.m, F.fiber_dim), (0.5, 2.0))
     except SlitDomainError:
         _VERDICTS[F] = False
         return False
-    _VERDICTS[F] = not residual > tol
-    if residual > tol:
+    _VERDICTS[F] = passed = residual <= tol
+    if not passed:
         warnings.warn(
             f"{F.kind}: homogeneity residual {residual:.3g}; the functional value "
             "is parametrization-dependent",
             NonHomogeneousWarning,
             stacklevel=stacklevel,
         )
-    return _VERDICTS[F]
+    return passed
 
 
 def curve_length(
@@ -148,17 +161,6 @@ def _curve_interval(piece: Piece) -> tuple[float, float]:
     if piece.k != 1:
         raise DimensionMismatchError(f"a curve functional needs a 1-piece, not a {piece.k}-piece")
     return piece.param_box[0]
-
-
-def reparam_invariance_residual(
-    F: FinslerFunction, piece: Piece, rho: DifferentiableMap, q: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """| length(zeta over [a,b]) - length(zeta o rho over rho^{-1}([a,b])) |.
-
-    ``rho`` is checked and inverted by :func:`reparametrized`.
-    """
-    moved = reparametrized(piece, rho)
-    return abs(_lift_value(F, piece, q) - _lift_value(F, moved, q))
 
 
 def reparametrized(piece: Piece, rho: DifferentiableMap) -> Piece:

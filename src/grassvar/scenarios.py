@@ -332,7 +332,10 @@ class Run:
     """One scenario run: the scenario, the seed and the quadrature ``q``.
     Each input the rows read is built on its first use and then kept, so a
     block no row reads is never built, and a missing or malformed one raises
-    its ScenarioError in the first row that reads it."""
+    its ScenarioError in the first row that reads it.  So are the two
+    results the reparametrization rows share: ``moved``, the curve
+    reparametrized by the ``reparam`` block, and ``direct``, the metric's
+    value on the curve itself."""
 
     scenario: dict
     seed: int
@@ -392,6 +395,8 @@ class Run:
 
     form = cached_property(lambda self: build_form(self.block("form")))
     reparam = cached_property(lambda self: build_map(self.block("reparam"), "reparam"))
+    moved = cached_property(lambda self: functional.reparametrized(self.curve, self.reparam))
+    direct = cached_property(lambda self: functional.areal_value(self.metric, self.curve, self.q))
 
     def form_or(self, override: dict | None) -> KForm:
         """A check entry's own form, or else the scenario's."""
@@ -417,10 +422,11 @@ def _extremality(run):
     return functional.extremal_residual(F, curve, basis, var.get("epsilon", 1e-4), run.q)
 
 
-def _fiber_check(probe):
+def _fiber_check(check):
     """Row function of a sampled check of the metric on its fibers."""
     def row(run, samples=100, lambdas=(0.5, 2.0, 10.0)):
-        return probe(run.metric, run.rng, samples, tuple(lambdas))
+        F = run.metric
+        return check(F, *finsler._sample_fibers(F.m, F.fiber_dim, run.rng, samples), tuple(lambdas))
 
     return row
 
@@ -435,14 +441,14 @@ def _check_dual_route(run):
     """|direct length of zeta - Hilbert-route length of zeta o rho|: the two
     sides share no node.  On one node set the two are the Euler identity
     at each node, which would read 0 by construction."""
-    F, curve, rho = run.metric, run.curve, run.reparam
-    direct = functional.areal_value(F, curve, run.q)
-    moved = functional.reparametrized(curve, rho)
-    return abs(direct - functional.hilbert_route_length(F, moved, run.q))
+    F, _, _ = run.metric, run.curve, run.reparam  # a bad block reports before a walk fails
+    return abs(run.direct - functional.hilbert_route_length(F, run.moved, run.q))
 
 
 def _check_reparam_invariance(run):
-    return functional.reparam_invariance_residual(run.metric, run.curve, run.reparam, run.q)
+    """|length of zeta - length of zeta o rho over rho^{-1}([a, b])|."""
+    F, moved = run.metric, run.moved
+    return abs(run.direct - functional.areal_value(F, moved, run.q))
 
 
 def _check_stokes(run, form=None):

@@ -4,9 +4,11 @@ Everything here recomputes quantities by brute force, structured so that
 it shares no code path with the production implementations it checks: the
 multi-index layout and permutation parity are enumerated here afresh, and
 the finite-difference residuals take their own steps.  It also holds the
-helpers that several test modules share: the ray test :func:`equivalent`
-and the radial variation field :func:`radial_sine_bump`.
+helpers that several test modules share: the ray test :func:`equivalent`,
+the radial variation field :func:`radial_sine_bump` and the NaN metric
+:func:`nan_where`.
 """
+import dataclasses
 import itertools
 import math
 
@@ -392,3 +394,25 @@ class FirstRowRejected:
 
     def integers(self, low, high, size=None):
         return self._draw("integers", low, high, size=size)
+
+
+# fiber rows on which :func:`nan_where` makes a metric NaN; both selections
+# are invariant under positive scaling of the fiber
+NAN_ROWS = {
+    "everywhere": lambda V: np.ones(len(V), dtype=bool),
+    "partly": lambda V: V[:, 0] > 0.0,
+}
+
+
+def nan_where(F, rows):
+    """F of kind ``nan`` whose value and fiber gradient are NaN on the
+    fiber rows that ``rows(V)`` selects."""
+    def nan_rows(out, V):
+        return np.where(rows(V).reshape((-1,) + (1,) * (out.ndim - 1)), np.nan, out)
+
+    return dataclasses.replace(
+        F,
+        kind="nan",
+        _eval=lambda Y, V: nan_rows(F._eval(Y, V), V),
+        _grad=lambda Y, V: nan_rows(F._grad(Y, V), V),
+    )

@@ -26,9 +26,11 @@ from grassvar.forms import Piece
 from grassvar.maps import circle, fourier_curve, helix, sphere_patch
 
 from .oracles import (
+    NAN_ROWS,
     FirstRowRejected,
     fiber_gradient_fd_residual,
     homogeneity_by_lambda,
+    nan_where,
     projectability_by_lambda,
     same_bits,
     slit_rows,
@@ -38,6 +40,11 @@ HOMOGENEITY_TOL = 1e-11
 EULER_TOL = 1e-11
 GRAD_FD_TOL = 1e-6
 LAMBDAS = (0.5, 2.0, 10.0)
+
+
+def _samples(F, rng, count):
+    """Samples of F's fiber shape, as the sampled check rows draw them."""
+    return _sample_fibers(F.m, F.fiber_dim, rng, count)
 
 
 def catalog_metrics(rng):
@@ -54,21 +61,21 @@ def catalog_metrics(rng):
 
 def test_catalog_homogeneity_and_projectability(rng):
     for F in catalog_metrics(rng):
-        assert check_homogeneity(F, rng, 100, LAMBDAS) <= HOMOGENEITY_TOL
-        assert check_projectability(F, rng, 100, LAMBDAS) <= HOMOGENEITY_TOL
+        for check in (check_homogeneity, check_projectability):
+            assert check(F, *_samples(F, rng, 100), LAMBDAS) <= HOMOGENEITY_TOL
 
 
 def test_energy_fails_homogeneity(rng):
     F = energy_metric(3)
-    res = check_homogeneity(F, rng, 20, (2.0,))
+    res = check_homogeneity(F, *_samples(F, rng, 20), (2.0,))
     assert res >= 0.5  # |lambda - 1| = 1 for the squared norm at lambda = 2
-    proj = check_projectability(F, rng, 20, (2.0,))
+    proj = check_projectability(F, *_samples(F, rng, 20), (2.0,))
     assert proj > 1e-2
 
 
 def test_euclidean_examples(rng):
     F = euclidean_metric(3)
-    assert check_homogeneity(F, rng, 30, LAMBDAS) <= 1e-15
+    assert check_homogeneity(F, *_samples(F, rng, 30), LAMBDAS) <= 1e-15
     y, v = np.zeros(3), np.array([3.0, 4.0, 0.0])
     assert F(y, v) == 5.0
     assert np.allclose(F.fiber_gradient(y, v), v / 5.0)
@@ -80,7 +87,7 @@ def test_randers_closed_form(rng):
     y, v = np.zeros(3), rng.normal(size=3)
     assert F(y, v) == pytest.approx(np.linalg.norm(v) + b @ v, rel=1e-15)
     assert np.allclose(F.fiber_gradient(y, v), v / np.linalg.norm(v) + b)
-    assert check_homogeneity(F, rng, 50, LAMBDAS) <= 1e-12
+    assert check_homogeneity(F, *_samples(F, rng, 50), LAMBDAS) <= 1e-12
 
 
 def test_randers_positivity_guard():
@@ -249,15 +256,15 @@ def test_stacked_fiber_checks_equal_the_per_lambda_loop(lambdas, rng):
     for F in metrics:
         for check, oracle in [(check_homogeneity, homogeneity_by_lambda),
                               (check_projectability, projectability_by_lambda)]:
-            samples = _sample_fibers(F, np.random.default_rng(7), 40)
+            samples = _samples(F, np.random.default_rng(7), 40)
             expected = oracle(F, *samples, lambdas)
-            assert check(F, np.random.default_rng(7), 40, lambdas) == expected, (F.kind, check)
+            assert check(F, *samples, lambdas) == expected, (F.kind, check)
 
 
 def test_sample_fibers_draws_a_rejected_row_again():
     F = randers_metric(3, [0.2, 0.1, -0.1])
     stub = FirstRowRejected(3)
-    Y, V = _sample_fibers(F, stub, 5)
+    Y, V = _samples(F, stub, 5)
     assert stub.sizes == [("uniform", (5, 3)), ("standard_normal", (5, 3)),
                           ("uniform", (1, 3)), ("standard_normal", (1, 3))]
     first = np.random.default_rng(3)
@@ -281,6 +288,16 @@ def test_fiber_checks_evaluate_chunks_equal_to_the_loop(monkeypatch):
     for check, oracle in [(check_homogeneity, homogeneity_by_lambda),
                           (check_projectability, projectability_by_lambda)]:
         rows.clear()
-        expected = oracle(F0, *_sample_fibers(F0, np.random.default_rng(7), 41), lambdas)
-        assert check(F, np.random.default_rng(7), 41, lambdas) == expected
+        samples = _samples(F0, np.random.default_rng(7), 41)
+        expected = oracle(F0, *samples, lambdas)
+        assert check(F, *samples, lambdas) == expected
         assert rows == [8] * 20 + [4]
+
+
+@pytest.mark.parametrize("rows", sorted(NAN_ROWS))
+def test_fiber_checks_of_a_nan_metric_read_nan(rows, rng):
+    F = nan_where(euclidean_metric(3), NAN_ROWS[rows])
+    samples = _samples(F, rng, 40)
+    assert 0 < np.count_nonzero(NAN_ROWS[rows](samples[1]))
+    for check in (check_homogeneity, check_projectability):
+        assert math.isnan(check(F, *samples, LAMBDAS)), check

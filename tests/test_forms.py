@@ -42,7 +42,6 @@ from grassvar.maps import (
     linear_map,
     polynomial_map,
     segment,
-    sine_shift,
     sphere_patch,
     trig_shear,
 )

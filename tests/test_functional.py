@@ -24,6 +24,7 @@ from grassvar.errors import (
 )
 from grassvar.finsler import (
     FinslerFunction,
+    _sample_fibers,
     areal_gram,
     energy_metric,
     euclidean_metric,
@@ -41,7 +42,6 @@ from grassvar.functional import (
     default_variation_basis,
     extremal_residual,
     hilbert_route_length,
-    reparam_invariance_residual,
 )
 from grassvar.maps import (
     DifferentiableMap,
@@ -57,7 +57,7 @@ from grassvar.maps import (
     sphere_patch,
 )
 
-from .oracles import bisected_preimage, radial_sine_bump
+from .oracles import NAN_ROWS, bisected_preimage, nan_where, radial_sine_bump, same_bits
 
 Q = QuadratureSpec(gauss_order=8, cells_per_axis=16)
 Q64 = QuadratureSpec(gauss_order=8, cells_per_axis=64)
@@ -371,15 +371,21 @@ def test_areal_dimension_check():
 
 # -- reparametrization invariance --------------------------------------------
 
+def reparam_residual(F, piece, rho, q):
+    """|length of the piece - length of the piece reparametrized by rho|."""
+    moved = functional.reparametrized(piece, rho)
+    return abs(areal_value(F, piece, q) - areal_value(F, moved, q))
+
+
 def test_reparam_affine():
     rho = affine_map([[2.0]], [-0.5])
-    res = reparam_invariance_residual(euclidean_metric(2), CIRCLE, rho, Q)
+    res = reparam_residual(euclidean_metric(2), CIRCLE, rho, Q)
     assert res <= 1e-10
 
 
 def test_reparam_sine_shift_circle():
     rho = sine_shift(0.3)
-    res = reparam_invariance_residual(euclidean_metric(2), CIRCLE, rho, Q)
+    res = reparam_residual(euclidean_metric(2), CIRCLE, rho, Q)
     assert res <= 1e-8
     # both routes should individually hit the closed form
     length = curve_length(euclidean_metric(2), CIRCLE, Q)
@@ -392,7 +398,7 @@ def test_reparam_without_inverse_uses_the_bracketed_preimage():
     # 0.625 is solved in [-0.375, 1.625], 10.0 after widening its bracket to [7, 13]
     assert _preimages(rho, (0.625, 10.0)) == pytest.approx((0.5, 2.0), abs=1e-15)
     arc = Piece(((0.625, 10.0),), circle())
-    res = reparam_invariance_residual(euclidean_metric(2), arc, rho, Q)
+    res = reparam_residual(euclidean_metric(2), arc, rho, Q)
     assert res <= 1e-10
 
 
@@ -416,8 +422,7 @@ PLANE_BUMP = VariationField.sine_bump((0.0, 1.0), 1, 0, 2)
 FUNCTIONALS = {
     "curve_length": lambda F, piece: curve_length(F, piece, Q),
     "hilbert_route_length": lambda F, piece: hilbert_route_length(F, piece, Q),
-    "reparam_invariance_residual":
-        lambda F, piece: reparam_invariance_residual(F, piece, sine_shift(0.3), Q),
+    "reparam_invariance": lambda F, piece: reparam_residual(F, piece, sine_shift(0.3), Q),
     "first_variation": lambda F, piece: functional._variations(F, piece, [PLANE_BUMP], 1e-4, Q)[0],
     "extremal_residual": lambda F, piece: extremal_residual(F, piece, [PLANE_BUMP], q=Q),
     "areal_value": lambda F, piece: areal_value(F, piece, Q),
@@ -477,13 +482,13 @@ def test_bracket_widening_stops_where_rho_stops_being_finite():
 def test_reparam_orientation_violation():
     rho = affine_map([[-1.0]], [0.0])
     with pytest.raises(OrientationError):
-        reparam_invariance_residual(euclidean_metric(2), CIRCLE, rho, Q)
+        reparam_residual(euclidean_metric(2), CIRCLE, rho, Q)
 
 
 def test_reparam_energy_depends_on_parametrization():
     rho = affine_map([[2.0]], [0.0])  # double speed halves the interval
     with pytest.warns(NonHomogeneousWarning):
-        res = reparam_invariance_residual(energy_metric(2), CIRCLE, rho, Q)
+        res = reparam_residual(energy_metric(2), CIRCLE, rho, Q)
     assert res > 1.0  # energy of the sped-up circle doubles
 
 
@@ -713,33 +718,81 @@ def _count_probes(monkeypatch):
     return calls
 
 
+def _count_probe_rngs(monkeypatch):
+    """The seeds of the numpy Generators made from now on, with the probe's
+    sample cache emptied, so the count does not depend on the tests before."""
+    seeds, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: (seeds.append(a), make(*a))[1])
+    functional._probe_samples.cache_clear()
+    return seeds
+
+
 def test_homogeneity_probe_runs_once_per_public_call(monkeypatch):
-    calls = _count_probes(monkeypatch)
+    calls, seeds = _count_probes(monkeypatch), _count_probe_rngs(monkeypatch)
     fields = default_variation_basis(LINE)
     assert len(fields) == 8
-    extremal_residual(euclidean_metric(2), LINE, fields, q=QuadratureSpec(8, 4))
-    assert len(calls) == 1
-    functional._variations(euclidean_metric(2), LINE, [fields[0]], 1e-4, QuadratureSpec(8, 4))
-    assert len(calls) == 2
-    reparam_invariance_residual(
-        euclidean_metric(2), UNIT_ARC, sine_shift(0.3), QuadratureSpec(8, 4)
-    )
-    assert len(calls) == 3
-    curve_length(euclidean_metric(2), UNIT_ARC, QuadratureSpec(8, 4))
-    assert len(calls) == 4
+    q = QuadratureSpec(8, 4)
+    for run in range(2):  # only the first run draws the (2, 2) shape's probe samples
+        calls.clear()
+        extremal_residual(euclidean_metric(2), LINE, fields, q=q)
+        assert len(calls) == 1
+        functional._variations(euclidean_metric(2), LINE, [fields[0]], 1e-4, q)
+        assert len(calls) == 2
+        areal_value(euclidean_metric(2), functional.reparametrized(UNIT_ARC, sine_shift(0.3)), q)
+        assert len(calls) == 3
+        curve_length(euclidean_metric(2), UNIT_ARC, q)
+        assert len(calls) == 4
+        assert seeds == [(functional._PROBE_SEED,)] * (run == 0)
+        seeds.clear()
 
 
 def test_one_metric_is_probed_and_warns_once_across_functionals(monkeypatch):
-    calls = _count_probes(monkeypatch)
-    F, q = energy_metric(2), QuadratureSpec(8, 4)
+    calls, seeds = _count_probes(monkeypatch), _count_probe_rngs(monkeypatch)
+    q = QuadratureSpec(8, 4)
     fields = default_variation_basis(UNIT_ARC, modes=1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        curve_length(F, UNIT_ARC, q)
-        areal_value(F, UNIT_ARC, q)
-        reparam_invariance_residual(F, UNIT_ARC, sine_shift(0.3), q)
-        extremal_residual(F, UNIT_ARC, fields, q=q)
-    assert len(calls) == 1
-    assert [w.category for w in caught if w.category is NonHomogeneousWarning] == [
-        NonHomogeneousWarning
-    ]
+    for run in range(2):
+        calls.clear()
+        F = energy_metric(2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            curve_length(F, UNIT_ARC, q)
+            areal_value(F, UNIT_ARC, q)
+            reparam_residual(F, UNIT_ARC, sine_shift(0.3), q)
+            extremal_residual(F, UNIT_ARC, fields, q=q)
+        assert len(calls) == 1
+        assert [w.category for w in caught if w.category is NonHomogeneousWarning] == [
+            NonHomogeneousWarning
+        ]
+        assert seeds == [(functional._PROBE_SEED,)] * (run == 0)
+        seeds.clear()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (4, 6), (5, 10)])
+def test_probe_samples_are_the_fixed_seed_draw_and_read_only(shape):
+    Y, V = functional._probe_samples(*shape)
+    Y0, V0 = _sample_fibers(*shape, np.random.default_rng(functional._PROBE_SEED), 8)
+    assert same_bits(Y, Y0) and same_bits(V, V0)
+    assert functional._probe_samples(*shape)[0] is Y
+    for a in (Y, V):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("rows", sorted(NAN_ROWS))
+def test_a_nan_metric_fails_the_probe(rows):
+    F = nan_where(euclidean_metric(2), NAN_ROWS[rows])
+    with pytest.warns(NonHomogeneousWarning, match="^nan: homogeneity residual nan;"):
+        assert functional._homogeneity_probe(F) is False
+
+
+def test_a_metric_nan_off_the_curve_skips_the_cross_check(monkeypatch):
+    # on the unit arc over [0, 1] the velocity has first coordinate -sin t <= 0,
+    # so the partly NaN metric is |v| there and only the probe's samples see NaN
+    F = nan_where(euclidean_metric(2), NAN_ROWS["partly"])
+    hilbert, real = [], functional._hilbert_value
+    monkeypatch.setattr(
+        functional, "_hilbert_value", lambda F, lift: (hilbert.append(1), real(F, lift))[1]
+    )
+    with pytest.warns(NonHomogeneousWarning, match="residual nan"):
+        assert curve_length(F, UNIT_ARC, Q) == pytest.approx(1.0, abs=1e-14)
+    assert hilbert == []

@@ -341,20 +341,21 @@ def test_negative_seed_exits_2_and_writes_nothing(sub, stem, tmp_path, capsys):
     assert not out.exists()
 
 
-# scenario -> (subcommand, metric builds, homogeneity probes, RNGs made) of one run
+# scenario -> (subcommand, metric builds, homogeneity probes, RNGs made) of
+# each of two runs in one process: only the first draws the probe's samples
 RUN_BUILDS = {
-    "check_suite_randers": ("check", 1, 1, 2),
-    "area_sphere_zone": ("area", 1, 1, 1),
-    "length_circle": ("length", 1, 1, 1),
-    "variation_line": ("variation", 1, 1, 1),
-    "check_forms_square": ("check", 0, 0, 0),
+    "check_suite_randers": ("check", 1, 1, [2, 1]),
+    "area_sphere_zone": ("area", 1, 1, [1, 0]),
+    "length_circle": ("length", 1, 1, [1, 0]),
+    "variation_line": ("variation", 1, 1, [1, 0]),
+    "check_forms_square": ("check", 0, 0, [0, 0]),
 }
 
 
 @pytest.mark.parametrize("stem", sorted(RUN_BUILDS))
 def test_a_run_builds_each_input_once_and_makes_an_rng_only_to_draw(stem, monkeypatch):
     # the integrand dump of area and length reads the same metric and piece
-    sub, *expected = RUN_BUILDS[stem]
+    sub, n_builds, n_probes, rngs_per_run = RUN_BUILDS[stem]
     builds, probes, seeds = [], [], []
 
     def counted(log, fn):
@@ -366,10 +367,37 @@ def test_a_run_builds_each_input_once_and_makes_an_rng_only_to_draw(stem, monkey
     monkeypatch.setattr(functional, "check_homogeneity", counted(probes, probe))
     monkeypatch.setattr(np.random, "default_rng", counted(seeds, np.random.default_rng))
     scenario = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
-    run_scenario(sub, scenario, 42, dump=True)
-    assert [len(builds), len(probes), len(seeds)] == expected
-    # the probe draws from its own fixed seed; only the sampled checks use the run's
-    assert ((42,) in seeds) == (stem == "check_suite_randers")
+    functional._probe_samples.cache_clear()  # whatever ran before, the first run draws them
+    for run, rngs in enumerate(rngs_per_run):
+        for log in (builds, probes, seeds):
+            log.clear()
+        run_scenario(sub, scenario, 42, dump=True)
+        assert [len(builds), len(probes), len(seeds)] == [n_builds, n_probes, rngs], run
+        # the probe draws from its own fixed seed; only the sampled checks use the run's
+        assert ((42,) in seeds) == (stem == "check_suite_randers")
+        assert seeds.count((functional._PROBE_SEED,)) == (n_probes > 0 and run == 0)
+
+
+def test_check_run_reparametrizes_once_and_walks_the_direct_length_once(monkeypatch):
+    moved, walked = [], []  # each reparametrized curve; each piece walked without a density
+    reparametrized, lift_value = functional.reparametrized, functional._lift_value
+
+    def counted_moves(piece, rho):
+        moved.append(reparametrized(piece, rho))
+        return moved[-1]
+
+    def counted_walks(L, piece, q, density=None):
+        if density is None:
+            walked.append(piece)
+        return lift_value(L, piece, q, density)
+
+    monkeypatch.setattr(functional, "reparametrized", counted_moves)
+    monkeypatch.setattr(functional, "_lift_value", counted_walks)
+    scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
+    rows = run_scenario("check", scenario, 42).rows
+    assert {row.name for row in rows} >= {"dual_route", "reparam_invariance"}
+    direct = [p for p in walked if not any(p is q for q in moved)]
+    assert (len(moved), len(direct)) == (1, 1)
 
 
 def test_quadrature_defaults_come_from_the_spec(tmp_path, monkeypatch):
