@@ -14,6 +14,13 @@ call, so a coefficient that is never evaluated costs only its tree.
 :meth:`ExprCoeff.partial` differentiates the tree by the chain rule; its
 tree shares subtrees, and each shared subtree is evaluated once per call.
 
+Text and numbers are interned per process, as :mod:`re` caches patterns:
+:func:`coefficient` returns one shared ExprCoeff per ``(text or number,
+dim)``, and :func:`signed_sum` one per tuple of terms, so a form built again
+from the same scenario reuses the trees, closures and partials of the first.
+Both caches keep at most ``CACHE_SIZE`` entries.  A shared ExprCoeff is read
+only: nothing assigns to its ``tree`` or ``dim`` after construction.
+
 Shape contract: chart points ``(N, dim)`` give ``(N,)`` (a constant is
 broadcast); one point ``(dim,)`` gives a float.
 """
@@ -23,7 +30,7 @@ import ast
 import math
 import operator
 from ast import Add, Div, Mult, Pow, Sub
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,6 +39,7 @@ _OPERATORS = {Add: operator.add, Sub: operator.sub, Mult: operator.mul, Div: ope
               Pow: operator.pow}
 _FUNCS = {name: getattr(np, name) for name in ("sin", "cos", "tan", "exp", "sqrt", "log")}
 MAX_DEPTH = 200  # nested right operands, signs and calls; as deep as parentheses may nest
+CACHE_SIZE = 256  # interned coefficients, and signed sums, kept per process
 
 
 def _num(x) -> ast.Constant:
@@ -219,8 +227,33 @@ class ExprCoeff:
             return f"ExprCoeff(<tree too deep to print>, dim={self.dim})"
 
 
-def signed_sum(terms, dim: int) -> ExprCoeff:
-    """sum_i s_i c_i over ``(s_i, c_i)`` pairs with s_i = +-1, as one coefficient."""
+@lru_cache(maxsize=CACHE_SIZE)
+def _interned(expr, dim, sign) -> ExprCoeff:
+    return ExprCoeff(expr, dim)
+
+
+def coefficient(expr, dim: int):
+    """``expr`` as a coefficient in ``dim`` chart variables.
+
+    A string or real number gives the process's shared ExprCoeff for it
+    (a parse error is raised again on every call, never cached); a callable,
+    an ExprCoeff included, is returned as is, and any other value, such as a
+    0-d array, gives a new ExprCoeff."""
+    if callable(expr):
+        return expr
+    if isinstance(expr, str):
+        return _interned(expr, dim, None)
+    if isinstance(expr, (int, float)):
+        x = float(expr)
+        return _interned(x, dim, math.copysign(1.0, x))  # -0.0 == 0.0, but not its bits
+    return ExprCoeff(expr, dim)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def signed_sum(terms: tuple, dim: int) -> ExprCoeff:
+    """sum_i s_i c_i over a tuple of ``(s_i, c_i)`` pairs with s_i = +-1, as
+    one coefficient.  Memoized on the terms; an ExprCoeff compares by
+    identity, so the same shared partials give back the same sum."""
     tree = _num(0)
     for sign, c in terms:
         tree = _bin(Add if sign > 0 else Sub, tree, c.tree)

@@ -41,7 +41,7 @@ from .errors import (
     OrientationError,
     QuadratureTargetWarning,
 )
-from .expressions import ExprCoeff, signed_sum
+from .expressions import ExprCoeff, coefficient, signed_sum
 from .kvector import Lift, _lift_minors, checked_lift, enumerate_multiindices, multiindex_ranks
 from .maps import DifferentiableMap, compose, insert_axis_map
 
@@ -88,20 +88,19 @@ class KForm:
         Each key is a strictly increasing k-tuple of indices in 1..m (the
         empty tuple for k = 0); any other key raises DimensionMismatchError.
         Coefficient values may be callables, ExprCoeff, expression strings,
-        or numbers.
+        or numbers.  Strings and numbers are interned per process
+        (:func:`grassvar.expressions.coefficient`): equal ones share one
+        read-only ExprCoeff, in this form and in every other.
         """
-        def lift(v):
-            return v if callable(v) else ExprCoeff(v, m)
-
         ranks = multiindex_ranks(k, m) if k else {(): 0}
-        coeffs = [lift(0.0)] * len(ranks)
+        coeffs = [coefficient(0.0, m)] * len(ranks)
         for key, v in entries.items():
             key = tuple(key)
             if key not in ranks:
                 raise DimensionMismatchError(
                     f"coefficient key {key} is not an increasing {k}-tuple in 1..{m}"
                 )
-            coeffs[ranks[key]] = lift(v)
+            coeffs[ranks[key]] = coefficient(v, m)
         return cls(k, m, coeffs)
 
     def values(self, y) -> np.ndarray:
@@ -488,7 +487,8 @@ def exterior_derivative(eta: KForm) -> KForm:
     Every coefficient must be an :class:`ExprCoeff`, whose partials are
     analytic; any other coefficient raises EvaluationError.  Each (d eta)_J
     is built once as an ExprCoeff from the signed partials, so a second
-    application stays analytic.
+    application stays analytic; the sums are memoized, so a form with
+    interned coefficients gets the same (d eta)_J objects every time.
     """
     k, m = eta.k, eta.m
     if k + 1 > m:
@@ -501,7 +501,7 @@ def exterior_derivative(eta: KForm) -> KForm:
         for a, j in enumerate(J):
             rest = J[:a] + J[a + 1:]  # increasing, since J is
             signed.append(((-1) ** a, 0 if k == 0 else multiindex_ranks(k, m)[rest], j - 1))
-        coeffs.append(signed_sum([(s, eta.coeffs[c].partial(j)) for s, c, j in signed], m))
+        coeffs.append(signed_sum(tuple((s, eta.coeffs[c].partial(j)) for s, c, j in signed), m))
     return KForm(k + 1, m, coeffs)
 
 

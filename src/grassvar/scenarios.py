@@ -319,11 +319,16 @@ def build_form(spec: dict) -> KForm:
     error = _violation(_form, spec)  # run_scenario also takes dicts load_scenario never saw
     if error is not None:
         raise ScenarioError(error[0], "form")
-    entries = {tuple(int(s) for s in key.split(",")) if key else (): expr
-               for key, expr in spec["coefficients"].items()}
     try:
+        entries = {}
+        for key, expr in spec["coefficients"].items():
+            index = tuple(int(s) for s in key.split(",")) if key else ()
+            spelled = ",".join(map(str, index))
+            if key != spelled:  # "01,02", "1,2\n" and "١,٢" would all alias (1, 2)
+                raise ValueError(f"coefficient key {key!r} is not spelled {spelled!r}")
+            entries[index] = expr
         return KForm.from_dict(spec["degree"], spec["dim"], entries)
-    except (GrassvarError, ValueError) as exc:
+    except (GrassvarError, ValueError, OverflowError) as exc:  # overflow: an int past 1.8e308
         raise ScenarioError(f"bad form: {exc}", "form") from exc
 
 

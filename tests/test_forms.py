@@ -549,6 +549,43 @@ def test_expr_coeff_partials_fold_zeros_and_ones():
     assert repr(c.partial(0).partial(0).partial(0)) == "ExprCoeff('0.0', dim=2)"
 
 
+def test_forms_from_equal_strings_share_their_exterior_derivative():
+    entries = {(1,): "y2*y2", (2,): "y1*y1*y1"}
+    a, b = KForm.from_dict(1, 2, entries), KForm.from_dict(1, 2, dict(entries))
+    assert all(x is y for x, y in zip(a.coeffs, b.coeffs))
+    assert all(x is y for x, y in zip(exterior_derivative(a).coeffs, exterior_derivative(b).coeffs))
+
+
+def test_interned_coefficients_stay_within_the_cache_size():
+    for i in range(expressions.CACHE_SIZE + 10):
+        expressions.coefficient(f"y1 + {i}", 2)
+    assert expressions._interned.cache_info().currsize <= expressions.CACHE_SIZE
+
+
+def test_equal_text_in_another_dim_is_another_coefficient():
+    Y = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    c2, c3 = expressions.coefficient("y2", 2), expressions.coefficient("y2", 3)
+    assert c2 is not c3 and (c2.dim, c3.dim) == (2, 3)
+    assert same_bits(c2(Y[:, :2]), Y[:, 1]) and same_bits(c3(Y), Y[:, 1])
+    assert same_bits(expressions.coefficient("y3", 3)(Y), Y[:, 2])
+    with pytest.raises(ValueError, match="not allowed"):
+        expressions.coefficient("y3", 2)
+
+
+def test_equal_numbers_share_a_coefficient_but_zeros_keep_their_sign():
+    zero, negative_zero = expressions.coefficient(0.0, 2), expressions.coefficient(-0.0, 2)
+    assert expressions.coefficient(0, 2) is zero and negative_zero is not zero
+    assert math.copysign(1.0, negative_zero(np.zeros(2))) == -1.0
+
+
+def test_callables_and_unhashable_coefficients_are_not_interned():
+    c = ExprCoeff("y1", 2)
+    assert expressions.coefficient(c, 2) is c
+    a, b = (KForm.from_dict(2, 2, {(1, 2): np.array(2.5)}) for _ in range(2))  # a 0-d array
+    assert a.coeffs[0] is not b.coeffs[0]
+    assert same_bits(a.coeffs[0](np.zeros((3, 2))), [2.5, 2.5, 2.5])
+
+
 def test_repr_of_a_partial_too_deep_to_print_names_its_dim():
     # the partial of a ** chain at the depth limit is about three levels per
     # ** deep, past what ast.unparse can print on the interpreter's stack

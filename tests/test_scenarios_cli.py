@@ -27,13 +27,13 @@ import numpy as np
 import pytest
 
 import grassvar
-from grassvar import cli, finsler, forms, functional, grassmann, scenarios
+from grassvar import cli, expressions, finsler, forms, functional, grassmann, scenarios
 from grassvar.errors import ScenarioError
 from grassvar.expressions import MAX_DEPTH
 from grassvar.forms import QuadratureSpec
 from grassvar.scenarios import SCENARIO_SCHEMA, build_quadrature, load_scenario, run_scenario
 
-from .oracles import FirstRowRejected
+from .oracles import FirstRowRejected, same_bits
 from .test_forms import NESTINGS
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -56,14 +56,15 @@ def test_scenarios_are_shipped():
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_scenario_through_cli(path, tmp_path):
+    # the second run in the same process reads what the first left cached
     code, first = _run(path, tmp_path / "first.csv", tmp_path / "dump.csv")
-    code_again, second = _run(path, tmp_path / "second.csv")
+    code_again, second = _run(path, tmp_path / "second.csv", tmp_path / "dump_again.csv")
     assert code == code_again == (1 if path.stem in EXPECTED_FAIL else 0)
     assert first == second
     assert first == (GOLDEN_DIR / f"{path.stem}.csv").read_bytes()
-    assert (tmp_path / "dump.csv").read_bytes() == (
-        GOLDEN_DIR / f"{path.stem}.dump.csv"
-    ).read_bytes()
+    golden_dump = (GOLDEN_DIR / f"{path.stem}.dump.csv").read_bytes()
+    assert (tmp_path / "dump.csv").read_bytes() == golden_dump
+    assert (tmp_path / "dump_again.csv").read_bytes() == golden_dump
     lines = first.decode().splitlines()
     assert lines[0] == cli.CSV_HEADER
     statuses = [line.split(",")[5] for line in lines[1:]]
@@ -138,9 +139,11 @@ PAYLOAD = "__import__('pathlib').Path({path!r}).write_text('x') + y1"
         ("2,1", "y1"),
         ("1,1", "y1"),
         ("1,3", "y1"),
+        ("1,2", 10**400),
+        ("1" * 5000, "y1"),
     ],
     ids=["key", "list", "syntax", "caret", "payload", "atan", "Abs", "E", "factorial", "deep",
-         "short", "long", "decreasing", "repeated", "out-of-range"],
+         "short", "long", "decreasing", "repeated", "out-of-range", "huge-number", "huge-key"],
 )
 def test_malformed_form_block_exits_2_and_runs_nothing(key, value, tmp_path, capsys):
     scenario = json.loads((SCENARIO_DIR / "check_forms_square.json").read_text())
@@ -153,6 +156,44 @@ def test_malformed_form_block_exits_2_and_runs_nothing(key, value, tmp_path, cap
     assert cli.main(["check", "--scenario", str(path), "--csv", str(out), "--quiet"]) == 2
     assert "form" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+@pytest.mark.parametrize("alias", ["01,02", "1,2\n", "\u0661,\u0662"],
+                         ids=["zeros", "newline", "arabic-indic"])
+def test_a_key_spelled_other_than_its_index_exits_2(alias, tmp_path, capsys):
+    # each alias passes the key pattern and reads (1, 2); kept, one would overwrite the other
+    scenario = json.loads((SCENARIO_DIR / "check_forms_square.json").read_text())
+    scenario["form"]["coefficients"] = {"1,2": "y1", alias: "y2"}
+    path = tmp_path / "alias.json"
+    path.write_text(json.dumps(scenario))
+    assert load_scenario(str(path)) == scenario
+    assert cli.main(["check", "--scenario", str(path), "--csv", str(tmp_path / "out.csv")]) == 2
+    assert f"{alias!r} is not spelled '1,2' [form]" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["alias.json"]
+
+
+def test_a_coefficient_that_does_not_parse_exits_2_on_every_run(tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "check_forms_square.json").read_text())
+    scenario["form"]["coefficients"] = {"1,2": "y1 + (y2"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    argv = ["check", "--scenario", str(path), "--quiet"]
+    assert [cli.main(argv), cli.main(argv)] == [2, 2]
+    assert capsys.readouterr().err.count("cannot parse coefficient 'y1 + (y2'") == 2
+
+
+def test_a_repeat_form_run_rebuilds_no_coefficient(monkeypatch):
+    scenario = json.loads((SCENARIO_DIR / "check_forms_square.json").read_text())
+    first = run_scenario("check", scenario, 42).rows
+    calls = []
+    for name in ("_parse", "_closure", "_diff"):
+        fn = getattr(expressions, name)
+        monkeypatch.setattr(expressions, name,
+                            lambda *args, name=name, fn=fn: (calls.append(name), fn(*args))[1])
+    second = run_scenario("check", scenario, 42).rows
+    assert calls == []
+    assert [row.name for row in second] == [row.name for row in first]
+    assert same_bits([row.value for row in second], [row.value for row in first])
 
 
 @pytest.mark.parametrize("kind", sorted(NESTINGS))
