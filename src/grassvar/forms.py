@@ -41,13 +41,13 @@ from .errors import (
     OrientationError,
     QuadratureTargetWarning,
 )
-from .expressions import ExprCoeff, coefficient, signed_sum
 from .kvector import Lift, _lift_minors, checked_lift, enumerate_multiindices, multiindex_ranks
 from .maps import DifferentiableMap, compose, insert_axis_map
 
 DEGENERACY_TOL = 1e-13
 CHUNK_NODES = 4096  # quadrature nodes evaluated per integrand call
 MAX_GAUSS_ORDER = 64  # nodes per cell and axis; the shipped scenarios use 8
+MAX_CELLS_PER_AXIS = 4096  # before refinement; the shipped scenarios use at most 64
 MAX_REFINEMENTS = 6  # doublings of the cells per axis in adaptive mode
 COVER_OVERHANG = 0.35  # end windows of a uniform cover reach past the box by this many cells
 
@@ -92,6 +92,8 @@ class KForm:
         (:func:`grassvar.expressions.coefficient`): equal ones share one
         read-only ExprCoeff, in this form and in every other.
         """
+        from .expressions import coefficient  # loaded only where a coefficient is built
+
         ranks = multiindex_ranks(k, m) if k else {(): 0}
         coeffs = [coefficient(0.0, m)] * len(ranks)
         for key, v in entries.items():
@@ -150,8 +152,8 @@ class Piece:
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tensor-product Gauss-Legendre settings; the order is at most
-    ``MAX_GAUSS_ORDER``, and adaptive mode doubles the cells at most
-    ``MAX_REFINEMENTS`` times."""
+    ``MAX_GAUSS_ORDER``, the cells per axis at most ``MAX_CELLS_PER_AXIS``,
+    and adaptive mode doubles the cells at most ``MAX_REFINEMENTS`` times."""
 
     gauss_order: int = 8
     cells_per_axis: int = 16
@@ -159,10 +161,14 @@ class QuadratureSpec:
     target: float = 1e-9
 
     def __post_init__(self):
-        counts = (self.gauss_order, self.cells_per_axis)
-        if min(counts) < 1 or not self.target > 0 or self.gauss_order > MAX_GAUSS_ORDER:
+        if not (
+            1 <= self.gauss_order <= MAX_GAUSS_ORDER
+            and 1 <= self.cells_per_axis <= MAX_CELLS_PER_AXIS
+            and self.target > 0
+        ):
             raise ValueError(
-                f"gauss_order in 1..{MAX_GAUSS_ORDER}, cells_per_axis >= 1, target > 0 required"
+                f"gauss_order in 1..{MAX_GAUSS_ORDER}, cells_per_axis in 1..{MAX_CELLS_PER_AXIS}"
+                ", target > 0 required"
             )
 
 
@@ -490,6 +496,8 @@ def exterior_derivative(eta: KForm) -> KForm:
     application stays analytic; the sums are memoized, so a form with
     interned coefficients gets the same (d eta)_J objects every time.
     """
+    from .expressions import ExprCoeff, signed_sum  # loaded only where a form is differentiated
+
     k, m = eta.k, eta.m
     if k + 1 > m:
         raise InvalidDegreeError(f"no degree-{k + 1} forms in dimension {m}")

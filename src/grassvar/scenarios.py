@@ -6,10 +6,11 @@ to compute (length/area/variation subcommands) or a list of named checks.
 ``SCENARIO_SCHEMA`` is a JSON Schema; one walk, :func:`_violation`, checks the
 keywords it uses: ``type enum minimum maximum exclusiveMinimum required
 properties additionalProperties propertyNames.pattern items minItems
-maxItems``.  The caps on sample counts, scalings, the Grassmann dimension
-and the Gauss order bound the samples a check draws and the nodes of a
-quadrature cell; a sampled check evaluates its scaled samples in chunks
-of at most ``forms.CHUNK_NODES`` rows.
+maxItems``.  The caps on sample counts, scalings, the Grassmann dimension,
+the Gauss order and the cells per axis bound the samples a check draws,
+the nodes of a quadrature cell and the cells of a fixed grid; a sampled
+check evaluates its scaled samples in chunks of at most
+``forms.CHUNK_NODES`` rows.
 :func:`run_scenario` turns it into rows through one table, ``SUBCOMMANDS``:
 subcommand -> (the list it reads, ``compute`` or ``checks``; its row
 functions by name; the expected value of a row whose entry gives none).
@@ -34,10 +35,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import finsler, functional, grassmann
+from . import finsler, functional
 from .errors import GrassvarError, ScenarioError
 from .finsler import FinslerFunction, METRIC_KINDS
 from .forms import (
+    MAX_CELLS_PER_AXIS,
     MAX_GAUSS_ORDER,
     KForm,
     PartitionOfUnity,
@@ -56,7 +58,6 @@ SCHEMA_VERSION = "1"
 
 _number = {"type": "number"}
 _positive = {"type": "number", "exclusiveMinimum": 0}
-_count = {"type": "integer", "minimum": 1}
 _sample_count = {"type": "integer", "minimum": 1, "maximum": 100000}
 _tolerance = {"type": "number", "minimum": 0}
 _catalog_ref = {
@@ -124,7 +125,9 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "properties": {
                 "gauss_order": {"type": "integer", "minimum": 1, "maximum": MAX_GAUSS_ORDER},
-                "cells_per_axis": {"type": "integer", "minimum": 1},
+                "cells_per_axis": {
+                    "type": "integer", "minimum": 1, "maximum": MAX_CELLS_PER_AXIS
+                },
                 "adaptive": {"type": "boolean"},
                 "target": _number,
             },
@@ -482,6 +485,8 @@ def _check_partition_independence(run, form=None):
 
 
 def _check_grassmann_roundtrip(run, k=2, m=4, count=200):
+    from . import grassmann  # only this check reads ray charts, so no other run loads them
+
     if not 1 <= k < m:
         raise ScenarioError(f"grassmann_roundtrip needs 1 <= k < m, got k={k}, m={m}", "checks")
     rng, n = run.rng, math.comb(m, k)

@@ -23,8 +23,8 @@ from grassvar.errors import (
     VariationConsistencyWarning,
 )
 from grassvar.finsler import (
+    SAMPLE_BOX,
     FinslerFunction,
-    _sample_fibers,
     areal_gram,
     energy_metric,
     euclidean_metric,
@@ -52,6 +52,7 @@ from grassvar.maps import (
     helix,
     linear_map,
     polynomial_map,
+    row_max_abs,
     segment,
     sine_shift,
     sphere_patch,
@@ -718,9 +719,9 @@ def _count_probes(monkeypatch):
     return calls
 
 
-def _count_probe_rngs(monkeypatch):
+def _count_rngs(monkeypatch):
     """The seeds of the numpy Generators made from now on, with the probe's
-    sample cache emptied, so the count does not depend on the tests before."""
+    sample cache emptied, so the first probe of each shape builds its table."""
     seeds, make = [], np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: (seeds.append(a), make(*a))[1])
     functional._probe_samples.cache_clear()
@@ -728,11 +729,11 @@ def _count_probe_rngs(monkeypatch):
 
 
 def test_homogeneity_probe_runs_once_per_public_call(monkeypatch):
-    calls, seeds = _count_probes(monkeypatch), _count_probe_rngs(monkeypatch)
+    calls, seeds = _count_probes(monkeypatch), _count_rngs(monkeypatch)
     fields = default_variation_basis(LINE)
     assert len(fields) == 8
     q = QuadratureSpec(8, 4)
-    for run in range(2):  # only the first run draws the (2, 2) shape's probe samples
+    for run in range(2):  # only the first run builds the (2, 2) shape's probe table
         calls.clear()
         extremal_residual(euclidean_metric(2), LINE, fields, q=q)
         assert len(calls) == 1
@@ -742,12 +743,11 @@ def test_homogeneity_probe_runs_once_per_public_call(monkeypatch):
         assert len(calls) == 3
         curve_length(euclidean_metric(2), UNIT_ARC, q)
         assert len(calls) == 4
-        assert seeds == [(functional._PROBE_SEED,)] * (run == 0)
-        seeds.clear()
+        assert seeds == [], run  # the probe makes no Generator, on the first run either
 
 
 def test_one_metric_is_probed_and_warns_once_across_functionals(monkeypatch):
-    calls, seeds = _count_probes(monkeypatch), _count_probe_rngs(monkeypatch)
+    calls, seeds = _count_probes(monkeypatch), _count_rngs(monkeypatch)
     q = QuadratureSpec(8, 4)
     fields = default_variation_basis(UNIT_ARC, modes=1)
     for run in range(2):
@@ -760,26 +760,46 @@ def test_one_metric_is_probed_and_warns_once_across_functionals(monkeypatch):
             reparam_residual(F, UNIT_ARC, sine_shift(0.3), q)
             extremal_residual(F, UNIT_ARC, fields, q=q)
         assert len(calls) == 1
-        assert [w.category for w in caught if w.category is NonHomogeneousWarning] == [
-            NonHomogeneousWarning
+        warned = [w for w in caught if w.category is NonHomogeneousWarning]
+        assert [str(w.message) for w in warned] == [
+            "energy: homogeneity residual 1; the functional value is parametrization-dependent"
         ]
-        assert seeds == [(functional._PROBE_SEED,)] * (run == 0)
-        seeds.clear()
+        assert seeds == [], run
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (4, 6), (5, 10)])
-def test_probe_samples_are_the_fixed_seed_draw_and_read_only(shape):
-    Y, V = functional._probe_samples(*shape)
-    Y0, V0 = _sample_fibers(*shape, np.random.default_rng(functional._PROBE_SEED), 8)
-    assert same_bits(Y, Y0) and same_bits(V, V0)
-    assert functional._probe_samples(*shape)[0] is Y
-    for a in (Y, V):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 1.0
+PROBE_FLOOR = 0.01  # each probe fiber row's max |v|, 1e4 times the 1e-6 of the sampled checks
+
+
+def test_probe_samples_are_a_fixed_table_in_the_open_cube_and_read_only(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)  # a probe table makes no Generator
+    functional._probe_samples.cache_clear()
+    lo, hi = SAMPLE_BOX
+    for m in range(1, 9):
+        for fiber_dim in range(1, 71):
+            Y, V = functional._probe_samples(m, fiber_dim)
+            assert Y.shape == (8, m) and V.shape == (8, fiber_dim)
+            assert np.all((lo < Y) & (Y < hi)) and np.all((-1.0 <= V) & (V < 1.0))
+            assert np.all(row_max_abs(V) > PROBE_FLOOR)
+            assert len(set(np.linalg.norm(V, axis=1))) > 1  # the norms vary
+            assert functional._probe_samples(m, fiber_dim)[0] is Y  # shared per shape
+            for a in (Y, V):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 1.0
+
+
+def test_probe_samples_are_the_closed_form_kronecker_points():
+    # row i, column j: frac(i sqrt(p_j)) over the primes 2, 3, 5, 7, in scalar float math
+    frac = [[i * math.sqrt(p) - math.floor(i * math.sqrt(p)) for p in (2, 3, 5, 7)]
+            for i in range(1, 9)]
+    Y, V = functional._probe_samples(2, 2)
+    assert same_bits(Y, np.array([[-1.0 + 2.0 * u for u in row[:2]] for row in frac]))
+    assert same_bits(V, np.array([[2.0 * u - 1.0 for u in row[2:]] for row in frac]))
 
 
 @pytest.mark.parametrize("rows", sorted(NAN_ROWS))
 def test_a_nan_metric_fails_the_probe(rows):
+    nan_rows = NAN_ROWS[rows](functional._probe_samples(2, 2)[1])
+    assert np.all(nan_rows) if rows == "everywhere" else 0 < np.sum(nan_rows) < len(nan_rows)
     F = nan_where(euclidean_metric(2), NAN_ROWS[rows])
     with pytest.warns(NonHomogeneousWarning, match="^nan: homogeneity residual nan;"):
         assert functional._homogeneity_probe(F) is False

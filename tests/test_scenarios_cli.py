@@ -30,7 +30,7 @@ import grassvar
 from grassvar import cli, expressions, finsler, forms, functional, grassmann, scenarios
 from grassvar.errors import ScenarioError
 from grassvar.expressions import MAX_DEPTH
-from grassvar.forms import QuadratureSpec
+from grassvar.forms import MAX_CELLS_PER_AXIS, QuadratureSpec
 from grassvar.scenarios import SCENARIO_SCHEMA, build_quadrature, load_scenario, run_scenario
 
 from .oracles import FirstRowRejected, same_bits
@@ -98,24 +98,54 @@ def test_malformed_form_override_raises_at_form():
     assert "coefficients" in str(info.value)
 
 
-@pytest.fixture(scope="module")
-def cli_modules():
-    """The modules loaded by ``import grassvar.cli`` in a fresh interpreter."""
+def _fresh_modules(code: str) -> set[str]:
+    """The modules loaded after running ``code`` in a fresh interpreter."""
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, grassvar.cli; print(*sys.modules)"],
+        [sys.executable, "-c", f"import sys; {code}; print(*sys.modules)"],
         capture_output=True, text=True, env=env, check=True,
     )
     return set(out.stdout.split())
 
 
+@pytest.fixture(scope="module")
+def cli_modules():
+    """The modules loaded by ``import grassvar.cli`` in a fresh interpreter."""
+    return _fresh_modules("import grassvar.cli")
+
+
 @pytest.mark.parametrize(
-    "module", ["scipy", "sympy", "jsonschema", "attrs", "referencing", "rpds", "hypothesis"]
+    "module",
+    ["scipy", "sympy", "jsonschema", "attrs", "referencing", "rpds", "hypothesis",
+     "numpy.random", "grassvar.grassmann", "grassvar.expressions"],
 )
 def test_cli_import_does_not_load(module, cli_modules):
     assert "grassvar.cli" in cli_modules
     assert module not in cli_modules
+
+
+# modules a launch loads only for the rows that use them: sampled checks draw
+# from numpy.random, the grassmann_roundtrip check reads ray charts, and a
+# form coefficient is built by grassvar.expressions
+ON_DEMAND = {"numpy.random", "grassvar.grassmann", "grassvar.expressions"}
+LAUNCH_LOADS = {
+    "area_sphere_zone": set(),
+    "length_circle": set(),
+    "variation_line": set(),
+    # positive controls: the gate sees each module when a row needs it
+    "check_forms_square": {"grassvar.expressions"},
+    "check_suite_randers": {"numpy.random", "grassvar.grassmann"},
+}
+
+
+@pytest.mark.parametrize("stem", sorted(LAUNCH_LOADS))
+def test_a_launch_loads_only_the_modules_its_rows_use(stem, tmp_path):
+    path, out = SCENARIO_DIR / f"{stem}.json", tmp_path / "out.csv"
+    argv = [stem.split("_")[0], "--scenario", str(path), "--csv", str(out), "--quiet"]
+    loaded = _fresh_modules(f"from grassvar import cli; cli.main({argv!r})")
+    assert out.read_bytes() == (GOLDEN_DIR / f"{stem}.csv").read_bytes()
+    assert loaded & ON_DEMAND == LAUNCH_LOADS[stem]
 
 
 PAYLOAD = "__import__('pathlib').Path({path!r}).write_text('x') + y1"
@@ -224,6 +254,35 @@ def test_bad_quadrature_exits_2(extra, block, tmp_path, capsys):
     path.write_text(json.dumps(scenario))
     assert cli.main(["length", "--scenario", str(path), "--quiet", *extra]) == 2
     assert "[quadrature]" in capsys.readouterr().err
+
+
+# cell counts past forms.MAX_CELLS_PER_AXIS, each refused before a node array
+# is made: 1e20 overflows numpy's array size, and 2**40 cells would take 8 TiB
+CELLS_PAST_CAP = [99999999999999999999, 2**40, MAX_CELLS_PER_AXIS + 1]
+
+
+@pytest.mark.parametrize("cells", CELLS_PAST_CAP)
+@pytest.mark.parametrize("route", ["flag", "file"])
+def test_cells_past_the_cap_exit_2_and_write_nothing(route, cells, tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "length_circle.json").read_text())
+    extra = ["--cells", str(cells)] if route == "flag" else []
+    if route == "file":
+        scenario["quadrature"]["cells_per_axis"] = cells
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    argv = ["length", "--scenario", str(path), "--csv", str(tmp_path / "out.csv"), "--quiet"]
+    assert cli.main([*argv, *extra]) == 2
+    # the file's value fails the schema, which names the field
+    where = "[quadrature]" if route == "flag" else f"[{path}#quadrature/cells_per_axis]"
+    assert where in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+    with pytest.raises(ScenarioError) as info:  # past the schema, the spec refuses it too
+        run_scenario("length", scenario, 42, {"cells_per_axis": cells})
+    assert info.value.location == "quadrature"
+
+
+def test_quadrature_spec_admits_the_cell_cap():
+    assert QuadratureSpec(cells_per_axis=MAX_CELLS_PER_AXIS).cells_per_axis == MAX_CELLS_PER_AXIS
 
 
 def test_metric_of_the_wrong_dimension_exits_3_naming_both_dimensions(tmp_path, capsys):
@@ -383,12 +442,13 @@ def test_negative_seed_exits_2_and_writes_nothing(sub, stem, tmp_path, capsys):
 
 
 # scenario -> (subcommand, metric builds, homogeneity probes, RNGs made) of
-# each of two runs in one process: only the first draws the probe's samples
+# each of two runs in one process: the probe makes no RNG, on the first run
+# either, when it builds its fiber shape's table
 RUN_BUILDS = {
-    "check_suite_randers": ("check", 1, 1, [2, 1]),
-    "area_sphere_zone": ("area", 1, 1, [1, 0]),
-    "length_circle": ("length", 1, 1, [1, 0]),
-    "variation_line": ("variation", 1, 1, [1, 0]),
+    "check_suite_randers": ("check", 1, 1, [1, 1]),
+    "area_sphere_zone": ("area", 1, 1, [0, 0]),
+    "length_circle": ("length", 1, 1, [0, 0]),
+    "variation_line": ("variation", 1, 1, [0, 0]),
     "check_forms_square": ("check", 0, 0, [0, 0]),
 }
 
@@ -408,15 +468,13 @@ def test_a_run_builds_each_input_once_and_makes_an_rng_only_to_draw(stem, monkey
     monkeypatch.setattr(functional, "check_homogeneity", counted(probes, probe))
     monkeypatch.setattr(np.random, "default_rng", counted(seeds, np.random.default_rng))
     scenario = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
-    functional._probe_samples.cache_clear()  # whatever ran before, the first run draws them
+    functional._probe_samples.cache_clear()  # whatever ran before, the first run builds them
     for run, rngs in enumerate(rngs_per_run):
         for log in (builds, probes, seeds):
             log.clear()
         run_scenario(sub, scenario, 42, dump=True)
         assert [len(builds), len(probes), len(seeds)] == [n_builds, n_probes, rngs], run
-        # the probe draws from its own fixed seed; only the sampled checks use the run's
-        assert ((42,) in seeds) == (stem == "check_suite_randers")
-        assert seeds.count((functional._PROBE_SEED,)) == (n_probes > 0 and run == 0)
+        assert seeds == [(42,)] * rngs  # only the sampled checks draw, from the run's seed
 
 
 def test_check_run_reparametrizes_once_and_walks_the_direct_length_once(monkeypatch):
@@ -784,10 +842,13 @@ def _code(member):
 
 def _public_names():
     """Public name -> code objects: each exported function, each exported
-    class (any code of its body), and each public member of those classes."""
+    class (any code of its body), and each public member of those classes.
+    The names are ``grassvar.__all__``, each resolved by ``getattr``, so a
+    name the package serves on first use counts too."""
     names = {}
-    for name, obj in vars(grassvar).items():
-        if name.startswith("_") or not callable(obj) or inspect.ismodule(obj):
+    for name in grassvar.__all__:
+        obj = getattr(grassvar, name)
+        if not callable(obj) or inspect.ismodule(obj):
             continue
         members = vars(obj) if inspect.isclass(obj) else {name: obj}
         names[name] = {_code(member) for member in members.values()} - {None}
@@ -797,10 +858,19 @@ def _public_names():
     return names
 
 
+def test_all_lists_every_name_the_package_binds():
+    bound = {
+        name for name, obj in vars(grassvar).items()
+        if not (name.startswith("_") or inspect.ismodule(obj))
+    }
+    assert bound <= set(grassvar.__all__) and len(set(grassvar.__all__)) == len(grassvar.__all__)
+    assert {"GrassmannPoint", "grassmann_transition", "to_grassmann"} <= set(_public_names())
+
+
 def test_every_public_name_runs_on_a_shipped_scenario(tmp_path):
     public = _public_names()
-    for obj in vars(grassvar).values():
-        getattr(obj, "cache_clear", lambda: None)()  # a cache hit would skip the call
+    for name in grassvar.__all__:
+        getattr(getattr(grassvar, name), "cache_clear", lambda: None)()  # a hit skips the call
     ran = set()
 
     def record(frame, event, arg):
