@@ -11,10 +11,14 @@ two routes must agree whenever the metric is positively homogeneous; every
 length of a metric that passes the homogeneity probe runs that cross-check.
 
 The homogeneity probe runs once per metric object, so a metric that fails
-it warns once; a NaN residual fails it too.  Its 8 samples depend only on
-the fiber shape (m, fiber_dim): a closed-form Kronecker table with the same
-bits on every platform, built once per shape in a process and kept
-read-only, so the probe makes no RNG.  Every public call walks the
+it warns once; a NaN residual fails it too.  A scenario's metric is one
+object per process for equal metric blocks (``scenarios._interned``), so
+there the probe runs, and warns, on the block's first run in a process.
+Its 8 samples depend only on the fiber shape (m, fiber_dim): a closed-form
+Kronecker table with the same bits on every platform, built once per shape
+in a process and kept read-only, so the probe makes no RNG.  The sine bumps
+of :func:`default_variation_basis` are likewise built once per interval,
+dimension and mode count in a process.  Every public call walks the
 quadrature grid once: the cross-checked length integrates both routes as
 two components of one density, and :func:`extremal_residual` stacks all
 its perturbed lengths on one node stack per quadrature chunk.
@@ -44,6 +48,8 @@ from .forms import Piece, QuadratureSpec, lift_integral
 from .maps import DifferentiableMap, compose
 
 DUAL_ROUTE_TOL = 1e-10
+MAX_MODES = 64  # sine-bump modes per coordinate of a variation basis
+BASIS_CACHE_SIZE = 256  # variation bases kept per process
 _VERDICTS = weakref.WeakKeyDictionary()  # metric -> its probe's verdict; keeps no metric alive
 
 
@@ -81,7 +87,9 @@ def _probe_samples(m: int, fiber_dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _homogeneity_probe(F: FinslerFunction, stacklevel: int = 3, tol: float = 1e-8) -> bool:
     """Whether F passes the homogeneity probe, which runs once per metric
-    object; a NaN residual fails it."""
+    object and warns only then; a NaN residual fails it.  The verdict is
+    kept as long as F lives: for a scenario's metric, interned per process,
+    that is the process, so a metric block is probed on its first run."""
     if F in _VERDICTS:
         return _VERDICTS[F]
     try:
@@ -337,14 +345,29 @@ def _variations(F: FinslerFunction, piece: Piece, fields, eps: float, q) -> np.n
 
 
 def default_variation_basis(piece: Piece, modes: int = 4) -> list[VariationField]:
-    """Sine bumps of modes 1..modes over a 1-piece's interval, along every
-    coordinate direction of its codomain."""
+    """Sine bumps of modes 1..modes, at most MAX_MODES, over a 1-piece's
+    interval, along every coordinate direction of its codomain.
+
+    The fields are built once per (interval, dimension, modes) in a process
+    and then kept, at most BASIS_CACHE_SIZE such bases; each call returns
+    a new list of them."""
     interval, dim = _curve_interval(piece), piece.map.codomain_dim
-    return [
+    if not 1 <= modes <= MAX_MODES:
+        raise ValueError(f"variation modes must be in 1..{MAX_MODES}, got {modes!r}")
+    # keyed by the bits of the ends: -0.0 == 0.0, but a field keeps its interval as given
+    return list(_sine_bumps(tuple(a.hex() for a in interval), dim, modes))
+
+
+@lru_cache(maxsize=BASIS_CACHE_SIZE, typed=True)
+def _sine_bumps(ends: tuple[str, str], dim: int, modes: int) -> tuple[VariationField, ...]:
+    """The fields of :func:`default_variation_basis` over the interval with
+    ends spelled by ``float.hex``."""
+    interval = tuple(map(float.fromhex, ends))
+    return tuple(
         VariationField.sine_bump(interval, j, c, dim)
         for c in range(dim)
         for j in range(1, modes + 1)
-    ]
+    )
 
 
 def extremal_residual(

@@ -63,15 +63,17 @@ def minors(J, k: int) -> np.ndarray:
     ``J`` has shape ``(..., m, n)``; entry ``(..., r, c)`` of the result is
     det(J[..., I_r rows, K_c cols]) over the increasing multi-indices I_r
     of size k in 1..m and K_c in 1..n, both in rank order.  Column c is
-    :func:`_lift_minors` of the k columns K_c, so it has the kernel's bits.
+    :func:`_lift_minors` of the k columns K_c: one kernel call on the stack
+    ``(..., C(n,k), m, k)`` of all column sets, with the bits of a call per
+    set, as the kernel is elementwise per matrix.  The result is C-contiguous.
     """
     J = np.asarray(J, dtype=float)
     m, n = J.shape[-2:]
     if not 1 <= k <= min(m, n):
         raise InvalidDegreeError(f"degree {k} not in 1..min({m}, {n})")
-    return np.stack(
-        [_lift_minors(J[..., list(cols)]) for cols in itertools.combinations(range(n), k)], axis=-1
-    )
+    cols = np.array(enumerate_multiindices(k, n)) - 1
+    stacked = np.moveaxis(J[..., cols], -3, -2)  # (..., m, C(n,k), k) -> (..., C(n,k), m, k)
+    return np.ascontiguousarray(np.swapaxes(_lift_minors(stacked), -1, -2))
 
 
 @lru_cache(maxsize=None)

@@ -7,19 +7,21 @@ to compute (length/area/variation subcommands) or a list of named checks.
 keywords it uses: ``type enum minimum maximum exclusiveMinimum required
 properties additionalProperties propertyNames.pattern items minItems
 maxItems``.  The caps on sample counts, scalings, the Grassmann dimension,
-the Gauss order and the cells per axis bound the samples a check draws,
-the nodes of a quadrature cell and the cells of a fixed grid; a sampled
-check evaluates its scaled samples in chunks of at most
-``forms.CHUNK_NODES`` rows.
+the Gauss order, the cells per axis and the variation modes bound the
+samples a check draws, the nodes of a quadrature cell, the cells of a fixed
+grid and the fields of a variation row; a sampled check evaluates its
+scaled samples in chunks of at most ``forms.CHUNK_NODES`` rows.
 :func:`run_scenario` turns it into rows through one table, ``SUBCOMMANDS``:
 subcommand -> (the list it reads, ``compute`` or ``checks``; its row
 functions by name; the expected value of a row whose entry gives none).
 Each row function is ``fn(run, **params) -> float``: its keyword arguments
 are the parameters an entry may give, and the :class:`Run` builds each input
-once, on first use.  The curve rows hand ``run.curve``, a 1-piece, to the
-functionals as it is, and the area and form rows ``run.piece``; every row
-integrates on its quadrature ``run.q``, so ``--gauss-order`` and ``--cells``
-apply to every subcommand, checks included.
+once, on first use; equal metric and map blocks share one object per
+process (:func:`_interned`), which a later run neither rebuilds nor probes
+again.  The curve rows hand ``run.curve``, a 1-piece, to the functionals
+as it is, and the area and form rows ``run.piece``; every row integrates on
+its quadrature ``run.q``, so ``--gauss-order`` and ``--cells`` apply to
+every subcommand, checks included.
 The CLI front end in :mod:`grassvar.cli` turns the rows into a text report
 and a CSV file.
 """
@@ -30,6 +32,7 @@ import json
 import math
 import re
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -191,7 +194,10 @@ SCENARIO_SCHEMA = {
         },
         "variation": {
             "type": "object",
-            "properties": {"epsilon": _positive, "modes": {"type": "integer", "minimum": 1}},
+            "properties": {
+                "epsilon": _positive,
+                "modes": {"type": "integer", "minimum": 1, "maximum": functional.MAX_MODES},
+            },
             "additionalProperties": False,
         },
     },
@@ -308,6 +314,42 @@ def build_map(spec: dict, where: str) -> DifferentiableMap:
         raise ScenarioError(str(exc), where) from exc
 
 
+def build_metric(spec: dict, where: str) -> FinslerFunction:
+    kind = spec.get("kind")
+    if kind not in METRIC_KINDS:
+        raise ScenarioError(f"unknown metric kind {kind!r}", f"{where}/kind")
+    args = {k: v for k, v in spec.items() if k != "kind"}
+    try:
+        return METRIC_KINDS[kind](**args)
+    except (TypeError, GrassvarError) as exc:
+        raise ScenarioError(f"bad metric parameters for {kind!r}: {exc}", where) from exc
+
+
+CACHE_SIZE = 256  # interned blocks kept per process, as expressions.CACHE_SIZE
+_INTERNED: OrderedDict = OrderedDict()  # (builder, canonical JSON of a block) -> its object
+
+
+def _interned(build, spec, where: str):
+    """``build(spec, where)``, one immutable object per process for equal blocks.
+
+    The key is the builder and the block's canonical JSON, which keeps -0.0
+    apart from 0.0, 1 from 1.0 and true from 1; the ``CACHE_SIZE`` most
+    recently used are kept.  An error stores nothing, so it is raised on
+    every run, and a block that is not JSON is built on every run.
+    """
+    try:
+        key = (build, json.dumps(spec, sort_keys=True))
+    except (TypeError, ValueError, RecursionError):
+        return build(spec, where)
+    if key in _INTERNED:
+        _INTERNED.move_to_end(key)
+        return _INTERNED[key]
+    _INTERNED[key] = built = build(spec, where)
+    if len(_INTERNED) > CACHE_SIZE:
+        _INTERNED.popitem(last=False)
+    return built
+
+
 def build_quadrature(scenario: dict, overrides: dict | None = None) -> QuadratureSpec:
     spec = dict(scenario.get("quadrature", {}))
     spec.update({k: v for k, v in (overrides or {}).items() if v is not None})
@@ -338,9 +380,12 @@ def build_form(spec: dict) -> KForm:
 @dataclass
 class Run:
     """One scenario run: the scenario, the seed and the quadrature ``q``.
-    Each input the rows read is built on its first use and then kept, so a
-    block no row reads is never built, and a missing or malformed one raises
-    its ScenarioError in the first row that reads it.  So are the two
+    Each input the rows read is built on its first use and then kept for the
+    run, so a block no row reads is never built, and a missing or malformed
+    one raises its ScenarioError in the first row that reads it, on every
+    run.  The metric and the maps of the ``geometry``, ``reparam`` and
+    ``alpha`` blocks are kept per process too, by :func:`_interned`; a form
+    holds a mutable coefficient list and is built per run.  So are the two
     results the reparametrization rows share: ``moved``, the curve
     reparametrized by the ``reparam`` block, and ``direct``, the metric's
     value on the curve itself."""
@@ -359,18 +404,7 @@ class Run:
             raise ScenarioError(f"scenario has no {name} block", name)
         return self.scenario[name]
 
-    @cached_property
-    def metric(self) -> FinslerFunction:
-        spec = self.block("metric")
-        kind = spec.get("kind")
-        if kind not in METRIC_KINDS:
-            raise ScenarioError(f"unknown metric kind {kind!r}", "metric/kind")
-        args = {k: v for k, v in spec.items() if k != "kind"}
-        try:
-            return METRIC_KINDS[kind](**args)
-        except (TypeError, GrassvarError) as exc:
-            raise ScenarioError(f"bad metric parameters for {kind!r}: {exc}", "metric") from exc
-
+    metric = cached_property(lambda self: _interned(build_metric, self.block("metric"), "metric"))
     curve = cached_property(lambda self: self._geometry("interval"))
     piece = cached_property(lambda self: self._geometry("box"))
 
@@ -379,7 +413,7 @@ class Run:
         of orientation 1, over the ``box`` a piece with the block's orientation.
         A curve is oriented by its interval, so it takes no orientation key."""
         geo = self.block("geometry")
-        mp, box, where = build_map(geo, "geometry"), geo.get(need), f"geometry/{need}"
+        mp, box, where = _interned(build_map, geo, "geometry"), geo.get(need), f"geometry/{need}"
         if box is None:
             raise ScenarioError(f"geometry block has no {need}", where)
         if need == "interval":
@@ -402,7 +436,7 @@ class Run:
         return Piece(box, mp, geo.get("orientation", 1))
 
     form = cached_property(lambda self: build_form(self.block("form")))
-    reparam = cached_property(lambda self: build_map(self.block("reparam"), "reparam"))
+    reparam = cached_property(lambda self: _interned(build_map, self.block("reparam"), "reparam"))
     moved = cached_property(lambda self: functional.reparametrized(self.curve, self.reparam))
     direct = cached_property(lambda self: functional.areal_value(self.metric, self.curve, self.q))
 
@@ -465,7 +499,8 @@ def _check_stokes(run, form=None):
 
 def _check_domain_transform(run, form=None):
     eta, piece = run.form_or(form), run.piece
-    return verify_domain_transform(eta, build_map(run.block("alpha"), "alpha"), piece, run.q)
+    alpha = _interned(build_map, run.block("alpha"), "alpha")
+    return verify_domain_transform(eta, alpha, piece, run.q)
 
 
 def _check_leibniz(run, form=None):

@@ -552,6 +552,32 @@ def test_variation_basis_shape():
     assert len(basis) == 12  # 4 modes per coordinate direction
 
 
+def test_a_variation_basis_is_built_once_and_each_call_returns_a_new_list():
+    functional._sine_bumps.cache_clear()
+    first = default_variation_basis(LINE, modes=2)
+    kept = list(first)
+    first.pop()
+    first.append(first[0])
+    first[0] = None
+    again = default_variation_basis(LINE, modes=2)
+    assert again is not first and len(again) == 4
+    assert [a is b for a, b in zip(again, kept)] == [True] * 4
+    assert functional._sine_bumps.cache_info().misses == 1
+
+
+def test_a_variation_basis_keeps_the_sign_of_a_zero_end():
+    signed = default_variation_basis(Piece(((-0.0, 1.0),), segment([0.0, 0.0], [1.0, 1.0])))
+    unsigned = default_variation_basis(Piece(((0.0, 1.0),), segment([0.0, 0.0], [1.0, 1.0])))
+    assert [math.copysign(1.0, f.interval[0]) for f in (signed[0], unsigned[0])] == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize("modes", [0, functional.MAX_MODES + 1, 10**20])
+def test_variation_modes_outside_1_to_the_cap_raise(modes):
+    with pytest.raises(ValueError, match=f"variation modes must be in 1..{functional.MAX_MODES}"):
+        default_variation_basis(LINE, modes=modes)
+    assert len(default_variation_basis(LINE, modes=functional.MAX_MODES)) == 2 * 64
+
+
 def _shifted(curve, field, c):
     """t -> curve(t) + c field(t), with the Jacobian likewise."""
     return DifferentiableMap(

@@ -13,6 +13,7 @@ fails here.  After an intended value change, regenerate them with
 tests/golden/<scenario>.csv --dump-integrand tests/golden/<scenario>.dump.csv``
 and state the change.
 """
+import copy
 import inspect
 import json
 import math
@@ -21,6 +22,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import warnings
 
 import jsonschema
 import numpy as np
@@ -431,6 +433,31 @@ def test_variation_on_a_zero_width_interval_reads_zero(tmp_path):
     assert (name, float(value), status) == ("extremal_residual", 0.0, "PASS")
 
 
+@pytest.mark.parametrize("modes", [functional.MAX_MODES + 1, 10**20])
+def test_variation_modes_over_the_cap_exit_2_before_anything_is_built(
+        modes, tmp_path, capsys, monkeypatch):
+    # modes x dim fields, each perturbed 4 times per node: the cap bounds the stack
+    def refused(*args, **kwargs):
+        raise AssertionError("a scenario over the cap reached run_scenario")
+
+    monkeypatch.setattr(cli, "run_scenario", refused)
+    scenario = json.loads((SCENARIO_DIR / "variation_line.json").read_text())
+    scenario["variation"]["modes"] = modes
+    path, out = tmp_path / "many_modes.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["variation", "--scenario", str(path), "--csv", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"[{path}#variation/modes]")
+    assert not out.exists()
+
+
+def test_the_modes_cap_is_the_schema_maximum_and_no_shipped_scenario_nears_it():
+    modes = SCENARIO_SCHEMA["properties"]["variation"]["properties"]["modes"]
+    assert modes["maximum"] == functional.MAX_MODES == 64
+    for path in SCENARIOS:
+        modes = json.loads(path.read_text()).get("variation", {}).get("modes", 4)
+        assert modes <= 4
+
+
 @pytest.mark.parametrize("sub, stem", [("length", "length_circle"),
                                        ("check", "check_suite_randers")])
 def test_negative_seed_exits_2_and_writes_nothing(sub, stem, tmp_path, capsys):
@@ -441,22 +468,29 @@ def test_negative_seed_exits_2_and_writes_nothing(sub, stem, tmp_path, capsys):
     assert not out.exists()
 
 
-# scenario -> (subcommand, metric builds, homogeneity probes, RNGs made) of
-# each of two runs in one process: the probe makes no RNG, on the first run
-# either, when it builds its fiber shape's table
+# scenario -> (subcommand, metric builds and homogeneity probes of the first
+# of two runs in one process, RNGs made in each run): the second run reads the
+# interned metric and its verdict, and the probe makes no RNG, on the first
+# run either, when it builds its fiber shape's table
 RUN_BUILDS = {
-    "check_suite_randers": ("check", 1, 1, [1, 1]),
-    "area_sphere_zone": ("area", 1, 1, [0, 0]),
-    "length_circle": ("length", 1, 1, [0, 0]),
-    "variation_line": ("variation", 1, 1, [0, 0]),
-    "check_forms_square": ("check", 0, 0, [0, 0]),
+    "check_suite_randers": ("check", 1, [1, 1]),
+    "area_sphere_zone": ("area", 1, [0, 0]),
+    "length_circle": ("length", 1, [0, 0]),
+    "variation_line": ("variation", 1, [0, 0]),
+    "check_forms_square": ("check", 0, [0, 0]),
 }
+
+
+def _clear_interned():
+    """Forget the metrics, maps and variation bases earlier runs interned."""
+    scenarios._INTERNED.clear()
+    functional._sine_bumps.cache_clear()
 
 
 @pytest.mark.parametrize("stem", sorted(RUN_BUILDS))
 def test_a_run_builds_each_input_once_and_makes_an_rng_only_to_draw(stem, monkeypatch):
     # the integrand dump of area and length reads the same metric and piece
-    sub, n_builds, n_probes, rngs_per_run = RUN_BUILDS[stem]
+    sub, first_builds, rngs_per_run = RUN_BUILDS[stem]
     builds, probes, seeds = [], [], []
 
     def counted(log, fn):
@@ -469,12 +503,130 @@ def test_a_run_builds_each_input_once_and_makes_an_rng_only_to_draw(stem, monkey
     monkeypatch.setattr(np.random, "default_rng", counted(seeds, np.random.default_rng))
     scenario = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
     functional._probe_samples.cache_clear()  # whatever ran before, the first run builds them
+    _clear_interned()
     for run, rngs in enumerate(rngs_per_run):
         for log in (builds, probes, seeds):
             log.clear()
         run_scenario(sub, scenario, 42, dump=True)
-        assert [len(builds), len(probes), len(seeds)] == [n_builds, n_probes, rngs], run
+        n_builds = first_builds if run == 0 else 0
+        assert [len(builds), len(probes), len(seeds)] == [n_builds, n_builds, rngs], run
         assert seeds == [(42,)] * rngs  # only the sampled checks draw, from the run's seed
+
+
+def _inputs(scenario):
+    """The metric and the maps one run of a copy of ``scenario`` reads."""
+    run = scenarios.Run(copy.deepcopy(scenario), 42, QuadratureSpec())
+    return run.metric, run.curve.map, *([run.reparam] if "reparam" in scenario else [])
+
+
+def test_equal_blocks_share_one_object():
+    scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
+    metric, curve, reparam = _inputs(scenario)
+    # a copy whose geometry spells its keys in another order
+    again = _inputs({**scenario, "geometry": dict(reversed(scenario["geometry"].items()))})
+    assert [a is b for a, b in zip((metric, curve, reparam), again)] == [True] * 3
+    forms_square = json.loads((SCENARIO_DIR / "check_forms_square.json").read_text())
+    alpha = [scenarios._interned(scenarios.build_map, copy.deepcopy(forms_square["alpha"]), "alpha")
+             for _ in range(2)]
+    assert alpha[0] is alpha[1]
+
+
+@pytest.mark.parametrize("block, path, value", [
+    ("metric", ("b", 0), 0.25),  # a value
+    ("metric", ("b", 0), float(np.nextafter(0.2, 1.0))),  # the next float, spelled apart
+    ("geometry", ("params", "pitch"), 0.25),
+    ("reparam", ("params", "amplitude"), 0.25),
+])
+def test_blocks_that_differ_in_a_value_do_not_share(block, path, value):
+    scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
+    first = _inputs(scenario)
+    *keys, last = path
+    spec = scenario[block]
+    for key in keys:
+        spec = spec[key]
+    spec[last] = value
+    second = _inputs(scenario)
+    index = ["metric", "geometry", "reparam"].index(block)
+    assert first[index] is not second[index]
+    assert [a is b for i, (a, b) in enumerate(zip(first, second)) if i != index] == [True] * 2
+
+
+def test_blocks_that_differ_in_the_sign_of_a_zero_do_not_share():
+    scenario = json.loads((SCENARIO_DIR / "length_circle.json").read_text())
+    scenario["metric"] = {"kind": "randers", "dim": 2, "b": [0.0, 0.0]}
+    scenario["geometry"]["params"]["center"] = [0.0, 0.0]
+    unsigned = _inputs(scenario)
+    scenario["metric"]["b"][0] = scenario["geometry"]["params"]["center"][0] = -0.0
+    signed = _inputs(scenario)
+    assert [a is b for a, b in zip(unsigned, signed)] == [False, False]
+    assert [a is b for a, b in zip(signed, _inputs(scenario))] == [True, True]
+
+
+@pytest.mark.parametrize("block, bad", [
+    ("metric", {"kind": "randers", "dim": 2, "b": [2.0, 0.0]}),  # |b| >= 1
+    ("metric", {"kind": "euclidean", "dimension": 2}),
+    ("geometry", {"catalog": "circle", "params": {"radius": 1.0, "spin": 2},
+                  "interval": [0.0, 1.0]}),
+])
+def test_an_invalid_block_exits_2_on_every_run_and_is_not_stored(block, bad, tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "length_circle.json").read_text())
+    scenario[block] = bad
+    path, out = tmp_path / "bad.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(scenario))
+    errors = []
+    for _ in range(2):
+        assert cli.main(["length", "--scenario", str(path), "--csv", str(out), "--quiet"]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1] and f"[{block}]" in errors[0]
+    assert json.dumps(bad, sort_keys=True) not in {key for _, key in scenarios._INTERNED}
+
+
+def test_a_block_that_is_not_json_is_built_on_every_run():
+    scenario = json.loads((SCENARIO_DIR / "length_circle.json").read_text())
+    scenario["geometry"]["params"]["center"] = np.zeros(2)  # json.dumps refuses an array
+    first, second = (_inputs(scenario)[1] for _ in range(2))
+    assert first is not second
+    assert run_scenario("length", scenario, 42).rows[0].status == "PASS"
+
+
+def test_the_interning_cache_keeps_at_most_its_size_most_recent_blocks():
+    assert scenarios.CACHE_SIZE == expressions.CACHE_SIZE == 256
+    _clear_interned()
+    specs = [{"catalog": "circle", "params": {"radius": 1.0 + i}}
+             for i in range(scenarios.CACHE_SIZE + 10)]
+    built = [scenarios._interned(scenarios.build_map, spec, "geometry") for spec in specs[:2]]
+    for spec in specs[2:]:
+        scenarios._interned(scenarios.build_map, specs[0], "geometry")  # keeps the first in use
+        scenarios._interned(scenarios.build_map, spec, "geometry")
+    assert len(scenarios._INTERNED) == scenarios.CACHE_SIZE
+    assert scenarios._interned(scenarios.build_map, specs[0], "geometry") is built[0]
+    assert scenarios._interned(scenarios.build_map, specs[1], "geometry") is not built[1]
+    last = scenarios._interned(scenarios.build_map, specs[-1], "geometry")
+    assert scenarios._interned(scenarios.build_map, dict(specs[-1]), "geometry") is last
+    assert len(scenarios._INTERNED) == scenarios.CACHE_SIZE
+
+
+def test_an_energy_length_warns_on_its_first_run_and_never_cross_checks(monkeypatch):
+    # the Hilbert route of the 2-homogeneous energy reads twice its length, so
+    # a cross-check would raise; the verdict kept with the metric skips it
+    scenario = json.loads((SCENARIO_DIR / "length_circle.json").read_text())
+    scenario["metric"] = {"kind": "energy", "dim": 2}
+    _clear_interned()
+    hilbert = []
+    monkeypatch.setattr(functional, "_hilbert_value", lambda F, lift: hilbert.append(F))
+    values, warned = [], []
+    for _ in range(3):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values.append(run_scenario("length", scenario, 42).rows[0].value)
+        warned.append([str(w.message) for w in caught])
+    assert warned == [
+        ["energy: homogeneity residual 1; the functional value is parametrization-dependent"],
+        [], [],
+    ]
+    assert values[0] == values[1] == values[2] == pytest.approx(2 * math.pi, abs=1e-9)
+    assert hilbert == []
 
 
 def test_check_run_reparametrizes_once_and_walks_the_direct_length_once(monkeypatch):
@@ -871,6 +1023,7 @@ def test_every_public_name_runs_on_a_shipped_scenario(tmp_path):
     public = _public_names()
     for name in grassvar.__all__:
         getattr(getattr(grassvar, name), "cache_clear", lambda: None)()  # a hit skips the call
+    _clear_interned()  # so the catalog builders and VariationField.sine_bump run
     ran = set()
 
     def record(frame, event, arg):
