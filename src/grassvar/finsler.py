@@ -38,9 +38,9 @@ from .errors import (
     InvalidMetricError,
     SlitDomainError,
 )
-from .forms import CHUNK_NODES
 from .kvector import Lift, canonical_lift
 from .maps import DifferentiableMap, checked_dimension, checked_reals, row_max_abs
+from .quadrature import CHUNK_NODES
 
 SLIT_TOL = 1e-13
 EPS_DEN = 1e-300  # guards homogeneity-residual denominators

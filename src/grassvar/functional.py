@@ -1,14 +1,16 @@
-"""Parameter-invariant functionals: curve length, k-area, first variation.
+"""Parameter-invariant functionals: curve length and k-area.
 
-Every functional takes a :class:`forms.Piece`, and a curve is a 1-piece.
-The value on a piece is the quadrature of the fiber Lagrangian on the
-canonical lift of its parametrization, by :func:`forms.lift_integral`,
-after one test that the metric fits the piece (:func:`finsler.require_fit`);
-the curve functionals also ask for a 1-piece.  For degree-1 metrics the
-length is recomputed through the Hilbert form, as the integral of its value
-sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on the lift (zeta, zeta'), and the
-two routes must agree whenever the metric is positively homogeneous; every
-length of a metric that passes the homogeneity probe runs that cross-check.
+Every functional takes a :class:`quadrature.Piece`, and a curve is a
+1-piece.  The value on a piece is the quadrature of the fiber Lagrangian on
+the canonical lift of its parametrization, by
+:func:`quadrature.lift_integral`, after one test that the metric fits the
+piece (:func:`finsler.require_fit`); the curve functionals also ask for a
+1-piece.  For degree-1 metrics the length is recomputed through the Hilbert
+form, as the integral of its value sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on
+the lift (zeta, zeta'), and the two routes must agree whenever the metric
+is positively homogeneous; every length of a metric that passes the
+homogeneity probe runs that cross-check.  The first variation is in
+:mod:`grassvar.variation`, loaded only by the runs that vary a curve.
 
 The homogeneity probe runs once per metric object, so a metric that fails
 it warns once; a NaN residual fails it too.  A scenario's metric is one
@@ -16,19 +18,15 @@ object per process for equal metric blocks (``scenarios._interned``), so
 there the probe runs, and warns, on the block's first run in a process.
 Its 8 samples depend only on the fiber shape (m, fiber_dim): a closed-form
 Kronecker table with the same bits on every platform, built once per shape
-in a process and kept read-only, so the probe makes no RNG.  The sine bumps
-of :func:`default_variation_basis` are likewise built once per interval,
-dimension and mode count in a process.  Every public call walks the
-quadrature grid once: the cross-checked length integrates both routes as
-two components of one density, and :func:`extremal_residual` stacks all
-its perturbed lengths on one node stack per quadrature chunk.
+in a process and kept read-only, so the probe makes no RNG.  Every public
+call walks the quadrature grid once: the cross-checked length integrates
+both routes as two components of one density.
 """
 from __future__ import annotations
 
-import math
+import itertools
 import warnings
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,27 +35,24 @@ from .errors import (
     CrossCheckError,
     DimensionMismatchError,
     ImmersionError,
-    MapEvaluationError,
     NonHomogeneousWarning,
-    OrientationError,
     SlitDomainError,
-    VariationConsistencyWarning,
 )
 from .finsler import SAMPLE_BOX, FinslerFunction, check_homogeneity, require_fit
-from .forms import Piece, QuadratureSpec, lift_integral
-from .maps import DifferentiableMap, compose
+from .quadrature import Piece, QuadratureSpec, lift_integral
 
 DUAL_ROUTE_TOL = 1e-10
-MAX_MODES = 64  # sine-bump modes per coordinate of a variation basis
-BASIS_CACHE_SIZE = 256  # variation bases kept per process
+# sine-bump modes per coordinate of a variation basis (grassvar.variation),
+# kept here so that the scenario schema reads it without loading that module
+MAX_MODES = 64
 _VERDICTS = weakref.WeakKeyDictionary()  # metric -> its probe's verdict; keeps no metric alive
 
 
 def _primes(count: int) -> list[int]:
-    """The first ``count`` primes, by trial division."""
+    """The first ``count`` primes, by trial division up to the square root."""
     primes, n = [], 2
     while len(primes) < count:
-        if all(n % p for p in primes if p * p <= n):
+        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, primes)):
             primes.append(n)
         n += 1
     return primes
@@ -191,192 +186,3 @@ def _curve_interval(piece: Piece) -> tuple[float, float]:
     if piece.k != 1:
         raise DimensionMismatchError(f"a curve functional needs a 1-piece, not a {piece.k}-piece")
     return piece.param_box[0]
-
-
-def reparametrized(piece: Piece, rho: DifferentiableMap) -> Piece:
-    """The 1-piece zeta o rho over rho^{-1}([a, b]), with the piece's orientation.
-
-    ``rho`` must be a strictly increasing reparametrization (checked at the
-    quadrature resolution); its endpoint preimages come from
-    :func:`_preimages`.
-    """
-    interval = _curve_interval(piece)
-    if rho.domain_dim != 1 or rho.codomain_dim != 1:
-        raise DimensionMismatchError("reparametrization must map an interval to an interval")
-    sa, sb = _preimages(rho, interval)
-    S = np.linspace(sa, sb, 64).reshape(-1, 1)
-    bad = rho.jacobian(S)[:, 0, 0] <= 0.0
-    if np.any(bad):
-        raise OrientationError(f"{rho.name}: derivative not positive at s={S[bad][0, 0]}")
-    return Piece(((sa, sb),), compose(piece.map, rho), piece.orientation)
-
-
-def _preimages(rho: DifferentiableMap, values) -> tuple[float, ...]:
-    """s with rho(s) = value for each of ``values``, for a strictly increasing rho.
-
-    A catalog inverse is called once per value.  Without one, every value's
-    bracket [value - j, value + j] is widened (j = 1, 2, 4, ... 2^79) until
-    it holds a sign change of rho - value, then bisected until its midpoint
-    no longer lies strictly inside it, i.e. to floating-point resolution.
-    A value still unbracketed after the last widening, or when rho stops
-    being finite at the widened ends, raises OrientationError.  The values
-    are solved as one stack: one call of rho per step.
-    """
-    if rho.has_inverse:
-        return tuple(float(rho.inverted()(np.array([v]))[0]) for v in values)
-    values = np.array(values, dtype=float)
-    n = len(values)
-    lo, hi = values - 1.0, values + 1.0
-    found = np.zeros(n, dtype=bool)
-    for widening in range(80):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                f = rho(np.concatenate([lo, hi])[:, None])[:, 0] - np.concatenate([values, values])
-        except MapEvaluationError:
-            if not widening:
-                raise
-            break  # rho is no longer finite at the widened ends
-        flo, fhi = f[:n], f[n:]
-        found = (flo == 0.0) | (fhi == 0.0) | ((flo < 0.0) & (0.0 < fhi))
-        if found.all():
-            break
-        # a bracketed value stays bracketed, so every value still open has
-        # half-width 2**widening; doubling it moves each end by as much
-        lo[~found] -= 2.0**widening
-        hi[~found] += 2.0**widening
-    if not found.all():
-        raise OrientationError(
-            f"{rho.name}: could not bracket a preimage of {values[~found][0]}"
-        )
-    s = np.where(flo == 0.0, lo, hi)  # the bisected values are overwritten below
-    todo = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    while True:
-        mid = 0.5 * (lo[todo] + hi[todo])
-        s[todo] = mid
-        inside = (lo[todo] < mid) & (mid < hi[todo])
-        todo, mid = todo[inside], mid[inside]
-        if not len(todo):
-            return tuple(map(float, s))
-        fmid = rho(mid[:, None])[:, 0] - values[todo]
-        lo[todo] = np.where(fmid < 0.0, mid, lo[todo])
-        hi[todo] = np.where(fmid > 0.0, mid, hi[todo])
-        todo = todo[fmid != 0.0]
-
-
-@dataclass(frozen=True)
-class VariationField:
-    """A compactly supported deformation direction along a curve.
-
-    The field vanishes at both interval endpoints (checked to 1e-14), so
-    curve endpoints stay fixed under the perturbed family zeta + eps V.
-    """
-
-    map: DifferentiableMap
-    interval: tuple
-
-    def __post_init__(self):
-        a, b = float(self.interval[0]), float(self.interval[1])
-        object.__setattr__(self, "interval", (a, b))
-        for end in (a, b):
-            v = self.map(np.array([end]))
-            if float(np.max(np.abs(v))) > 1e-14:
-                raise DimensionMismatchError(
-                    f"variation field does not vanish at endpoint {end}"
-                )
-
-    @classmethod
-    def sine_bump(cls, interval, mode: int, coord: int, dim: int) -> "VariationField":
-        """sin(pi * mode * (t-a)/(b-a)) along coordinate ``coord`` (0-based)."""
-        a, b = float(interval[0]), float(interval[1])
-        mu = math.pi * mode / (b - a) if b > a else 0.0  # zero width: the zero field
-        e = np.zeros(dim)
-        e[coord] = 1.0
-
-        def ev(T):
-            # clamp exact endpoint values to 0 (sin of a multiple of pi)
-            s = T - a
-            return np.where((s == 0.0) | (T == b), 0.0, np.sin(mu * s)) * e
-
-        def value_and_jacobian(T):
-            return ev(T), (mu * np.cos(mu * (T - a)) * e)[:, :, None]
-
-        return cls(
-            DifferentiableMap(f"sine_bump_{mode}_{coord}", 1, dim, ev, value_and_jacobian), (a, b)
-        )
-
-
-def _variations(F: FinslerFunction, piece: Piece, fields, eps: float, q) -> np.ndarray:
-    """The first variation of the length of a 1-piece along every field,
-    by central differences (length(zeta + eps V) - length(zeta - eps V)) /
-    (2 eps), eps > 0, from one grid walk: per chunk the perturbed lifts
-    (zeta + c V, zeta' + c V') for c = +-eps, +-eps/2 of all fields are
-    stacked into one evaluation of F.  The eps/2 quotient cross-checks the
-    differencing; a VariationConsistencyWarning flags a field where the two
-    disagree beyond 1e-5."""
-    _curve_interval(piece)
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"variation epsilon must be positive and finite, got {eps!r}")
-    m = piece.map.codomain_dim
-    if any(field.map.codomain_dim != m for field in fields):
-        raise DimensionMismatchError("variation field dimension does not match the curve")
-    coeffs = np.array([eps, -eps, eps / 2.0, -eps / 2.0])[:, None, None]
-
-    def perturbed(T, lift):
-        V, dV = np.empty((2, len(fields), 1) + lift.base.shape)
-        for i, field in enumerate(fields):
-            Y, J = field.map.value_and_jacobian(T)
-            V[i, 0], dV[i, 0] = Y, J[:, :, 0]
-        base, comps = lift.base + coeffs * V, lift.comps + coeffs * dV
-        return F(base.reshape(-1, m), comps.reshape(-1, m)).reshape(-1, len(T))
-
-    # a zero-width interval integrates to the scalar 0.0
-    lengths = np.broadcast_to(_lift_value(F, piece, q, perturbed), (4 * len(fields),))
-    values = (lengths[0::4] - lengths[1::4]) / (2.0 * eps)
-    refined = (lengths[2::4] - lengths[3::4]) / (2.0 * (eps / 2.0))
-    for value, fine in zip(values, refined):
-        if abs(value - fine) > 1e-5 * max(1.0, abs(value)):
-            warnings.warn(
-                f"first variation differs between eps={eps:g} ({value:.6g}) and "
-                f"eps/2 ({fine:.6g})",
-                VariationConsistencyWarning,
-                stacklevel=3,
-            )
-    return values
-
-
-def default_variation_basis(piece: Piece, modes: int = 4) -> list[VariationField]:
-    """Sine bumps of modes 1..modes, at most MAX_MODES, over a 1-piece's
-    interval, along every coordinate direction of its codomain.
-
-    The fields are built once per (interval, dimension, modes) in a process
-    and then kept, at most BASIS_CACHE_SIZE such bases; each call returns
-    a new list of them."""
-    interval, dim = _curve_interval(piece), piece.map.codomain_dim
-    if not 1 <= modes <= MAX_MODES:
-        raise ValueError(f"variation modes must be in 1..{MAX_MODES}, got {modes!r}")
-    # keyed by the bits of the ends: -0.0 == 0.0, but a field keeps its interval as given
-    return list(_sine_bumps(tuple(a.hex() for a in interval), dim, modes))
-
-
-@lru_cache(maxsize=BASIS_CACHE_SIZE, typed=True)
-def _sine_bumps(ends: tuple[str, str], dim: int, modes: int) -> tuple[VariationField, ...]:
-    """The fields of :func:`default_variation_basis` over the interval with
-    ends spelled by ``float.hex``."""
-    interval = tuple(map(float.fromhex, ends))
-    return tuple(
-        VariationField.sine_bump(interval, j, c, dim)
-        for c in range(dim)
-        for j in range(1, modes + 1)
-    )
-
-
-def extremal_residual(
-    F: FinslerFunction,
-    piece: Piece,
-    fields: list[VariationField],
-    eps: float = 1e-4,
-    q: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Max |first variation| over a basis of variation fields, such as
-    :func:`default_variation_basis`; near zero on extremal curves."""
-    return float(np.max(np.abs(_variations(F, piece, fields, eps, q))))

@@ -7,13 +7,18 @@ to compute (length/area/variation subcommands) or a list of named checks.
 keywords it uses: ``type enum minimum maximum exclusiveMinimum required
 properties additionalProperties propertyNames.pattern items minItems
 maxItems``.  The caps on sample counts, scalings, the Grassmann dimension,
-the Gauss order, the cells per axis and the variation modes bound the
-samples a check draws, the nodes of a quadrature cell, the cells of a fixed
-grid and the fields of a variation row; a sampled check evaluates its
-scaled samples in chunks of at most ``forms.CHUNK_NODES`` rows.
-:func:`run_scenario` turns it into rows through one table, ``SUBCOMMANDS``:
-subcommand -> (the list it reads, ``compute`` or ``checks``; its row
-functions by name; the expected value of a row whose entry gives none).
+the Gauss order, the cells per axis, the variation modes, the partition
+covers and the form dimension bound the samples a check draws, the nodes
+of a quadrature cell, the cells of a fixed grid, the fields of a variation
+row, the boxes of a partition of unity and the coefficients of a form; a
+sampled check evaluates its scaled samples in chunks of at most
+``quadrature.CHUNK_NODES`` rows.  :func:`run_scenario` turns it into rows
+through one table, ``SUBCOMMANDS``: subcommand -> (the list it reads,
+``compute`` or ``checks``; its row functions by name; the expected value of
+a row whose entry gives none).  The check rows are
+:data:`grassvar.checks.CHECKS`, loaded by the ``check`` subcommand alone;
+likewise :mod:`grassvar.forms` and :mod:`grassvar.variation` are loaded
+only by the rows that read a form or vary a curve.
 Each row function is ``fn(run, **params) -> float``: its keyword arguments
 are the parameters an entry may give, and the :class:`Run` builds each input
 once, on first use; equal metric and map blocks share one object per
@@ -38,24 +43,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import finsler, functional
+from . import functional
 from .errors import GrassvarError, ScenarioError
 from .finsler import FinslerFunction, METRIC_KINDS
-from .forms import (
-    MAX_CELLS_PER_AXIS,
-    MAX_GAUSS_ORDER,
-    KForm,
-    PartitionOfUnity,
-    Piece,
-    PROFILE_FAMILIES,
-    QuadratureSpec,
-    integrate_with_partition,
-    verify_domain_transform,
-    verify_leibniz,
-    verify_stokes,
-)
-from .kvector import KVector, canonical_lift, lift_kvector
-from .maps import DifferentiableMap, affine_map, compose, from_catalog
+from .kvector import canonical_lift
+from .maps import DifferentiableMap, from_catalog
+from .quadrature import MAX_CELLS_PER_AXIS, MAX_COVERS, MAX_GAUSS_ORDER, Piece, QuadratureSpec
 
 SCHEMA_VERSION = "1"
 
@@ -63,6 +56,7 @@ _number = {"type": "number"}
 _positive = {"type": "number", "exclusiveMinimum": 0}
 _sample_count = {"type": "integer", "minimum": 1, "maximum": 100000}
 _tolerance = {"type": "number", "minimum": 0}
+MAX_FORM_DIM = 16  # chart dimension of a form block: at most C(16, 8) = 12870 coefficients
 _catalog_ref = {
     "type": "object",
     "properties": {"catalog": {"type": "string"}, "params": {"type": "object"}},
@@ -73,7 +67,7 @@ _form = {
     "type": "object",
     "properties": {
         "degree": {"type": "integer", "minimum": 0},
-        "dim": {"type": "integer", "minimum": 1},
+        "dim": {"type": "integer", "minimum": 1, "maximum": MAX_FORM_DIM},
         "coefficients": {
             "description": (
                 "Map from an increasing index list such as '1,3' ('' for degree 0) "
@@ -173,7 +167,7 @@ SCENARIO_SCHEMA = {
         "family": {
             "type": "object",
             "properties": {
-                "profile": {"enum": sorted(PROFILE_FAMILIES)},
+                "profile": {"enum": ["constant", "linear", "sin"]},  # checks.PROFILE_FAMILIES
                 "t0": _number,
                 "dt_step": _positive,
             },
@@ -185,8 +179,9 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "covers": {
                     "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
+                    "items": {"type": "integer", "minimum": 1, "maximum": MAX_COVERS},
                     "minItems": 2,
+                    "maxItems": 8,
                 },
                 "overlap": _positive,
             },
@@ -361,6 +356,8 @@ def build_quadrature(scenario: dict, overrides: dict | None = None) -> Quadratur
 
 def build_form(spec: dict) -> KForm:
     """Resolve a form block: the scenario's, or a check entry's own ``form``."""
+    from .forms import KForm  # loaded only where a form is built
+
     error = _violation(_form, spec)  # run_scenario also takes dicts load_scenario never saw
     if error is not None:
         raise ScenarioError(error[0], "form")
@@ -437,8 +434,14 @@ class Run:
 
     form = cached_property(lambda self: build_form(self.block("form")))
     reparam = cached_property(lambda self: _interned(build_map, self.block("reparam"), "reparam"))
-    moved = cached_property(lambda self: functional.reparametrized(self.curve, self.reparam))
+    alpha = cached_property(lambda self: _interned(build_map, self.block("alpha"), "alpha"))
     direct = cached_property(lambda self: functional.areal_value(self.metric, self.curve, self.q))
+
+    @cached_property
+    def moved(self) -> Piece:
+        from .checks import reparametrized  # read by check rows alone, so already loaded
+
+        return reparametrized(self.curve, self.reparam)
 
     def form_or(self, override: dict | None) -> KForm:
         """A check entry's own form, or else the scenario's."""
@@ -459,131 +462,21 @@ def _area(run):
 
 def _extremality(run):
     """Max |first variation| of the length over the scenario's sine-bump fields."""
+    from . import variation  # only this row varies a curve, so no other run loads it
+
     F, curve, var = run.metric, run.curve, run.scenario.get("variation", {})
-    basis = functional.default_variation_basis(curve, var.get("modes", 4))
-    return functional.extremal_residual(F, curve, basis, var.get("epsilon", 1e-4), run.q)
+    basis = variation.default_variation_basis(curve, var.get("modes", 4))
+    return variation.extremal_residual(F, curve, basis, var.get("epsilon", 1e-4), run.q)
 
-
-def _fiber_check(check):
-    """Row function of a sampled check of the metric on its fibers."""
-    def row(run, samples=100, lambdas=(0.5, 2.0, 10.0)):
-        F = run.metric
-        return check(F, *finsler._sample_fibers(F.m, F.fiber_dim, run.rng, samples), tuple(lambdas))
-
-    return row
-
-
-def _check_euler_identity(run, samples=25):
-    F, curve = run.metric, run.curve
-    ((a, b),) = curve.param_box
-    return finsler.pullback_identity_residual(F, curve.map, run.rng.uniform(a, b, size=samples))
-
-
-def _check_dual_route(run):
-    """|direct length of zeta - Hilbert-route length of zeta o rho|: the two
-    sides share no node.  On one node set the two are the Euler identity
-    at each node, which would read 0 by construction."""
-    F, _, _ = run.metric, run.curve, run.reparam  # a bad block reports before a walk fails
-    return abs(run.direct - functional.hilbert_route_length(F, run.moved, run.q))
-
-
-def _check_reparam_invariance(run):
-    """|length of zeta - length of zeta o rho over rho^{-1}([a, b])|."""
-    F, moved = run.metric, run.moved
-    return abs(run.direct - functional.areal_value(F, moved, run.q))
-
-
-def _check_stokes(run, form=None):
-    return verify_stokes(run.form_or(form), run.piece, run.q)
-
-
-def _check_domain_transform(run, form=None):
-    eta, piece = run.form_or(form), run.piece
-    alpha = _interned(build_map, run.block("alpha"), "alpha")
-    return verify_domain_transform(eta, alpha, piece, run.q)
-
-
-def _check_leibniz(run, form=None):
-    eta, piece = run.form_or(form), run.piece
-    fam = run.block("family")
-    g, g_dot = PROFILE_FAMILIES[fam["profile"]]
-    return verify_leibniz(eta, g, g_dot, piece, fam["t0"], fam.get("dt_step", 1e-4), run.q)
-
-
-def _check_partition_independence(run, form=None):
-    eta, piece = run.form_or(form), run.piece
-    part = run.scenario.get("partition", {})
-    covers = [PartitionOfUnity.uniform_cover(piece.param_box, n, part.get("overlap", 0.6))
-              for n in part.get("covers", [2, 3])]
-    values = [integrate_with_partition(eta, piece, cover, run.q) for cover in covers]
-    return max(abs(v - values[0]) for v in values[1:])
-
-
-def _check_grassmann_roundtrip(run, k=2, m=4, count=200):
-    from . import grassmann  # only this check reads ray charts, so no other run loads them
-
-    if not 1 <= k < m:
-        raise ScenarioError(f"grassmann_roundtrip needs 1 <= k < m, got k={k}, m={m}", "checks")
-    rng, n = run.rng, math.comb(m, k)
-    comps, base = rng.standard_normal((count, n)), rng.standard_normal((count, m))
-    off = rng.integers(0, n - 1, size=count)
-    while True:
-        pivot = np.argmax(np.abs(comps), axis=1)  # the chart's own pivot, as to_grassmann picks it
-        other = off + (off >= pivot)
-        pair = np.take_along_axis(comps, np.stack([other, pivot], axis=1), axis=1)
-        inside = np.abs(pair[:, 0] / pair[:, 1]) >= 1e-3  # safely inside both charts
-        rejected = np.flatnonzero(~inside)
-        if not len(rejected):
-            break
-        comps[rejected] = rng.standard_normal((len(rejected), n))
-        base[rejected] = rng.standard_normal((len(rejected), m))
-        off[rejected] = rng.integers(0, n - 1, size=len(rejected))
-    p = grassmann.to_grassmann(KVector(base, comps, k, m))
-    back = grassmann.grassmann_transition(grassmann.grassmann_transition(p, other), p.pivot)
-    # each chart point must also be the ray it came from: xi / |xi^pivot|
-    pivot_size = np.abs(np.take_along_axis(comps, p.pivot[:, None], axis=1))
-    source = np.max(np.abs(p.representative().comps - comps / pivot_size))
-    return float(max(np.max(np.abs(back.w - p.w)), source))
-
-
-def _check_lift_functoriality(run, count=50):
-    rng, worst = run.rng, 0.0
-    for k in range(1, 5):
-        # n2 > k where possible: at n2 = k Cauchy-Binet has one term and misses a |det|
-        n1, n2, n3 = (int(rng.integers(low, 5)) for low in (k, min(k + 1, 4), k))
-        f = affine_map(rng.standard_normal((n2, n1)), rng.standard_normal(n2))
-        g = affine_map(rng.standard_normal((n3, n2)), rng.standard_normal(n3))
-        x = rng.standard_normal((count, n1))
-        xi = KVector(x, rng.standard_normal((count, math.comb(n1, k))), k, n1)
-        direct = lift_kvector(compose(g, f), x, xi)
-        staged = lift_kvector(g, f(x), lift_kvector(f, x, xi))
-        scale = np.maximum(1.0, direct.norm)[:, None]
-        worst = max(worst, float(np.max(np.abs(direct.comps - staged.comps) / scale)))
-    return worst
-
-
-CHECKS = {
-    "homogeneity": _fiber_check(finsler.check_homogeneity),
-    "projectability": _fiber_check(finsler.check_projectability),
-    "euler_identity": _check_euler_identity,
-    "dual_route": _check_dual_route,
-    "reparam_invariance": _check_reparam_invariance,
-    "extremality": _extremality,
-    "stokes": _check_stokes,
-    "domain_transform": _check_domain_transform,
-    "leibniz": _check_leibniz,
-    "partition_independence": _check_partition_independence,
-    "grassmann_roundtrip": _check_grassmann_roundtrip,
-    "lift_functoriality": _check_lift_functoriality,
-}
 
 # subcommand -> (the scenario list it reads, its row functions by name,
-#                the expected value of a row whose entry gives none)
+#                the expected value of a row whose entry gives none); the
+#                check rows are checks.CHECKS, imported by the check subcommand only
 SUBCOMMANDS = {
     "length": ("compute", {"length": _length}, None),
     "area": ("compute", {"area": _area}, None),
     "variation": ("compute", {"extremal_residual": _extremality}, 0.0),
-    "check": ("checks", CHECKS, 0.0),
+    "check": ("checks", None, 0.0),
 }
 
 
@@ -623,6 +516,8 @@ def run_scenario(
     """One row per entry of the subcommand's list: its row function's value
     against the entry's expected value and tolerance."""
     key, quantities, default_expected = SUBCOMMANDS[subcommand]
+    if quantities is None:
+        from .checks import CHECKS as quantities
     if seed < 0:
         raise ScenarioError(f"seed must be a non-negative integer, got {seed}", "seed")
     run = Run(scenario, seed, build_quadrature(scenario, q_overrides))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from grassvar.errors import DimensionMismatchError, ZeroKVectorError
-from grassvar.functional import VariationField
+from grassvar.variation import VariationField
 from grassvar.grassmann import grassmann_transition
 from grassvar.maps import DifferentiableMap
 

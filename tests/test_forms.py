@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from grassvar import expressions, forms
+from grassvar import expressions, quadrature
 from grassvar.errors import (
     QuadratureTargetWarning,
     DegeneratePieceWarning,
@@ -18,16 +18,11 @@ from grassvar.errors import (
 )
 from grassvar.expressions import MAX_DEPTH, ExprCoeff
 from grassvar.forms import (
-    CHUNK_NODES,
-    DEGENERACY_TOL,
     KForm,
     PartitionOfUnity,
-    Piece,
-    QuadratureSpec,
     boundary_faces,
     exterior_derivative,
     integrate,
-    integrate_scalar_over_box,
     integrate_with_partition,
     pullback,
     verify_domain_transform,
@@ -44,6 +39,14 @@ from grassvar.maps import (
     segment,
     sphere_patch,
     trig_shear,
+)
+from grassvar.quadrature import (
+    CHUNK_NODES,
+    DEGENERACY_TOL,
+    MAX_GAUSS_ORDER,
+    Piece,
+    QuadratureSpec,
+    integrate_scalar_over_box,
 )
 
 from .oracles import (
@@ -83,7 +86,7 @@ def test_node_weights_are_the_product_of_the_axis_weights(box, order, cells):
 @pytest.mark.parametrize("chunk", [1, 5, 7, 25])
 def test_chunks_that_split_rows_keep_the_nodes_and_weights(box, order, cells, chunk, monkeypatch):
     # rows of 12 or 9 nodes: chunks within one row, across two, and of whole rows
-    monkeypatch.setattr(forms, "CHUNK_NODES", chunk)
+    monkeypatch.setattr(quadrature, "CHUNK_NODES", chunk)
     _check_walk(box, order, cells, chunk)
 
 
@@ -160,7 +163,7 @@ COMPONENTS = [
 
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_stacked_components_equal_separate_walks(adaptive, monkeypatch):
-    monkeypatch.setattr(forms, "MAX_REFINEMENTS", 4)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 4)
     q = QuadratureSpec(gauss_order=4, cells_per_axis=2, adaptive=adaptive, target=1e-10)
     box = [(0.0, 1.0), (0.5, 2.0)]
 
@@ -722,3 +725,12 @@ def test_overflowing_integrand_raises_evaluation_error():
             integrate(eta, piece, Q_FAST)
         with pytest.raises(EvaluationError, match="non-finite integrand"):
             integrate_with_partition(eta, piece, pou, Q_FAST)
+
+
+def test_gauss_rule_has_the_bits_of_numpy_leggauss():
+    from numpy.polynomial.legendre import leggauss
+
+    for order in range(1, MAX_GAUSS_ORDER + 1):
+        (x, w), (x_np, w_np) = quadrature._gauss_rule(order), leggauss(order)
+        assert same_bits(x, x_np) and same_bits(w, w_np), order
+        assert not (x.flags.writeable or w.flags.writeable)

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from grassvar import forms, functional
+from grassvar import checks, functional, quadrature, variation
+from grassvar.checks import _preimages
 from grassvar.errors import (
     QuadratureTargetWarning,
     CrossCheckError,
@@ -34,15 +35,7 @@ from grassvar.finsler import (
 )
 from grassvar.forms import KForm, Piece, QuadratureSpec, integrate
 from grassvar.kvector import canonical_lift, checked_lift
-from grassvar.functional import (
-    VariationField,
-    _preimages,
-    areal_value,
-    curve_length,
-    default_variation_basis,
-    extremal_residual,
-    hilbert_route_length,
-)
+from grassvar.functional import areal_value, curve_length, hilbert_route_length
 from grassvar.maps import (
     DifferentiableMap,
     affine_map,
@@ -57,6 +50,7 @@ from grassvar.maps import (
     sine_shift,
     sphere_patch,
 )
+from grassvar.variation import VariationField, default_variation_basis, extremal_residual
 
 from .oracles import NAN_ROWS, bisected_preimage, nan_where, radial_sine_bump, same_bits
 
@@ -171,7 +165,7 @@ def test_areal_value_makes_one_fused_map_call_per_chunk(monkeypatch):
 ], ids=["fixed", "adaptive", "adaptive-missed"])
 def test_cross_checked_length_equals_the_direct_walk_bit_for_bit(q, monkeypatch):
     if q.target == 1e-14:
-        monkeypatch.setattr(forms, "MAX_REFINEMENTS", 3)
+        monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
     conformal = riemannian_metric(3, {"field": "conformal", "coefficient": 0.3})
     for F, curve, interval in [
         (randers_metric(2, [0.2, -0.1]), circle(1.7), (0.2, 4.0)),
@@ -374,7 +368,7 @@ def test_areal_dimension_check():
 
 def reparam_residual(F, piece, rho, q):
     """|length of the piece - length of the piece reparametrized by rho|."""
-    moved = functional.reparametrized(piece, rho)
+    moved = checks.reparametrized(piece, rho)
     return abs(areal_value(F, piece, q) - areal_value(F, moved, q))
 
 
@@ -424,7 +418,7 @@ FUNCTIONALS = {
     "curve_length": lambda F, piece: curve_length(F, piece, Q),
     "hilbert_route_length": lambda F, piece: hilbert_route_length(F, piece, Q),
     "reparam_invariance": lambda F, piece: reparam_residual(F, piece, sine_shift(0.3), Q),
-    "first_variation": lambda F, piece: functional._variations(F, piece, [PLANE_BUMP], 1e-4, Q)[0],
+    "first_variation": lambda F, piece: variation._variations(F, piece, [PLANE_BUMP], 1e-4, Q)[0],
     "extremal_residual": lambda F, piece: extremal_residual(F, piece, [PLANE_BUMP], q=Q),
     "areal_value": lambda F, piece: areal_value(F, piece, Q),
 }
@@ -452,7 +446,7 @@ def test_reparametrized_is_a_piece_over_the_preimage_with_the_orientation():
     rho = sine_shift(0.3)
     for orientation in (1, -1):
         piece = Piece(((0.2, 4.0),), circle(1.7), orientation)
-        moved = functional.reparametrized(piece, rho)
+        moved = checks.reparametrized(piece, rho)
         assert moved.param_box == (_preimages(rho, (0.2, 4.0)),)
         assert moved.orientation == orientation
         T = moved.grid(9)
@@ -507,7 +501,7 @@ def test_first_variation_zero_field_is_zero():
     )
     zero = VariationField(zero_map, (0.0, 1.0))
     line = Piece(((0.0, 1.0),), segment([0.0, 0.0], [1.0, 1.0]))
-    assert functional._variations(euclidean_metric(2), line, [zero], 1e-4, Q)[0] == 0.0
+    assert variation._variations(euclidean_metric(2), line, [zero], 1e-4, Q)[0] == 0.0
 
 
 def test_straight_line_extremal_euclidean():
@@ -532,7 +526,7 @@ def test_circular_arc_not_extremal():
 
 def test_radial_variation_increases_circle_length():
     field = radial_sine_bump((0.0, math.pi / 2), 1)
-    val = functional._variations(euclidean_metric(2), QUARTER, [field], 1e-4, Q)[0]
+    val = variation._variations(euclidean_metric(2), QUARTER, [field], 1e-4, Q)[0]
     # d/deps integral |zeta' + eps V'| = integral of the bump profile > 0
     assert val > 0.1
 
@@ -544,7 +538,7 @@ def test_a_bump_on_a_zero_width_interval_is_the_zero_field(field):
     Y, J = field.map.value_and_jacobian(np.array([[0.5]]))
     assert not Y.any() and not J.any()
     point = Piece(((0.5, 0.5),), circle())
-    assert functional._variations(euclidean_metric(2), point, [field], 1e-4, Q)[0] == 0.0
+    assert variation._variations(euclidean_metric(2), point, [field], 1e-4, Q)[0] == 0.0
 
 
 def test_variation_basis_shape():
@@ -553,7 +547,7 @@ def test_variation_basis_shape():
 
 
 def test_a_variation_basis_is_built_once_and_each_call_returns_a_new_list():
-    functional._sine_bumps.cache_clear()
+    variation._sine_bumps.cache_clear()
     first = default_variation_basis(LINE, modes=2)
     kept = list(first)
     first.pop()
@@ -562,7 +556,7 @@ def test_a_variation_basis_is_built_once_and_each_call_returns_a_new_list():
     again = default_variation_basis(LINE, modes=2)
     assert again is not first and len(again) == 4
     assert [a is b for a, b in zip(again, kept)] == [True] * 4
-    assert functional._sine_bumps.cache_info().misses == 1
+    assert variation._sine_bumps.cache_info().misses == 1
 
 
 def test_a_variation_basis_keeps_the_sign_of_a_zero_end():
@@ -643,12 +637,12 @@ VARIATION_CASES = {
 def test_batched_variation_equals_the_difference_quotient_of_lengths(case):
     F, piece, fields, q = VARIATION_CASES[case]
     expected, _ = _difference_quotients(F, piece, fields, 1e-4, q)
-    assert functional._variations(F, piece, [fields[1]], 1e-4, q)[0] == expected[1]
+    assert variation._variations(F, piece, [fields[1]], 1e-4, q)[0] == expected[1]
     assert extremal_residual(F, piece, fields, 1e-4, q) == max(map(abs, expected))
 
 
 def test_batched_variation_warns_per_length_that_misses_the_target(monkeypatch):
-    monkeypatch.setattr(forms, "MAX_REFINEMENTS", 3)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
     F, piece, fields, _ = VARIATION_CASES["adaptive"]
     q = QuadratureSpec(gauss_order=2, cells_per_axis=1, adaptive=True, target=1e-12)
     expected, missed = _difference_quotients(F, piece, fields, 1e-4, q)
@@ -662,13 +656,13 @@ def test_batched_variation_warns_per_length_that_misses_the_target(monkeypatch):
 
 def test_every_variation_call_is_one_grid_walk(monkeypatch):
     walks = []
-    walk = forms.integrate_scalar_over_box
-    monkeypatch.setattr(forms, "integrate_scalar_over_box", lambda *a: walks.append(1) or walk(*a))
+    walk = quadrature.integrate_scalar_over_box
+    monkeypatch.setattr(quadrature, "integrate_scalar_over_box", lambda *a: walks.append(1) or walk(*a))
     fields = default_variation_basis(LINE)
     assert len(fields) == 8
     extremal_residual(euclidean_metric(2), LINE, fields, q=Q)
     assert len(walks) == 1
-    functional._variations(euclidean_metric(2), LINE, [fields[3]], 1e-4, Q)
+    variation._variations(euclidean_metric(2), LINE, [fields[3]], 1e-4, Q)
     assert len(walks) == 2
 
 
@@ -702,7 +696,7 @@ def test_batched_variation_warns_once_per_inconsistent_field():
 def test_variation_epsilon_must_be_positive_and_finite(eps):
     field = VariationField.sine_bump((0.0, 1.0), 1, 0, 2)
     with pytest.raises(ValueError, match="epsilon"):
-        functional._variations(euclidean_metric(2), LINE, [field], eps, Q)
+        variation._variations(euclidean_metric(2), LINE, [field], eps, Q)
     with pytest.raises(ValueError, match="epsilon"):
         extremal_residual(euclidean_metric(2), LINE, [field], eps, Q)
 
@@ -724,7 +718,7 @@ def test_cross_check_rejects_a_gradient_that_disagrees_with_the_value():
 def test_coarse_eps_warns_variation_inconsistency():
     field = radial_sine_bump((0.0, math.pi / 2), 1)
     with pytest.warns(VariationConsistencyWarning, match="eps=0.2"):
-        functional._variations(euclidean_metric(2), QUARTER, [field], 0.2, Q)
+        variation._variations(euclidean_metric(2), QUARTER, [field], 0.2, Q)
 
 
 def test_reversed_interval_is_rejected():
@@ -763,9 +757,9 @@ def test_homogeneity_probe_runs_once_per_public_call(monkeypatch):
         calls.clear()
         extremal_residual(euclidean_metric(2), LINE, fields, q=q)
         assert len(calls) == 1
-        functional._variations(euclidean_metric(2), LINE, [fields[0]], 1e-4, q)
+        variation._variations(euclidean_metric(2), LINE, [fields[0]], 1e-4, q)
         assert len(calls) == 2
-        areal_value(euclidean_metric(2), functional.reparametrized(UNIT_ARC, sine_shift(0.3)), q)
+        areal_value(euclidean_metric(2), checks.reparametrized(UNIT_ARC, sine_shift(0.3)), q)
         assert len(calls) == 3
         curve_length(euclidean_metric(2), UNIT_ARC, q)
         assert len(calls) == 4
@@ -842,3 +836,12 @@ def test_a_metric_nan_off_the_curve_skips_the_cross_check(monkeypatch):
     with pytest.warns(NonHomogeneousWarning, match="residual nan"):
         assert curve_length(F, UNIT_ARC, Q) == pytest.approx(1.0, abs=1e-14)
     assert hilbert == []
+
+
+def test_probe_primes_are_those_of_a_sieve():
+    sieve = np.ones(17390, dtype=bool)  # the 2000th prime is 17389
+    sieve[:2] = False
+    for p in range(2, math.isqrt(len(sieve)) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    assert functional._primes(2000) == np.flatnonzero(sieve).tolist()

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from grassvar import maps
 from grassvar.errors import DimensionMismatchError, MapEvaluationError
-from grassvar.functional import VariationField
+from grassvar.variation import VariationField
 from grassvar.maps import (
     CATALOG,
     MAX_EXPONENT,

@@ -29,10 +29,12 @@ import numpy as np
 import pytest
 
 import grassvar
-from grassvar import cli, expressions, finsler, forms, functional, grassmann, scenarios
-from grassvar.errors import ScenarioError
+from grassvar import (
+    checks, cli, expressions, finsler, functional, grassmann, quadrature, scenarios, variation,
+)
+from grassvar.errors import InvalidPartitionError, ScenarioError
 from grassvar.expressions import MAX_DEPTH
-from grassvar.forms import MAX_CELLS_PER_AXIS, QuadratureSpec
+from grassvar.quadrature import MAX_CELLS_PER_AXIS, MAX_COVERS, QuadratureSpec
 from grassvar.scenarios import SCENARIO_SCHEMA, build_quadrature, load_scenario, run_scenario
 
 from .oracles import FirstRowRejected, same_bits
@@ -120,7 +122,8 @@ def cli_modules():
 @pytest.mark.parametrize(
     "module",
     ["scipy", "sympy", "jsonschema", "attrs", "referencing", "rpds", "hypothesis",
-     "numpy.random", "grassvar.grassmann", "grassvar.expressions"],
+     "numpy.random", "numpy.polynomial", "grassvar.grassmann", "grassvar.expressions",
+     "grassvar.forms", "grassvar.checks", "grassvar.variation"],
 )
 def test_cli_import_does_not_load(module, cli_modules):
     assert "grassvar.cli" in cli_modules
@@ -128,16 +131,21 @@ def test_cli_import_does_not_load(module, cli_modules):
 
 
 # modules a launch loads only for the rows that use them: sampled checks draw
-# from numpy.random, the grassmann_roundtrip check reads ray charts, and a
-# form coefficient is built by grassvar.expressions
-ON_DEMAND = {"numpy.random", "grassvar.grassmann", "grassvar.expressions"}
+# from numpy.random, the grassmann_roundtrip check reads ray charts, a form
+# coefficient is built by grassvar.expressions, a form by grassvar.forms, the
+# check rows are grassvar.checks and the first variation grassvar.variation;
+# the Gauss rule needs no numpy.polynomial
+ON_DEMAND = {
+    "numpy.random", "numpy.polynomial", "grassvar.grassmann", "grassvar.expressions",
+    "grassvar.forms", "grassvar.checks", "grassvar.variation",
+}
 LAUNCH_LOADS = {
     "area_sphere_zone": set(),
     "length_circle": set(),
-    "variation_line": set(),
     # positive controls: the gate sees each module when a row needs it
-    "check_forms_square": {"grassvar.expressions"},
-    "check_suite_randers": {"numpy.random", "grassvar.grassmann"},
+    "variation_line": {"grassvar.variation"},
+    "check_forms_square": {"grassvar.expressions", "grassvar.forms", "grassvar.checks"},
+    "check_suite_randers": {"numpy.random", "grassvar.grassmann", "grassvar.checks"},
 }
 
 
@@ -148,6 +156,23 @@ def test_a_launch_loads_only_the_modules_its_rows_use(stem, tmp_path):
     loaded = _fresh_modules(f"from grassvar import cli; cli.main({argv!r})")
     assert out.read_bytes() == (GOLDEN_DIR / f"{stem}.csv").read_bytes()
     assert loaded & ON_DEMAND == LAUNCH_LOADS[stem]
+
+
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    # scenarios imports checks and variation on demand and checks imports
+    # scenarios, so a cycle hides behind the usual order cli -> scenarios
+    package = pathlib.Path(cli.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(package.parent),
+                                                      os.environ.get("PYTHONPATH", "")]))
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert {"checks", "forms", "quadrature", "scenarios", "variation"} <= set(modules)
+    launched = {  # one interpreter each, run side by side
+        name: subprocess.Popen([sys.executable, "-c", f"import grassvar.{name}"], env=env,
+                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for name in modules
+    }
+    failed = {name: proc.communicate()[1][-300:] for name, proc in launched.items()}
+    assert {name: err for name, err in failed.items() if launched[name].returncode} == {}
 
 
 PAYLOAD = "__import__('pathlib').Path({path!r}).write_text('x') + y1"
@@ -258,7 +283,7 @@ def test_bad_quadrature_exits_2(extra, block, tmp_path, capsys):
     assert "[quadrature]" in capsys.readouterr().err
 
 
-# cell counts past forms.MAX_CELLS_PER_AXIS, each refused before a node array
+# cell counts past quadrature.MAX_CELLS_PER_AXIS, each refused before a node array
 # is made: 1e20 overflows numpy's array size, and 2**40 cells would take 8 TiB
 CELLS_PAST_CAP = [99999999999999999999, 2**40, MAX_CELLS_PER_AXIS + 1]
 
@@ -408,7 +433,7 @@ def test_grassmann_roundtrip_draws_a_rejected_row_again():
     stub = FirstRowRejected(5)
     run = scenarios.Run({}, 5, QuadratureSpec())
     run.rng = stub
-    value = scenarios._check_grassmann_roundtrip(run, k=2, m=4, count=5)
+    value = checks._check_grassmann_roundtrip(run, k=2, m=4, count=5)
     assert stub.sizes == [
         ("standard_normal", (5, 6)), ("standard_normal", (5, 4)), ("integers", 5),
         ("standard_normal", (1, 6)), ("standard_normal", (1, 4)), ("integers", 1),
@@ -458,6 +483,82 @@ def test_the_modes_cap_is_the_schema_maximum_and_no_shipped_scenario_nears_it():
         assert modes <= 4
 
 
+def _refuse_runs(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a scenario over a cap reached run_scenario")
+
+    monkeypatch.setattr(cli, "run_scenario", refused)
+
+
+COVERS = SCENARIO_SCHEMA["properties"]["partition"]["properties"]["covers"]
+
+
+# 10**5 windows per axis would exhaust memory in uniform_cover
+@pytest.mark.parametrize("covers, where", [
+    ([2, 100000], "partition/covers/1"),
+    ([MAX_COVERS + 1, 2], "partition/covers/0"),
+    ([2] * (COVERS["maxItems"] + 1), "partition/covers"),
+])
+def test_partition_covers_past_the_caps_exit_2_and_write_nothing(
+        covers, where, tmp_path, capsys, monkeypatch):
+    _refuse_runs(monkeypatch)
+    scenario = json.loads((SCENARIO_DIR / "check_partition_circle.json").read_text())
+    scenario["partition"]["covers"] = covers
+    path, out = tmp_path / "bad.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["check", "--scenario", str(path), "--csv", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"[{path}#{where}]")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_the_cover_cap_is_the_schema_maximum_and_uniform_cover_refuses_past_it():
+    from grassvar.forms import PartitionOfUnity
+
+    assert COVERS["items"]["maximum"] == MAX_COVERS == 16
+    box = ((0.0, 1.0), (0.0, 2.0))
+    assert len(PartitionOfUnity.uniform_cover(box, MAX_COVERS).cover) == MAX_COVERS**2
+    with pytest.raises(InvalidPartitionError, match=f"in 1..{MAX_COVERS}, got 100000"):
+        PartitionOfUnity.uniform_cover(box, 100000)
+    scenario = json.loads((SCENARIO_DIR / "check_partition_circle.json").read_text())
+    scenario["partition"]["covers"] = [2, MAX_COVERS + 1]
+    with pytest.raises(InvalidPartitionError):  # a dict load_scenario never saw
+        run_scenario("check", scenario, 42)
+    for path in SCENARIOS:
+        assert max(json.loads(path.read_text()).get("partition", {}).get("covers", [3])) <= 3
+
+
+# C(10**5, 3) coefficients would exhaust memory in enumerate_multiindices
+@pytest.mark.parametrize("where", ["form", "checks/0/form"])
+def test_form_dim_past_the_cap_exits_2_and_writes_nothing(where, tmp_path, capsys, monkeypatch):
+    big = {"degree": 3, "dim": 100000, "coefficients": {"1,2,3": 1.0}}
+    scenario = json.loads((SCENARIO_DIR / "check_forms_square.json").read_text())
+    if where == "form":
+        scenario["form"] = big
+    else:
+        scenario["checks"] = [{"name": "stokes", "tolerance": 1e-10, "form": big}]
+    with pytest.raises(ScenarioError) as info:  # a dict load_scenario never saw
+        run_scenario("check", scenario, 42)
+    assert info.value.location == "form" and "maximum of 16" in str(info.value)
+    _refuse_runs(monkeypatch)
+    path, out = tmp_path / "bad.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["check", "--scenario", str(path), "--csv", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"[{path}#{where}/dim]")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_the_form_dim_cap_is_the_schema_maximum_and_admits_the_cap_itself():
+    dim = SCENARIO_SCHEMA["properties"]["form"]["properties"]["dim"]
+    assert dim["maximum"] == scenarios.MAX_FORM_DIM == 16
+    top = {"degree": 8, "dim": scenarios.MAX_FORM_DIM, "coefficients": {"1,3,5,7,9,11,13,15": 2.0}}
+    assert len(scenarios.build_form(top).coeffs) == math.comb(16, 8) == 12870
+
+
+def test_the_leibniz_profiles_of_the_schema_are_the_check_families():
+    family = SCENARIO_SCHEMA["properties"]["family"]["properties"]["profile"]
+    assert family["enum"] == sorted(checks.PROFILE_FAMILIES)
+
+
 @pytest.mark.parametrize("sub, stem", [("length", "length_circle"),
                                        ("check", "check_suite_randers")])
 def test_negative_seed_exits_2_and_writes_nothing(sub, stem, tmp_path, capsys):
@@ -484,7 +585,7 @@ RUN_BUILDS = {
 def _clear_interned():
     """Forget the metrics, maps and variation bases earlier runs interned."""
     scenarios._INTERNED.clear()
-    functional._sine_bumps.cache_clear()
+    variation._sine_bumps.cache_clear()
 
 
 @pytest.mark.parametrize("stem", sorted(RUN_BUILDS))
@@ -631,7 +732,7 @@ def test_an_energy_length_warns_on_its_first_run_and_never_cross_checks(monkeypa
 
 def test_check_run_reparametrizes_once_and_walks_the_direct_length_once(monkeypatch):
     moved, walked = [], []  # each reparametrized curve; each piece walked without a density
-    reparametrized, lift_value = functional.reparametrized, functional._lift_value
+    reparametrized, lift_value = checks.reparametrized, functional._lift_value
 
     def counted_moves(piece, rho):
         moved.append(reparametrized(piece, rho))
@@ -642,7 +743,7 @@ def test_check_run_reparametrizes_once_and_walks_the_direct_length_once(monkeypa
             walked.append(piece)
         return lift_value(L, piece, q, density)
 
-    monkeypatch.setattr(functional, "reparametrized", counted_moves)
+    monkeypatch.setattr(checks, "reparametrized", counted_moves)
     monkeypatch.setattr(functional, "_lift_value", counted_walks)
     scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
     rows = run_scenario("check", scenario, 42).rows
@@ -921,7 +1022,7 @@ def test_sampled_check_evaluates_at_most_a_chunk_per_call(tmp_path, monkeypatch)
     path = tmp_path / "many.json"
     path.write_text(json.dumps(scenario))
     assert cli.main(["check", "--scenario", str(path), "--quiet"]) == 0
-    assert max(rows) <= forms.CHUNK_NODES and sum(rows) == 17 * 1000
+    assert max(rows) <= quadrature.CHUNK_NODES and sum(rows) == 17 * 1000
 
 
 def test_caps_admit_the_cap_itself():
@@ -982,7 +1083,7 @@ def test_every_check_is_gated_by_a_shipped_scenario():
     shipped = {
         entry["name"] for path in SCENARIOS for entry in json.loads(path.read_text()).get("checks", [])
     }
-    assert shipped == set(scenarios.CHECKS)
+    assert shipped == set(checks.CHECKS)
 
 
 def _code(member):
