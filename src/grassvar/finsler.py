@@ -45,6 +45,9 @@ from .quadrature import CHUNK_NODES
 SLIT_TOL = 1e-13
 EPS_DEN = 1e-300  # guards homogeneity-residual denominators
 SAMPLE_BOX = (-1.0, 1.0)  # range of each base-point coordinate in the sampled checks
+# largest metric dimension (dim, m, mth_root weights): the range the probe's
+# sample table (functional._probe_samples) is verified for; inputs use at most 5
+MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,14 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(s)
 
 
+def _dimension(value, what: str) -> int:
+    """``value`` as a metric dimension in 1..MAX_DIM."""
+    n = checked_dimension(value, what, InvalidMetricError)
+    if n > MAX_DIM:
+        raise InvalidMetricError(f"{what} must be at most {MAX_DIM}, got {n}")
+    return n
+
+
 # -- metric fields -----------------------------------------------------------
 
 def _build_metric_field(m: int, spec) -> Callable[[np.ndarray], np.ndarray]:
@@ -171,7 +182,7 @@ def _build_metric_field(m: int, spec) -> Callable[[np.ndarray], np.ndarray]:
 
 def euclidean_metric(dim: int) -> FinslerFunction:
     """F(y, v) = |v|; the fiber gradient is the unit vector v/|v|."""
-    dim = checked_dimension(dim, "dim", InvalidMetricError)
+    dim = _dimension(dim, "dim")
     return FinslerFunction(
         "euclidean", dim, 1, dim, lambda Y, V: _norm(V), lambda Y, V: V / _norm(V)[:, None]
     )
@@ -179,7 +190,7 @@ def euclidean_metric(dim: int) -> FinslerFunction:
 
 def riemannian_metric(dim: int, g: dict | None = None) -> FinslerFunction:
     """F(y, v) = sqrt(v^T g(y) v) with gradient g(y) v / F."""
-    dim = checked_dimension(dim, "dim", InvalidMetricError)
+    dim = _dimension(dim, "dim")
     return _randers_family("riemannian", dim, np.zeros(dim), g)
 
 
@@ -189,7 +200,7 @@ def randers_metric(dim: int, b, g: dict | None = None) -> FinslerFunction:
     Positivity of F on nonzero v is equivalent to |b|_g < 1 (norm taken
     with the inverse metric); the constructor rejects anything else.
     """
-    dim = checked_dimension(dim, "dim", InvalidMetricError)
+    dim = _dimension(dim, "dim")
     b = checked_reals(b, "drift covector", (dim,), InvalidMetricError)
     return _randers_family("randers", dim, b, g)
 
@@ -221,7 +232,7 @@ def quartic_root_metric(weights) -> FinslerFunction:
     c = checked_reals(weights, "quartic weights", (None,), InvalidMetricError)
     if np.any(c <= 0.0):
         raise InvalidMetricError("quartic weights must be positive")
-    dim = len(c)
+    dim = _dimension(len(c), "the number of quartic weights")
 
     def ev(Y, V):
         return np.sum(c * V**4, axis=1) ** 0.25
@@ -240,7 +251,7 @@ def areal_gram(k: int, m: int) -> FinslerFunction:
     integrand.
     """
     k = checked_dimension(k, "k", InvalidMetricError)
-    m = checked_dimension(m, "m", InvalidMetricError)
+    m = _dimension(m, "m")
     if k > m:
         raise InvalidMetricError(f"no {k}-vectors in dimension {m}")
     fiber_dim = math.comb(m, k)
@@ -256,7 +267,7 @@ def areal_gram(k: int, m: int) -> FinslerFunction:
 
 def energy_metric(dim: int) -> FinslerFunction:
     """F(y, v) = |v|^2; 2-homogeneous, so every homogeneity check must fail."""
-    dim = checked_dimension(dim, "dim", InvalidMetricError)
+    dim = _dimension(dim, "dim")
     return FinslerFunction(
         "energy", dim, 1, dim, lambda Y, V: _dot(V, V), lambda Y, V: 2.0 * V
     )

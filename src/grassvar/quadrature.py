@@ -15,7 +15,8 @@ or ``(p, N)`` for p integrals on one walk; the integral is a float, or
 ``(N, k)`` and the canonical lift at them, a :class:`kvector.Lift` with
 ``base`` ``(N, m)``, ``comps`` ``(N, C(m,k))`` and their row maxima
 ``scale`` ``(N,)``, and return ``(N,)`` or ``(p, N)`` likewise.  A form
-is the density <eta(y), xi>, a Lagrangian the density L(y, xi).
+is the density <eta(y), xi>, a Lagrangian the density L(y, xi), on the lift
+xi of the oriented piece: reversing the piece replaces xi by -xi.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ MAX_COVERS = 16  # windows per axis of a uniform partition of unity; shipped inp
 
 @dataclass(frozen=True)
 class Piece:
-    """A compact parameter box mapped into a chart, with an orientation flag."""
+    """A compact parameter box mapped into a chart; the orientation is the sign of its lift."""
 
     param_box: tuple
     map: DifferentiableMap
@@ -251,7 +252,7 @@ def integrate_scalar_over_box(g: Callable[[np.ndarray], np.ndarray], box, q: Qua
 def lift_integral(
     piece: Piece, density: Callable[[np.ndarray, Lift], np.ndarray], q: QuadratureSpec
 ) -> float:
-    """Oriented integral over a piece of a density on its canonical lift.
+    """Integral over a piece of a density on the lift of the oriented piece.
 
     The one quadrature over canonical lifts, shared by the form integrals
     and the functionals.  ``density(T, lift)`` follows the density contract
@@ -271,6 +272,8 @@ def lift_integral(
     def g(T):
         nonlocal degenerate
         lift = checked_lift(piece.map, T)
+        if piece.orientation == -1:  # fresh components, negated in place
+            np.negative(lift.comps, out=lift.comps)
         # |xi| >= max |xi_I| in floating point: only rows under the max screen can count
         small = lift.comps[lift.scale <= DEGENERACY_TOL]
         degenerate += int(np.count_nonzero(np.linalg.norm(small, axis=1) <= DEGENERACY_TOL))
@@ -280,7 +283,7 @@ def lift_integral(
             raise EvaluationError(f"non-finite integrand at t={T[bad][0]}")
         return vals
 
-    result = piece.orientation * integrate_scalar_over_box(g, piece.param_box, q)
+    result = integrate_scalar_over_box(g, piece.param_box, q)
     if degenerate:
         warnings.warn(
             f"{piece.map.name}: canonical lift vanished at {degenerate} quadrature node(s)",

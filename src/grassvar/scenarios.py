@@ -23,10 +23,11 @@ Each row function is ``fn(run, **params) -> float``: its keyword arguments
 are the parameters an entry may give, and the :class:`Run` builds each input
 once, on first use; equal metric and map blocks share one object per
 process (:func:`_interned`), which a later run neither rebuilds nor probes
-again.  The curve rows hand ``run.curve``, a 1-piece, to the functionals
-as it is, and the area and form rows ``run.piece``; every row integrates on
-its quadrature ``run.q``, so ``--gauss-order`` and ``--cells`` apply to
-every subcommand, checks included.
+again.  Every row reads one geometry, the oriented piece ``run.piece``
+(a row that integrates the metric as ``run.fitted``, or as ``run.curve``,
+which asks for a 1-piece), and integrates on its quadrature ``run.q``, so
+``--gauss-order`` and ``--cells`` apply to every subcommand, checks
+included.
 The CLI front end in :mod:`grassvar.cli` turns the rows into a text report
 and a CSV file.
 """
@@ -44,8 +45,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import functional
-from .errors import GrassvarError, ScenarioError
-from .finsler import FinslerFunction, METRIC_KINDS
+from .errors import DimensionMismatchError, GrassvarError, ScenarioError
+from .finsler import FinslerFunction, METRIC_KINDS, require_fit
 from .kvector import canonical_lift
 from .maps import DifferentiableMap, from_catalog
 from .quadrature import MAX_CELLS_PER_AXIS, MAX_COVERS, MAX_GAUSS_ORDER, Piece, QuadratureSpec
@@ -149,6 +150,7 @@ SCENARIO_SCHEMA = {
                 "type": "object",
                 "properties": {
                     "name": {"type": "string"},
+                    "expected": _number,
                     "tolerance": _tolerance,
                     "samples": _sample_count,
                     "count": _sample_count,
@@ -380,12 +382,14 @@ class Run:
     Each input the rows read is built on its first use and then kept for the
     run, so a block no row reads is never built, and a missing or malformed
     one raises its ScenarioError in the first row that reads it, on every
-    run.  The metric and the maps of the ``geometry``, ``reparam`` and
-    ``alpha`` blocks are kept per process too, by :func:`_interned`; a form
-    holds a mutable coefficient list and is built per run.  So are the two
-    results the reparametrization rows share: ``moved``, the curve
-    reparametrized by the ``reparam`` block, and ``direct``, the metric's
-    value on the curve itself."""
+    run.  The geometry is one oriented piece, ``piece``; a row that
+    integrates the metric reads it as ``fitted`` or ``curve``, which test
+    once that the metric fits it.  The metric and the maps of the
+    ``geometry``, ``reparam`` and ``alpha`` blocks are kept per process too,
+    by :func:`_interned`; a form holds a mutable coefficient list and is
+    built per run.  So are the two results the reparametrization rows
+    share: ``moved``, the curve reparametrized by the ``reparam`` block, and
+    ``direct``, the metric's value on the curve itself."""
 
     scenario: dict
     seed: int
@@ -402,35 +406,38 @@ class Run:
         return self.scenario[name]
 
     metric = cached_property(lambda self: _interned(build_metric, self.block("metric"), "metric"))
-    curve = cached_property(lambda self: self._geometry("interval"))
-    piece = cached_property(lambda self: self._geometry("box"))
 
-    def _geometry(self, need: str) -> Piece:
-        """The geometry's map over its ``need``: over the ``interval`` a 1-piece
-        of orientation 1, over the ``box`` a piece with the block's orientation.
-        A curve is oriented by its interval, so it takes no orientation key."""
+    @cached_property
+    def piece(self) -> Piece:
+        """The geometry's map over its ``interval``, a box of one axis, or
+        its ``box``, with the block's orientation (default 1)."""
         geo = self.block("geometry")
-        mp, box, where = _interned(build_map, geo, "geometry"), geo.get(need), f"geometry/{need}"
-        if box is None:
-            raise ScenarioError(f"geometry block has no {need}", where)
-        if need == "interval":
-            if "orientation" in geo:
-                raise ScenarioError(
-                    "a curve runs along its interval; orientation applies to a box",
-                    "geometry/orientation",
-                )
-            if mp.domain_dim != 1:
-                raise ScenarioError(
-                    f"catalog map {geo['catalog']!r} is not a curve", "geometry/catalog"
-                )
-            box = [box]
-        elif mp.domain_dim != len(box):
-            raise ScenarioError(
-                f"box dimension {len(box)} does not match map domain {mp.domain_dim}", where
-            )
-        if any(a > b for a, b in box):
-            raise ScenarioError(f"{need} {geo[need]} is reversed: an axis runs high to low", where)
-        return Piece(box, mp, geo.get("orientation", 1))
+        mp = _interned(build_map, geo, "geometry")
+        keys = [key for key in ("interval", "box") if geo.get(key) is not None]
+        if len(keys) != 1:
+            raise ScenarioError("geometry block needs one of interval and box", "geometry")
+        box = [geo["interval"]] if keys == ["interval"] else geo["box"]
+        try:
+            return Piece(box, mp, geo.get("orientation", 1))
+        except GrassvarError as exc:
+            raise ScenarioError(str(exc), f"geometry/{keys[0]}") from exc
+
+    @cached_property
+    def fitted(self) -> Piece:
+        """``piece``, once the metric is tested to fit it: the geometry of
+        every row that integrates the metric."""
+        try:
+            require_fit(self.metric, self.piece.k, self.piece.map.codomain_dim)
+        except DimensionMismatchError as exc:
+            raise ScenarioError(str(exc), "metric") from exc
+        return self.piece
+
+    @cached_property
+    def curve(self) -> Piece:
+        """``fitted`` for a curve row, which must be a 1-piece."""
+        if self.piece.k != 1:
+            raise ScenarioError(f"a curve needs a 1-piece, not a {self.piece.k}-piece", "geometry")
+        return self.fitted
 
     form = cached_property(lambda self: build_form(self.block("form")))
     reparam = cached_property(lambda self: _interned(build_map, self.block("reparam"), "reparam"))
@@ -457,7 +464,7 @@ def _length(run):
 
 
 def _area(run):
-    return functional.areal_value(run.metric, run.piece, run.q)
+    return functional.areal_value(run.metric, run.fitted, run.q)
 
 
 def _extremality(run):
@@ -490,16 +497,16 @@ class RunResult:
     samples: list[tuple[float, ...]] = field(default_factory=list)  # integrand dumps
 
 
-# subcommand -> (the run's piece, samples per axis) of the --dump-integrand grid
-DUMP_GRIDS = {"length": ("curve", 257), "area": ("piece", 17)}
+# subcommand -> samples per axis of the --dump-integrand grid of the run's piece
+DUMP_GRIDS = {"length": 257, "area": 17}
 
 
-def _dump_lift(run: Run, geometry: str, per_axis: int) -> list[tuple[float, ...]]:
-    """Samples (t..., L on the canonical lift at t) on an even grid of the piece."""
-    piece = getattr(run, geometry)
+def _dump_lift(run: Run, per_axis: int) -> list[tuple[float, ...]]:
+    """Samples (t..., L on the oriented piece's lift at t) on an even grid of it."""
+    piece = run.piece
     T = piece.grid(per_axis)
     lift = canonical_lift(piece.map, T)
-    values = run.metric(lift.base, lift.comps)
+    values = run.metric(lift.base, piece.orientation * lift.comps)
     return [(*t, value) for t, value in zip(T, values)]
 
 
@@ -548,5 +555,5 @@ def run_scenario(
         expected = entry.get("expected", default_expected)
         result.rows.append(Row(entry["name"], value, expected, entry.get("tolerance"), seconds))
     if dump and subcommand in DUMP_GRIDS:
-        result.samples = _dump_lift(run, *DUMP_GRIDS[subcommand])
+        result.samples = _dump_lift(run, DUMP_GRIDS[subcommand])
     return result

@@ -75,10 +75,10 @@ def _variations(F: FinslerFunction, piece: Piece, fields, eps: float, q) -> np.n
     """The first variation of the length of a 1-piece along every field,
     by central differences (length(zeta + eps V) - length(zeta - eps V)) /
     (2 eps), eps > 0, from one grid walk: per chunk the perturbed lifts
-    (zeta + c V, zeta' + c V') for c = +-eps, +-eps/2 of all fields are
-    stacked into one evaluation of F.  The eps/2 quotient cross-checks the
-    differencing; a VariationConsistencyWarning flags a field where the two
-    disagree beyond 1e-5."""
+    (zeta + c V, s (zeta' + c V')) of orientation s for c = +-eps, +-eps/2 of
+    all fields are stacked into one evaluation of F.  The eps/2 quotient
+    cross-checks the differencing; a VariationConsistencyWarning flags a
+    field where the two disagree beyond 1e-5."""
     _curve_interval(piece)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"variation epsilon must be positive and finite, got {eps!r}")
@@ -92,7 +92,7 @@ def _variations(F: FinslerFunction, piece: Piece, fields, eps: float, q) -> np.n
         for i, field in enumerate(fields):
             Y, J = field.map.value_and_jacobian(T)
             V[i, 0], dV[i, 0] = Y, J[:, :, 0]
-        base, comps = lift.base + coeffs * V, lift.comps + coeffs * dV
+        base, comps = lift.base + coeffs * V, lift.comps + piece.orientation * coeffs * dV
         return F(base.reshape(-1, m), comps.reshape(-1, m)).reshape(-1, len(T))
 
     # a zero-width interval integrates to the scalar 0.0

@@ -206,6 +206,22 @@ def test_an_areal_metric_does_not_fit_a_curve():
         require_fit(areal_gram(2, 3), 1, 3)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("euclidean", lambda n: {"dim": n}),
+    ("riemannian", lambda n: {"dim": n}),
+    ("randers", lambda n: {"dim": n, "b": [0.0] * n}),
+    ("energy", lambda n: {"dim": n}),
+    ("areal_gram", lambda n: {"k": 1, "m": n}),
+    ("mth_root", lambda n: {"weights": [1.0] * n}),
+])
+def test_every_metric_kind_caps_its_dimension(kind, params):
+    # the probe's sample table is verified up to m = 8 (functional._probe_samples)
+    assert finsler.MAX_DIM == 8
+    assert finsler.METRIC_KINDS[kind](**params(finsler.MAX_DIM)).m == finsler.MAX_DIM
+    with pytest.raises(InvalidMetricError, match=f"at most {finsler.MAX_DIM}, got 9"):
+        finsler.METRIC_KINDS[kind](**params(9))
+
+
 # -- Euler identity ----------------------------------------------------------
 
 def test_euler_identity_on_curves(rng):

@@ -239,6 +239,17 @@ def test_integrate_orientation_flip():
     pos = Piece(((0.0, 1.0), (0.0, 1.0)), identity_map(2), 1)
     neg = Piece(((0.0, 1.0), (0.0, 1.0)), identity_map(2), -1)
     assert integrate(eta, pos, Q_FAST) == -integrate(eta, neg, Q_FAST)
+    # a reversed piece has the negated lift, and IEEE negation is exact: the
+    # integral is negated bit for bit, on curved pieces and adaptive levels too
+    cases = [
+        (KForm.from_dict(2, 3, {(1, 2): "y3*y3 + sin(y1)", (1, 3): "y2", (2, 3): 0.5}),
+         ((0.1, 3.0), (0.0, 6.0)), sphere_patch(1.3)),
+        (KForm.from_dict(1, 2, {(1,): "y2", (2,): "y1*y1"}), ((0.2, 5.0),), circle()),
+    ]
+    for q in (Q_FAST, QuadratureSpec(4, 2, adaptive=True, target=1e-7)):
+        for form, box, f in cases:
+            fwd, rev = (integrate(form, Piece(box, f, sign), q) for sign in (1, -1))
+            assert fwd != 0.0 and same_bits(rev, -fwd)
 
 
 def test_integrate_linear_in_form(rng):

@@ -442,6 +442,26 @@ def test_fit_is_checked_before_the_probe(functional_name, misfit, monkeypatch):
     assert not [w for w in caught if w.category is NonHomogeneousWarning]
 
 
+def test_a_reversed_curve_evaluates_the_metric_on_the_negated_lift():
+    # Randers with drift b on -v is Randers with drift -b on v, so the
+    # reversed curve under b is the forward curve under -b, bit for bit: its
+    # length, Hilbert route and first variations
+    b = [0.2, 0.1, -0.3]
+    F, G = randers_metric(3, b), randers_metric(3, [-x for x in b])
+    forward, backward = (Piece(((0.0, 5.0),), helix(1.0, 0.5), sign) for sign in (1, -1))
+    length = curve_length(F, backward, Q)
+    assert same_bits(length, curve_length(G, forward, Q))
+    assert same_bits(hilbert_route_length(F, backward, Q), hilbert_route_length(G, forward, Q))
+    assert abs(length - curve_length(F, forward, Q)) > 1.0  # not the forward length
+    basis = default_variation_basis(forward, 2)
+    varied = variation._variations(F, backward, basis, 1e-4, Q)
+    assert same_bits(varied, variation._variations(G, forward, basis, 1e-4, Q))
+    assert np.abs(varied).max() > 0.1
+    # a reversible Lagrangian reads the same on either orientation
+    zone = [Piece(((0.1, 3.0), (0.0, 6.0)), sphere_patch(1.0), sign) for sign in (1, -1)]
+    assert same_bits(*(areal_value(areal_gram(2, 3), piece, Q) for piece in zone))
+
+
 def test_reparametrized_is_a_piece_over_the_preimage_with_the_orientation():
     rho = sine_shift(0.3)
     for orientation in (1, -1):

@@ -312,14 +312,16 @@ def test_quadrature_spec_admits_the_cell_cap():
     assert QuadratureSpec(cells_per_axis=MAX_CELLS_PER_AXIS).cells_per_axis == MAX_CELLS_PER_AXIS
 
 
-def test_metric_of_the_wrong_dimension_exits_3_naming_both_dimensions(tmp_path, capsys):
+def test_metric_of_the_wrong_dimension_exits_2_naming_both_dimensions(tmp_path, capsys):
+    # a metric that does not fit the geometry is an input error, not a numeric one
     scenario = json.loads((SCENARIO_DIR / "length_circle.json").read_text())
     scenario["metric"] = {"kind": "euclidean", "dim": 3}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))
-    assert cli.main(["length", "--scenario", str(path), "--quiet"]) == 3
+    assert cli.main(["length", "--scenario", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "metric dimension 3" in err and "codomain dimension 2" in err
+    assert err.rstrip().endswith("[metric]")
 
 
 # the quadrature checks each chunk once (kvector.checked_lift); each error
@@ -806,6 +808,51 @@ def test_polynomial_graph_scenario_has_the_graph_area():
     assert run_scenario("area", scenario, 42).rows[0].value == pytest.approx(math.sqrt(2.0))
 
 
+def _one_check(**entry):
+    return _put([{"tolerance": 1e-10, **entry}], "checks")
+
+
+# |q - p| - b.(q - p) = 3 - 0.3: a Randers length read backwards is not the length
+RANDERS_REVERSED = 2.7
+
+
+@pytest.mark.parametrize("sub", ["length", "area"])
+@pytest.mark.parametrize("geometry", ["interval", "box"])
+def test_an_orientation_key_reverses_the_curve(sub, geometry, tmp_path):
+    scenario = json.loads((SCENARIO_DIR / "length_randers_segment.json").read_text())
+    scenario["geometry"]["orientation"] = -1
+    scenario["compute"] = [{"name": sub, "expected": RANDERS_REVERSED, "tolerance": 1e-12}]
+    if geometry == "box":
+        scenario["geometry"]["box"] = [scenario["geometry"].pop("interval")]
+    path, out = tmp_path / "reversed.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(scenario))
+    assert cli.main([sub, "--scenario", str(path), "--csv", str(out), "--quiet"]) == 0
+    value = float(out.read_text().splitlines()[1].split(",")[1])
+    assert abs(value - RANDERS_REVERSED) <= 1e-12
+
+
+def test_reversing_a_reversible_piece_keeps_every_output_byte(tmp_path):
+    # the Gram area and the Euclidean extremality read |xi|, so the reversed
+    # zone and line write the golden CSV and dump, and orientation 1 is the default
+    for stem, sign in [("area_sphere_zone", -1), ("variation_line", -1), ("variation_line", 1)]:
+        scenario = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
+        scenario["geometry"]["orientation"] = sign
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(scenario))
+        code, csv = _run(path, tmp_path / "out.csv", tmp_path / "dump.csv")
+        assert code == 0 and csv == (GOLDEN_DIR / f"{stem}.csv").read_bytes()
+        dump = (GOLDEN_DIR / f"{stem}.dump.csv").read_bytes()
+        assert (tmp_path / "dump.csv").read_bytes() == dump
+
+
+def test_the_dump_of_a_reversed_curve_evaluates_the_reversed_lift():
+    scenario = json.loads((SCENARIO_DIR / "length_randers_segment.json").read_text())
+    scenario["geometry"]["orientation"] = -1
+    samples = run_scenario("length", scenario, 42, dump=True).samples
+    assert len(samples) == scenarios.DUMP_GRIDS["length"]
+    assert all(abs(value - RANDERS_REVERSED) <= 1e-12 for _, value in samples)
+
+
 # (id, subcommand, shipped scenario, edit of its JSON (None: no file; a str: raw text), location)
 SCENARIO_ERRORS = [
     ("unreadable", "length", "length_circle", None, "{path}"),
@@ -815,20 +862,32 @@ SCENARIO_ERRORS = [
     ("metric-params", "length", "length_circle", _put(1, "metric", "bogus"), "metric"),
     ("catalog", "length", "length_circle", _put("nope", "geometry", "catalog"), "geometry"),
     ("no-geometry", "length", "length_circle", _drop("geometry"), "geometry"),
-    ("no-interval", "length", "length_circle", _drop("geometry", "interval"),
-     "geometry/interval"),
+    # the geometry is one piece, over an interval or a box: a block needs exactly one
+    ("no-interval", "length", "length_circle", _drop("geometry", "interval"), "geometry"),
     ("not-a-curve", "length", "length_circle", _put("sphere_patch", "geometry", "catalog"),
-     "geometry/catalog"),
-    ("no-box", "area", "area_sphere_zone", _drop("geometry", "box"), "geometry/box"),
+     "geometry/interval"),
+    ("no-box", "area", "area_sphere_zone", _drop("geometry", "box"), "geometry"),
+    ("interval-and-box", "length", "length_circle", _put([[0.0, 1.0]], "geometry", "box"),
+     "geometry"),
+    ("curve-row-on-a-2-piece", "length", "area_sphere_zone", _put([{"name": "length"}], "compute"),
+     "geometry"),
+    ("check-curve-row-on-a-2-piece", "check", "area_sphere_zone",
+     _one_check(name="euler_identity"), "geometry"),
     ("interval-reversed", "length", "length_circle", _put([1.0, 0.0], "geometry", "interval"),
      "geometry/interval"),
     ("box-reversed", "area", "area_sphere_zone", _put([0.0, -1.0], "geometry", "box", 1),
      "geometry/box"),
-    # a curve runs along its interval: an orientation key is refused, not ignored
-    ("interval-orientation", "length", "length_circle", _put(-1, "geometry", "orientation"),
-     "geometry/orientation"),
-    ("interval-orientation-plus", "variation", "variation_line",
-     _put(1, "geometry", "orientation"), "geometry/orientation"),
+    # a metric that does not fit the piece is an input error
+    ("metric-misfit-curve", "length", "length_circle",
+     _put({"kind": "euclidean", "dim": 3}, "metric"), "metric"),
+    ("metric-misfit-area", "area", "area_sphere_zone",
+     _put({"kind": "areal_gram", "k": 2, "m": 4}, "metric"), "metric"),
+    ("metric-misfit-degree", "area", "area_sphere_zone",
+     _put({"kind": "euclidean", "dim": 3}, "metric"), "metric"),
+    ("metric-misfit-variation", "variation", "variation_line",
+     _put({"kind": "euclidean", "dim": 3}, "metric"), "metric"),
+    ("metric-misfit-check", "check", "check_suite_randers",
+     _put({"kind": "euclidean", "dim": 2}, "metric"), "metric"),
     ("no-metric", "length", "length_circle", _drop("metric"), "metric"),
     ("check-no-metric", "check", "check_suite_randers", _drop("metric"), "metric"),
     ("seed-key", "length", "length_circle", _put(7, "seed"), "{path}#<root>"),
@@ -887,10 +946,6 @@ SCENARIO_ERRORS = [
      (SCENARIO_DIR / "length_circle.json").read_text().replace('"radius": 1.0', '"radius": 1'
                                                                + "0" * 5000), "{path}"),
 ]
-
-
-def _one_check(**entry):
-    return _put([{"tolerance": 1e-10, **entry}], "checks")
 
 
 # malformed check parameters and non-finite numbers, named by their field
@@ -1010,6 +1065,34 @@ def test_over_cap_exits_2_at_once_and_writes_nothing(
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
+# a metric of 10**9 dimensions would draw a (1, 10**9) sample array; a list of
+# 10**9 quartic weights cannot be written, so mth_root is refused at 10**4
+METRIC_SIZES = [(kind, n) for kind in ("euclidean", "areal_gram") for n in (8, 9, 10**9)]
+METRIC_SIZES += [("mth_root", n) for n in (8, 9, 10**4)]
+METRIC_OF_SIZE = {
+    "euclidean": lambda n: {"kind": "euclidean", "dim": n},
+    "areal_gram": lambda n: {"kind": "areal_gram", "k": 2, "m": n},
+    "mth_root": lambda n: {"kind": "mth_root", "weights": [1.0] * n},
+}
+
+
+@pytest.mark.parametrize("kind, n", METRIC_SIZES, ids=[f"{k}-{n}" for k, n in METRIC_SIZES])
+def test_metric_dimensions_past_the_cap_exit_2_at_metric_and_write_nothing(
+        kind, n, tmp_path, capsys):
+    scenario = {"version": "1", "metric": METRIC_OF_SIZE[kind](n),
+                "checks": [{"name": "homogeneity", "tolerance": 1e-11, "samples": 1}]}
+    path, out = tmp_path / "metric.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(scenario))
+    t0 = time.perf_counter()
+    code = cli.main(["check", "--scenario", str(path), "--csv", str(out), "--quiet"])
+    if n <= finsler.MAX_DIM:
+        assert code == 0 and out.exists()
+        return
+    assert code == 2 and time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.rstrip().endswith("[metric]")
+    assert [p.name for p in tmp_path.iterdir()] == ["metric.json"]
+
+
 def test_sampled_check_evaluates_at_most_a_chunk_per_call(tmp_path, monkeypatch):
     rows = []
     call = finsler.FinslerFunction.__call__
@@ -1077,6 +1160,23 @@ def test_quadrature_overrides_apply_to_checks(tmp_path):
     # at order 2, 2 cells the two routes see different nodes (the file's 8 x 16 reads 0)
     assert float(rows["dual_route"]) == pytest.approx(4.377e-2, rel=1e-3)
     assert float(rows["reparam_invariance"]) == pytest.approx(4.377e-2, rel=1e-3)
+
+
+# each row of this scenario expects a closed form that is not 0 on the
+# 2-homogeneous energy metric, so a check that returns 0 fails there
+NEGATIVE_CONTROLS = SCENARIO_DIR / "check_negative_controls_energy.json"
+
+
+@pytest.mark.parametrize("check", ["homogeneity", "euler_identity", "reparam_invariance",
+                                   "dual_route"])
+def test_a_check_stubbed_to_read_0_fails_its_negative_control(check, tmp_path, monkeypatch):
+    monkeypatch.setitem(checks.CHECKS, check, lambda run, **params: 0.0)
+    out = tmp_path / "out.csv"
+    argv = ["check", "--scenario", str(NEGATIVE_CONTROLS), "--csv", str(out), "--quiet"]
+    assert cli.main(argv) == 1
+    status = {line.split(",")[0]: line.split(",")[5] for line in out.read_text().splitlines()[1:]}
+    assert status == {name: "FAIL" if name == check else "PASS" for name in (
+        "homogeneity", "euler_identity", "reparam_invariance", "dual_route")}
 
 
 def test_every_check_is_gated_by_a_shipped_scenario():
