@@ -22,7 +22,10 @@ Shape contract: a :class:`FinslerFunction` evaluates stacks of base points
 fiber gradients ``(N, fiber_dim)``; the slit check runs column by column
 (:func:`maps.row_max_abs`) on the whole stack before any division or square
 root.  One point ``(m,)``, ``(fiber_dim,)`` gives a float and a
-``(fiber_dim,)`` gradient.
+``(fiber_dim,)`` gradient.  A stack may be stored component-major, as the
+areal lift is (:mod:`grassvar.kvector`): the row maxima and the norms
+(:func:`_norm`) read its contiguous columns, and a value has the bits of
+the same stack in C order.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from .errors import (
     InvalidMetricError,
     SlitDomainError,
 )
-from .kvector import Lift, canonical_lift
+from .kvector import Lift, canonical_lift, row_dot
 from .maps import DifferentiableMap, checked_dimension, checked_reals, row_max_abs
 from .quadrature import CHUNK_NODES
 
@@ -120,29 +123,17 @@ def _slit_test(Y: np.ndarray, scale: np.ndarray) -> None:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (N, d) stacks."""
-    return np.einsum("ni,ni->n", a, b)
+    """Row-wise dot products of two (N, d) stacks, from C-order copies of
+    component-major ones, as einsum orders its sums by the strides."""
+    return np.einsum("ni,ni->n", np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    """Row norms, bit for bit ``np.linalg.norm(v, axis=1)``, from column
-    squares, so no temporary is wider than a column.  numpy adds a row of
-    fewer than 8 squares in order, and a row of 8 to 128 contiguous squares
-    pairwise: eight running sums of every 8th square, combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
-    order.  Other rows go to numpy."""
-    c = v.shape[1]
-    if c > 128 or (c >= 8 and v.strides[1] != v.itemsize):
-        return np.linalg.norm(v, axis=1)
-    square = lambda j: v[:, j] * v[:, j]
-    head, lanes = (c - c % 8, 8) if c >= 8 else (c, 1)
-    r = [square(j) for j in range(lanes)]
-    for j in range(lanes, head):
-        r[j % lanes] += square(j)
-    s = r[0] if lanes == 1 else ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for j in range(head, c):
-        s += square(j)
-    return np.sqrt(s)
+    """Row norms, bit for bit ``np.linalg.norm`` of the stack in C order, on
+    any layout: the square roots of numpy's own sums of the squares, taken
+    column by column (:func:`kvector.row_dot`), so no temporary is wider than a
+    column and the columns of a component-major stack are contiguous."""
+    return np.sqrt(row_dot(v, v))
 
 
 def _dimension(value, what: str) -> int:

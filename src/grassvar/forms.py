@@ -11,7 +11,10 @@ under the integral sign, and the Stokes formula.  Every integral here is a
 
 Shape contract: form coefficients receive a stack of chart points
 ``(N, m)`` and return ``(N,)``; :meth:`KForm.values` returns ``(N, C(m,k))``
-(or ``(C(m,k),)`` for one point ``(m,)``).
+(or ``(C(m,k),)`` for one point ``(m,)``), stored component-major like
+the lift it is paired with (:mod:`grassvar.kvector`).  A pairing sums its
+rows column by column (:func:`kvector.row_dot`), with the bits of numpy's sum
+of the C-order stack.
 
 Only a run that reads a form loads this module; the functionals need
 :mod:`grassvar.quadrature` alone.
@@ -32,7 +35,7 @@ from .errors import (
     InvalidPartitionError,
     OrientationError,
 )
-from .kvector import Lift, _lift_minors, enumerate_multiindices, multiindex_ranks
+from .kvector import Lift, _lift_minors, enumerate_multiindices, multiindex_ranks, row_dot
 from .maps import DifferentiableMap, compose, insert_axis_map
 from .quadrature import MAX_COVERS, Piece, QuadratureSpec, lift_integral
 # unused here: bench/tracing.py finds the quadrature walk as forms.integrate_scalar_over_box
@@ -95,12 +98,14 @@ class KForm:
         return cls(k, m, coeffs)
 
     def values(self, y) -> np.ndarray:
-        """Coefficients at chart points ``(N, m)`` as ``(N, C(m,k))``."""
+        """Coefficients at chart points ``(N, m)`` as a component-major
+        ``(N, C(m,k))``: the transpose of one ``(C(m,k), N)`` buffer."""
         y = np.asarray(y, dtype=float)
         Y = np.atleast_2d(y)
-        out = np.empty((len(Y), len(self.coeffs)))
-        for col, c in enumerate(self.coeffs):
-            out[:, col] = c(Y)  # a constant is broadcast down its column
+        out = np.empty((len(self.coeffs), len(Y)))
+        for col, c in zip(out, self.coeffs):
+            col[...] = c(Y)  # a constant is broadcast along its column
+        out = out.T
         if not np.isfinite(out).all():  # one flat test; rows are searched only on failure
             bad = ~np.isfinite(out).all(axis=1)
             raise EvaluationError(f"non-finite form coefficient at y={Y[bad][0]}")
@@ -129,7 +134,7 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
             J = J[:, :, cols]
             M = _lift_minors(J)
             del J
-            return np.sum(eta.values(Y) * M, axis=1)
+            return row_dot(eta.values(Y), M)
 
         return pulled
 
@@ -138,7 +143,7 @@ def pullback(eta: KForm, f: DifferentiableMap) -> KForm:
 
 def _paired(eta: KForm) -> Callable[[np.ndarray, Lift], np.ndarray]:
     """The density <eta(y), xi>: the form's coefficients paired with the lift."""
-    return lambda T, lift: np.sum(eta.values(lift.base) * lift.comps, axis=1)
+    return lambda T, lift: row_dot(eta.values(lift.base), lift.comps)
 
 
 def integrate(eta: KForm, piece: Piece, q: QuadratureSpec = QuadratureSpec()) -> float:

@@ -39,6 +39,7 @@ from .errors import (
     SlitDomainError,
 )
 from .finsler import SAMPLE_BOX, FinslerFunction, check_homogeneity, require_fit
+from .kvector import row_dot
 from .quadrature import Piece, QuadratureSpec, lift_integral
 
 DUAL_ROUTE_TOL = 1e-10
@@ -149,7 +150,7 @@ def hilbert_route_length(
 
 def _hilbert_value(F: FinslerFunction, lift) -> np.ndarray:
     """The Hilbert form's value sum_nu dF/dv_nu(zeta, zeta') zeta'^nu on a lift."""
-    return np.sum(F._on_lift(lift, gradient=True) * lift.comps, axis=1)
+    return row_dot(F._on_lift(lift, gradient=True), lift.comps)
 
 
 def areal_value(

@@ -19,12 +19,17 @@ Shape contract: the one minors kernel, :func:`_lift_minors`, takes a stack
 of k-column matrices ``(..., m, k)`` and returns their minors
 ``(..., C(m,k))``, the components of the wedge of the columns; the
 canonical lift, the pullback and the orientation test call it on their
-k-column Jacobians.  :func:`minors` stacks it over the increasing column
-sets of ``(..., m, n)`` into the compound matrices ``(..., C(m,k), C(n,k))``.
-:func:`canonical_lift` at nodes ``(N, k)`` returns a :class:`KVector` stack
-with ``base`` ``(N, m)`` and ``comps`` ``(N, C(m,k))``; at a single point
-``(k,)`` it returns one k-vector.  :func:`checked_lift` is the quadrature's
-form of it: a :class:`Lift` of the same arrays with their row maxima.
+k-column Jacobians.  For k >= 2 a node stack of minors ``(N, C(m,k))`` is
+component-major, the transpose of a ``(C(m,k), N)`` buffer, like the
+maps' values and Jacobians (:mod:`grassvar.maps`), so each minor is one
+contiguous node column; for k = 1 the minors are the entries, copied in C
+order, which the curve Lagrangians' row reductions read.  :func:`minors`
+stacks it over the increasing column sets of ``(..., m, n)`` into the
+compound matrices ``(..., C(m,k), C(n,k))``.  :func:`canonical_lift` at
+nodes ``(N, k)`` returns a :class:`KVector` stack with ``base`` ``(N, m)``
+and ``comps`` ``(N, C(m,k))``; at a single point ``(k,)`` it returns one
+k-vector.  :func:`checked_lift` is the quadrature's form of it: a
+:class:`Lift` of the same arrays with their row maxima.
 :func:`lift_kvector` takes points ``(N, n)`` and a k-vector stack based
 there and returns the N lifts; one point ``(n,)`` is the N = 1 case.
 """
@@ -101,15 +106,18 @@ def _lift_minors(J: np.ndarray) -> np.ndarray:
     J[..., I_r[i], s(i)], written into its column from column views of J
     with the terms added in permutation order.  Every minor is elementwise
     arithmetic on its own matrix, so a stack gives the same bits as each of
-    its matrices alone, and no temporary is wider than a node column.
+    its matrices alone, in any layout, and no temporary is wider than a
+    node column.  For k >= 2 the columns are the rows of one ``(C(m,k),
+    N)`` buffer, so a node stack ``(N, C(m,k))`` comes back component-major;
+    for k = 1 the entries are copied in C order.
     """
     m, k = J.shape[-2:]
     if k == 1:  # the minors are the entries
         return J[..., 0].copy()
     stack = J.reshape((-1, m, k))
-    out = np.empty((len(stack), math.comb(m, k)))
+    out = np.empty((math.comb(m, k), len(stack)))
     term = np.empty(len(stack))
-    for col, terms in zip(out.T, _lift_terms(k, m)):
+    for col, terms in zip(out, _lift_terms(k, m)):
         for j, (factors, odd) in enumerate(terms):
             into = col if j == 0 else term
             (a, b), (c, d), *rest = factors
@@ -118,7 +126,33 @@ def _lift_minors(J: np.ndarray) -> np.ndarray:
                 np.multiply(into, stack[:, a, b], out=into)
             if j:
                 (np.subtract if odd else np.add)(col, term, out=col)
-    return out.reshape(J.shape[:-2] + out.shape[-1:])
+    return out.T.reshape(J.shape[:-2] + out.shape[:1])
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise sums of a * b for two stacks ``(N, c)``, such as a form's
+    coefficients and the lift they pair with, bit for bit
+    ``np.sum(a * b, axis=1)`` on the stacks in C order, on any layout, from
+    column products, so no temporary is wider than a column; each column of
+    a component-major stack is contiguous.  numpy sums a C-order row of
+    fewer than 8 numbers in order, and one of 8 to 128 pairwise: eight
+    running sums of every 8th number, combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the rest in order; it adds the row's sum
+    to +0.0, so a sum of -0.0 reads +0.0.  Wider rows go to numpy in C
+    order."""
+    c = a.shape[1]
+    if c > 128:
+        return np.sum(np.multiply(a, b, order="C"), axis=1)
+    term = lambda j: a[:, j] * b[:, j]
+    head, lanes = (c - c % 8, 8) if c >= 8 else (c, 1)
+    r = [term(j) for j in range(lanes)]
+    for j in range(lanes, head):
+        r[j % lanes] += term(j)
+    s = r[0] if lanes == 1 else ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(head, c):
+        s += term(j)
+    s += 0.0
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +191,10 @@ class KVector:
 
     @property
     def norm(self):
-        """Euclidean norm of the components; one per k-vector of a stack."""
-        return np.linalg.norm(self.comps, axis=-1)
+        """Euclidean norm of the components; one per k-vector of a stack,
+        summed from a C-order copy of a component-major one, as numpy's
+        order of summation follows the strides."""
+        return np.linalg.norm(np.ascontiguousarray(self.comps), axis=-1)
 
     def __repr__(self) -> str:
         return f"KVector(k={self.k}, m={self.m}, base={self.base}, comps={self.comps})"
@@ -210,7 +246,10 @@ class Lift(NamedTuple):
     it: ``base`` ``(N, m)`` and ``comps`` ``(N, C(m,k))`` as in a
     :class:`KVector` stack, and ``scale``, the row maxima of |comps|
     (:func:`maps.row_max_abs`), which the degenerate-node screen and the
-    slit test share."""
+    slit test share.  ``base`` is stored as the piece's map returns it,
+    component-major for the catalog's trig and polynomial maps, and
+    ``comps`` for k >= 2 is component-major (:func:`_lift_minors`), so
+    their columns are contiguous."""
 
     base: np.ndarray
     comps: np.ndarray

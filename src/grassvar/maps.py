@@ -26,6 +26,15 @@ returns the pair of values ``(N, m)`` and Jacobians ``(N, m, n)``; a
 constant result (a fixed matrix, say) is broadcast to the stack.  Calling
 a map on a single point ``(n,)`` evaluates the stack N = 1 and returns
 ``(m,)`` and ``(m, n)``.
+
+Storage: the catalog's node stacks are component-major.  A value stack
+``(N, m)`` is the transpose of an ``(m, N)`` buffer and a Jacobian stack
+``(N, m, n)`` a transposed view of an ``(m, n, N)`` buffer
+(:func:`_columns`, :func:`_jacobians`), so every component is one
+contiguous node column.  The exceptions keep numpy's own layout: a
+matrix product (the affine maps, ``fourier_curve``, the chain rule of
+:func:`compose`) and a broadcast constant.  Only the strides differ; every
+value has the bits it has in any other layout.
 """
 from __future__ import annotations
 
@@ -38,6 +47,7 @@ import numpy as np
 from .errors import DimensionMismatchError, MapEvaluationError
 
 MAX_EXPONENT = 64  # a polynomial map holds the powers 0..deg of every axis at every node
+MAX_HARMONICS = 64  # a Fourier curve holds (N, J) sin and cos tables; inputs use at most 3
 
 
 def _as_batch(t, dim: int) -> tuple[np.ndarray, bool]:
@@ -59,8 +69,10 @@ def _finite(name: str, what: str, T: np.ndarray, out: np.ndarray) -> None:
 
 def row_max_abs(A: np.ndarray) -> np.ndarray:
     """Row maxima of |A| for a stack ``(N, c)``, taken column by column, as
-    numpy reduces a short trailing axis slowly; max is exact, so this equals
-    ``np.max(np.abs(A), axis=1, initial=0.0)`` bit for bit, NaN included."""
+    numpy reduces a short trailing axis slowly; each column of a
+    component-major stack is contiguous.  max is exact, so this equals
+    ``np.max(np.abs(A), axis=1, initial=0.0)`` bit for bit on any layout,
+    NaN included."""
     out = np.zeros(len(A))
     for j in range(A.shape[1]):
         np.maximum(out, np.abs(A[:, j]), out=out)
@@ -247,19 +259,20 @@ def _powers(T: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _monomial_sum(rows, n: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """powers ``(deg + 1, n, N)`` from :func:`_powers` -> ``(N, size)``: each
-    slot's sum of coeff * prod_a t_a^e_a over the table ``rows`` of ``(slot,
-    coeff, exponents)``, ordered by slot.  Monomials are made one row at a
-    time from views of the powers and added into their slot's column, so no
-    temporary is larger than a node column and the result is not copied."""
+    """powers ``(deg + 1, n, N)`` from :func:`_powers` -> a component-major
+    ``(N, size)``: each slot's sum of coeff * prod_a t_a^e_a over the table
+    ``rows`` of ``(slot, coeff, exponents)``, ordered by slot.  Monomials are
+    made one row at a time from views of the powers and added into their
+    slot's contiguous column, so no temporary is larger than a node column
+    and the result is not copied."""
     def evaluate(powers):
-        out = np.zeros((powers.shape[2], size))
+        out = np.zeros((size, powers.shape[2]))
         for slot, c, e in rows:  # in table order; a reduction would pair rows up
             mono = powers[e[0], 0]
             for a in range(1, n):
                 mono = mono * powers[e[a], a]
-            out[:, slot] += mono * c
-        return out
+            out[slot] += mono * c
+        return out.T
 
     return evaluate
 
@@ -297,7 +310,7 @@ def polynomial_map(domain_dim: int, terms) -> DifferentiableMap:
 
     def value_and_jacobian(T):
         powers = _powers(T, degree)
-        return value(powers), jacobian(powers).reshape(-1, m, n)
+        return value(powers), _jacobians(jacobian(powers), m, n)
 
     return DifferentiableMap(
         "polynomial", n, m, lambda T: value(_powers(T, degree)), value_and_jacobian
@@ -305,12 +318,19 @@ def polynomial_map(domain_dim: int, terms) -> DifferentiableMap:
 
 
 def _columns(*entries) -> np.ndarray:
-    """(N,) arrays or scalars -> an (N, len(entries)) stack, filled in place;
-    Jacobians are built row-major from it and reshaped to (N, m, n)."""
-    out = np.empty(np.broadcast(*entries).shape + (len(entries),))
-    for j, entry in enumerate(entries):
-        out[:, j] = entry
-    return out
+    """(N,) arrays or scalars -> a component-major (N, len(entries)) stack:
+    the transpose of a (len(entries), N) buffer whose rows are filled in
+    place, so each entry is one contiguous column."""
+    out = np.empty((len(entries),) + np.broadcast(*entries).shape)
+    for row, entry in zip(out, entries):
+        row[...] = entry
+    return out.T
+
+
+def _jacobians(A: np.ndarray, m: int, n: int) -> np.ndarray:
+    """A component-major (N, m * n) stack of row-major m x n entries as the
+    Jacobians (N, m, n): a view of its (m, n, N) buffer, not a copy."""
+    return A.T.reshape(m, n, len(A)).transpose(2, 0, 1)
 
 
 def _trig_map(name: str, n: int, m: int, trig, value, jacobian) -> DifferentiableMap:
@@ -364,7 +384,7 @@ def torus_patch(major_radius: float = 2.0, minor_radius: float = 1.0) -> Differe
     def jacobian(T, su, cu, sv, cv):
         w = R + r * cv
         rs = -r * sv
-        return _columns(-w * su, rs * cu, w * cu, rs * su, 0.0, r * cv).reshape(-1, 3, 2)
+        return _jacobians(_columns(-w * su, rs * cu, w * cu, rs * su, 0.0, r * cv), 3, 2)
 
     return _trig_map("torus_patch", 2, 3, _sin_cos, value, jacobian)
 
@@ -378,7 +398,7 @@ def sphere_patch(radius: float = 1.0) -> DifferentiableMap:
 
     def jacobian(T, sth, cth, sph, cph):
         entries = cth * cph, -sth * sph, cth * sph, sth * cph, -sth, 0.0
-        return r * _columns(*entries).reshape(-1, 3, 2)
+        return r * _jacobians(_columns(*entries), 3, 2)
 
     return _trig_map("sphere_patch", 2, 3, _sin_cos, value, jacobian)
 
@@ -389,12 +409,12 @@ def graph_surface(terms) -> DifferentiableMap:
     h's raw callables are called, unchecked: the graph's own checks cover
     its height and the height's Jacobian, and name the node."""
     h = polynomial_map(2, [terms])
-    graph = lambda T, Yh: np.concatenate([T, Yh], axis=1)
+    graph = lambda T, Yh: _columns(T[:, 0], T[:, 1], Yh[:, 0])
 
     def value_and_jacobian(T):
         Yh, Jh = h._value_and_jacobian(T)
         Jh = Jh[:, 0]
-        return graph(T, Yh), _columns(1.0, 0.0, 0.0, 1.0, Jh[:, 0], Jh[:, 1]).reshape(-1, 3, 2)
+        return graph(T, Yh), _jacobians(_columns(1.0, 0.0, 0.0, 1.0, Jh[:, 0], Jh[:, 1]), 3, 2)
 
     return DifferentiableMap(
         "graph_surface", 2, 3, lambda T: graph(T, h._value(T)), value_and_jacobian
@@ -402,11 +422,14 @@ def graph_surface(terms) -> DifferentiableMap:
 
 
 def fourier_curve(constant, cos_coeffs, sin_coeffs) -> DifferentiableMap:
-    """t -> c + sum_j (A[:, j-1] cos(j t) + B[:, j-1] sin(j t)), j = 1..J."""
+    """t -> c + sum_j (A[:, j-1] cos(j t) + B[:, j-1] sin(j t)), j = 1..J,
+    with J at most ``MAX_HARMONICS``."""
     c = checked_reals(constant, "constant", (None,))
     A = checked_reals(cos_coeffs, "cos_coeffs", (len(c), None))
     B = checked_reals(sin_coeffs, "sin_coeffs", A.shape)
     m, J = A.shape
+    if J > MAX_HARMONICS:
+        raise MapEvaluationError(f"fourier_curve takes at most {MAX_HARMONICS} harmonics, got {J}")
     js = np.arange(1, J + 1, dtype=float)
     return _trig_map(
         "fourier_curve", 1, m,
@@ -453,7 +476,7 @@ def trig_shear(amplitude: float = 0.3) -> DifferentiableMap:
             return _columns(T[:, 0] + sign * a * np.sin(T[:, 1]), T[:, 1])
 
         def value_and_jacobian(T):
-            J = _columns(1.0, sign * a * np.cos(T[:, 1]), 0.0, 1.0).reshape(-1, 2, 2)
+            J = _jacobians(_columns(1.0, sign * a * np.cos(T[:, 1]), 0.0, 1.0), 2, 2)
             return value(T), J
 
         return value, value_and_jacobian
@@ -480,13 +503,20 @@ def positive_scale(factors) -> DifferentiableMap:
 # combinators
 # ---------------------------------------------------------------------------
 
+def _row_major(J: np.ndarray) -> np.ndarray:
+    """A Jacobian stack with C-order matrices, as numpy's stacked matmul
+    rounds a product by the strides of its factors: a component-major
+    stack is copied, a broadcast constant is left as it is."""
+    return J if J.strides[0] == 0 else np.ascontiguousarray(J)
+
+
 def _bare_compose(
     outer: DifferentiableMap, inner: DifferentiableMap, inverse: DifferentiableMap | None = None
 ) -> DifferentiableMap:
     def value_and_jacobian(T):
         Y, J_inner = inner.value_and_jacobian(T)
         Z, J_outer = outer.value_and_jacobian(Y)
-        return Z, J_outer @ J_inner
+        return Z, _row_major(J_outer) @ _row_major(J_inner)
 
     return DifferentiableMap(
         f"{outer.name}({inner.name})",

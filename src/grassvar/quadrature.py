@@ -14,9 +14,14 @@ or ``(p, N)`` for p integrals on one walk; the integral is a float, or
 ``(p,)``.  Densities handed to :func:`lift_integral` receive the nodes
 ``(N, k)`` and the canonical lift at them, a :class:`kvector.Lift` with
 ``base`` ``(N, m)``, ``comps`` ``(N, C(m,k))`` and their row maxima
-``scale`` ``(N,)``, and return ``(N,)`` or ``(p, N)`` likewise.  A form
-is the density <eta(y), xi>, a Lagrangian the density L(y, xi), on the lift
-xi of the oriented piece: reversing the piece replaces xi by -xi.
+``scale`` ``(N,)``, and return ``(N,)`` or ``(p, N)`` likewise.  For
+k >= 2 the nodes are stored component-major, the transpose of a
+``(k, N)`` buffer, as the catalog maps store their values and Jacobians
+and the lift its components (:mod:`grassvar.kvector`), so every axis and
+component is one contiguous node column; a 1-D walk hands out ``(N, 1)``
+slices of its axis.  A form is the density <eta(y), xi>, a Lagrangian the
+density L(y, xi), on the lift xi of the oriented piece: reversing the
+piece replaces xi by -xi.
 """
 from __future__ import annotations
 
@@ -156,7 +161,8 @@ def _axis_nodes(a: float, b: float, q: QuadratureSpec, cells: int):
 def _chunks(nodes, weights):
     """The tensor grid of the per-axis ``nodes`` and ``weights`` in row-major
     order, as ``(T, W)`` chunks of ``CHUNK_NODES`` nodes ``(N, k)`` and
-    weights ``(N,)``.
+    weights ``(N,)``; for k >= 2, ``T`` is the transpose of a ``(k, N)``
+    block, one contiguous node column per axis.
 
     A row is a run of the last axis at fixed leading axes.  Each chunk is
     built from pieces that are either whole rows or a part of one row: the
@@ -181,7 +187,7 @@ def _chunks(nodes, weights):
         row_W = lead_weights[0][lead[0]]
         for w, i in zip(lead_weights[1:], lead[1:]):
             row_W *= w[i]
-        T, W = np.empty((stop - start, k)), np.empty(stop - start)
+        T, W = np.empty((k, stop - start)), np.empty(stop - start)
         # [start, a) ends the first row, [a, b) is whole rows, [b, stop) begins the last
         a = min(-(-start // row) * row, stop)
         b = max(a, stop // row * row)
@@ -191,13 +197,13 @@ def _chunks(nodes, weights):
             rows = (hi - 1) // row - lo // row + 1
             col, cols = lo % row, (hi - lo) // rows
             r = slice(lo // row - first, lo // row - first + rows)
-            block = T[lo - start:hi - start].reshape(rows, cols, k)
+            block = T[:, lo - start:hi - start].reshape(k, rows, cols)
             for d, values in enumerate(row_T):
-                block[:, :, d] = values[r, None]
-            block[:, :, -1] = last[col:col + cols]
+                block[d] = values[r, None]
+            block[-1] = last[col:col + cols]
             np.multiply(row_W[r, None], last_w[col:col + cols],
                         out=W[lo - start:hi - start].reshape(rows, cols))
-        yield T, W
+        yield T.T, W
 
 
 def integrate_scalar_over_box(g: Callable[[np.ndarray], np.ndarray], box, q: QuadratureSpec):

@@ -50,6 +50,7 @@ from grassvar.maps import (
     sine_shift,
     sphere_patch,
 )
+from grassvar.quadrature import lift_integral
 from grassvar.variation import VariationField, default_variation_basis, extremal_residual
 
 from .oracles import NAN_ROWS, bisected_preimage, nan_where, radial_sine_bump, same_bits
@@ -352,6 +353,19 @@ def test_one_areal_chunk_makes_no_whole_chunk_copy():
     finally:
         tracemalloc.stop()
     assert growth <= 1100
+
+
+@pytest.mark.parametrize("piece", [ZONE, R5_PIECE], ids=["sphere-zone", "r5-polynomial"])
+def test_an_areal_chunk_reaches_its_density_in_contiguous_columns(piece):
+    # one chunk of CHUNK_NODES: the nodes, the lift's base and its components
+    # are stored component-major from the quadrature walk to the density
+    seen = []
+    density = lambda T, lift: (seen.append((T, lift)), np.ones(len(T)))[1]
+    lift_integral(piece, density, R5_Q)
+    [(T, lift)] = seen
+    assert len(T) == quadrature.CHUNK_NODES
+    for stack in (T, lift.base, lift.comps):
+        assert all(stack[:, j].flags.contiguous for j in range(stack.shape[1]))
 
 
 def test_areal_dimension_check():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grassvar.errors import DimensionMismatchError, EvaluationError, InvalidDegreeError
-from grassvar.kvector import KVector, _lift_minors, canonical_lift, lift_kvector, minors
+from grassvar.kvector import (
+    KVector, _lift_minors, canonical_lift, lift_kvector, minors, row_dot,
+)
 from grassvar.maps import (
     affine_map,
     circle,
@@ -21,6 +23,7 @@ from grassvar.maps import (
 )
 
 from .oracles import lift_full_tensor_sum, minors_by_cofactors, same_bits, wedge_square_brute
+from .test_maps import SPECIAL_FLOATS
 
 ORACLE_TOL = 1e-12
 FUNCTORIALITY_TOL = 1e-10
@@ -97,7 +100,11 @@ def test_lift_minors_are_the_stacked_minors_bit_for_bit(k, m, rng):
             assert stacked.flags.c_contiguous
             for c, cols in enumerate(itertools.combinations(range(n), k)):
                 lifted = _lift_minors(J[:, :, list(cols)])
-                assert lifted.shape == (9, math.comb(m, k)) and lifted.flags.c_contiguous
+                assert lifted.shape == (9, math.comb(m, k))
+                if k == 1:  # the entries, copied in C order
+                    assert lifted.flags.c_contiguous
+                else:  # each minor is one contiguous node column
+                    assert all(lifted[:, r].flags.contiguous for r in range(math.comb(m, k)))
                 assert same_bits(stacked[..., c], lifted)
                 for i in range(9):
                     assert same_bits(lifted[i], _lift_minors(J[i][:, list(cols)]))
@@ -143,6 +150,29 @@ def test_canonical_lift_of_a_stack(rng):
         assert np.allclose(lift.base[i], one.base, rtol=1e-14, atol=1e-15)
         assert np.allclose(lift.comps[i], one.comps, rtol=1e-14, atol=1e-15)
         assert lift.norm[i] == pytest.approx(one.norm, rel=1e-14)
+
+
+def test_the_norm_of_a_component_major_lift_has_the_bits_of_c_order(rng):
+    # ten components, so numpy sums each row pairwise in C order and in
+    # sequence across a component-major stack
+    f = polynomial_map(2, [[[1.0, [1, 0]]], [[1.0, [0, 1]]], [[0.7, [2, 0]]], [[-0.6, [1, 2]]],
+                           [[0.45, [2, 1]], [1.1, [0, 0]]]])
+    lift = canonical_lift(f, rng.normal(size=(257, 2)))
+    assert lift.comps.shape == (257, 10) and not lift.comps.flags.c_contiguous
+    assert same_bits(lift.norm, np.linalg.norm(np.ascontiguousarray(lift.comps), axis=1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_row_dot_equals_numpys_row_sum_bit_for_bit(data):
+    # every branch: in order below 8 columns, eight lanes up to 128, numpy
+    # past it; signed zeros, so a sum of -0.0 must read +0.0 as numpy's does
+    shape = data.draw(st.tuples(st.integers(0, 9), st.sampled_from([1, 2, 3, 7, 8, 9, 17, 70,
+                                                                    128, 129, 140])))
+    entries = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+    A, B = (data.draw(arrays(np.float64, shape, elements=entries)) for _ in range(2))
+    with np.errstate(all="ignore"):
+        assert same_bits(row_dot(A, B), np.sum(A * B, axis=1))
 
 
 # -- lift --------------------------------------------------------------------

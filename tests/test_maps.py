@@ -185,6 +185,24 @@ def test_compose_chain_rule():
     assert np.allclose(h.inverted()(h(t)), t, atol=1e-12)
 
 
+def test_composed_jacobians_have_the_bits_of_c_order_factors(rng):
+    # the catalog stores a stack's Jacobians component-major; numpy's stacked
+    # matmul rounds a product by the strides of its factors, so the chain
+    # rule multiplies C-order copies, as it did when the catalog stored them so
+    cubic = polynomial_map(3, [[(1.0, (1, 0, 0)), (0.3, (0, 1, 1))],
+                               [(1.0, (0, 1, 0)), (0.2, (2, 0, 0))], [(1.0, (0, 0, 1))]])
+    for outer, inner, T in [
+        (cubic, helix(1.1, 0.3), rng.uniform(0.0, 5.0, size=(257, 1))),
+        (trig_shear(0.3), circle(0.8, (0.1, 0.2), 0.3), rng.uniform(0.0, 6.0, size=(257, 1))),
+        (cubic, torus_patch(2.0, 0.7), rng.uniform(-1.0, 1.0, size=(257, 2))),
+    ]:
+        J_inner = inner.jacobian(T)
+        J_outer = outer.jacobian(inner(T))
+        assert not J_inner.flags.c_contiguous and not J_outer.flags.c_contiguous
+        expected = np.ascontiguousarray(J_outer) @ np.ascontiguousarray(J_inner)
+        assert same_bits(compose(outer, inner).jacobian(T), expected)
+
+
 def test_compose_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         compose(trig_shear(0.1), helix())

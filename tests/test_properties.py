@@ -15,12 +15,13 @@ from hypothesis.extra.numpy import arrays
 
 from grassvar.errors import NotInChartError, PivotDegenerateError
 from grassvar.expressions import ExprCoeff
+from grassvar.finsler import _dot, _norm
 from grassvar.forms import KForm, exterior_derivative
 from grassvar.grassmann import grassmann_transition, to_grassmann
-from grassvar.kvector import KVector, lift_kvector, minors
-from grassvar.maps import affine_map, compose
+from grassvar.kvector import KVector, _lift_minors, lift_kvector, minors, row_dot
+from grassvar.maps import affine_map, compose, row_max_abs
 
-from .oracles import equivalent, wedge_square_brute
+from .oracles import equivalent, same_bits, wedge_square_brute
 from .test_grassmann import TRANSITION_TOL
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -107,6 +108,32 @@ def test_cauchy_binet_for_lift_of_composition(maps):
     scale = np.linalg.norm(minors(B, k)) * np.linalg.norm(minors(A, k)) * np.linalg.norm(xi.comps)
     assert np.allclose(direct.base, staged.base)
     assert np.max(np.abs(direct.comps - staged.comps)) <= 1e-13 * (1.0 + scale)
+
+
+def _component_major(A):
+    """A copy of the stack ``A`` ``(N, ...)`` stored with the node axis last."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 0, -1)), -1, 0)
+
+
+# dimensions up to the metric cap 8 and degrees up to 4: C(m, k) up to 70 minors
+DEGREES = [(k, m) for m in range(1, 9) for k in range(1, min(m, 4) + 1)]
+ANY_FLOAT = st.floats(width=64)  # NaN, infinities and subnormals too
+
+
+@SETTINGS
+@given(st.data())
+def test_row_reductions_and_minors_keep_their_bits_in_either_layout(data):
+    rows = data.draw(st.integers(1, 5))
+    V = data.draw(arrays(np.float64, (rows, data.draw(st.integers(1, 70))), elements=ANY_FLOAT))
+    k, m = data.draw(st.sampled_from(DEGREES))
+    J = data.draw(arrays(np.float64, (rows, m, k), elements=ANY_FLOAT))
+    W = data.draw(arrays(np.float64, V.shape, elements=ANY_FLOAT))
+    with np.errstate(all="ignore"):
+        for f, stack in ((row_max_abs, V), (_norm, V), (_lift_minors, J)):
+            assert same_bits(f(stack), f(_component_major(stack)))
+        # the row sums of products: the Lagrangians' einsum and the pairings
+        for f in (_dot, row_dot):
+            assert same_bits(f(V, W), f(_component_major(V), _component_major(W)))
 
 
 @SETTINGS

@@ -30,7 +30,8 @@ import pytest
 
 import grassvar
 from grassvar import (
-    checks, cli, expressions, finsler, functional, grassmann, quadrature, scenarios, variation,
+    checks, cli, expressions, finsler, functional, grassmann, maps, quadrature, scenarios,
+    variation,
 )
 from grassvar.errors import InvalidPartitionError, ScenarioError
 from grassvar.expressions import MAX_DEPTH
@@ -1093,6 +1094,32 @@ def test_metric_dimensions_past_the_cap_exit_2_at_metric_and_write_nothing(
     assert [p.name for p in tmp_path.iterdir()] == ["metric.json"]
 
 
+# the unit circle as a Fourier curve of n harmonics, all but the first zero;
+# 20000 harmonics at 512 cells would build (4096, 20000) sin and cos tables
+@pytest.mark.parametrize("harmonics", [maps.MAX_HARMONICS, maps.MAX_HARMONICS + 1, 20000])
+def test_fourier_harmonics_past_the_cap_exit_2_at_geometry_and_write_nothing(
+        harmonics, tmp_path, capsys):
+    cos_coeffs, sin_coeffs = ([[0.0] * harmonics for _ in range(2)] for _ in range(2))
+    cos_coeffs[0][0] = sin_coeffs[1][0] = 1.0
+    scenario = json.loads((SCENARIO_DIR / "length_circle.json").read_text())
+    scenario["geometry"]["catalog"] = "fourier_curve"
+    scenario["geometry"]["params"] = {
+        "constant": [0.0, 0.0], "cos_coeffs": cos_coeffs, "sin_coeffs": sin_coeffs}
+    scenario["quadrature"]["cells_per_axis"] = 512
+    path, out = tmp_path / "fourier.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(scenario))
+    t0 = time.perf_counter()
+    code = cli.main(["length", "--scenario", str(path), "--csv", str(out), "--quiet"])
+    if harmonics <= maps.MAX_HARMONICS:
+        assert code == 0 and out.exists()
+        return
+    assert code == 2 and time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err.rstrip()
+    assert f"at most {maps.MAX_HARMONICS} harmonics, got {harmonics}" in err
+    assert err.endswith("[geometry]")
+    assert [p.name for p in tmp_path.iterdir()] == ["fourier.json"]
+
+
 def test_sampled_check_evaluates_at_most_a_chunk_per_call(tmp_path, monkeypatch):
     rows = []
     call = finsler.FinslerFunction.__call__
@@ -1162,21 +1189,27 @@ def test_quadrature_overrides_apply_to_checks(tmp_path):
     assert float(rows["reparam_invariance"]) == pytest.approx(4.377e-2, rel=1e-3)
 
 
-# each row of this scenario expects a closed form that is not 0 on the
-# 2-homogeneous energy metric, so a check that returns 0 fails there
-NEGATIVE_CONTROLS = SCENARIO_DIR / "check_negative_controls_energy.json"
+# each row of these scenarios expects a closed form that is not 0: on the
+# 2-homogeneous energy metric, and the largest first variation pi/2 of the
+# unit half circle under the euclidean metric; a check that returns 0 fails there
+NEGATIVE_CONTROLS = {
+    SCENARIO_DIR / "check_negative_controls_energy.json":
+        ("homogeneity", "euler_identity", "reparam_invariance", "dual_route"),
+    SCENARIO_DIR / "check_negative_controls_circle.json": ("extremality",),
+}
 
 
-@pytest.mark.parametrize("check", ["homogeneity", "euler_identity", "reparam_invariance",
-                                   "dual_route"])
-def test_a_check_stubbed_to_read_0_fails_its_negative_control(check, tmp_path, monkeypatch):
+@pytest.mark.parametrize("path, check", [
+    (path, check) for path, names in NEGATIVE_CONTROLS.items() for check in names
+], ids=[check for names in NEGATIVE_CONTROLS.values() for check in names])
+def test_a_check_stubbed_to_read_0_fails_its_negative_control(path, check, tmp_path, monkeypatch):
     monkeypatch.setitem(checks.CHECKS, check, lambda run, **params: 0.0)
     out = tmp_path / "out.csv"
-    argv = ["check", "--scenario", str(NEGATIVE_CONTROLS), "--csv", str(out), "--quiet"]
+    argv = ["check", "--scenario", str(path), "--csv", str(out), "--quiet"]
     assert cli.main(argv) == 1
     status = {line.split(",")[0]: line.split(",")[5] for line in out.read_text().splitlines()[1:]}
-    assert status == {name: "FAIL" if name == check else "PASS" for name in (
-        "homogeneity", "euler_identity", "reparam_invariance", "dual_route")}
+    rows = NEGATIVE_CONTROLS[path]
+    assert status == {name: "FAIL" if name == check else "PASS" for name in rows}
 
 
 def test_every_check_is_gated_by_a_shipped_scenario():
