@@ -29,7 +29,7 @@ _EXPORTS = {
     "functional": ("areal_value", "curve_length"),
     "variation": ("VariationField", "extremal_residual"),
     "grassmann": ("GrassmannPoint", "grassmann_transition", "to_grassmann"),
-    "kvector": ("KVector", "canonical_lift", "enumerate_multiindices", "lift_kvector"),
+    "kvector": ("KVector", "canonical_lift", "enumerate_multiindices"),
     "maps": ("DifferentiableMap", "compose", "from_catalog"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}

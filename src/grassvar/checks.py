@@ -7,8 +7,8 @@ parametrization checks of a curve's length (the Hilbert-form route and
 reparametrization invariance, on the curve moved by :func:`reparametrized`),
 the extremality of a curve, the integral identities of a form on the
 run's piece (Stokes, change of domain, differentiation under the integral
-sign, independence of the partition of unity), the Grassmann chart
-round trip and the functoriality of the canonical lift.
+sign, independence of the partition of unity) and the Grassmann chart
+round trip.
 
 :func:`scenarios.run_scenario` imports this module only for the ``check``
 subcommand, and a row loads :mod:`grassvar.forms`, :mod:`grassvar.variation`
@@ -23,8 +23,8 @@ import numpy as np
 from . import finsler, functional
 from .errors import DimensionMismatchError, MapEvaluationError, OrientationError, ScenarioError
 from .functional import _curve_interval
-from .kvector import KVector, lift_kvector
-from .maps import DifferentiableMap, affine_map, compose
+from .kvector import KVector
+from .maps import DifferentiableMap, compose
 from .quadrature import Piece
 from .scenarios import _extremality
 
@@ -195,22 +195,6 @@ def _check_grassmann_roundtrip(run, k=2, m=4, count=200):
     return float(max(np.max(np.abs(back.w - p.w)), source))
 
 
-def _check_lift_functoriality(run, count=50):
-    rng, worst = run.rng, 0.0
-    for k in range(1, 5):
-        # n2 > k where possible: at n2 = k Cauchy-Binet has one term and misses a |det|
-        n1, n2, n3 = (int(rng.integers(low, 5)) for low in (k, min(k + 1, 4), k))
-        f = affine_map(rng.standard_normal((n2, n1)), rng.standard_normal(n2))
-        g = affine_map(rng.standard_normal((n3, n2)), rng.standard_normal(n3))
-        x = rng.standard_normal((count, n1))
-        xi = KVector(x, rng.standard_normal((count, math.comb(n1, k))), k, n1)
-        direct = lift_kvector(compose(g, f), x, xi)
-        staged = lift_kvector(g, f(x), lift_kvector(f, x, xi))
-        scale = np.maximum(1.0, direct.norm)[:, None]
-        worst = max(worst, float(np.max(np.abs(direct.comps - staged.comps) / scale)))
-    return worst
-
-
 CHECKS = {
     "homogeneity": _fiber_check(finsler.check_homogeneity),
     "projectability": _fiber_check(finsler.check_projectability),
@@ -223,5 +207,4 @@ CHECKS = {
     "leibniz": _check_leibniz,
     "partition_independence": _check_partition_independence,
     "grassmann_roundtrip": _check_grassmann_roundtrip,
-    "lift_functoriality": _check_lift_functoriality,
 }

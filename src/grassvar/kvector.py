@@ -5,33 +5,28 @@ its components over strictly increasing multi-indices.  This module owns
 that layout: :func:`enumerate_multiindices` lists the increasing k-tuples
 in 1..m in lexicographic order, the position in that list is a tuple's
 rank, and every component array, minor table and form coefficient list in
-the package is laid out in rank order.  The lift of a differentiable map
-acts on the components through the k-th compound matrix of the Jacobian
-(the matrix of all k x k minors), which is the coordinate form of pushing
-a wedge of tangent vectors forward::
+the package is laid out in rank order.  The canonical lift of a
+parametrization f: R^k -> chart at t is the wedge of the k Jacobian
+columns of f at t, whose components are the k x k minors of that
+Jacobian::
 
-    (lift Xi)^I = sum_J det(Jac[I rows, J cols]) Xi^J
-
-Compound matrices are multiplicative in the Jacobian (Cauchy-Binet), which
-makes the lift functorial under composition.
+    (lift f)^I(t) = det(Jac f(t)[I rows, :])
 
 Shape contract: the one minors kernel, :func:`_lift_minors`, takes a stack
 of k-column matrices ``(..., m, k)`` and returns their minors
-``(..., C(m,k))``, the components of the wedge of the columns; the
-canonical lift, the pullback and the orientation test call it on their
-k-column Jacobians.  For k >= 2 a node stack of minors ``(N, C(m,k))`` is
-component-major, the transpose of a ``(C(m,k), N)`` buffer, like the
-maps' values and Jacobians (:mod:`grassvar.maps`), so each minor is one
-contiguous node column; for k = 1 the minors are the entries, copied in C
-order, which the curve Lagrangians' row reductions read.  :func:`minors`
-stacks it over the increasing column sets of ``(..., m, n)`` into the
-compound matrices ``(..., C(m,k), C(n,k))``.  :func:`canonical_lift` at
-nodes ``(N, k)`` returns a :class:`KVector` stack with ``base`` ``(N, m)``
-and ``comps`` ``(N, C(m,k))``; at a single point ``(k,)`` it returns one
-k-vector.  :func:`checked_lift` is the quadrature's form of it: a
-:class:`Lift` of the same arrays with their row maxima.
-:func:`lift_kvector` takes points ``(N, n)`` and a k-vector stack based
-there and returns the N lifts; one point ``(n,)`` is the N = 1 case.
+``(..., C(m,k))``, the components of the wedge of the columns, by Laplace
+expansion along the last column from the (k-1)-minors of the first k - 1
+columns; the canonical lift, the pullback and the orientation test call it
+on their k-column Jacobians.  For k >= 2 a node stack of minors ``(N,
+C(m,k))`` is component-major, the transpose of a ``(C(m,k), N)`` buffer,
+like the maps' values and Jacobians (:mod:`grassvar.maps`), so each minor
+is one contiguous node column; for k = 1 the minors are the entries,
+copied in C order, which the curve Lagrangians' row reductions read.
+:func:`canonical_lift` at nodes ``(N, k)`` returns a :class:`KVector`
+stack with ``base`` ``(N, m)`` and ``comps`` ``(N, C(m,k))``; at a single
+point ``(k,)`` it returns one k-vector.  :func:`checked_lift` is the
+quadrature's form of it: a :class:`Lift` of the same arrays with their row
+maxima.
 """
 from __future__ import annotations
 
@@ -62,70 +57,54 @@ def multiindex_ranks(k: int, m: int) -> dict[tuple[int, ...], int]:
     return {index: r for r, index in enumerate(enumerate_multiindices(k, m))}
 
 
-def minors(J, k: int) -> np.ndarray:
-    """All k x k minors of a stack of matrices: their k-th compound matrices.
-
-    ``J`` has shape ``(..., m, n)``; entry ``(..., r, c)`` of the result is
-    det(J[..., I_r rows, K_c cols]) over the increasing multi-indices I_r
-    of size k in 1..m and K_c in 1..n, both in rank order.  Column c is
-    :func:`_lift_minors` of the k columns K_c: one kernel call on the stack
-    ``(..., C(n,k), m, k)`` of all column sets, with the bits of a call per
-    set, as the kernel is elementwise per matrix.  The result is C-contiguous.
-    """
-    J = np.asarray(J, dtype=float)
-    m, n = J.shape[-2:]
-    if not 1 <= k <= min(m, n):
-        raise InvalidDegreeError(f"degree {k} not in 1..min({m}, {n})")
-    cols = np.array(enumerate_multiindices(k, n)) - 1
-    stacked = np.moveaxis(J[..., cols], -3, -2)  # (..., m, C(n,k), k) -> (..., C(n,k), m, k)
-    return np.ascontiguousarray(np.swapaxes(_lift_minors(stacked), -1, -2))
-
-
 @lru_cache(maxsize=None)
-def _lift_terms(k: int, m: int) -> tuple:
-    """The Leibniz terms of the minors of an ``(m, k)`` matrix, k >= 2: per
-    increasing row set in rank order, the ``((row, col), ...)`` factors of
-    each permutation of the k columns with its oddness (by its inversion
-    count), the permutations in lexicographic order, the identity first."""
-    perms = [
-        (p, sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2 == 1)
-        for p in itertools.permutations(range(k))
-    ]
+def _laplace_terms(j: int, m: int) -> tuple:
+    """The Laplace expansion along the last column of the j x j minors of an
+    ``(m, j)`` matrix, j >= 2: per increasing row set in rank order, one
+    ``(row, rank, plus)`` per row of the set, the last row first.  The
+    row's entry in the last column multiplies the minor of the first j - 1
+    columns on the other rows, the (j-1)-row set of rank ``rank``; the
+    product is added if ``plus``, else subtracted, and the first is added."""
+    ranks = multiindex_ranks(j - 1, m)
     return tuple(
-        tuple((tuple(zip(rows, perm)), odd) for perm, odd in perms)
-        for rows in itertools.combinations(range(m), k)
+        tuple((rows[p] - 1, ranks[rows[:p] + rows[p + 1:]], (j - 1 - p) % 2 == 0)
+              for p in reversed(range(j)))
+        for rows in enumerate_multiindices(j, m)
     )
 
 
 def _lift_minors(J: np.ndarray) -> np.ndarray:
-    """The k x k minors of matrices ``(..., m, k)``, k <= m, by the Leibniz
-    sum, in one ``(..., C(m,k))`` array.
+    """The k x k minors of matrices ``(..., m, k)``, k <= m, in one
+    ``(..., C(m,k))`` array.
 
     Column r is det(J[..., I_r rows, :]) over the increasing row sets I_r in
-    rank order, the sum over permutations s of sign(s) prod_i
-    J[..., I_r[i], s(i)], written into its column from column views of J
-    with the terms added in permutation order.  Every minor is elementwise
-    arithmetic on its own matrix, so a stack gives the same bits as each of
-    its matrices alone, in any layout, and no temporary is wider than a
-    node column.  For k >= 2 the columns are the rows of one ``(C(m,k),
-    N)`` buffer, so a node stack ``(N, C(m,k))`` comes back component-major;
-    for k = 1 the entries are copied in C order.
+    rank order.  For j = 2..k the j x j minors of the first j columns are
+    expanded along their j-th column from the (j-1)-minors, on column views
+    of J, with the terms added in the order of :func:`_laplace_terms`:
+    sum_j C(m,j) j products in all.  For k = 2 that is J[a,0] J[b,1] -
+    J[b,0] J[a,1], each product and the difference rounded once.  Every
+    minor is elementwise arithmetic on its own matrix, so a stack gives the
+    same bits as each of its matrices alone, in any layout; besides the
+    ``(C(m,j), N)`` buffers of two consecutive degrees, the one temporary
+    is a node column.  For k >= 2 the columns are the rows of one
+    ``(C(m,k), N)`` buffer, so a node stack ``(N, C(m,k))`` comes back
+    component-major; for k = 1 the entries are copied in C order.
     """
     m, k = J.shape[-2:]
     if k == 1:  # the minors are the entries
         return J[..., 0].copy()
     stack = J.reshape((-1, m, k))
-    out = np.empty((math.comb(m, k), len(stack)))
+    lower = [stack[:, i, 0] for i in range(m)]  # the minors of the first column
     term = np.empty(len(stack))
-    for col, terms in zip(out, _lift_terms(k, m)):
-        for j, (factors, odd) in enumerate(terms):
-            into = col if j == 0 else term
-            (a, b), (c, d), *rest = factors
-            np.multiply(stack[:, a, b], stack[:, c, d], out=into)
-            for a, b in rest:
-                np.multiply(into, stack[:, a, b], out=into)
-            if j:
-                (np.subtract if odd else np.add)(col, term, out=col)
+    for j in range(2, k + 1):
+        out = np.empty((math.comb(m, j), len(stack)))
+        for col, terms in zip(out, _laplace_terms(j, m)):
+            for n, (row, rank, plus) in enumerate(terms):
+                into = col if n == 0 else term
+                np.multiply(lower[rank], stack[:, row, j - 1], out=into)
+                if n:
+                    (np.add if plus else np.subtract)(col, term, out=col)
+        lower = out
     return out.T.reshape(J.shape[:-2] + out.shape[:1])
 
 
@@ -189,35 +168,8 @@ class KVector:
         if not (np.all(np.isfinite(base)) and np.all(np.isfinite(comps))):
             raise EvaluationError("non-finite k-vector data")
 
-    @property
-    def norm(self):
-        """Euclidean norm of the components; one per k-vector of a stack,
-        summed from a C-order copy of a component-major one, as numpy's
-        order of summation follows the strides."""
-        return np.linalg.norm(np.ascontiguousarray(self.comps), axis=-1)
-
     def __repr__(self) -> str:
         return f"KVector(k={self.k}, m={self.m}, base={self.base}, comps={self.comps})"
-
-
-def lift_kvector(f: DifferentiableMap, x, xi: KVector) -> KVector:
-    """Push the k-vector ``xi`` at ``x`` forward through ``f``.
-
-    Returns the k-vector at f(x) whose components are the compound matrix
-    of the Jacobian (its k x k minors) applied to ``xi.comps``.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if xi.m != f.domain_dim:
-        raise DimensionMismatchError(
-            f"k-vector lives in dimension {xi.m}, map domain is {f.domain_dim}"
-        )
-    if x.shape != xi.base.shape or not np.allclose(x, xi.base, rtol=1e-9, atol=1e-12):
-        raise DimensionMismatchError(f"k-vectors at {xi.base.shape} not based at points {x.shape}")
-    # minors raises InvalidDegreeError for k > m; a row-wise sum, since a
-    # stacked matmul rounds a row apart from the same row alone
-    Y, J = f.value_and_jacobian(x)
-    comps = np.sum(minors(J, xi.k) * xi.comps[..., None, :], axis=-1)
-    return KVector(Y, comps, xi.k, f.codomain_dim)
 
 
 def _canonical_minors(f: DifferentiableMap, t) -> tuple[np.ndarray, np.ndarray]:

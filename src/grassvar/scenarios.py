@@ -540,7 +540,7 @@ def run_scenario(
             raise ScenarioError(
                 f"unknown check {name!r}" if key == "checks"
                 else f"unsupported quantity {name!r} here (expected {default_name!r})",
-                key,
+                f"{key}/{i}",
             )
         params = {k: v for k, v in entry.items() if k not in ("name", "expected", "tolerance")}
         try:  # a parameter the row function does not take is an error, not ignored

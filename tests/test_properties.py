@@ -18,10 +18,13 @@ from grassvar.expressions import ExprCoeff
 from grassvar.finsler import _dot, _norm
 from grassvar.forms import KForm, exterior_derivative
 from grassvar.grassmann import grassmann_transition, to_grassmann
-from grassvar.kvector import KVector, _lift_minors, lift_kvector, minors, row_dot
-from grassvar.maps import affine_map, compose, row_max_abs
+from grassvar.kvector import KVector, _lift_minors, canonical_lift, row_dot
+from grassvar.maps import (
+    affine_map, circle, compose, fourier_curve, graph_surface, helix, polynomial_map,
+    positive_scale, row_max_abs, sine_shift, sphere_patch, torus_patch, trig_shear,
+)
 
-from .oracles import equivalent, same_bits, wedge_square_brute
+from .oracles import equivalent, minors_by_cofactors, same_bits, wedge_square_brute
 from .test_grassmann import TRANSITION_TOL
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -86,28 +89,53 @@ def test_d_squared_zero_on_generated_one_forms(texts, Y):
     assert np.all(np.abs(dd.values(Y)[:, 0]) <= 1e-12 * (1.0 + scale)), texts
 
 
+# catalog maps by domain dimension, as the pieces f and the outer maps g of g o f
+CATALOG_MAPS = {
+    1: [circle(0.7, (0.1, -0.2), 0.3), helix(1.3, 0.5), sine_shift(0.4),
+        fourier_curve([0.0, 1.0, 0.5], [[1.0, 0.2], [0.0, -0.3], [0.4, 0.0]],
+                      [[0.0, 0.1], [1.0, 0.0], [0.2, 0.5]])],
+    2: [trig_shear(0.4), sphere_patch(1.5), torus_patch(2.0, 0.7),
+        graph_surface([[1.0, (2, 0)], [-0.5, (1, 1)], [0.3, (0, 3)]])],
+    3: [positive_scale([0.5, 2.0, 1.5]),
+        polynomial_map(3, [[(1.0, (1, 0, 0)), (0.4, (0, 2, 1))], [(1.0, (0, 1, 0)), (-0.3, (2, 0, 0))],
+                           [(1.0, (0, 0, 1))], [(0.5, (1, 1, 1))]])],
+    4: [polynomial_map(4, [[(1.0, (1, 0, 0, 0)), (0.2, (0, 1, 1, 0))], [(1.0, (0, 1, 0, 0))],
+                           [(1.0, (0, 0, 1, 0)), (-0.4, (0, 0, 0, 2))], [(1.0, (0, 0, 0, 1))],
+                           [(0.3, (1, 0, 0, 1)), (0.6, (0, 1, 0, 0))]])],
+}
+
+
+def _maps_on(n, low):
+    """A catalog map on R^n, or a random affine one, with codomain dimension
+    at least ``low``."""
+    affine = st.integers(max(low, 1), 5).flatmap(lambda m: st.tuples(
+        arrays(np.float64, (m, n), elements=ENTRIES), arrays(np.float64, (m,), elements=ENTRIES)))
+    catalog = [h for h in CATALOG_MAPS.get(n, []) if h.codomain_dim >= low]
+    return st.one_of(affine.map(lambda Ab: affine_map(*Ab)), *map(st.just, catalog))
+
+
 @st.composite
-def _composable(draw):
-    n1, n2, n3 = (draw(st.integers(1, 4)) for _ in range(3))
-    k = draw(st.integers(1, min(n1, n2, n3)))
-    A = draw(arrays(np.float64, (n2, n1), elements=ENTRIES))
-    B = draw(arrays(np.float64, (n3, n2), elements=ENTRIES))
-    x = draw(arrays(np.float64, (n1,), elements=ENTRIES))
-    comps = draw(arrays(np.float64, (math.comb(n1, k),), elements=ENTRIES))
-    return A, B, KVector(x, comps, k, n1)
+def _lifted_composites(draw, k):
+    """A piece f: R^k -> R^n, a map g on R^n into dimension >= k, and nodes."""
+    f = draw(_maps_on(k, k))
+    g = draw(_maps_on(f.codomain_dim, k))
+    return f, g, draw(arrays(np.float64, (draw(st.integers(1, 4)), k), elements=st.floats(-1.5, 1.5)))
 
 
-@SETTINGS
-@given(_composable())
-def test_cauchy_binet_for_lift_of_composition(maps):
-    A, B, xi = maps
-    f, g = affine_map(A, np.ones(len(A))), affine_map(B, -np.ones(len(B)))
-    direct = lift_kvector(compose(g, f), xi.base, xi)
-    staged = lift_kvector(g, f(xi.base), lift_kvector(f, xi.base, xi))
-    k = xi.k
-    scale = np.linalg.norm(minors(B, k)) * np.linalg.norm(minors(A, k)) * np.linalg.norm(xi.comps)
-    assert np.allclose(direct.base, staged.base)
-    assert np.max(np.abs(direct.comps - staged.comps)) <= 1e-13 * (1.0 + scale)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@settings(SETTINGS, max_examples=25)
+@given(st.data())
+def test_canonical_lift_of_a_composite_is_the_compound_of_the_outer_jacobian(k, data):
+    # Cauchy-Binet on the production path: the lift of g o f comes from
+    # compose's fused Jacobian and the minors kernel, the right side from
+    # the cofactor oracle's compound matrix of Dg at f(t)
+    f, g, T = data.draw(_lifted_composites(k))
+    direct, inner = canonical_lift(compose(g, f), T), canonical_lift(f, T)
+    assert np.allclose(direct.base, g(inner.base), rtol=1e-13, atol=1e-13)
+    for lift, xi, Jf, Jg in zip(direct.comps, inner.comps, f.jacobian(T), g.jacobian(inner.base)):
+        staged = minors_by_cofactors(Jg, k) @ xi
+        scale = (np.linalg.norm(Jg) * np.linalg.norm(Jf)) ** k
+        assert np.max(np.abs(lift - staged)) <= 1e-13 * (1.0 + scale)
 
 
 def _component_major(A):
@@ -115,8 +143,8 @@ def _component_major(A):
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 0, -1)), -1, 0)
 
 
-# dimensions up to the metric cap 8 and degrees up to 4: C(m, k) up to 70 minors
-DEGREES = [(k, m) for m in range(1, 9) for k in range(1, min(m, 4) + 1)]
+# every degree up to the metric cap, k <= m <= 8: C(m, k) up to 70 minors
+DEGREES = [(k, m) for m in range(1, 9) for k in range(1, m + 1)]
 ANY_FLOAT = st.floats(width=64)  # NaN, infinities and subnormals too
 
 
@@ -140,7 +168,7 @@ def test_row_reductions_and_minors_keep_their_bits_in_either_layout(data):
 @given(st.integers(2, 6).flatmap(lambda m: arrays(np.float64, (2, m), elements=ENTRIES)))
 def test_wedge_of_two_vectors_satisfies_plucker(uv):
     u, v = uv
-    residual = np.linalg.norm(wedge_square_brute(minors(np.column_stack([u, v]), 2)[:, 0], len(u)))
+    residual = np.linalg.norm(wedge_square_brute(_lift_minors(np.column_stack([u, v])), len(u)))
     assert residual <= 1e-13 * (1.0 + (np.linalg.norm(u) * np.linalg.norm(v)) ** 2)
 
 

@@ -936,10 +936,10 @@ SCENARIO_ERRORS = [
      lambda s: (_drop("reparam")(s), _one_check(name="dual_route")(s)), "reparam"),
     ("no-alpha", "check", "check_forms_square", _drop("alpha"), "alpha"),
     ("no-family", "check", "check_forms_square", _drop("family"), "family"),
-    ("quantity", "length", "length_circle", _put([{"name": "area"}], "compute"), "compute"),
+    ("quantity", "length", "length_circle", _put([{"name": "area"}], "compute"), "compute/0"),
     ("no-checks", "check", "check_partition_circle", _put([], "checks"), "checks"),
     ("unknown-check", "check", "check_partition_circle",
-     _put([{"name": "nope", "tolerance": 1.0}], "checks"), "checks"),
+     _put([{"name": "nope", "tolerance": 1.0}], "checks"), "checks/0"),
     ("deep-nesting", "length", "length_circle",
      (SCENARIO_DIR / "length_circle.json").read_text().replace(
          '"metric": {', '"metric": {"deep": ' + "[" * 100000 + "]" * 100000 + ", "), "{path}"),
@@ -957,7 +957,7 @@ PARAMETER_ERRORS = [
      _one_check(name="euler_identity", samples="many"), "{path}#checks/0/samples"),
     ("samples-float", "check", "check_suite_randers",
      _one_check(name="euler_identity", samples=3.0), "{path}#checks/0/samples"),
-    ("count-0", "check", "check_suite_randers", _one_check(name="lift_functoriality", count=0),
+    ("count-0", "check", "check_suite_randers", _one_check(name="grassmann_roundtrip", count=0),
      "{path}#checks/0/count"),
     ("lambdas-negative", "check", "check_suite_randers",
      _one_check(name="projectability", lambdas=[-1]), "{path}#checks/0/lambdas/0"),
@@ -1041,7 +1041,6 @@ def test_unwritable_output_exits_2_naming_the_path(flag, tmp_path, capsys):
 # one past each cap on the samples a check draws or the Gauss order
 OVER_CAP = [
     ("samples", "homogeneity", {"samples": 100001}, [], "{path}#checks/0/samples"),
-    ("count", "lift_functoriality", {"count": 100001}, [], "{path}#checks/0/count"),
     ("grassmann-count", "grassmann_roundtrip", {"count": 100001}, [], "{path}#checks/0/count"),
     ("lambdas", "projectability", {"lambdas": [2.0] * 17}, [], "{path}#checks/0/lambdas"),
     ("grassmann-m", "grassmann_roundtrip", {"k": 2, "m": 9}, [], "{path}#checks/0/m"),
@@ -1160,12 +1159,25 @@ def test_misspelled_check_parameter_is_named(tmp_path, capsys):
 
 def test_unread_check_parameter_is_named(tmp_path, capsys):
     scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
-    scenario["checks"].append({"name": "lift_functoriality", "tolerance": 1e-10, "samples": 5})
+    scenario["checks"].append({"name": "grassmann_roundtrip", "tolerance": 1e-10, "samples": 5})
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))
     assert cli.main(["check", "--scenario", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert "'lift_functoriality'" in err and "'samples'" in err and "[checks/7]" in err
+    assert "'grassmann_roundtrip'" in err and "'samples'" in err and "[checks/6]" in err
+
+
+def test_the_removed_lift_functoriality_row_is_an_unknown_check(tmp_path, capsys):
+    # the row pushed k-vectors through a compound matrix that no functional
+    # runs; the canonical lift's Cauchy-Binet property is a unit test now
+    scenario = json.loads((SCENARIO_DIR / "check_suite_randers.json").read_text())
+    scenario["checks"].append({"name": "lift_functoriality", "tolerance": 1e-10, "count": 50})
+    path, out = tmp_path / "bad.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["check", "--scenario", str(path), "--csv", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown check 'lift_functoriality'" in err and "[checks/6]" in err
+    assert not out.exists()
 
 
 def test_walk_past_the_stack_is_a_scenario_error(tmp_path, monkeypatch):
