@@ -171,12 +171,17 @@ def _build_metric_field(m: int, spec) -> Callable[[np.ndarray], np.ndarray]:
 
 # -- catalog builders --------------------------------------------------------
 
+def _norm_metric(kind: str, m: int, k: int, fiber_dim: int) -> FinslerFunction:
+    """L(y, xi) = |xi| on ``fiber_dim`` components, with gradient xi/|xi|."""
+    return FinslerFunction(
+        kind, m, k, fiber_dim, lambda Y, V: _norm(V), lambda Y, V: V / _norm(V)[:, None]
+    )
+
+
 def euclidean_metric(dim: int) -> FinslerFunction:
     """F(y, v) = |v|; the fiber gradient is the unit vector v/|v|."""
     dim = _dimension(dim, "dim")
-    return FinslerFunction(
-        "euclidean", dim, 1, dim, lambda Y, V: _norm(V), lambda Y, V: V / _norm(V)[:, None]
-    )
+    return _norm_metric("euclidean", dim, 1, dim)
 
 
 def riemannian_metric(dim: int, g: dict | None = None) -> FinslerFunction:
@@ -245,15 +250,7 @@ def areal_gram(k: int, m: int) -> FinslerFunction:
     m = _dimension(m, "m")
     if k > m:
         raise InvalidMetricError(f"no {k}-vectors in dimension {m}")
-    fiber_dim = math.comb(m, k)
-    return FinslerFunction(
-        "areal_gram",
-        m,
-        k,
-        fiber_dim,
-        lambda Y, V: _norm(V),
-        lambda Y, V: V / _norm(V)[:, None],
-    )
+    return _norm_metric("areal_gram", m, k, math.comb(m, k))
 
 
 def energy_metric(dim: int) -> FinslerFunction:

@@ -9,23 +9,20 @@ analytic Jacobian:
     sine_shift, trig_shear, positive_scale
 
 Python callers may additionally combine maps with :func:`compose`.  A map
-carries a value, an analytic Jacobian and optionally an inverse, nothing
-else: no map has second derivatives.
+carries its first jet, the value and an analytic Jacobian, and optionally
+an inverse, nothing else: no map has second derivatives.
 
-Every map has two evaluation callables: ``value``, for callers that need
-the points alone, and ``value_and_jacobian``, one pass that returns the
-value and the Jacobian from shared intermediates (the trig of a patch, the
-powers of a polynomial, the inner map of a composition).  Both return the
-same value bit for bit, so a caller that needs both makes the fused call
-once per stack.
+Every map is one evaluation callable, ``value_and_jacobian``: one pass that
+returns the value and the Jacobian from shared intermediates (the trig of a
+patch, the powers of a polynomial, the inner map of a composition), the
+value built first.  Calling the map returns the value half of that pass.
 
 Shape contract: every map evaluates a stack of N points at once.  The
-callables handed to :class:`DifferentiableMap` receive ``T`` of shape
-``(N, n)``; ``value`` returns values ``(N, m)`` and ``value_and_jacobian``
-returns the pair of values ``(N, m)`` and Jacobians ``(N, m, n)``; a
-constant result (a fixed matrix, say) is broadcast to the stack.  Calling
-a map on a single point ``(n,)`` evaluates the stack N = 1 and returns
-``(m,)`` and ``(m, n)``.
+callable handed to :class:`DifferentiableMap` receives ``T`` of shape
+``(N, n)`` and returns the pair of values ``(N, m)`` and Jacobians
+``(N, m, n)``; a constant result (a fixed matrix, say) is broadcast to the
+stack.  Calling a map on a single point ``(n,)`` evaluates the stack N = 1
+and returns ``(m,)`` and ``(m, n)``.
 
 Storage: the catalog's node stacks are component-major.  A value stack
 ``(N, m)`` is the transpose of an ``(m, N)`` buffer and a Jacobian stack
@@ -121,15 +118,14 @@ def _stacked(out, shape: tuple) -> np.ndarray:
 
 
 class DifferentiableMap:
-    """A map R^n -> R^m given by a value callable and a fused
-    value-and-Jacobian callable.
+    """A map R^n -> R^m given by one callable ``value_and_jacobian(T)``
+    that returns the pair ``(values, Jacobians)`` in one pass, following the
+    stacked shape contract of the module docstring.
 
-    ``value(T)`` returns the values; ``value_and_jacobian(T)`` returns the
-    pair ``(values, Jacobians)`` in one pass, and its values must equal
-    ``value(T)`` bit for bit.  Immutable after construction.  ``inverse``
-    is optional and analytic where the catalog provides it; the constructor
-    links it back to this map, so ``f.inverted().inverted() is f``.  Both
-    callables follow the stacked shape contract of the module docstring.
+    ``f(t)`` is the value half of that pass, and checks the value alone.
+    Immutable after construction.  ``inverse`` is optional and analytic
+    where the catalog provides it; the constructor links it back to this
+    map, so ``f.inverted().inverted() is f``.
     """
 
     def __init__(
@@ -137,14 +133,12 @@ class DifferentiableMap:
         name: str,
         domain_dim: int,
         codomain_dim: int,
-        value: Callable[[np.ndarray], np.ndarray],
         value_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         inverse: "DifferentiableMap | None" = None,
     ):
         self.name = name
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
-        self._value = value
         self._value_and_jacobian = value_and_jacobian
         self._inverse = inverse
         if inverse is not None:
@@ -152,7 +146,7 @@ class DifferentiableMap:
 
     def __call__(self, t) -> np.ndarray:
         T, single = _as_batch(t, self.domain_dim)
-        Y = _stacked(self._value(T), (len(T), self.codomain_dim))
+        Y = _stacked(self._value_and_jacobian(T)[0], (len(T), self.codomain_dim))
         _finite(self.name, "value", T, Y)
         return Y[0] if single else Y
 
@@ -199,10 +193,8 @@ def _affine(name: str, A: np.ndarray, b: np.ndarray | None = None) -> Differenti
     inverse = None
     if m == n and abs(np.linalg.det(A)) > 1e-300:
         Ainv = np.linalg.inv(A)
-        back = lambda Y: (Y - b) @ Ainv.T
-        inverse = DifferentiableMap(f"{name}_inverse", m, n, back, lambda Y: (back(Y), Ainv))
-    value = lambda T: T @ A.T + b
-    return DifferentiableMap(name, n, m, value, lambda T: (value(T), A), inverse)
+        inverse = DifferentiableMap(f"{name}_inverse", m, n, lambda Y: ((Y - b) @ Ainv.T, Ainv))
+    return DifferentiableMap(name, n, m, lambda T: (T @ A.T + b, A), inverse)
 
 
 def identity_map(dim: int) -> DifferentiableMap:
@@ -312,9 +304,7 @@ def polynomial_map(domain_dim: int, terms) -> DifferentiableMap:
         powers = _powers(T, degree)
         return value(powers), _jacobians(jacobian(powers), m, n)
 
-    return DifferentiableMap(
-        "polynomial", n, m, lambda T: value(_powers(T, degree)), value_and_jacobian
-    )
+    return DifferentiableMap("polynomial", n, m, value_and_jacobian)
 
 
 def _columns(*entries) -> np.ndarray:
@@ -333,39 +323,28 @@ def _jacobians(A: np.ndarray, m: int, n: int) -> np.ndarray:
     return A.T.reshape(m, n, len(A)).transpose(2, 0, 1)
 
 
-def _trig_map(name: str, n: int, m: int, trig, value, jacobian) -> DifferentiableMap:
-    """A map whose value and Jacobian are ``value(T, *trig(T))`` and
-    ``jacobian(T, *trig(T))``: the fused call takes the sines and cosines
-    ``trig(T)`` once for both."""
-    def value_and_jacobian(T):
-        parts = trig(T)
-        return value(T, *parts), jacobian(T, *parts)
-
-    return DifferentiableMap(name, n, m, lambda T: value(T, *trig(T)), value_and_jacobian)
-
-
 def circle(radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> DifferentiableMap:
     """t -> center + radius (cos(t + phase), sin(t + phase))."""
     r = checked_reals(radius, "radius")
     c = checked_reals(center, "center", (2,))
     ph = checked_reals(phase, "phase")
-    return _trig_map(
-        "circle", 1, 2,
-        lambda T: (np.cos(T[:, 0] + ph), np.sin(T[:, 0] + ph)),
-        lambda T, cos, sin: c + r * _columns(cos, sin),
-        lambda T, cos, sin: r * _columns(-sin, cos)[:, :, None],
-    )
+
+    def value_and_jacobian(T):
+        cos, sin = np.cos(T[:, 0] + ph), np.sin(T[:, 0] + ph)
+        return c + r * _columns(cos, sin), r * _columns(-sin, cos)[:, :, None]
+
+    return DifferentiableMap("circle", 1, 2, value_and_jacobian)
 
 
 def helix(radius: float = 1.0, pitch: float = 1.0) -> DifferentiableMap:
     """t -> (r cos t, r sin t, pitch t)."""
     r, p = checked_reals(radius, "radius"), checked_reals(pitch, "pitch")
-    return _trig_map(
-        "helix", 1, 3,
-        lambda T: (np.cos(T[:, 0]), np.sin(T[:, 0])),
-        lambda T, cos, sin: _columns(r * cos, r * sin, p * T[:, 0]),
-        lambda T, cos, sin: _columns(-r * sin, r * cos, p)[:, :, None],
-    )
+
+    def value_and_jacobian(T):
+        cos, sin = np.cos(T[:, 0]), np.sin(T[:, 0])
+        return _columns(r * cos, r * sin, p * T[:, 0]), _columns(-r * sin, r * cos, p)[:, :, None]
+
+    return DifferentiableMap("helix", 1, 3, value_and_jacobian)
 
 
 def _sin_cos(T: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -377,48 +356,43 @@ def torus_patch(major_radius: float = 2.0, minor_radius: float = 1.0) -> Differe
     """(u, v) -> torus point with tube angle v, axial angle u."""
     R, r = checked_reals(major_radius, "major_radius"), checked_reals(minor_radius, "minor_radius")
 
-    def value(T, su, cu, sv, cv):
+    def value_and_jacobian(T):
+        su, cu, sv, cv = _sin_cos(T)
         w = R + r * cv
-        return _columns(w * cu, w * su, r * sv)
-
-    def jacobian(T, su, cu, sv, cv):
-        w = R + r * cv
+        Y = _columns(w * cu, w * su, r * sv)
         rs = -r * sv
-        return _jacobians(_columns(-w * su, rs * cu, w * cu, rs * su, 0.0, r * cv), 3, 2)
+        return Y, _jacobians(_columns(-w * su, rs * cu, w * cu, rs * su, 0.0, r * cv), 3, 2)
 
-    return _trig_map("torus_patch", 2, 3, _sin_cos, value, jacobian)
+    return DifferentiableMap("torus_patch", 2, 3, value_and_jacobian)
 
 
 def sphere_patch(radius: float = 1.0) -> DifferentiableMap:
     """(theta, phi) -> r (sin th cos ph, sin th sin ph, cos th); degenerate at poles."""
     r = checked_reals(radius, "radius")
 
-    def value(T, sth, cth, sph, cph):
-        return r * _columns(sth * cph, sth * sph, cth)
-
-    def jacobian(T, sth, cth, sph, cph):
+    def value_and_jacobian(T):
+        sth, cth, sph, cph = _sin_cos(T)
+        Y = r * _columns(sth * cph, sth * sph, cth)
         entries = cth * cph, -sth * sph, cth * sph, sth * cph, -sth, 0.0
-        return r * _jacobians(_columns(*entries), 3, 2)
+        return Y, r * _jacobians(_columns(*entries), 3, 2)
 
-    return _trig_map("sphere_patch", 2, 3, _sin_cos, value, jacobian)
+    return DifferentiableMap("sphere_patch", 2, 3, value_and_jacobian)
 
 
 def graph_surface(terms) -> DifferentiableMap:
     """(u, v) -> (u, v, h(u, v)) with h a polynomial given by [coeff, (eu, ev)].
 
-    h's raw callables are called, unchecked: the graph's own checks cover
-    its height and the height's Jacobian, and name the node."""
+    h's raw callable is called, unchecked: the graph's own checks cover its
+    height and the height's Jacobian, and name the node."""
     h = polynomial_map(2, [terms])
-    graph = lambda T, Yh: _columns(T[:, 0], T[:, 1], Yh[:, 0])
 
     def value_and_jacobian(T):
         Yh, Jh = h._value_and_jacobian(T)
         Jh = Jh[:, 0]
-        return graph(T, Yh), _jacobians(_columns(1.0, 0.0, 0.0, 1.0, Jh[:, 0], Jh[:, 1]), 3, 2)
+        Y = _columns(T[:, 0], T[:, 1], Yh[:, 0])
+        return Y, _jacobians(_columns(1.0, 0.0, 0.0, 1.0, Jh[:, 0], Jh[:, 1]), 3, 2)
 
-    return DifferentiableMap(
-        "graph_surface", 2, 3, lambda T: graph(T, h._value(T)), value_and_jacobian
-    )
+    return DifferentiableMap("graph_surface", 2, 3, value_and_jacobian)
 
 
 def fourier_curve(constant, cos_coeffs, sin_coeffs) -> DifferentiableMap:
@@ -431,12 +405,12 @@ def fourier_curve(constant, cos_coeffs, sin_coeffs) -> DifferentiableMap:
     if J > MAX_HARMONICS:
         raise MapEvaluationError(f"fourier_curve takes at most {MAX_HARMONICS} harmonics, got {J}")
     js = np.arange(1, J + 1, dtype=float)
-    return _trig_map(
-        "fourier_curve", 1, m,
-        lambda T: (np.cos(T * js), np.sin(T * js)),
-        lambda T, cos, sin: c + cos @ A.T + sin @ B.T,
-        lambda T, cos, sin: (-(js * sin) @ A.T + (js * cos) @ B.T)[:, :, None],
-    )
+
+    def value_and_jacobian(T):
+        cos, sin = np.cos(T * js), np.sin(T * js)
+        return c + cos @ A.T + sin @ B.T, (-(js * sin) @ A.T + (js * cos) @ B.T)[:, :, None]
+
+    return DifferentiableMap("fourier_curve", 1, m, value_and_jacobian)
 
 
 def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
@@ -445,7 +419,7 @@ def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
     if abs(a) >= 1.0:
         raise MapEvaluationError("sine_shift requires |amplitude| < 1 to stay monotone")
 
-    def inv_ev(Y):
+    def inverse(Y):
         # Newton on s + a sin s = y; monotone with derivative >= 1 - |a|.
         s = Y.copy()
         for _ in range(60):
@@ -453,16 +427,11 @@ def sine_shift(amplitude: float = 0.3) -> DifferentiableMap:
             s = s - step
             if np.all(np.abs(step) < 1e-15 * np.maximum(1.0, np.abs(s))):
                 break
-        return s
-
-    def inv_value_and_jacobian(Y):
-        s = inv_ev(Y)
         return s, (1.0 / (1.0 + a * np.cos(s)))[:, :, None]
 
-    inv = DifferentiableMap("sine_shift_inverse", 1, 1, inv_ev, inv_value_and_jacobian)
-    value = lambda T: T + a * np.sin(T)
+    inv = DifferentiableMap("sine_shift_inverse", 1, 1, inverse)
     return DifferentiableMap(
-        "sine_shift", 1, 1, value, lambda T: (value(T), (1.0 + a * np.cos(T))[:, :, None]), inv
+        "sine_shift", 1, 1, lambda T: (T + a * np.sin(T), (1.0 + a * np.cos(T))[:, :, None]), inv
     )
 
 
@@ -471,18 +440,15 @@ def trig_shear(amplitude: float = 0.3) -> DifferentiableMap:
     a = checked_reals(amplitude, "amplitude")
 
     def shear(sign):
-        """(x, y) -> (x + sign a sin y, y) as its value and fused callables."""
-        def value(T):
-            return _columns(T[:, 0] + sign * a * np.sin(T[:, 1]), T[:, 1])
-
+        """(x, y) -> (x + sign a sin y, y) and its Jacobian."""
         def value_and_jacobian(T):
-            J = _jacobians(_columns(1.0, sign * a * np.cos(T[:, 1]), 0.0, 1.0), 2, 2)
-            return value(T), J
+            Y = _columns(T[:, 0] + sign * a * np.sin(T[:, 1]), T[:, 1])
+            return Y, _jacobians(_columns(1.0, sign * a * np.cos(T[:, 1]), 0.0, 1.0), 2, 2)
 
-        return value, value_and_jacobian
+        return value_and_jacobian
 
-    inv = DifferentiableMap("trig_shear_inverse", 2, 2, *shear(-1.0))
-    return DifferentiableMap("trig_shear", 2, 2, *shear(1.0), inv)
+    inv = DifferentiableMap("trig_shear_inverse", 2, 2, shear(-1.0))
+    return DifferentiableMap("trig_shear", 2, 2, shear(1.0), inv)
 
 
 def positive_scale(factors) -> DifferentiableMap:
@@ -493,10 +459,8 @@ def positive_scale(factors) -> DifferentiableMap:
     D = np.diag(f)
     Dinv = np.diag(1.0 / f)
     n = len(f)
-    back = lambda Y: Y / f
-    inv = DifferentiableMap("positive_scale_inverse", n, n, back, lambda Y: (back(Y), Dinv))
-    value = lambda T: f * T
-    return DifferentiableMap("positive_scale", n, n, value, lambda T: (value(T), D), inv)
+    inv = DifferentiableMap("positive_scale_inverse", n, n, lambda Y: (Y / f, Dinv))
+    return DifferentiableMap("positive_scale", n, n, lambda T: (f * T, D), inv)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +486,6 @@ def _bare_compose(
         f"{outer.name}({inner.name})",
         inner.domain_dim,
         outer.codomain_dim,
-        lambda T: outer(inner(T)),
         value_and_jacobian,
         inverse,
     )

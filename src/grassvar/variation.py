@@ -58,16 +58,14 @@ class VariationField:
         e = np.zeros(dim)
         e[coord] = 1.0
 
-        def ev(T):
+        def value_and_jacobian(T):
             # clamp exact endpoint values to 0 (sin of a multiple of pi)
             s = T - a
-            return np.where((s == 0.0) | (T == b), 0.0, np.sin(mu * s)) * e
-
-        def value_and_jacobian(T):
-            return ev(T), (mu * np.cos(mu * (T - a)) * e)[:, :, None]
+            Y = np.where((s == 0.0) | (T == b), 0.0, np.sin(mu * s)) * e
+            return Y, (mu * np.cos(mu * s) * e)[:, :, None]
 
         return cls(
-            DifferentiableMap(f"sine_bump_{mode}_{coord}", 1, dim, ev, value_and_jacobian), (a, b)
+            DifferentiableMap(f"sine_bump_{mode}_{coord}", 1, dim, value_and_jacobian), (a, b)
         )
 
 

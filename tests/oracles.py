@@ -299,23 +299,17 @@ def radial_sine_bump(interval, mode):
     a, b = float(interval[0]), float(interval[1])
     mu = math.pi * mode / (b - a) if b > a else 0.0
 
-    def parts(T):
-        """cos t, sin t, the bump sin(mu (t - a)) and the radial direction."""
-        cos, sin = np.cos(T), np.sin(T)
-        return cos, sin, np.sin(mu * (T - a)), np.concatenate([cos, sin], axis=1)
-
-    def value(T, bump, radial):
-        return np.where((T == a) | (T == b), 0.0, bump) * radial
-
     def value_and_jacobian(T):
-        cos, sin, bump, radial = parts(T)
+        cos, sin = np.cos(T), np.sin(T)
+        bump, radial = np.sin(mu * (T - a)), np.concatenate([cos, sin], axis=1)
+        Y = np.where((T == a) | (T == b), 0.0, bump) * radial
         d = mu * np.cos(mu * (T - a)) * radial
         d += bump * np.concatenate([-sin, cos], axis=1)
-        return value(T, bump, radial), d[:, :, None]
+        return Y, d[:, :, None]
 
-    return VariationField(DifferentiableMap(
-        f"radial_sine_bump_{mode}", 1, 2, lambda T: value(T, *parts(T)[2:]), value_and_jacobian
-    ), (a, b))
+    return VariationField(
+        DifferentiableMap(f"radial_sine_bump_{mode}", 1, 2, value_and_jacobian), (a, b)
+    )
 
 
 def homogeneity_by_lambda(F, Y, V, lambdas):

@@ -104,9 +104,7 @@ def test_hilbert_form_pullback_matches_hilbert_route():
             zeros = np.zeros((len(T), c.codomain_dim, 1))
             return np.concatenate([Y, J[:, :, 0]], axis=1), np.concatenate([J, zeros], axis=1)
 
-        lifted = DifferentiableMap(
-            "tangent", 1, 2 * F.m, lambda T, t=tangent: t(T)[0], tangent
-        )
+        lifted = DifferentiableMap("tangent", 1, 2 * F.m, tangent)
         # (dF/dv_nu) dy^nu on the doubled chart (y, v): its dv block vanishes
         hilbert = KForm(1, 2 * F.m, [
             lambda Z, F=F, nu=nu: F.fiber_gradient(Z[:, :F.m], Z[:, F.m:])[:, nu]
@@ -118,46 +116,38 @@ def test_hilbert_form_pullback_matches_hilbert_route():
 
 def test_cross_checked_length_evaluates_each_layer_once(monkeypatch):
     z = circle()
-    fused_calls, value_calls, gradient_calls = [], [], []
-    fused, value = z.value_and_jacobian, z._value
+    map_calls, gradient_calls = [], []
+    evaluate = z._value_and_jacobian
     F = euclidean_metric(2)
     gradient = F._grad
 
-    def counted_fused(t):
-        fused_calls.append(1)
-        return fused(t)
-
-    def counted_value(T):
-        value_calls.append(1)
-        return value(T)
+    def counted_map(T):  # the map's one callable, whichever call reaches it
+        map_calls.append(1)
+        return evaluate(T)
 
     def counted_gradient(Y, V):  # the gradient layer itself, whichever call reaches it
         gradient_calls.append(1)
         return gradient(Y, V)
 
-    monkeypatch.setattr(z, "value_and_jacobian", counted_fused)
-    monkeypatch.setattr(z, "_value", counted_value)
+    monkeypatch.setattr(z, "_value_and_jacobian", counted_map)
     F = dataclasses.replace(F, _grad=counted_gradient)
     val = curve_length(F, Piece(((0.0, TWO_PI),), z), Q64)
     assert val == pytest.approx(TWO_PI, abs=1e-8)
-    assert (len(fused_calls), len(value_calls), len(gradient_calls)) == (1, 0, 1)
+    assert (len(map_calls), len(gradient_calls)) == (1, 1)
 
 
 def test_areal_value_makes_one_fused_map_call_per_chunk(monkeypatch):
     f = sphere_patch(1.2)
-    calls = {"fused": 0, "value": 0}
+    calls, evaluate = [], f._value_and_jacobian
 
-    def counted(kind, fn):
-        def wrapper(T):
-            calls[kind] += 1
-            return fn(T)
-        return wrapper
+    def counted(T):
+        calls.append(len(T))
+        return evaluate(T)
 
-    monkeypatch.setattr(f, "_value_and_jacobian", counted("fused", f._value_and_jacobian))
-    monkeypatch.setattr(f, "_value", counted("value", f._value))
+    monkeypatch.setattr(f, "_value_and_jacobian", counted)
     piece = Piece(((0.3, 2.8), (0.0, 5.0)), f)
     areal_value(areal_gram(2, 3), piece, QuadratureSpec(gauss_order=8, cells_per_axis=16))
-    assert calls == {"fused": 4, "value": 0}  # 128 x 128 nodes in chunks of 4096
+    assert calls == [4096] * 4  # 128 x 128 nodes in chunks of 4096
 
 
 @pytest.mark.parametrize("q", [
@@ -530,8 +520,7 @@ def test_variation_field_endpoints_enforced():
 
 def test_first_variation_zero_field_is_zero():
     zero_map = DifferentiableMap(
-        "zero", 1, 2, lambda T: np.zeros((len(T), 2)),
-        lambda T: (np.zeros((len(T), 2)), np.zeros((len(T), 2, 1))),
+        "zero", 1, 2, lambda T: (np.zeros((len(T), 2)), np.zeros((len(T), 2, 1)))
     )
     zero = VariationField(zero_map, (0.0, 1.0))
     line = Piece(((0.0, 1.0),), segment([0.0, 0.0], [1.0, 1.0]))
@@ -612,7 +601,6 @@ def _shifted(curve, field, c):
         "shifted",
         1,
         curve.codomain_dim,
-        lambda T: curve(T) + c * field.map(T),
         lambda T: tuple(
             a + c * b for a, b in zip(curve.value_and_jacobian(T), field.map.value_and_jacobian(T))
         ),
@@ -704,8 +692,7 @@ def test_perturbed_lift_on_the_slit_raises_immersion_error():
     line = Piece(((0.0, 1.0),), segment([0.0, 0.0], [1.0, 0.0]))  # zeta' = (1, 0)
     # V' = (-2, 0) everywhere, so zeta' + 0.5 V' vanishes at every node
     pinch = DifferentiableMap(
-        "pinch", 1, 2, lambda T: np.zeros((len(T), 2)),
-        lambda T: (np.zeros((len(T), 2)), np.array([[-2.0], [0.0]])),
+        "pinch", 1, 2, lambda T: (np.zeros((len(T), 2)), np.array([[-2.0], [0.0]]))
     )
     fields = default_variation_basis(line, modes=1) + [VariationField(pinch, (0.0, 1.0))]
     with pytest.raises(ImmersionError, match="degenerate lift"):
