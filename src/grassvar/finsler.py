@@ -63,11 +63,10 @@ class FinslerFunction:
     ``(N, fiber_dim)`` to ``(N,)`` and ``(N, fiber_dim)``.
 
     The public calls, ``F(y, v)`` and :meth:`fiber_gradient`, check the
-    shapes and run the slit test on every call.  The quadrature's densities
-    call :meth:`_on_lift` instead, on a :class:`kvector.Lift` whose values,
-    Jacobians and components :func:`kvector.checked_lift` has checked once
-    and whose fit to F the functional has tested: it makes only the slit
-    test, from the lift's own row maxima.
+    shapes of their arguments and evaluate them through :meth:`_on_lift`;
+    the quadrature's densities call it directly, on the lift that
+    :func:`kvector.canonical_lift` has checked once and whose fit to F the
+    functional has tested.  Either way the one slit test reads the row maxima.
     """
 
     kind: str
@@ -77,7 +76,8 @@ class FinslerFunction:
     _eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     _grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def _check_args(self, y, v):
+    def _as_lift(self, y, v) -> tuple[Lift, bool]:
+        """(the argument stacks as a lift, whether they were one point), shapes checked."""
         y = np.asarray(y, dtype=float)
         v = np.asarray(v, dtype=float)
         single = v.ndim < 2
@@ -88,17 +88,16 @@ class FinslerFunction:
             raise DimensionMismatchError(f"fiber argument must have length {self.fiber_dim}")
         if len(Y) != len(V):
             raise DimensionMismatchError("base points and fiber arguments differ in number")
-        _slit_test(Y, row_max_abs(V))
-        return Y, V, single
+        return Lift(Y, V, row_max_abs(V)), single
 
     def __call__(self, y, v):
-        Y, V, single = self._check_args(y, v)
-        out = np.asarray(self._eval(Y, V), dtype=float).reshape(len(Y))
+        lift, single = self._as_lift(y, v)
+        out = self._on_lift(lift)
         return float(out[0]) if single else out
 
     def fiber_gradient(self, y, v) -> np.ndarray:
-        Y, V, single = self._check_args(y, v)
-        out = np.asarray(self._grad(Y, V), dtype=float).reshape(len(Y), self.fiber_dim)
+        lift, single = self._as_lift(y, v)
+        out = self._on_lift(lift, gradient=True)
         return out[0] if single else out
 
     def _on_lift(self, lift: Lift, gradient: bool = False) -> np.ndarray:
@@ -350,9 +349,8 @@ def pullback_identity_residual(L: FinslerFunction, f: DifferentiableMap, T) -> f
     statement for the Hilbert form."""
     require_fit(L, f.domain_dim, f.codomain_dim)
     lift = canonical_lift(f, np.asarray(T, dtype=float).reshape(-1, f.domain_dim))
-    Y, Xi = lift.base, lift.comps
     try:
-        residual = _dot(L.fiber_gradient(Y, Xi), Xi) - L(Y, Xi)
+        residual = _dot(L._on_lift(lift, gradient=True), lift.comps) - L._on_lift(lift)
     except SlitDomainError as exc:
         raise ImmersionError(f"{f.name}: degenerate lift ({exc})") from exc
     return float(np.max(np.abs(residual), initial=0.0))

@@ -35,7 +35,9 @@ from .errors import (
     InvalidPartitionError,
     OrientationError,
 )
-from .kvector import Lift, _lift_minors, enumerate_multiindices, multiindex_ranks, row_dot
+from .kvector import (
+    Lift, _lift_minors, canonical_lift, enumerate_multiindices, multiindex_ranks, row_dot
+)
 from .maps import DifferentiableMap, compose, insert_axis_map
 from .quadrature import MAX_COVERS, Piece, QuadratureSpec, lift_integral
 # unused here: bench/tracing.py finds the quadrature walk as forms.integrate_scalar_over_box
@@ -342,7 +344,7 @@ def verify_stokes(eta: KForm, piece: Piece, q: QuadratureSpec = QuadratureSpec()
 
 
 def _check_orientation_preserving(alpha: DifferentiableMap, points: np.ndarray) -> None:
-    det = _lift_minors(alpha.jacobian(points))[:, 0]
+    det = canonical_lift(alpha, points).comps[:, 0]
     bad = det <= 0.0
     if np.any(bad):
         raise OrientationError(

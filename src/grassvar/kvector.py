@@ -16,17 +16,16 @@ Shape contract: the one minors kernel, :func:`_lift_minors`, takes a stack
 of k-column matrices ``(..., m, k)`` and returns their minors
 ``(..., C(m,k))``, the components of the wedge of the columns, by Laplace
 expansion along the last column from the (k-1)-minors of the first k - 1
-columns; the canonical lift, the pullback and the orientation test call it
-on their k-column Jacobians.  For k >= 2 a node stack of minors ``(N,
-C(m,k))`` is component-major, the transpose of a ``(C(m,k), N)`` buffer,
-like the maps' values and Jacobians (:mod:`grassvar.maps`), so each minor
-is one contiguous node column; for k = 1 the minors are the entries,
-copied in C order, which the curve Lagrangians' row reductions read.
-:func:`canonical_lift` at nodes ``(N, k)`` returns a :class:`KVector`
-stack with ``base`` ``(N, m)`` and ``comps`` ``(N, C(m,k))``; at a single
-point ``(k,)`` it returns one k-vector.  :func:`checked_lift` is the
-quadrature's form of it: a :class:`Lift` of the same arrays with their row
-maxima.
+columns; the canonical lift and the pullback call it on their k-column
+Jacobians.  For k >= 2 a node stack of minors ``(N, C(m,k))`` is
+component-major, the transpose of a ``(C(m,k), N)`` buffer, like the maps'
+values and Jacobians (:mod:`grassvar.maps`), so each minor is one
+contiguous node column; for k = 1 the minors are the entries, copied in C
+order, which the curve Lagrangians' row reductions read.
+:func:`canonical_lift` is the one builder of the lift: at nodes ``(N, k)``
+it returns a :class:`Lift` with ``base`` ``(N, m)``, ``comps`` ``(N,
+C(m,k))`` and their row maxima ``scale`` ``(N,)``; at a single point
+``(k,)`` the shapes are ``(m,)``, ``(C(m,k),)`` and a 0-d ``scale``.
 """
 from __future__ import annotations
 
@@ -136,8 +135,9 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KVector:
-    """An element of the k-th exterior power of the tangent space at ``base``,
-    or a stack of N of them.
+    """A k-vector given from outside, read by the ray charts: an element of
+    the k-th exterior power of the tangent space at ``base``, or a stack of
+    N of them, every array checked.
 
     ``comps[..., r]`` is the component at the multi-index of rank ``r`` in
     the lexicographic layout of ``enumerate_multiindices(k, m)``.  A single
@@ -172,54 +172,38 @@ class KVector:
         return f"KVector(k={self.k}, m={self.m}, base={self.base}, comps={self.comps})"
 
 
-def _canonical_minors(f: DifferentiableMap, t) -> tuple[np.ndarray, np.ndarray]:
-    """``(f(t), the k x k minors of its Jacobian columns)`` at ``t``, from one
-    checked fused call of f."""
-    if f.domain_dim > f.codomain_dim:
-        raise InvalidDegreeError(
-            f"parametrization domain {f.domain_dim} exceeds chart dimension {f.codomain_dim}"
-        )
-    Y, J = f.value_and_jacobian(t)
-    return Y, _lift_minors(J)
-
-
-def canonical_lift(f: DifferentiableMap, t) -> KVector:
-    """Lift a parametrization f: R^k -> chart through the canonical field.
-
-    Equals the wedge of the k Jacobian columns of f at t, based at f(t).
-    ``t`` is one point ``(k,)`` or a stack of nodes ``(N, k)``.  The
-    k-vector makes every check of :class:`KVector`.
-    """
-    return KVector(*_canonical_minors(f, t), f.domain_dim, f.codomain_dim)
-
-
 class Lift(NamedTuple):
-    """The canonical lift at a stack of nodes, as :func:`checked_lift` makes
-    it: ``base`` ``(N, m)`` and ``comps`` ``(N, C(m,k))`` as in a
-    :class:`KVector` stack, and ``scale``, the row maxima of |comps|
-    (:func:`maps.row_max_abs`), which the degenerate-node screen and the
-    slit test share.  ``base`` is stored as the piece's map returns it,
-    component-major for the catalog's trig and polynomial maps, and
-    ``comps`` for k >= 2 is component-major (:func:`_lift_minors`), so
-    their columns are contiguous."""
+    """The canonical lift of a parametrization, as :func:`canonical_lift`
+    makes it: ``base`` and ``comps`` laid out as in a :class:`KVector`, and
+    ``scale``, the row maxima of |comps| (:func:`maps.row_max_abs`), which
+    the degenerate-node screen and the slit test share.  ``base`` is stored
+    as the map returns it, component-major for the catalog's trig and
+    polynomial maps, and ``comps`` of a stack for k >= 2 is component-major
+    (:func:`_lift_minors`), so their columns are contiguous."""
 
     base: np.ndarray
     comps: np.ndarray
     scale: np.ndarray
 
 
-def checked_lift(f: DifferentiableMap, T: np.ndarray) -> Lift:
-    """The canonical lift of f at nodes ``(N, k)``, each array checked once.
+def canonical_lift(f: DifferentiableMap, t) -> Lift:
+    """Lift a parametrization f: R^k -> chart through the canonical field.
 
-    f's ``value_and_jacobian`` checks the values and the Jacobians, and the
-    minors are built from them in their shapes, so no :class:`KVector` is
-    made to check them again.  The minors can overflow from a finite
-    Jacobian; the row maxima are finite exactly when every component is
-    (max propagates NaN), so testing them is the one finiteness test of the
-    components, with the error :class:`KVector` raises.
+    Equals the wedge of the k Jacobian columns of f at t, based at f(t).
+    ``t`` is one point ``(k,)`` or a stack of nodes ``(N, k)``.  Each array
+    is checked once: f's ``value_and_jacobian`` checks the values and the
+    Jacobians, and the minors are built from them in their shapes.  The
+    minors can overflow from a finite Jacobian; the row maxima are finite
+    exactly when every component is (max propagates NaN), so testing them
+    is the one finiteness test of the components.
     """
-    Y, comps = _canonical_minors(f, T)
-    scale = row_max_abs(comps)
+    if f.domain_dim > f.codomain_dim:
+        raise InvalidDegreeError(
+            f"parametrization domain {f.domain_dim} exceeds chart dimension {f.codomain_dim}"
+        )
+    Y, J = f.value_and_jacobian(t)
+    comps = _lift_minors(J)
+    scale = row_max_abs(comps) if comps.ndim == 2 else row_max_abs(comps[None])[0]
     if not np.isfinite(scale).all():
         raise EvaluationError("non-finite k-vector data")
     return Lift(Y, comps, scale)

@@ -40,7 +40,7 @@ from .errors import (
     OrientationError,
     QuadratureTargetWarning,
 )
-from .kvector import Lift, checked_lift
+from .kvector import Lift, canonical_lift
 from .maps import DifferentiableMap
 
 DEGENERACY_TOL = 1e-13
@@ -266,18 +266,16 @@ def lift_integral(
     reported by one DegeneratePieceWarning; a non-finite density raises
     EvaluationError.
 
-    Each chunk is checked once: :func:`kvector.checked_lift` checks the
+    Each chunk is checked once: :func:`kvector.canonical_lift` checks the
     map's values and Jacobians and, by their row maxima, the lift's
     components; the degenerate screen here and the slit test of a
     Lagrangian density (``FinslerFunction._on_lift``) reuse those maxima.
-    The public :func:`kvector.canonical_lift` and ``FinslerFunction``
-    calls keep every check of their own.
     """
     degenerate = 0
 
     def g(T):
         nonlocal degenerate
-        lift = checked_lift(piece.map, T)
+        lift = canonical_lift(piece.map, T)
         if piece.orientation == -1:  # fresh components, negated in place
             np.negative(lift.comps, out=lift.comps)
         # |xi| >= max |xi_I| in floating point: only rows under the max screen can count

@@ -83,3 +83,22 @@ def test_a_traced_pass_reports_every_per_layer_metric():
     json.dumps(metrics, allow_nan=False)
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert declared - set(tracing.METRICS) - _run_py_metric_names() == set()
+
+
+def test_the_lift_span_sees_every_quadrature_chunk():
+    # the areal quadrature builds its lifts through the traced name, one per
+    # chunk of CHUNK_NODES nodes, so the minors' time is read as kvector's
+    from grassvar import scenarios
+    from grassvar.quadrature import CHUNK_NODES
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        scenario = scenarios.load_scenario(str(ROOT / "scenarios" / "area_sphere_zone.json"))
+        scenarios.run_scenario("area", scenario, 42)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["forms.nodes"] == 16384
+    assert metrics["kvector.lift_calls"] == 16384 // CHUNK_NODES == 4

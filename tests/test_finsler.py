@@ -150,10 +150,10 @@ def test_slit_test_flags_exactly_the_rows_of_the_reduction_formula(data):
     flagged = slit_rows(Y, V, finsler.SLIT_TOL)
     if flagged.any():
         with pytest.raises(SlitDomainError) as info:
-            F._check_args(Y, V)
+            F(Y, V)
         assert f"y={Y[flagged][0]}" in str(info.value)
     else:
-        F._check_args(Y, V)
+        F(Y, V)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 8, 9, 10, 15, 16, 17, 35, 70, 126, 128, 129])

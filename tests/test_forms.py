@@ -507,7 +507,7 @@ def test_domain_transform_orientation_violation():
     eta = area_form_2d()
     piece = Piece(((0.0, 1.0), (0.0, 1.0)), identity_map(2))
     reflect = linear_map([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(OrientationError):
+    with pytest.raises(OrientationError, match=r"Jacobian determinant -1 <= 0 at \[0\. 0\.\]"):
         verify_domain_transform(eta, reflect, piece, Q_FAST)
 
 

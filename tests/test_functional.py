@@ -34,7 +34,7 @@ from grassvar.finsler import (
     riemannian_metric,
 )
 from grassvar.forms import KForm, Piece, QuadratureSpec, integrate
-from grassvar.kvector import canonical_lift, checked_lift
+from grassvar.kvector import canonical_lift
 from grassvar.functional import areal_value, curve_length, hilbert_route_length
 from grassvar.maps import (
     DifferentiableMap,
@@ -282,8 +282,6 @@ def test_public_lift_and_metric_calls_keep_their_checks():
     with np.errstate(over="ignore"):
         with pytest.raises(EvaluationError, match="non-finite k-vector data"):
             canonical_lift(OVERFLOWING, T)
-        with pytest.raises(EvaluationError, match="non-finite k-vector data"):
-            checked_lift(OVERFLOWING, T)
     L = areal_gram(2, 3)
     with pytest.raises(SlitDomainError):
         L(np.zeros((2, 3)), np.zeros((2, 3)))
@@ -295,20 +293,7 @@ def test_public_lift_and_metric_calls_keep_their_checks():
         L(np.zeros((3, 3)), np.ones((2, 3)))
     # the quadrature's path makes the slit test too, from the lift's row maxima
     with pytest.raises(SlitDomainError):
-        L._on_lift(checked_lift(linear_map(np.zeros((3, 2))), T))
-
-
-def test_the_lift_path_evaluates_as_the_public_calls_bit_for_bit(rng):
-    for L, f, T in [
-        (areal_gram(2, 3), sphere_patch(1.3), rng.uniform(0.2, 2.9, size=(300, 2))),
-        (randers_metric(3, [0.2, 0.1, -0.3]), helix(0.8, 0.5), rng.uniform(0.0, 5.0, (300, 1))),
-    ]:
-        lift, public = checked_lift(f, T), canonical_lift(f, T)
-        assert np.array_equal(lift.base, public.base)
-        assert np.array_equal(lift.comps, public.comps)
-        assert np.array_equal(L._on_lift(lift), L(public.base, public.comps))
-        assert np.array_equal(L._on_lift(lift, gradient=True),
-                              L.fiber_gradient(public.base, public.comps))
+        L._on_lift(canonical_lift(linear_map(np.zeros((3, 2))), T))
 
 
 # an R^5 polynomial 2-piece: 64 x 64 nodes, one chunk of CHUNK_NODES

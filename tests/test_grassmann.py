@@ -30,6 +30,12 @@ LIFT_INVARIANCE_TOL = 1e-9
 SECTION_SCALE_TOL = 1e-10
 
 
+def _kvector(f, t):
+    """The canonical lift of f at t as the k-vector the ray charts read."""
+    lift = canonical_lift(f, t)
+    return KVector(lift.base, lift.comps, f.domain_dim, f.codomain_dim)
+
+
 def random_kvector(rng, k, m):
     return KVector(rng.normal(size=m), rng.normal(size=math.comb(m, k)), k, m)
 
@@ -156,7 +162,7 @@ def test_transition_not_in_chart():
 
 def test_lift_of_inclusion_hits_base_chart():
     inc = linear_map(np.eye(4, 2))
-    p = to_grassmann(canonical_lift(inc, np.array([0.2, 0.4])))
+    p = to_grassmann(_kvector(inc, np.array([0.2, 0.4])))
     assert enumerate_multiindices(2, 4)[p.pivot] == (1, 2) and p.pivot_sign == 1
     expected = np.zeros(math.comb(4, 2))
     expected[0] = 1.0
@@ -174,8 +180,8 @@ def test_lift_invariant_under_positive_reparametrization(rng, reparam):
     patch = torus_patch(2.0, 0.7)
     for _ in range(10):
         s = rng.uniform(0.2, 1.0, size=2)
-        direct = to_grassmann(canonical_lift(patch, reparam(s)))
-        composed = to_grassmann(canonical_lift(compose(patch, reparam), s))
+        direct = to_grassmann(_kvector(patch, reparam(s)))
+        composed = to_grassmann(_kvector(compose(patch, reparam), s))
         assert points_close(direct, composed, tol=LIFT_INVARIANCE_TOL, base_tol=1e-9)
 
 
@@ -183,8 +189,8 @@ def test_orientation_reversal_flips_sign(rng):
     patch = graph_surface([[1.0, (2, 0)], [0.5, (1, 1)]])
     flip = linear_map([[0.0, 1.0], [1.0, 0.0]])  # determinant -1
     s = np.array([0.4, 0.8])
-    direct = to_grassmann(canonical_lift(patch, flip(s)))
-    composed = to_grassmann(canonical_lift(compose(patch, flip), s))
+    direct = to_grassmann(_kvector(patch, flip(s)))
+    composed = to_grassmann(_kvector(compose(patch, flip), s))
     assert composed.pivot == direct.pivot
     assert composed.pivot_sign == -direct.pivot_sign
     # non-pivot ratios are insensitive to overall sign; the pivot slot holds the flipped label
@@ -198,7 +204,7 @@ def test_lift_immersion_failure():
     collapse = linear_map([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
     t = np.array([0.3, 0.3])
     with pytest.raises(ZeroKVectorError, match="zero k-vector has no ray$"):
-        to_grassmann(canonical_lift(collapse, t))
+        to_grassmann(_kvector(collapse, t))
     with pytest.raises(ImmersionError, match="degenerate lift"):
         pullback_identity_residual(areal_gram(2, 3), collapse, t)
 
@@ -206,11 +212,11 @@ def test_lift_immersion_failure():
 def test_lift_of_a_node_stack_is_a_stacked_point():
     patch = torus_patch(2.0, 0.7)
     T = np.array([[0.2, 0.3], [0.4, 0.5], [1.1, -0.6]])
-    p = to_grassmann(canonical_lift(patch, T))
+    p = to_grassmann(_kvector(patch, T))
     assert p.base.shape == (3, 3) and p.w.shape == (3, 3)
     assert p.pivot.shape == p.pivot_sign.shape == (3,)
     for i, t in enumerate(T):
-        one = to_grassmann(canonical_lift(patch, t))
+        one = to_grassmann(_kvector(patch, t))
         assert (one.pivot, one.pivot_sign) == (p.pivot[i], p.pivot_sign[i])
         assert np.array_equal(one.w, p.w[i]) and np.array_equal(one.base, p.base[i])
 
@@ -220,7 +226,7 @@ def test_lift_immersion_failure_names_the_first_collapsed_node():
     cone = polynomial_map(2, [[(1.0, (2, 0))], [(1.0, (0, 2))], [(1.0, (1, 1))]])
     T = np.array([[0.3, 0.1], [0.0, 0.0], [0.25, 0.5], [0.0, 0.0]])
     with pytest.raises(ZeroKVectorError, match=r"\(row 1\)$"):
-        to_grassmann(canonical_lift(cone, T))
+        to_grassmann(_kvector(cone, T))
     with pytest.raises(ImmersionError, match=r"at y=\[0\. 0\. 0\.\]\)$"):
         pullback_identity_residual(areal_gram(2, 3), cone, T)
 
@@ -281,8 +287,8 @@ def test_section_rays_coincide_for_positive_determinant(rng):
         found += 1
         y = np.zeros(m)
         y[:k] = rng.normal(size=k)
-        section_one = canonical_lift(linear_map(np.eye(m, k)), y[:k])
-        section_two = canonical_lift(
+        section_one = _kvector(linear_map(np.eye(m, k)), y[:k])
+        section_two = _kvector(
             compose(linear_map(Linv), linear_map(np.eye(m, k))), (L @ y)[:k]
         )
         assert points_close(
@@ -295,7 +301,7 @@ def test_section_rays_coincide_for_positive_determinant(rng):
 def test_lift_injective_and_continuous_on_grid():
     patch = torus_patch(2.0, 0.7)
     grid = [np.array([u, v]) for u in np.linspace(0.1, 1.2, 5) for v in np.linspace(0.2, 1.5, 5)]
-    points = [to_grassmann(canonical_lift(patch, t)) for t in grid]
+    points = [to_grassmann(_kvector(patch, t)) for t in grid]
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             distinct = (
@@ -308,8 +314,8 @@ def test_lift_injective_and_continuous_on_grid():
     t0 = np.array([0.5, 0.7])
     jumps = []
     for h in (1e-3, 5e-4):
-        p0 = to_grassmann(canonical_lift(patch, t0))
-        p1 = to_grassmann(canonical_lift(patch, t0 + np.array([h, 0.0])))
+        p0 = to_grassmann(_kvector(patch, t0))
+        p1 = to_grassmann(_kvector(patch, t0 + np.array([h, 0.0])))
         p1 = grassmann_transition(p1, p0.pivot)
         jumps.append(float(np.max(np.abs(p1.w - p0.w))))
     assert jumps[1] <= 0.6 * jumps[0]

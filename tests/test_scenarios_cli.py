@@ -325,7 +325,7 @@ def test_metric_of_the_wrong_dimension_exits_2_naming_both_dimensions(tmp_path, 
     assert err.rstrip().endswith("[metric]")
 
 
-# the quadrature checks each chunk once (kvector.checked_lift); each error
+# the quadrature checks each chunk once (kvector.canonical_lift); each error
 # of that one check still reaches the CLI, as exit 3 naming its class
 ONE_CHECK_ERRORS = {
     # finite Jacobian entries 1e200 whose 2 x 2 minors overflow to inf
